@@ -15,7 +15,6 @@
 #include "core/realign_job.hh"
 #include "core/realigner_api.hh"
 #include "core/workload.hh"
-#include "host/accelerated_system.hh"
 #include "sim/perf_monitor.hh"
 #include "util/table.hh"
 

@@ -78,7 +78,7 @@ figure7Targets(Rng &rng)
 }
 
 void
-printTimeline(const char *label, const ScheduleResult &res,
+printTimeline(const char *label, const FleetScheduleResult &res,
               double clock_mhz)
 {
     std::printf("%s (makespan %llu cycles = %.1f us)\n", label,
@@ -109,7 +109,7 @@ printTimeline(const char *label, const ScheduleResult &res,
 
 /** Counter-backed summary of one policy's run. */
 void
-printCounters(const char *label, const ScheduleResult &res)
+printCounters(const char *label, const FleetScheduleResult &res)
 {
     std::printf("--- %s performance counters ---\n%s\n", label,
                 renderPerfSummary(res.perf).c_str());
@@ -145,16 +145,15 @@ main(int argc, char **argv)
     cfg.perfCounters = true;
     cfg.perfTrace = !trace_path.empty();
 
-    FpgaSystem sync_sys(cfg);
-    ScheduleResult sync_res = scheduleTargets(
-        sync_sys, targets, SchedulePolicy::SynchronousParallel);
+    const FleetConfig one_card = FleetConfig::singleCard(cfg);
+    FleetScheduleResult sync_res = scheduleFleetTargets(
+        one_card, targets, SchedulePolicy::SynchronousParallel);
     printTimeline("SYNCHRONOUS-PARALLEL (Figure 7 top)", sync_res,
                   cfg.clockMhz);
     printCounters("SYNCHRONOUS-PARALLEL", sync_res);
 
-    FpgaSystem async_sys(cfg);
-    ScheduleResult async_res = scheduleTargets(
-        async_sys, targets, SchedulePolicy::AsynchronousParallel);
+    FleetScheduleResult async_res = scheduleFleetTargets(
+        one_card, targets, SchedulePolicy::AsynchronousParallel);
     printTimeline("ASYNCHRONOUS-PARALLEL (Figure 7 bottom)",
                   async_res, cfg.clockMhz);
     printCounters("ASYNCHRONOUS-PARALLEL", async_res);

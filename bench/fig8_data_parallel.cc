@@ -93,9 +93,9 @@ main(int argc, char **argv)
         AccelConfig cfg = AccelConfig::paperOptimized();
         cfg.dataParallelWidth = width;
         cfg.perfCounters = true;
-        FpgaSystem sys(cfg);
-        ScheduleResult res = scheduleTargets(
-            sys, targets, SchedulePolicy::AsynchronousParallel);
+        FleetScheduleResult res = scheduleFleetTargets(
+            FleetConfig::singleCard(cfg), targets,
+            SchedulePolicy::AsynchronousParallel);
         uint64_t compute = 0, load = 0;
         for (const auto &u : res.perf.units) {
             compute += u.computeCycles;

@@ -59,6 +59,7 @@ main(int argc, char **argv)
 
     std::vector<double> sp_taskp, sp_async, sp_iracc, sp_adam;
     double total_gatk3 = 0.0, total_adam = 0.0, total_iracc = 0.0;
+    double total_iracc_fpga = 0.0;
     PerfReport perf_taskp, perf_async, perf_iracc;
     uint32_t pid = 0;
 
@@ -76,6 +77,7 @@ main(int argc, char **argv)
         total_gatk3 += g.seconds;
         total_adam += a.seconds;
         total_iracc += i.seconds;
+        total_iracc_fpga += i.fpgaSeconds;
         if (counters) {
             perf_taskp.merge(t.perf, pid);
             perf_async.merge(y.perf, pid);
@@ -188,14 +190,15 @@ main(int argc, char **argv)
     }
     scale.print();
 
-    // Hardened-path overhead and health: the same card driven
-    // through the self-healing execution path
-    // (host/hardened_executor.hh) with no faults injected.  Output
-    // is bit-identical to the plain backend (asserted by
-    // tests/fault_test.cc), so the modeled-seconds delta is the
-    // price of checksums and watchdog bookkeeping; the health
-    // fields land in the iracc-bench-v1 JSON so fleet dashboards
-    // can alert on degraded/failed contigs.
+    // Hardened-path cost and health: the same card and dispatcher
+    // with the recovery hooks on and no faults injected.  Output is
+    // bit-identical and the hooks cost zero modeled cycles, so the
+    // modeled FPGA seconds must be equal (tests/fault_test.cc
+    // asserts it exactly).  What the hooks do cost is host work --
+    // CRCs over every image -- which is measured wall-clock and so
+    // machine-bound, reported on its own line.  The health fields
+    // land in the iracc-bench-v1 JSON so fleet dashboards can alert
+    // on degraded/failed contigs.
     obs::MetricsRegistry hardened_metrics;
     obs::Observability hardened_obs;
     hardened_obs.metrics = &hardened_metrics;
@@ -208,12 +211,17 @@ main(int argc, char **argv)
     RealignJobResult hj = hardened.run(wl.reference, hardened_reads);
     const RecoveryStats &hrec = hj.recovery;
     std::printf("\nHardened execution path (backend iracc, no "
-                "faults): %s, %.3f s modeled vs %.3f s plain "
-                "(%.1f%% overhead)\n",
-                runStatusName(hj.status), hj.seconds, total_iracc,
-                total_iracc > 0.0
-                    ? (hj.seconds / total_iracc - 1.0) * 100.0
-                    : 0.0);
+                "faults): %s\n"
+                "  modeled FPGA: %.6f s hardened vs %.6f s plain "
+                "(%s)\n"
+                "  host (measured, machine-bound): %.3f s hardened "
+                "vs %.3f s plain\n",
+                runStatusName(hj.status), hj.fpgaSeconds,
+                total_iracc_fpga,
+                hj.fpgaSeconds == total_iracc_fpga ? "equal"
+                                                   : "DIFFERENT",
+                hj.seconds - hj.fpgaSeconds,
+                total_iracc - total_iracc_fpga);
 
     report.addValue("hardenedSeconds", hj.seconds);
     report.addValue("hardenedOk",

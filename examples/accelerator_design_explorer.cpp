@@ -17,8 +17,8 @@
 #include <cstdlib>
 
 #include "accel/resource_model.hh"
+#include "core/realign_job.hh"
 #include "core/workload.hh"
-#include "host/accelerated_system.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
 
@@ -68,8 +68,9 @@ main(int argc, char **argv)
 
                     ResourceEstimate res = estimateResources(cfg);
                     std::vector<Read> reads = chr.reads;
-                    AcceleratedIrSystem sys(cfg, sched);
-                    AcceleratedRunResult run = sys.realignContig(
+                    RealignSession session(makeAcceleratedBackend(
+                        "sweep", "design-space point", cfg, sched));
+                    RealignJobResult run = session.runContig(
                         wl.reference, chr.contig, reads);
 
                     bool is_paper = units == 32 && width == 32 &&
@@ -88,7 +89,7 @@ main(int argc, char **argv)
                          res.fits ? "y" : "n",
                          Table::num(run.fpgaSeconds * 1e3, 2),
                          Table::pct(
-                             run.fpga.meanUnitUtilization, 0),
+                             run.contigs[0].run.unitUtilization, 0),
                          is_paper ? "<- paper design" : ""});
                 }
             }

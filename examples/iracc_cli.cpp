@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <string>
@@ -85,6 +86,32 @@ loadReads(const std::string &path, const ReferenceGenome &ref)
     return readSamLite(f, ref);
 }
 
+/** Open @p path for writing; fatal() when it cannot be. */
+std::ofstream
+openOutput(const std::string &path)
+{
+    std::ofstream f(path);
+    fatal_if(!f, "cannot write '%s'", path.c_str());
+    return f;
+}
+
+/**
+ * Fail fast when @p path cannot be written, before any expensive
+ * work.  An existing file (which may also be an input) is opened
+ * in append mode and left intact; a probe file is removed again.
+ */
+void
+requireWritable(const std::string &path)
+{
+    const bool existed = std::filesystem::exists(path);
+    {
+        std::ofstream f(path, std::ios::app);
+        fatal_if(!f, "cannot write '%s'", path.c_str());
+    }
+    if (!existed)
+        std::filesystem::remove(path);
+}
+
 int
 cmdSimulate(const Args &args)
 {
@@ -102,10 +129,18 @@ cmdSimulate(const Args &args)
     if (!chroms.empty())
         params.chromosomes = parseChromosomes(chroms);
 
-    GenomeWorkload wl = buildWorkload(params);
+    // Open every output before synthesizing: a missing or
+    // read-only --out DIR fails in milliseconds, not after the
+    // whole workload has been built.
+    std::ofstream fa = openOutput(out + "/ref.fa");
+    std::ofstream sam = openOutput(out + "/aligned.samlite");
+    std::ofstream fq = openOutput(out + "/reads.fq");
+    std::ofstream vcf = openOutput(out + "/truth.vcf");
+    std::ofstream nf;
+    if (params.normalCoverage > 0.0)
+        nf = openOutput(out + "/normal.samlite");
 
-    std::ofstream fa(out + "/ref.fa");
-    fatal_if(!fa, "cannot write to '%s'", out.c_str());
+    GenomeWorkload wl = buildWorkload(params);
     writeFasta(fa, wl.reference);
 
     std::vector<Read> all_reads;
@@ -119,15 +154,10 @@ cmdSimulate(const Args &args)
         all_truth.insert(all_truth.end(), chr.truth.begin(),
                          chr.truth.end());
     }
-    if (!all_normal.empty()) {
-        std::ofstream nf(out + "/normal.samlite");
+    if (!all_normal.empty())
         writeSamLite(nf, wl.reference, all_normal);
-    }
-    std::ofstream sam(out + "/aligned.samlite");
     writeSamLite(sam, wl.reference, all_reads);
-    std::ofstream fq(out + "/reads.fq");
     writeFastq(fq, all_reads);
-    std::ofstream vcf(out + "/truth.vcf");
     writeTruthVcf(vcf, wl.reference, all_truth);
 
     std::printf("wrote %s/{ref.fa, aligned.samlite, reads.fq, "
@@ -161,14 +191,6 @@ cmdRealign(const Args &args)
     // contig-grouped input (what simulate and realign write).
     const bool stream = args.getFlag("--stream", false);
 
-    ReferenceGenome ref = loadReference(
-        args.get("--ref", dir + "/ref.fa"));
-    const std::string reads_path =
-        args.get("--reads", dir + "/aligned.samlite");
-    std::vector<Read> reads;
-    if (!stream)
-        reads = loadReads(reads_path, ref);
-
     // Observability: --counters 1 prints the performance-counter
     // summary; --trace FILE records both the host-side spans and
     // (for accelerated backends) the simulator timeline, merged
@@ -180,8 +202,24 @@ cmdRealign(const Args &args)
     bool trace = !trace_path.empty();
     bool counters = trace || args.getFlag("--counters", false);
 
-    // Hardened execution: --harden 1 routes an accelerated backend
-    // through the self-healing path (host/hardened_executor.hh);
+    // Every output path is checked before the inputs load, so a
+    // bad path is a fast error rather than one found after the run.
+    std::string out = args.get("--out", dir + "/realigned.samlite");
+    for (const std::string &path : {out, trace_path, metrics_path}) {
+        if (!path.empty())
+            requireWritable(path);
+    }
+
+    ReferenceGenome ref = loadReference(
+        args.get("--ref", dir + "/ref.fa"));
+    const std::string reads_path =
+        args.get("--reads", dir + "/aligned.samlite");
+    std::vector<Read> reads;
+    if (!stream)
+        reads = loadReads(reads_path, ref);
+
+    // Hardened execution: --harden 1 turns on the recovery hooks of
+    // an accelerated backend's dispatcher (host/scheduler.hh);
     // --fault-plan SPEC additionally injects the given fault
     // schedule into the simulated card (and implies --harden).
     // The exit code reports the run's health: 0 ok, 3 degraded
@@ -260,14 +298,12 @@ cmdRealign(const Args &args)
         std::printf("fault plan: %s\n",
                     fault_plan.describe().c_str());
 
-    std::string out = args.get("--out", dir + "/realigned.samlite");
     RealignJobResult job;
     if (stream) {
         std::ifstream rf(reads_path);
         fatal_if(!rf, "cannot open reads '%s'",
                  reads_path.c_str());
-        std::ofstream f(out);
-        fatal_if(!f, "cannot write '%s'", out.c_str());
+        std::ofstream f = openOutput(out);
         SamLiteBatchSource source(rf, ref);
         StreamRealignResult sr = session.runStreamed(
             ref, source, [&](std::vector<Read> &group) {
@@ -294,8 +330,7 @@ cmdRealign(const Args &args)
         for (size_t c = 0; c < ref.numContigs(); ++c)
             contigs.push_back(static_cast<int32_t>(c));
         job = session.run(ref, contigs, reads);
-        std::ofstream f(out);
-        fatal_if(!f, "cannot write '%s'", out.c_str());
+        std::ofstream f = openOutput(out);
         writeSamLite(f, ref, reads);
     }
     const RealignStats &total = job.stats;
@@ -383,9 +418,7 @@ cmdRealign(const Args &args)
     }
 
     if (!metrics_path.empty()) {
-        std::ofstream mf(metrics_path);
-        fatal_if(!mf, "cannot write metrics '%s'",
-                 metrics_path.c_str());
+        std::ofstream mf = openOutput(metrics_path);
         bool prom = metrics_path.size() >= 5 &&
                     metrics_path.compare(metrics_path.size() - 5, 5,
                                          ".prom") == 0;
@@ -411,9 +444,7 @@ cmdRealign(const Args &args)
         // tid per worker thread) next to each contig's cycle-domain
         // FPGA timeline (pid = contig id).  Software backends still
         // get the host spans.
-        std::ofstream tf(trace_path);
-        fatal_if(!tf, "cannot write trace '%s'",
-                 trace_path.c_str());
+        std::ofstream tf = openOutput(trace_path);
         obs::writeUnifiedChromeTrace(
             tf, &tracer, perf.enabled ? &perf : nullptr,
             perf.clockMhz > 0 ? perf.clockMhz : 125.0);
@@ -476,16 +507,18 @@ int
 cmdCall(const Args &args)
 {
     std::string dir = args.get("--dir", ".");
-    ReferenceGenome ref = loadReference(
-        args.get("--ref", dir + "/ref.fa"));
-    std::vector<Read> reads = loadReads(
-        args.get("--reads", dir + "/realigned.samlite"), ref);
-
     CallerParams params;
     params.lodThreshold =
         args.getDouble("--lod", 6.3, 0.0, 1000.0);
     params.minDepth = static_cast<uint32_t>(
         args.getInt("--min-depth", 8, 1, 1000000));
+    std::string out = args.get("--out", dir + "/calls.vcf");
+    requireWritable(out);
+
+    ReferenceGenome ref = loadReference(
+        args.get("--ref", dir + "/ref.fa"));
+    std::vector<Read> reads = loadReads(
+        args.get("--reads", dir + "/realigned.samlite"), ref);
 
     std::vector<CalledVariant> all_calls;
     for (size_t c = 0; c < ref.numContigs(); ++c) {
@@ -496,9 +529,7 @@ cmdCall(const Args &args)
                          calls.end());
     }
 
-    std::string out = args.get("--out", dir + "/calls.vcf");
-    std::ofstream f(out);
-    fatal_if(!f, "cannot write '%s'", out.c_str());
+    std::ofstream f = openOutput(out);
     writeVcf(f, ref, all_calls);
 
     int64_t snvs = 0, indels = 0;

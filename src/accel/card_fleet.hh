@@ -22,10 +22,10 @@
  * decisions; only the modeled makespan changes.
  *
  * Per-card fault attachment: FleetConfig::cardPlans[k] is card k's
- * FaultPlan (missing entries = fault-free).  The hardened executor
- * (host/hardened_executor.hh) builds one FaultInjector per card per
- * lease, so occurrence counters restart per contig exactly like the
- * single-card path.
+ * FaultPlan (missing entries = fault-free).  A hardened run of the
+ * scheduler (a HardenPolicy passed to scheduleFleetTargets) builds
+ * one FaultInjector per card with a non-empty plan per lease, so
+ * occurrence counters restart per contig.
  */
 
 #ifndef IRACC_ACCEL_CARD_FLEET_HH
@@ -60,8 +60,8 @@ struct FleetConfig
 
     /**
      * Per-card fault schedules, indexed by card id; cards beyond
-     * the vector's size are fault-free.  Only the hardened
-     * execution path attaches them.
+     * the vector's size are fault-free.  Only a hardened run
+     * (one with a HardenPolicy) attaches them.
      */
     std::vector<FaultPlan> cardPlans;
 

@@ -71,7 +71,6 @@ summaryJson(const RealignJobResult &job,
        << ",\"quarantinedUnits\":" << r.quarantinedUnits
        << ",\"quarantinedCards\":" << r.quarantinedCards
        << ",\"migratedTargets\":" << r.migratedTargets
-       << ",\"staleResponses\":" << r.staleResponses
        << ",\"failedTargets\":" << r.failedTargets << "}";
 
     os << ",\"fleet\":[";

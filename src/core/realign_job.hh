@@ -13,9 +13,6 @@
  * merged in contig order at the barrier.  Results are
  * bit-identical for any thread count, card count, and stealing
  * setting (asserted by tests/realign_job_test.cc).
- *
- * RealignerBackend::realignContig is a thin shim over a
- * one-contig job, so existing per-contig callers keep working.
  */
 
 #ifndef IRACC_CORE_REALIGN_JOB_HH
@@ -295,7 +292,7 @@ class RealignSession
                          std::vector<Read> &reads,
                          const RealignJobConfig &job_cfg) const;
 
-    /** One-contig convenience (what the realignContig shim uses). */
+    /** One-contig convenience. */
     RealignJobResult runContig(const ReferenceGenome &ref,
                                int32_t contig,
                                std::vector<Read> &reads) const;

@@ -1,8 +1,8 @@
 #include "core/realigner_api.hh"
 
 #include <algorithm>
+#include <optional>
 
-#include "host/accelerated_system.hh"
 #include "realign/whd_simd.hh"
 #include "util/logging.hh"
 
@@ -51,51 +51,22 @@ class SoftwareBackend : public RealignerBackend
     SoftwareRealignerConfig cfg;
 };
 
-/** Simulated-FPGA backend: accelerated Execute stage. */
+/**
+ * Simulated-FPGA backend, plain or hardened: one shared CardFleet,
+ * a scheduling policy, and optionally the recovery hooks.
+ */
 class AcceleratedBackend : public RealignerBackend
 {
   public:
     AcceleratedBackend(std::string name, std::string desc,
-                       FleetConfig fleet, SchedulePolicy policy)
+                       FleetConfig fleet_cfg, SchedulePolicy policy,
+                       std::optional<HardenPolicy> harden)
         : backendName(std::move(name)), desc(std::move(desc)),
-          system(std::move(fleet), policy)
+          fleet(std::move(fleet_cfg)), policy(policy),
+          harden(harden)
     {
-    }
-
-    std::string name() const override { return backendName; }
-    std::string description() const override { return desc; }
-
-    std::unique_ptr<ExecuteStage>
-    makeExecuteStage(uint32_t) const override
-    {
-        // executeTargets() draws a fresh lease from the backend's
-        // shared CardFleet per call, so each contig gets its own
-        // per-card virtual timelines while the fleet accumulates
-        // the cross-contig accounting.
-        return std::make_unique<AcceleratedExecuteStage>(system);
-    }
-
-    const FleetConfig *
-    fleetShape() const override
-    {
-        return &system.fleetConfig();
-    }
-
-  private:
-    std::string backendName;
-    std::string desc;
-    AcceleratedIrSystem system;
-};
-
-/** Hardened simulated-FPGA backend: self-healing Execute stage. */
-class HardenedBackend : public RealignerBackend
-{
-  public:
-    HardenedBackend(std::string name, std::string desc,
-                    FleetConfig fleet_cfg, HardenPolicy policy)
-        : backendName(std::move(name)), desc(std::move(desc)),
-          fleet(std::move(fleet_cfg)), policy(policy)
-    {
+        fatal_if(harden && harden->maxAttempts == 0,
+                 "harden policy needs >= 1 attempt");
     }
 
     std::string name() const override { return backendName; }
@@ -105,14 +76,15 @@ class HardenedBackend : public RealignerBackend
     makeExecuteStage(uint32_t) const override
     {
         // Each stage (= contig) leases fresh per-card simulators
-        // and FaultInjector instances from the shared fleet, so
-        // the plans' occurrence counters restart per contig and
-        // contig-parallel runs stay deterministic.
-        return std::make_unique<HardenedExecuteStage>(fleet,
-                                                      policy);
+        // (and, when hardened, fresh FaultInjectors) from the
+        // shared fleet, so contig-parallel runs stay deterministic
+        // while the fleet accumulates cross-contig accounting.
+        return std::make_unique<AcceleratedExecuteStage>(
+            fleet, policy, harden ? &*harden : nullptr);
     }
 
-    const FleetConfig *fleetShape() const override
+    const FleetConfig *
+    fleetShape() const override
     {
         return &fleet.config();
     }
@@ -121,7 +93,8 @@ class HardenedBackend : public RealignerBackend
     std::string backendName;
     std::string desc;
     CardFleet fleet;
-    HardenPolicy policy;
+    SchedulePolicy policy;
+    std::optional<HardenPolicy> harden;
 };
 
 /** Registry configuration of one accelerated backend name. */
@@ -164,16 +137,6 @@ accelRegistryEntry(const std::string &name, AccelRegistryEntry *out)
 
 } // anonymous namespace
 
-BackendRunResult
-RealignerBackend::realignContig(const ReferenceGenome &ref,
-                                int32_t contig,
-                                std::vector<Read> &reads) const
-{
-    auto exec = makeExecuteStage(1);
-    return runContigPipeline(ref, contig, reads, targetParams(),
-                             *exec, hostThreads());
-}
-
 std::unique_ptr<RealignerBackend>
 makeSoftwareBackend(std::string name, std::string description,
                     SoftwareRealignerConfig config)
@@ -201,7 +164,7 @@ makeAcceleratedBackend(std::string name, std::string description,
 {
     return std::make_unique<AcceleratedBackend>(
         std::move(name), std::move(description), std::move(fleet),
-        policy);
+        policy, std::nullopt);
 }
 
 std::unique_ptr<RealignerBackend>
@@ -220,9 +183,9 @@ std::unique_ptr<RealignerBackend>
 makeHardenedBackend(std::string name, std::string description,
                     FleetConfig fleet, HardenPolicy policy)
 {
-    return std::make_unique<HardenedBackend>(
+    return std::make_unique<AcceleratedBackend>(
         std::move(name), std::move(description), std::move(fleet),
-        policy);
+        SchedulePolicy::AsynchronousParallel, policy);
 }
 
 std::unique_ptr<RealignerBackend>
@@ -243,9 +206,9 @@ makeHardenedBackend(const std::string &name, bool perf_counters,
     fleet.cards = cards;
     fleet.stealing = stealing;
     fleet.cardPlans = {std::move(plan)};
-    return makeHardenedBackend(
+    return std::make_unique<AcceleratedBackend>(
         name, std::string(entry.desc) + " (hardened)",
-        std::move(fleet), policy);
+        std::move(fleet), entry.policy, policy);
 }
 
 std::unique_ptr<RealignerBackend>

@@ -23,10 +23,9 @@
  *
  * Every backend is a bundle of stage-pipeline pieces (see
  * core/stage_pipeline.hh): all backends share Plan / Prepare /
- * Apply and differ only in the Execute stage they provide.  The
- * per-contig realignContig call is a thin shim over a one-contig
- * RealignJob (core/realign_job.hh); genome-wide callers should
- * use a RealignSession directly.
+ * Apply and differ only in the Execute stage they provide.  Run a
+ * backend through a RealignSession (core/realign_job.hh); its
+ * runContig() covers the one-contig case.
  */
 
 #ifndef IRACC_CORE_REALIGNER_API_HH
@@ -81,16 +80,6 @@ class RealignerBackend
      * the shape and the per-card FaultPlans from it.
      */
     virtual const FleetConfig *fleetShape() const { return nullptr; }
-
-    /**
-     * Realign one contig's reads in place -- a thin shim that
-     * drives a one-contig staged pipeline (Plan -> Prepare ->
-     * Execute -> Apply).  Genome-wide callers should prefer
-     * RealignSession (core/realign_job.hh).
-     */
-    BackendRunResult realignContig(const ReferenceGenome &ref,
-                                   int32_t contig,
-                                   std::vector<Read> &reads) const;
 };
 
 /**
@@ -142,10 +131,11 @@ std::unique_ptr<RealignerBackend> makeAcceleratedBackend(
 
 /**
  * Create a hardened accelerated backend with an explicit
- * configuration: the same simulated card, driven through the
- * self-healing execution path (host/hardened_executor.hh) with
- * @p plan attached to its fault hooks.  An empty plan yields
- * bit-identical results to makeAcceleratedBackend.
+ * configuration: the same simulated card and the same
+ * asynchronous dispatcher, with @p policy's recovery hooks on and
+ * @p plan attached to the card's fault hooks.  An empty plan
+ * yields results and modeled timing identical to
+ * makeAcceleratedBackend.
  */
 std::unique_ptr<RealignerBackend> makeHardenedBackend(
     std::string name, std::string description, AccelConfig config,
@@ -155,7 +145,7 @@ std::unique_ptr<RealignerBackend> makeHardenedBackend(
  * Create a hardened accelerated backend over an explicit card
  * fleet.  Per-card fault schedules ride in
  * FleetConfig::cardPlans; a wedged card's targets migrate to the
- * next usable card (see host/hardened_executor.hh).
+ * next card (see host/scheduler.hh).
  */
 std::unique_ptr<RealignerBackend> makeHardenedBackend(
     std::string name, std::string description, FleetConfig fleet,
@@ -163,7 +153,8 @@ std::unique_ptr<RealignerBackend> makeHardenedBackend(
 
 /**
  * Hardened variant of a registry backend: resolves @p name to its
- * accelerated configuration and wraps it in the hardened path.
+ * accelerated configuration and scheduling policy and turns the
+ * recovery hooks on.
  * fatal() on software names -- there is no device to harden.
  * @p cards / @p stealing provision a multi-card fleet; @p plan
  * attaches to card 0 (use the FleetConfig overload for per-card
@@ -199,10 +190,9 @@ struct BackendVariant
     uint32_t jobThreads = 1;
 
     /**
-     * Accelerated only: drive the simulated card through the
-     * hardened execution path (fault-free -- the differential
-     * matrix asserts the hardening machinery itself changes
-     * nothing).
+     * Accelerated only: turn the recovery hooks on (fault-free --
+     * the differential matrix asserts the hardening machinery
+     * itself changes nothing, modeled timing included).
      */
     bool hardened = false;
 

@@ -22,8 +22,7 @@
 #include "genomics/read.hh"
 #include "obs/latency_histogram.hh"
 #include "genomics/reference.hh"
-#include "host/accelerated_system.hh"
-#include "host/hardened_executor.hh"
+#include "host/scheduler.hh"
 #include "realign/realigner.hh"
 #include "realign/stages.hh"
 #include "sim/perf_monitor.hh"
@@ -188,46 +187,23 @@ class SoftwareExecuteStage : public ExecuteStage
 };
 
 /**
- * Execute stage of the accelerated backends: delegates to
- * AcceleratedIrSystem::executeTargets, which borrows a card lease
+ * Execute stage of every accelerated backend: borrows a card lease
  * (fresh per-card virtual timelines) from the backend's shared
- * CardFleet.  Holds a reference; the owning backend must outlive
- * the stage.
+ * CardFleet, runs the one dispatcher (scheduleFleetTargets) over
+ * the marshalled targets, and converts the raw outputs into
+ * decisions.  A hardened backend passes its HardenPolicy, which
+ * turns on the recovery hooks and attaches the fleet's per-card
+ * FaultPlans; RecoveryStats / RunStatus then surface through
+ * ExecuteOutcome.  Holds references; the owning backend must
+ * outlive the stage.
  */
 class AcceleratedExecuteStage : public ExecuteStage
 {
   public:
-    explicit AcceleratedExecuteStage(const AcceleratedIrSystem &sys)
-        : system(sys)
-    {
-    }
-
-    bool needsMarshalledTargets() const override { return true; }
-
-    ExecuteOutcome execute(const PreparedContig &prepared,
-                           uint64_t rng_seed) override;
-
-  private:
-    const AcceleratedIrSystem &system;
-};
-
-/**
- * Execute stage of the hardened accelerated backends: borrows a
- * card lease from the backend's shared CardFleet and delegates to
- * hardenedExecuteFleetTargets (host/hardened_executor.hh), which
- * wraps the leased cards with checksum verification, a watchdog,
- * bounded retry, software fallback, unit quarantine, and
- * cross-card migration, and surfaces RecoveryStats / RunStatus
- * through ExecuteOutcome.  Each lease materializes fresh per-card
- * simulators and fault injectors, so the fleet's FaultPlans
- * restart their occurrence counters per contig.  Holds a
- * reference; the owning backend must outlive the stage.
- */
-class HardenedExecuteStage : public ExecuteStage
-{
-  public:
-    HardenedExecuteStage(const CardFleet &fleet, HardenPolicy policy)
-        : fleet(fleet), policy(policy)
+    AcceleratedExecuteStage(const CardFleet &fleet,
+                            SchedulePolicy policy,
+                            const HardenPolicy *harden)
+        : fleet(fleet), policy(policy), harden(harden)
     {
     }
 
@@ -238,7 +214,8 @@ class HardenedExecuteStage : public ExecuteStage
 
   private:
     const CardFleet &fleet;
-    HardenPolicy policy;
+    SchedulePolicy policy;
+    const HardenPolicy *harden; ///< null = plain, no hooks
 };
 
 /**

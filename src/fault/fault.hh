@@ -242,9 +242,6 @@ struct RecoveryStats
     /** Fleet: targets moved off a wedged card onto another. */
     uint64_t migratedTargets = 0;
 
-    /** Events that arrived for an already-abandoned attempt. */
-    uint64_t staleResponses = 0;
-
     /** Targets left unresolved (no-op decision applied). */
     uint64_t failedTargets = 0;
 
@@ -273,12 +270,16 @@ struct RecoveryStats
         quarantinedUnits += o.quarantinedUnits;
         quarantinedCards += o.quarantinedCards;
         migratedTargets += o.migratedTargets;
-        staleResponses += o.staleResponses;
         failedTargets += o.failedTargets;
     }
 };
 
-/** Knobs of the hardened execution path (host/hardened_executor). */
+/**
+ * Recovery policy of a hardened run: the hooks the one dispatcher
+ * (host/scheduler.hh) runs when a policy is given.  The watchdog
+ * sweeps whenever a card's event queue drains with targets still
+ * in flight, so it needs no cycle budget.
+ */
 struct HardenPolicy
 {
     /** Verify input images against a device readback before
@@ -298,12 +299,6 @@ struct HardenPolicy
     /** Resolve exhausted targets on the host datapath model; when
      *  false they fail (no-op decision, RunStatus::Failed). */
     bool softwareFallback = true;
-
-    /** Watchdog budget: base cycles per dispatched round... */
-    uint64_t watchdogBaseCycles = 1ull << 24;
-
-    /** ...plus this many cycles per in-flight target. */
-    uint64_t watchdogPerTargetCycles = 1ull << 24;
 };
 
 } // namespace iracc

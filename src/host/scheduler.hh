@@ -1,7 +1,8 @@
 /**
  * @file
  * Host-side target scheduling over the sea of IR units -- paper
- * Figure 7 and Section IV.
+ * Figure 7 and Section IV -- and the one dispatch engine every
+ * accelerated backend runs on.
  *
  * Two policies are modeled:
  *
@@ -15,17 +16,27 @@
  *    from the MMIO "response valid" register) immediately triggers
  *    the DMA + launch of the next pending target on that unit,
  *    keeping all units busy (the paper's 6.2x average gain).
+ *
+ * Hardening is an optional HardenPolicy over the same dispatcher
+ * (docs/ROBUSTNESS.md): hooks verify a target's input images
+ * before ir_start and its output buffers at the response, sweep
+ * for lost targets when a card's event queue drains with work
+ * still in flight, retry on a different unit, quarantine wedged
+ * units, fall back to software (or fail) when attempts run out,
+ * and migrate a wedged card's remaining targets to the next card.
+ * Without faults the hooks cost zero modeled cycles, so a hardened
+ * run's timing equals the plain run's cycle for cycle.
  */
 
 #ifndef IRACC_HOST_SCHEDULER_HH
 #define IRACC_HOST_SCHEDULER_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "accel/card_fleet.hh"
 #include "accel/fpga_system.hh"
+#include "fault/fault.hh"
 #include "obs/latency_histogram.hh"
 #include "realign/marshal.hh"
 
@@ -40,49 +51,15 @@ enum class SchedulePolicy {
 /** @return display name of a policy. */
 const char *schedulePolicyName(SchedulePolicy policy);
 
-/** Outcome of scheduling a target list onto the FPGA. */
-struct ScheduleResult
-{
-    /** Per-target datapath results, indexed like the input list. */
-    std::vector<IrComputeResult> results;
-
-    /** Final cycle when the last response was collected. */
-    Cycle makespan = 0;
-
-    /** Per-unit, per-target execution records. */
-    std::vector<UnitTimelineEntry> timeline;
-
-    /** System statistics snapshot. */
-    FpgaRunStats fpga;
-
-    /**
-     * Performance-counter snapshot (perf.enabled == false unless
-     * the AccelConfig asked for counters/tracing).
-     */
-    PerfReport perf;
-
-    /**
-     * Always-on per-target latency (dispatch-ready to response
-     * collected), in the cycle domain and in modeled nanoseconds.
-     * Deterministic; merges exactly up through contigs and jobs.
-     */
-    obs::LatencyHistogram targetLatencyCycles;
-    obs::LatencyHistogram targetLatencyNanos;
-};
-
-/**
- * Run every marshalled target through the FPGA system under the
- * given policy.  The call drives the event queue to completion.
- */
-ScheduleResult scheduleTargets(
-    FpgaSystem &sys, const std::vector<MarshalledTarget> &targets,
-    SchedulePolicy policy);
-
 /** Outcome of scheduling a target list onto a card fleet. */
 struct FleetScheduleResult
 {
-    /** Per-target datapath results, indexed like the input list
-     *  (bit-identical for any card count or placement). */
+    /**
+     * Per-target datapath results, indexed like the input list
+     * (bit-identical for any card count or placement).  A target
+     * a hardened run gave up on carries an all-zero output of the
+     * right size, i.e. a no-op decision.
+     */
     std::vector<IrComputeResult> results;
 
     /**
@@ -95,8 +72,10 @@ struct FleetScheduleResult
     /**
      * Aggregated system statistics: byte/target/command counters
      * summed over cards, totalCycles = makespan, unit utilization
-     * weighted by each card's cycles.  With one card this is that
-     * card's snapshot verbatim.
+     * weighted by each card's cycles, and `whd` merged from each
+     * target's resolving result in target order (a retried
+     * attempt's work is not counted twice).  With one card this
+     * is that card's snapshot.
      */
     FpgaRunStats fpga;
 
@@ -113,13 +92,24 @@ struct FleetScheduleResult
     /** Per-unit execution records, concatenated per card. */
     std::vector<UnitTimelineEntry> timeline;
 
-    /** Per-card dispatch accounting (shards, steals, busy). */
+    /** Per-card dispatch accounting (shards, steals, migrations,
+     *  busy cycles). */
     FleetExecStats fleet;
 
-    /** Always-on per-target latency over every card (cycle domain
-     *  and modeled nanoseconds); exact merge of the cards. */
+    /**
+     * Always-on per-target latency over every card, first
+     * dispatch to resolution (retries and watchdog waits
+     * included), in the cycle domain and in modeled nanoseconds;
+     * exact merge of the cards.
+     */
     obs::LatencyHistogram targetLatencyCycles;
     obs::LatencyHistogram targetLatencyNanos;
+
+    /** Hardened runs: recovery counters (all zero otherwise). */
+    RecoveryStats recovery;
+
+    /** Ok / Degraded / Failed (see RunStatus). */
+    RunStatus status = RunStatus::Ok;
 };
 
 /**
@@ -130,28 +120,28 @@ struct FleetScheduleResult
  * of everything placed there so far; deterministic -- ties break
  * to the lowest card id) and displaced shards are counted as
  * steals.  Either way each card then runs its placement as one
- * continuous dispatch, so DMA bursts and unit refills batch across
- * shard boundaries.  A one-card fleet collapses to the exact
- * legacy scheduleTargets schedule, cycle for cycle.  The lease's
- * `stats` are updated with this run's accounting.
+ * continuous completion-driven dispatch, so DMA bursts and unit
+ * refills batch across shard boundaries.  A one-card fleet runs
+ * the whole list in order.  The lease's `stats` are updated with
+ * this run's accounting.
+ *
+ * Datapath results are always precomputed on worker threads (LPT
+ * placement needs their cycle costs) and replayed by the units.
+ * With @p harden set, each card whose FleetConfig::cardPlans entry
+ * is non-empty gets a fresh FaultInjector for this call and its
+ * units compute from the bytes in device memory instead, so an
+ * injected corruption really reaches the datapath.
  */
 FleetScheduleResult scheduleFleetTargets(
     FleetLease &lease, const std::vector<MarshalledTarget> &targets,
-    SchedulePolicy policy);
+    SchedulePolicy policy, const HardenPolicy *harden = nullptr);
 
-/**
- * DMA one marshalled target's three input arrays to the device
- * buffers named by its descriptor.  The arrays move as one burst;
- * payloads land in device memory at the completion events and
- * @p on_done fires when the last array has landed.  The target
- * must outlive the transfer.  Shared by the scheduling policies
- * and the hardened execution path (host/hardened_executor), so
- * both move bytes through the identical DMA sequence.
- */
-void transferTargetInputs(FpgaSystem &sys,
-                          const MarshalledTarget &target,
-                          const TargetDescriptor &desc,
-                          std::function<void()> on_done);
+/** Convenience: lease a transient fleet of @p fleet's shape (a
+ *  one-card FleetConfig::singleCard is the single-system case). */
+FleetScheduleResult scheduleFleetTargets(
+    const FleetConfig &fleet,
+    const std::vector<MarshalledTarget> &targets,
+    SchedulePolicy policy, const HardenPolicy *harden = nullptr);
 
 } // namespace iracc
 

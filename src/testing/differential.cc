@@ -218,6 +218,7 @@ runBackendPipeline(std::unique_ptr<const RealignerBackend> backend,
     out.stats = result.stats;
     out.recovery = result.recovery;
     out.status = result.status;
+    out.contigs = std::move(result.contigs);
     out.alignments.reserve(reads.size());
     for (const Read &r : reads) {
         out.alignments.push_back(
@@ -543,6 +544,118 @@ diffPipelineSeed(uint64_t seed)
     return r;
 }
 
+namespace {
+
+/** Fleet makespan of one contig: its slowest card's final cycle. */
+Cycle
+contigMakespan(const BackendRunResult &run)
+{
+    Cycle m = 0;
+    for (const FleetCardExecStats &c : run.fleet.cards)
+        m = std::max(m, c.busyCycles);
+    return m;
+}
+
+/**
+ * A fault-free hardened run against its plain twin: outputs, a
+ * clean bill of health, and the modeled timing bit for bit.
+ */
+DiffResult
+diffHardenedTwin(const std::string &label, const PipelineOutcome &hard,
+                 const PipelineOutcome &plain)
+{
+    DiffResult r = compareOutcomes(label, hard, plain);
+    if (!r.ok)
+        return r;
+    if (hard.status != RunStatus::Ok) {
+        return DiffResult::fail(
+            label, fmt("fault-free hardened run reports status '%s'",
+                       runStatusName(hard.status)));
+    }
+    const RecoveryStats &rec = hard.recovery;
+    if (rec.faultsInjected != 0 || rec.anyRecovery() ||
+        rec.retrySuccesses != 0) {
+        return DiffResult::fail(
+            label,
+            fmt("recovery counters ticked on a fault-free run "
+                "(injected=%llu retries=%llu fallbacks=%llu)",
+                static_cast<unsigned long long>(rec.faultsInjected),
+                static_cast<unsigned long long>(rec.retries),
+                static_cast<unsigned long long>(
+                    rec.softwareFallbacks)));
+    }
+    if (hard.contigs.size() != plain.contigs.size()) {
+        return DiffResult::fail(
+            label, fmt("%zu contigs vs %zu plain", hard.contigs.size(),
+                       plain.contigs.size()));
+    }
+    for (size_t i = 0; i < hard.contigs.size(); ++i) {
+        const BackendRunResult &h = hard.contigs[i].run;
+        const BackendRunResult &p = plain.contigs[i].run;
+        const int contig = hard.contigs[i].contig;
+        if (contigMakespan(h) != contigMakespan(p) ||
+            h.fpgaSeconds != p.fpgaSeconds) {
+            return DiffResult::fail(
+                label,
+                fmt("contig %d modeled time diverges: makespan "
+                    "%llu vs %llu plain, fpga %.17g s vs %.17g s",
+                    contig,
+                    static_cast<unsigned long long>(contigMakespan(h)),
+                    static_cast<unsigned long long>(contigMakespan(p)),
+                    h.fpgaSeconds, p.fpgaSeconds));
+        }
+        if (h.fleet.cards.size() != p.fleet.cards.size()) {
+            return DiffResult::fail(
+                label, fmt("contig %d: %zu fleet rows vs %zu plain",
+                           contig, h.fleet.cards.size(),
+                           p.fleet.cards.size()));
+        }
+        for (size_t k = 0; k < h.fleet.cards.size(); ++k) {
+            const FleetCardExecStats &a = h.fleet.cards[k];
+            const FleetCardExecStats &b = p.fleet.cards[k];
+            if (a.card != b.card || a.targets != b.targets ||
+                a.shards != b.shards || a.steals != b.steals ||
+                a.migrations != b.migrations ||
+                a.busyCycles != b.busyCycles) {
+                return DiffResult::fail(
+                    label,
+                    fmt("contig %d card %u: targets/shards/steals/"
+                        "busy %llu/%llu/%llu/%llu vs plain "
+                        "%llu/%llu/%llu/%llu",
+                        contig, a.card,
+                        static_cast<unsigned long long>(a.targets),
+                        static_cast<unsigned long long>(a.shards),
+                        static_cast<unsigned long long>(a.steals),
+                        static_cast<unsigned long long>(a.busyCycles),
+                        static_cast<unsigned long long>(b.targets),
+                        static_cast<unsigned long long>(b.shards),
+                        static_cast<unsigned long long>(b.steals),
+                        static_cast<unsigned long long>(
+                            b.busyCycles)));
+            }
+        }
+        if (!(h.targetLatencyCycles == p.targetLatencyCycles) ||
+            !(h.targetLatencyNanos == p.targetLatencyNanos)) {
+            return DiffResult::fail(
+                label,
+                fmt("contig %d target latency diverges: p50 %llu "
+                    "vs %llu plain cycles, p99 %llu vs %llu",
+                    contig,
+                    static_cast<unsigned long long>(
+                        h.targetLatencyCycles.p50()),
+                    static_cast<unsigned long long>(
+                        p.targetLatencyCycles.p50()),
+                    static_cast<unsigned long long>(
+                        h.targetLatencyCycles.p99()),
+                    static_cast<unsigned long long>(
+                        p.targetLatencyCycles.p99())));
+        }
+    }
+    return {};
+}
+
+} // anonymous namespace
+
 DiffResult
 diffHardenedPipeline(const ReferenceGenome &ref,
                      const std::vector<Read> &reads,
@@ -556,31 +669,20 @@ diffHardenedPipeline(const ReferenceGenome &ref,
         BackendVariant twin = variant;
         twin.hardened = true;
         twin.label = variant.label + "/hardened";
-        PipelineOutcome hard = runVariant(twin, ref, reads);
-        DiffResult r = compareOutcomes(twin.label, hard, plain);
+        DiffResult r = diffHardenedTwin(
+            twin.label, runVariant(twin, ref, reads), plain);
         if (!r.ok)
             return r;
-        if (hard.status != RunStatus::Ok) {
-            return DiffResult::fail(
-                twin.label,
-                fmt("fault-free hardened run reports status '%s'",
-                    runStatusName(hard.status)));
-        }
-        const RecoveryStats &rec = hard.recovery;
-        if (rec.faultsInjected != 0 || rec.anyRecovery() ||
-            rec.retrySuccesses != 0 || rec.staleResponses != 0) {
-            return DiffResult::fail(
-                twin.label,
-                fmt("recovery counters ticked on a fault-free run "
-                    "(injected=%llu retries=%llu fallbacks=%llu)",
-                    static_cast<unsigned long long>(
-                        rec.faultsInjected),
-                    static_cast<unsigned long long>(rec.retries),
-                    static_cast<unsigned long long>(
-                        rec.softwareFallbacks)));
-        }
     }
-    return {};
+    // The synchronous policy drives the same dispatcher: the
+    // iracc-taskp registry backend against its hardened twin.
+    return diffHardenedTwin(
+        "iracc-taskp/hardened",
+        runBackendPipeline(makeHardenedBackend("iracc-taskp", false,
+                                               false),
+                           1, ref, reads),
+        runBackendPipeline(makeBackend("iracc-taskp"), 1, ref,
+                           reads));
 }
 
 DiffResult

@@ -26,12 +26,13 @@
  * oracle's (the unpruned single-job software variant).
  *
  * Fault level, one genome workload plus one FaultPlan at a time:
- * the hardened execution path (host/hardened_executor.hh) realigns
- * under injected hardware faults and must still produce the plain
- * accelerated backend's bit-exact output -- recovery may fire (that
- * is the point) but results must not change.  With an empty plan
- * the hardened path itself must be invisible: bit-identical output
- * and not a single recovery counter ticking.
+ * a hardened backend (the dispatcher's recovery hooks on,
+ * host/scheduler.hh) realigns under injected hardware faults and
+ * must still produce the plain accelerated backend's bit-exact
+ * output -- recovery may fire (that is the point) but results must
+ * not change.  With an empty plan the hooks themselves must be
+ * invisible: bit-identical output and modeled timing, and not a
+ * single recovery counter ticking.
  *
  * On mismatch the harness minimizes: greedy removal of contigs,
  * then read chunks (pipeline) or reads/consensuses (kernel) while
@@ -47,6 +48,7 @@
 #include <string>
 #include <vector>
 
+#include "core/realign_job.hh"
 #include "core/realigner_api.hh"
 #include "fault/fault.hh"
 #include "genomics/read.hh"
@@ -113,6 +115,10 @@ struct PipelineOutcome
     /** Hardened-path health (zero / Ok for plain backends). */
     RecoveryStats recovery;
     RunStatus status = RunStatus::Ok;
+
+    /** Per-contig results, ascending contig order: the modeled
+     *  timing (fleet rows, FPGA seconds, latency histograms). */
+    std::vector<ContigJobResult> contigs;
 };
 
 /**
@@ -126,11 +132,14 @@ PipelineOutcome runBackendPipeline(
 
 /**
  * Hardened-path transparency property: with an empty FaultPlan the
- * hardened execution path must be bit-identical to the plain
- * accelerated path on every accelerated design point of
- * @p variants -- same alignments, same statistics (WhdStats bit for
- * bit), same variant calls, RunStatus::Ok, and every recovery
- * counter zero.
+ * recovery hooks must be invisible on every accelerated design
+ * point of @p variants, plus the synchronous-policy registry
+ * backend "iracc-taskp" -- same alignments, same statistics
+ * (WhdStats bit for bit), same variant calls, RunStatus::Ok, every
+ * recovery counter zero, and the same modeled timing: per contig,
+ * the makespan, FPGA seconds, every fleet row (targets, shards,
+ * steals, migrations, busy cycles) and both target-latency
+ * histograms, exactly.
  */
 DiffResult diffHardenedPipeline(
     const ReferenceGenome &ref, const std::vector<Read> &reads,

@@ -1,7 +1,7 @@
 /**
  * @file
- * Wall-clock timing helpers for the software baselines and the
- * pipeline stage breakdowns.
+ * Wall-clock stopwatch for the software baselines and the pipeline
+ * stage breakdowns.
  */
 
 #ifndef IRACC_UTIL_TIMER_HH
@@ -34,36 +34,6 @@ class Timer
   private:
     using Clock = std::chrono::steady_clock;
     Clock::time_point start;
-};
-
-/** Accumulates elapsed time across multiple start/stop windows. */
-class StageTimer
-{
-  public:
-    void
-    start()
-    {
-        running = true;
-        t.restart();
-    }
-
-    void
-    stop()
-    {
-        if (running)
-            total += t.seconds();
-        running = false;
-    }
-
-    /** @return total seconds across all completed windows. */
-    double seconds() const { return total; }
-
-    void reset() { total = 0.0; running = false; }
-
-  private:
-    Timer t;
-    double total = 0.0;
-    bool running = false;
 };
 
 } // namespace iracc

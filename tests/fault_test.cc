@@ -3,8 +3,8 @@
  * Fault-injection and hardened-execution tests.
  *
  * The fault matrix: every FaultKind is injected into a fixed
- * single-contig workload through every recovery path of the
- * hardened execution path (host/hardened_executor.hh) -- checksum
+ * single-contig workload through every recovery hook of a
+ * hardened run of the dispatcher (host/scheduler.hh) -- checksum
  * catch on inputs and outputs, watchdog reclaim of wedged and
  * vanished targets, bounded retry, unit quarantine, software
  * fallback, and (with fallback disabled) per-contig partial
@@ -13,9 +13,9 @@
  * exactly the ones that state machine predicts -- the counters are
  * the spec, not a diagnostic afterthought.
  *
- * Plus: the transparency property (an empty FaultPlan makes the
- * hardened path bit-invisible across the differential design
- * matrix), plan text round trips, the kind-"fault" corpus format,
+ * Plus: the transparency property (with an empty FaultPlan the
+ * hooks change neither outputs nor modeled timing across the
+ * differential design matrix), plan text round trips, the kind-"fault" corpus format,
  * and a small fault-seed fuzz sweep (tools/iracc_diff --fault-seeds
  * runs the same check over many more seeds).
  */
@@ -131,8 +131,9 @@ TEST(HardenedPath, ZeroFaultPlanIsBitInvisible)
     // The transparency property over the full differential matrix:
     // for every accelerated design point, the hardened twin must
     // produce identical alignments, statistics (WhdStats bit for
-    // bit), and variant calls, with status Ok and every recovery
-    // counter at zero.
+    // bit), variant calls, and modeled timing (makespan, FPGA
+    // seconds, fleet rows, latency histograms), with status Ok and
+    // every recovery counter at zero.
     const GenomeWorkload &wl = matrixWorkload();
     std::vector<Read> reads;
     for (const ChromosomeWorkload &chrom : wl.chromosomes)

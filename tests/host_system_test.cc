@@ -8,8 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/realign_job.hh"
 #include "core/workload.hh"
-#include "host/accelerated_system.hh"
 #include "host/machine_config.hh"
 #include "util/logging.hh"
 
@@ -42,6 +42,17 @@ alignmentFingerprint(const std::vector<Read> &reads)
                      r.cigar.toString());
     }
     return fp;
+}
+
+/** One contig through a one-card accelerated backend. */
+RealignJobResult
+runAccelerated(const GenomeWorkload &wl, int32_t contig,
+               std::vector<Read> &reads, AccelConfig cfg,
+               SchedulePolicy policy)
+{
+    RealignSession session(makeAcceleratedBackend(
+        "host-system", "host system test point", cfg, policy));
+    return session.runContig(wl.reference, contig, reads);
 }
 
 struct AccelCase
@@ -79,14 +90,13 @@ TEST(FpgaEquivalence, MatchesSoftwareOnWholeChromosome)
     auto want = alignmentFingerprint(sw_reads);
     for (const AccelCase &c : cases) {
         std::vector<Read> hw_reads = chr.reads;
-        AcceleratedIrSystem sys(c.config, c.policy);
-        AcceleratedRunResult run = sys.realignContig(
-            wl.reference, chr.contig, hw_reads);
-        EXPECT_EQ(run.realign.targets, sw_stats.targets) << c.label;
-        EXPECT_EQ(run.realign.readsRealigned,
+        RealignJobResult run = runAccelerated(
+            wl, chr.contig, hw_reads, c.config, c.policy);
+        EXPECT_EQ(run.stats.targets, sw_stats.targets) << c.label;
+        EXPECT_EQ(run.stats.readsRealigned,
                   sw_stats.readsRealigned) << c.label;
         EXPECT_EQ(alignmentFingerprint(hw_reads), want) << c.label;
-        EXPECT_GT(run.makespan, 0u) << c.label;
+        EXPECT_GT(run.fleet.busyCycles(), 0u) << c.label;
         EXPECT_GT(run.fpgaSeconds, 0.0) << c.label;
     }
 }
@@ -100,13 +110,10 @@ TEST(FpgaSystemBehavior, DmaIsTinyFractionOfRuntime)
     GenomeWorkload wl = buildWorkload(smallWorkload());
     const ChromosomeWorkload &chr = wl.chromosome(21);
     std::vector<Read> reads = chr.reads;
-    AcceleratedIrSystem sys(AccelConfig::paperOptimized(),
-                            SchedulePolicy::AsynchronousParallel);
-    AcceleratedRunResult run = sys.realignContig(wl.reference,
-                                                 chr.contig, reads);
-    double dma_frac = static_cast<double>(run.fpga.dmaBusyCycles) /
-                      static_cast<double>(run.makespan);
-    EXPECT_LT(dma_frac, 0.05);
+    RealignJobResult run = runAccelerated(
+        wl, chr.contig, reads, AccelConfig::paperOptimized(),
+        SchedulePolicy::AsynchronousParallel);
+    EXPECT_LT(run.contigs[0].run.dmaFraction, 0.05);
 }
 
 TEST(FpgaSystemBehavior, MoreUnitsIsFaster)
@@ -124,23 +131,23 @@ TEST(FpgaSystemBehavior, MoreUnitsIsFaster)
     AccelConfig many = AccelConfig::paperOptimized();
 
     std::vector<Read> reads_a = chr.reads;
-    AcceleratedIrSystem sys_a(one,
-                              SchedulePolicy::AsynchronousParallel);
-    auto run_a = sys_a.realignContig(wl.reference, chr.contig,
-                                     reads_a);
+    const Cycle makespan_a =
+        runAccelerated(wl, chr.contig, reads_a, one,
+                       SchedulePolicy::AsynchronousParallel)
+            .fleet.busyCycles();
 
     std::vector<Read> reads_b = chr.reads;
-    AcceleratedIrSystem sys_b(many,
-                              SchedulePolicy::AsynchronousParallel);
-    auto run_b = sys_b.realignContig(wl.reference, chr.contig,
-                                     reads_b);
+    const Cycle makespan_b =
+        runAccelerated(wl, chr.contig, reads_b, many,
+                       SchedulePolicy::AsynchronousParallel)
+            .fleet.busyCycles();
 
-    EXPECT_LT(run_b.makespan, run_a.makespan);
+    EXPECT_LT(makespan_b, makespan_a);
     // Task parallelism must help substantially; the heavy-tailed
     // target-size distribution (one straggler can dominate a small
     // contig) keeps this below linear scaling.
-    EXPECT_GT(static_cast<double>(run_a.makespan) /
-                  static_cast<double>(run_b.makespan),
+    EXPECT_GT(static_cast<double>(makespan_a) /
+                  static_cast<double>(makespan_b),
               3.0);
 }
 

@@ -67,8 +67,9 @@ runWithCounters(const std::vector<MarshalledTarget> &targets,
     cfg.numUnits = 4;
     cfg.perfCounters = true;
     cfg.perfTrace = trace;
-    FpgaSystem sys(cfg);
-    return scheduleTargets(sys, targets, policy).perf;
+    return scheduleFleetTargets(FleetConfig::singleCard(cfg),
+                                targets, policy)
+        .perf;
 }
 
 TEST(PerfMonitor, DisabledByDefault)
@@ -166,8 +167,8 @@ TEST(PerfMonitor, WhdCountersConsistentAcrossScheduler)
                         SchedulePolicy::AsynchronousParallel}) {
         AccelConfig cfg = AccelConfig::paperOptimized();
         cfg.numUnits = 4;
-        FpgaSystem sys(cfg);
-        ScheduleResult res = scheduleTargets(sys, targets, policy);
+        FleetScheduleResult res = scheduleFleetTargets(
+            FleetConfig::singleCard(cfg), targets, policy);
 
         // The system-level counters are exactly the sum of the
         // per-target datapath counters, and executed work never

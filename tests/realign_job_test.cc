@@ -187,12 +187,12 @@ TEST(RealignJob, MatchesPerContigShim)
     setQuiet(true);
     GenomeWorkload wl = buildWorkload(multiContigWorkload());
 
-    // Per-contig shim, one contig at a time.
+    // One-contig runs, one contig at a time.
     std::vector<Read> shim_reads = allReads(wl);
-    auto backend = makeBackend("native");
+    RealignSession per_contig = makeSession("native");
     RealignStats shim_stats;
     for (const auto &chr : wl.chromosomes) {
-        BackendRunResult run = backend->realignContig(
+        RealignJobResult run = per_contig.runContig(
             wl.reference, chr.contig, shim_reads);
         shim_stats.merge(run.stats);
     }

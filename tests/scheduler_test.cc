@@ -58,8 +58,8 @@ TEST(Scheduler, BothPoliciesCompleteAllTargets)
                         SchedulePolicy::AsynchronousParallel}) {
         AccelConfig cfg = AccelConfig::paperOptimized();
         cfg.numUnits = 4;
-        FpgaSystem sys(cfg);
-        ScheduleResult res = scheduleTargets(sys, targets, policy);
+        FleetScheduleResult res = scheduleFleetTargets(
+            FleetConfig::singleCard(cfg), targets, policy);
         EXPECT_EQ(res.results.size(), targets.size());
         EXPECT_EQ(res.fpga.targetsProcessed, targets.size());
         EXPECT_EQ(res.timeline.size(), targets.size());
@@ -77,11 +77,12 @@ TEST(Scheduler, PoliciesProduceIdenticalResults)
 
     AccelConfig cfg = AccelConfig::paperOptimized();
     cfg.numUnits = 4;
-    FpgaSystem sys_a(cfg), sys_b(cfg);
-    ScheduleResult a = scheduleTargets(
-        sys_a, targets, SchedulePolicy::SynchronousParallel);
-    ScheduleResult b = scheduleTargets(
-        sys_b, targets, SchedulePolicy::AsynchronousParallel);
+    FleetScheduleResult a = scheduleFleetTargets(
+        FleetConfig::singleCard(cfg), targets,
+        SchedulePolicy::SynchronousParallel);
+    FleetScheduleResult b = scheduleFleetTargets(
+        FleetConfig::singleCard(cfg), targets,
+        SchedulePolicy::AsynchronousParallel);
 
     for (size_t t = 0; t < targets.size(); ++t) {
         EXPECT_EQ(a.results[t].bestConsensus,
@@ -113,11 +114,12 @@ TEST(Scheduler, Figure7AsyncBeatsSyncUnderVariance)
     cfg.numUnits = 4;
     cfg.dataParallelWidth = 1;
 
-    FpgaSystem sync_sys(cfg), async_sys(cfg);
-    ScheduleResult sync_res = scheduleTargets(
-        sync_sys, targets, SchedulePolicy::SynchronousParallel);
-    ScheduleResult async_res = scheduleTargets(
-        async_sys, targets, SchedulePolicy::AsynchronousParallel);
+    FleetScheduleResult sync_res = scheduleFleetTargets(
+        FleetConfig::singleCard(cfg), targets,
+        SchedulePolicy::SynchronousParallel);
+    FleetScheduleResult async_res = scheduleFleetTargets(
+        FleetConfig::singleCard(cfg), targets,
+        SchedulePolicy::AsynchronousParallel);
 
     EXPECT_LT(async_res.makespan, sync_res.makespan);
 
@@ -135,9 +137,9 @@ TEST(Scheduler, AsyncUtilizationHighOnUniformWork)
 
     AccelConfig cfg = AccelConfig::paperOptimized();
     cfg.numUnits = 8;
-    FpgaSystem sys(cfg);
-    ScheduleResult res = scheduleTargets(
-        sys, targets, SchedulePolicy::AsynchronousParallel);
+    FleetScheduleResult res = scheduleFleetTargets(
+        FleetConfig::singleCard(cfg), targets,
+        SchedulePolicy::AsynchronousParallel);
     EXPECT_GT(res.fpga.meanUnitUtilization, 0.5);
 }
 
@@ -150,9 +152,9 @@ TEST(Scheduler, TimelineIsWellFormed)
 
     AccelConfig cfg = AccelConfig::paperOptimized();
     cfg.numUnits = 2;
-    FpgaSystem sys(cfg);
-    ScheduleResult res = scheduleTargets(
-        sys, targets, SchedulePolicy::AsynchronousParallel);
+    FleetScheduleResult res = scheduleFleetTargets(
+        FleetConfig::singleCard(cfg), targets,
+        SchedulePolicy::AsynchronousParallel);
 
     for (const auto &e : res.timeline) {
         EXPECT_LE(e.dispatched, e.loaded);

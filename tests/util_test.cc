@@ -16,7 +16,6 @@
 #include "util/stats.hh"
 #include "util/table.hh"
 #include "util/thread_pool.hh"
-#include "util/timer.hh"
 
 namespace iracc {
 namespace {
@@ -192,31 +191,6 @@ TEST(Accumulator, MergeEqualsCombined)
     EXPECT_DOUBLE_EQ(a.max(), all.max());
 }
 
-TEST(Histogram, BucketsAndPercentiles)
-{
-    Histogram h(0.0, 100.0, 10);
-    for (int i = 0; i < 100; ++i)
-        h.sample(i + 0.5);
-    EXPECT_EQ(h.count(), 100u);
-    EXPECT_EQ(h.underflow(), 0u);
-    EXPECT_EQ(h.overflow(), 0u);
-    for (size_t b = 0; b < 10; ++b)
-        EXPECT_EQ(h.bucketCount(b), 10u);
-    EXPECT_NEAR(h.percentile(0.5), 50.0, 1.5);
-    EXPECT_NEAR(h.percentile(0.9), 90.0, 1.5);
-}
-
-TEST(Histogram, OutOfRangeCounted)
-{
-    Histogram h(0.0, 10.0, 5);
-    h.sample(-1.0);
-    h.sample(10.0);
-    h.sample(5.0);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.count(), 3u);
-}
-
 TEST(Geomean, KnownValues)
 {
     EXPECT_NEAR(geomean({1.0, 4.0}), 2.0, 1e-12);
@@ -342,25 +316,11 @@ TEST(ArgParseDeath, NonOptionTokenExitsWithUsageError)
                 ::testing::ExitedWithCode(2), "expected --option");
 }
 
-
 TEST(Table, Formatters)
 {
     EXPECT_EQ(Table::num(3.14159, 2), "3.14");
     EXPECT_EQ(Table::pct(0.583, 1), "58.3%");
     EXPECT_EQ(Table::speedup(81.32, 1), "81.3x");
-}
-
-TEST(StageTimer, AccumulatesWindows)
-{
-    StageTimer t;
-    t.start();
-    t.stop();
-    double first = t.seconds();
-    t.start();
-    t.stop();
-    EXPECT_GE(t.seconds(), first);
-    t.reset();
-    EXPECT_EQ(t.seconds(), 0.0);
 }
 
 } // namespace

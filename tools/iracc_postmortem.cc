@@ -162,7 +162,6 @@ main(int argc, char **argv)
         {"quarantinedUnits", "quarantined units"},
         {"quarantinedCards", "quarantined cards"},
         {"migratedTargets", "migrated targets"},
-        {"staleResponses", "stale responses"},
         {"failedTargets", "failed targets"},
     };
     for (const auto &c : counters) {
