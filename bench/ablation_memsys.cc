@@ -67,7 +67,7 @@ main(int argc, char **argv)
                   "Sections III-B/IV -- interconnect width, DDR "
                   "channels, clock recipe");
     obs::BenchReport report = bench::makeReport(
-        "ablation_memsys",
+        argc, argv, "ablation_memsys",
         "Sections III-B/IV -- memory-system ablation");
 
     WorkloadParams params = bench::standardWorkload();
@@ -174,6 +174,6 @@ main(int argc, char **argv)
     report.addTable("interconnectWidths", widths);
     report.addTable("ddrChannels", ddr);
     report.addTable("clockRecipes", clock);
-    bench::finishReport(report, argc, argv);
+    report.writeOutput();
     return 0;
 }

@@ -28,7 +28,7 @@ main(int argc, char **argv)
                   "Section III-A -- computation pruning ablation "
                   "(paper: >50% of computations eliminated)");
     obs::BenchReport report = bench::makeReport(
-        "ablation_pruning",
+        argc, argv, "ablation_pruning",
         "Section III-A -- computation pruning ablation");
 
     WorkloadParams params = bench::standardWorkload();
@@ -104,6 +104,6 @@ main(int argc, char **argv)
 
     report.addValue("eliminatedFractionMean", eliminated.mean());
     report.addTable("perChromosome", table);
-    bench::finishReport(report, argc, argv);
+    report.writeOutput();
     return 0;
 }

@@ -87,25 +87,20 @@ banner(const char *experiment, const char *paper_ref)
 /**
  * Start a machine-readable report for this run, pre-filled with
  * the bench identity and the scale/chromosome knobs (see
- * obs/bench_report.hh for the schema).
+ * obs/bench_report.hh for the schema).  The output path
+ * (`--json <path>` or IRACC_BENCH_JSON) is resolved and checked
+ * here, before the bench does its work; `report.writeOutput()` at
+ * the end of main writes it.
  */
 inline obs::BenchReport
-makeReport(const char *experiment, const char *paper_ref)
+makeReport(int argc, char **argv, const char *experiment,
+           const char *paper_ref)
 {
     obs::BenchReport rep(experiment, paper_ref);
     rep.setScale(scaleDivisor());
     rep.setChromosomes(chromosomeSet());
+    rep.setOutputPath(obs::BenchReport::jsonPathFromArgs(argc, argv));
     return rep;
-}
-
-/**
- * Write @p rep if `--json <path>` or IRACC_BENCH_JSON names an
- * output file; a no-op otherwise.  Call once, at the end of main.
- */
-inline void
-finishReport(const obs::BenchReport &rep, int argc, char **argv)
-{
-    rep.writeToPath(obs::BenchReport::jsonPathFromArgs(argc, argv));
 }
 
 } // namespace bench

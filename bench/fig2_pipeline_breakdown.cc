@@ -40,7 +40,7 @@ main(int argc, char **argv)
                   "Figure 2 -- genomic analysis execution time "
                   "breakdown (three pipelines)");
     obs::BenchReport report = bench::makeReport(
-        "fig2_pipeline_breakdown",
+        argc, argv, "fig2_pipeline_breakdown",
         "Figure 2 -- genomic analysis execution time breakdown");
 
     // The one source of truth: every pipeline below samples its
@@ -191,6 +191,6 @@ main(int argc, char **argv)
     report.addValue("irShare", total > 0 ? realign / total : 0.0);
     report.addTable("pipelines", top);
     report.addTable("stages", stages);
-    bench::finishReport(report, argc, argv);
+    report.writeOutput();
     return 0;
 }

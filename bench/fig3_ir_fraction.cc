@@ -26,7 +26,7 @@ main(int argc, char **argv)
                   "Figure 3 -- IR share of the alignment-refinement "
                   "pipeline, per chromosome");
     obs::BenchReport report = bench::makeReport(
-        "fig3_ir_fraction",
+        argc, argv, "fig3_ir_fraction",
         "Figure 3 -- IR share of refinement, per chromosome");
 
     GenomeWorkload wl = buildWorkload(bench::standardWorkload());
@@ -71,6 +71,6 @@ main(int argc, char **argv)
     report.addValue("irFractionMin", fractions.min());
     report.addValue("irFractionMax", fractions.max());
     report.addTable("perChromosome", table);
-    bench::finishReport(report, argc, argv);
+    report.writeOutput();
     return 0;
 }

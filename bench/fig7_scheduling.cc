@@ -19,6 +19,7 @@
 #include "host/scheduler.hh"
 #include "realign/marshal.hh"
 #include "sim/perf_monitor.hh"
+#include "util/argparse.hh"
 #include "util/rng.hh"
 #include "util/table.hh"
 
@@ -126,15 +127,17 @@ main(int argc, char **argv)
                   "scheduling, 8 targets / 4 units");
 
     obs::BenchReport report = bench::makeReport(
-        "fig7_scheduling",
+        argc, argv, "fig7_scheduling",
         "Figure 7 -- sync vs async scheduling, 8 targets / 4 "
         "units");
 
     // `fig7_scheduling --trace out.json` additionally dumps both
     // runs as one Chrome trace (sync = process 0, async = 1).
     std::string trace_path;
-    if (argc >= 3 && std::strcmp(argv[1], "--trace") == 0)
+    if (argc >= 3 && std::strcmp(argv[1], "--trace") == 0) {
         trace_path = argv[2];
+        requireWritable(trace_path);
+    }
 
     Rng rng(0xF16007);
     auto targets = figure7Targets(rng);
@@ -266,7 +269,7 @@ main(int argc, char **argv)
                 "deterministic, so the modeled\nspeedups gate "
                 "exactly (tools/iracc_bench --check).\n");
 
-    bench::finishReport(report, argc, argv);
+    report.writeOutput();
 
     if (!trace_path.empty()) {
         PerfReport all;

@@ -32,7 +32,7 @@ main(int argc, char **argv)
                   "Figure 8 -- parallel Hamming distance calculator "
                   "(32 compares+accumulates/cycle)");
     obs::BenchReport report = bench::makeReport(
-        "fig8_data_parallel",
+        argc, argv, "fig8_data_parallel",
         "Figure 8 -- parallel Hamming distance calculator");
 
     // Marshal every target of one mid-size chromosome.
@@ -125,6 +125,6 @@ main(int argc, char **argv)
                         : 0.0);
     report.addTable("widthSweep", table);
     report.addTable("systemView", sys_table);
-    bench::finishReport(report, argc, argv);
+    report.writeOutput();
     return 0;
 }

@@ -31,7 +31,7 @@ main(int argc, char **argv)
                   "Figure 9 (right) + Table II -- cost to perform "
                   "INDEL realignment, Ch1-Ch22");
     obs::BenchReport report = bench::makeReport(
-        "fig9_cost",
+        argc, argv, "fig9_cost",
         "Figure 9 (right) + Table II -- realignment dollar cost");
 
     // Table II.
@@ -109,6 +109,6 @@ main(int argc, char **argv)
     report.addValue("costRatioVsAdam", costs[1] / costs[2]);
     report.addTable("machines", machines);
     report.addTable("cost", cost);
-    bench::finishReport(report, argc, argv);
+    report.writeOutput();
     return 0;
 }

@@ -36,7 +36,7 @@ main(int argc, char **argv)
     bench::banner("fig9_speedup",
                   "Figure 9 (left) + Section V-B ADAM comparison");
     obs::BenchReport report = bench::makeReport(
-        "fig9_speedup",
+        argc, argv, "fig9_speedup",
         "Figure 9 (left) + Section V-B ADAM comparison");
 
     // IRACC_COUNTERS=1 turns the performance-counter layer on for
@@ -255,7 +255,7 @@ main(int argc, char **argv)
     report.addValue("iraccSeconds", total_iracc);
     report.addTable("perChromosome", table);
     report.addTable("jobScaling", scale);
-    bench::finishReport(report, argc, argv);
+    report.writeOutput();
 
     std::printf("Modeled seconds stay constant by construction; "
                 "wall-clock speedup is the\nhost-side gain of "

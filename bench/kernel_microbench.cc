@@ -32,6 +32,7 @@
 #include "realign/marshal.hh"
 #include "realign/whd.hh"
 #include "realign/whd_simd.hh"
+#include "util/argparse.hh"
 #include "util/rng.hh"
 #include "util/timer.hh"
 
@@ -301,9 +302,12 @@ int
 main(int argc, char **argv)
 {
     // Resolve --json before google-benchmark sees (and rejects)
-    // unknown flags, then strip it from argv.
+    // unknown flags, then strip it from argv.  The path is checked
+    // now, not after minutes of benchmarking.
     std::string json_path =
         iracc::obs::BenchReport::jsonPathFromArgs(argc, argv);
+    if (!json_path.empty())
+        iracc::requireWritable(json_path);
     std::vector<char *> args;
     for (int i = 0; i < argc; ++i) {
         if (std::strcmp(argv[i], "--json") == 0) {

@@ -25,7 +25,7 @@ main(int argc, char **argv)
     bench::banner("sec2_complexity",
                   "Section II-C -- IR compute requirements");
     obs::BenchReport report = bench::makeReport(
-        "sec2_complexity",
+        argc, argv, "sec2_complexity",
         "Section II-C -- IR compute requirements");
 
     // Worst-case formula with the paper's operand sizes.
@@ -88,6 +88,6 @@ main(int argc, char **argv)
     report.addValue("totalTargets",
                     static_cast<double>(total_targets));
     report.addTable("perChromosome", table);
-    bench::finishReport(report, argc, argv);
+    report.writeOutput();
     return 0;
 }

@@ -28,7 +28,7 @@ main(int argc, char **argv)
                   "Section V-B -- SDAccel/HLS build vs hand-built "
                   "RTL (both vs GATK3)");
     obs::BenchReport report = bench::makeReport(
-        "sec5_hls_comparison",
+        argc, argv, "sec5_hls_comparison",
         "Section V-B -- SDAccel/HLS build vs hand-built RTL");
 
     WorkloadParams params = bench::standardWorkload();
@@ -74,6 +74,6 @@ main(int argc, char **argv)
     report.addValue("hlsSpeedupGeomean", geomean(hls_speedups));
     report.addValue("rtlSpeedupGeomean", geomean(rtl_speedups));
     report.addTable("perChromosome", table);
-    bench::finishReport(report, argc, argv);
+    report.writeOutput();
     return 0;
 }

@@ -21,7 +21,7 @@ main(int argc, char **argv)
                   "Table I -- INDEL realignment accelerator "
                   "instructions (RoCC format)");
     obs::BenchReport report = bench::makeReport(
-        "tab1_isa",
+        argc, argv, "tab1_isa",
         "Table I -- IR accelerator instruction set (RoCC format)");
 
     std::printf("RoCC instruction format (32 bits):\n");
@@ -71,6 +71,6 @@ main(int argc, char **argv)
     report.addTable("format", fmt);
     report.addTable("commandSet", cmds);
     report.addTable("disassembly", dis);
-    bench::finishReport(report, argc, argv);
+    report.writeOutput();
     return 0;
 }

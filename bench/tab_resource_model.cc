@@ -22,7 +22,7 @@ main(int argc, char **argv)
                   "Section III-A footnote 3 / Figure 6 -- VU9P "
                   "resource utilization vs unit count");
     obs::BenchReport report = bench::makeReport(
-        "tab_resource_model",
+        argc, argv, "tab_resource_model",
         "Section III-A / Figure 6 -- VU9P utilization vs units");
 
     std::printf("Per-unit buffer inventory (Figure 6 structure "
@@ -72,6 +72,6 @@ main(int argc, char **argv)
                     maxUnitsThatFit(AccelConfig::paperOptimized()));
     report.addTable("buffers", bufs);
     report.addTable("utilizationSweep", table);
-    bench::finishReport(report, argc, argv);
+    report.writeOutput();
     return 0;
 }

@@ -18,7 +18,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <map>
 #include <string>
@@ -32,6 +31,7 @@
 #include "genomics/io.hh"
 #include "obs/flight_recorder.hh"
 #include "obs/obs.hh"
+#include "realign/whd_simd.hh"
 #include "util/argparse.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
@@ -93,23 +93,6 @@ openOutput(const std::string &path)
     std::ofstream f(path);
     fatal_if(!f, "cannot write '%s'", path.c_str());
     return f;
-}
-
-/**
- * Fail fast when @p path cannot be written, before any expensive
- * work.  An existing file (which may also be an input) is opened
- * in append mode and left intact; a probe file is removed again.
- */
-void
-requireWritable(const std::string &path)
-{
-    const bool existed = std::filesystem::exists(path);
-    {
-        std::ofstream f(path, std::ios::app);
-        fatal_if(!f, "cannot write '%s'", path.c_str());
-    }
-    if (!existed)
-        std::filesystem::remove(path);
 }
 
 int
@@ -367,6 +350,16 @@ cmdRealign(const Args &args)
                 registry.counterValue("realign.targets")) /
                 job.wallSeconds);
     }
+    std::printf(
+        "whd kernel: %s, %llu comparisons, %llu of %llu offsets "
+        "pruned\n",
+        whdKernelName(activeWhdKernel()),
+        static_cast<unsigned long long>(
+            registry.counterValue("realign.whd.comparisons")),
+        static_cast<unsigned long long>(
+            registry.counterValue("realign.whd.offsets_pruned")),
+        static_cast<unsigned long long>(
+            registry.counterValue("realign.whd.offsets_evaluated")));
     std::printf("wrote %s\n", out.c_str());
 
     // Per-target latency percentiles (accelerated backends): the

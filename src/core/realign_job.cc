@@ -232,6 +232,17 @@ RealignSession::run(const ReferenceGenome &ref,
         else if (c.run.status == RunStatus::Failed)
             job.failedContigs.push_back(c.contig);
     }
+    // Kernel work of the whole job, from the merged stats (exact
+    // and kernel-independent, like the stats themselves).
+    if (obsv && obsv->metrics) {
+        obs::MetricsRegistry &reg = *obsv->metrics;
+        reg.counter("realign.whd.comparisons")
+            .add(job.stats.whd.comparisons);
+        reg.counter("realign.whd.offsets_evaluated")
+            .add(job.stats.whd.offsetsEvaluated);
+        reg.counter("realign.whd.offsets_pruned")
+            .add(job.stats.whd.offsetsPruned);
+    }
     if (job.cancelled) {
         obs::frEmit(obs::FrSeverity::Warn, obs::FrCategory::Job,
                     obs::FrCode::JobCancelled, 0, -1,

@@ -8,6 +8,7 @@
 #include <ostream>
 
 #include "obs/metrics.hh"
+#include "util/argparse.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
@@ -87,9 +88,12 @@ BenchReport::write(std::ostream &os) const
 std::string
 BenchReport::jsonPathFromArgs(int argc, char **argv)
 {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0)
-            return argv[i + 1];
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], "--json") != 0)
+            continue;
+        if (i + 1 == argc)
+            usageError("%s: --json expects a path", argv[0]);
+        return argv[i + 1];
     }
     const char *env = std::getenv("IRACC_BENCH_JSON");
     return env ? env : "";
@@ -106,6 +110,14 @@ BenchReport::writeToPath(const std::string &path) const
     std::printf("\nwrote %s (schema iracc-bench-v1)\n",
                 path.c_str());
     return true;
+}
+
+void
+BenchReport::setOutputPath(const std::string &path)
+{
+    if (!path.empty())
+        requireWritable(path);
+    outputPath = path;
 }
 
 } // namespace obs

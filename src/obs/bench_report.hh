@@ -23,7 +23,9 @@
  * The output path comes from `--json <path>` on the bench command
  * line or the IRACC_BENCH_JSON environment variable (flag wins);
  * with neither, nothing is written and the bench behaves exactly
- * as before.
+ * as before.  The path is checked when it is set, before the bench
+ * does its work: `--json` without an operand is a usage error
+ * (exit 2) and an unwritable path is fatal (exit 1).
  */
 
 #ifndef IRACC_OBS_BENCH_REPORT_HH
@@ -85,7 +87,8 @@ class BenchReport
 
     /**
      * Resolve the output path: `--json <path>` beats
-     * IRACC_BENCH_JSON beats "" (no output).
+     * IRACC_BENCH_JSON beats "" (no output).  A trailing `--json`
+     * with no path is a usage error (exit 2).
      */
     static std::string jsonPathFromArgs(int argc, char **argv);
 
@@ -95,6 +98,16 @@ class BenchReport
      */
     bool writeToPath(const std::string &path) const;
 
+    /**
+     * Set the path writeOutput() targets ("" = no output).  A
+     * non-empty path must be writable now (fatal otherwise), so a
+     * bad path fails before the work instead of after it.
+     */
+    void setOutputPath(const std::string &path);
+
+    /** writeToPath(the output path). */
+    bool writeOutput() const { return writeToPath(outputPath); }
+
   private:
     std::string bench;
     std::string paperRef;
@@ -103,6 +116,7 @@ class BenchReport
     std::vector<std::pair<std::string, double>> values;
     std::vector<BenchTable> tables;
     const MetricsRegistry *metrics = nullptr;
+    std::string outputPath;
     Timer wall;
 };
 

@@ -4,8 +4,10 @@
  * per-function target attributes so the translation unit builds
  * under the project's baseline flags; the dispatch layer routes here
  * only after CPUID reports AVX2.  The loop shapes (and the
- * correctness argument for bit-equal counters) mirror the generic
- * sweeps in whd_simd.cc -- tests/whd_test.cc referees the equality.
+ * correctness argument for bit-equal counters, whd_simd.cc notes
+ * 1-3) mirror the generic sweeps in whd_simd.cc, except that the
+ * per-comparison pruned sweep finds the abort comparison in-register
+ * instead of rescanning -- tests/whd_test.cc referees the equality.
  */
 
 #include "realign/whd_simd.hh"
@@ -88,9 +90,9 @@ unprunedLanes16(const uint8_t *cons_k0, const uint8_t *read,
     }
 }
 
-/** Mismatch-quality sum of one full 32-byte block. */
-IRACC_AVX2 inline uint32_t
-sum32(const uint8_t *c, const uint8_t *r, const uint8_t *q)
+/** Per-base mismatch qualities of one 32-byte block (0 on a match). */
+IRACC_AVX2 inline __m256i
+mismatchQual32(const uint8_t *c, const uint8_t *r, const uint8_t *q)
 {
     const __m256i cv =
         _mm256_loadu_si256(reinterpret_cast<const __m256i *>(c));
@@ -98,17 +100,70 @@ sum32(const uint8_t *c, const uint8_t *r, const uint8_t *q)
         _mm256_loadu_si256(reinterpret_cast<const __m256i *>(r));
     const __m256i qv =
         _mm256_loadu_si256(reinterpret_cast<const __m256i *>(q));
-    const __m256i eq = _mm256_cmpeq_epi8(cv, rv);
-    const __m256i contrib = _mm256_andnot_si256(eq, qv);
-    // Horizontal byte sum: SAD against zero yields four 64-bit
-    // partials.
-    const __m256i sad =
-        _mm256_sad_epu8(contrib, _mm256_setzero_si256());
+    return _mm256_andnot_si256(_mm256_cmpeq_epi8(cv, rv), qv);
+}
+
+/** Horizontal sum of 32 unsigned bytes. */
+IRACC_AVX2 inline uint32_t
+byteSum32(__m256i v)
+{
+    // SAD against zero yields four 64-bit partials.
+    const __m256i sad = _mm256_sad_epu8(v, _mm256_setzero_si256());
     const __m128i lo = _mm256_castsi256_si128(sad);
     const __m128i hi = _mm256_extracti128_si256(sad, 1);
     const __m128i s = _mm_add_epi64(lo, hi);
     return static_cast<uint32_t>(_mm_cvtsi128_si64(s) +
                                  _mm_extract_epi64(s, 1));
+}
+
+/**
+ * Inclusive prefix sums of 16 u16 lanes: three in-lane shift/add
+ * steps, then the low 128-bit lane's total (u16 element 7, spread
+ * by @p bcast7) carried into the high lane.
+ */
+IRACC_AVX2 inline __m256i
+prefixSum16(__m256i v, __m256i bcast7)
+{
+    v = _mm256_add_epi16(v, _mm256_slli_si256(v, 2));
+    v = _mm256_add_epi16(v, _mm256_slli_si256(v, 4));
+    v = _mm256_add_epi16(v, _mm256_slli_si256(v, 8));
+    // permute2x128(v, v, 0x08) = [0, low lane]: only the high lane
+    // gains the low lane's total.
+    return _mm256_add_epi16(
+        v, _mm256_shuffle_epi8(_mm256_permute2x128_si256(v, v, 0x08),
+                               bcast7));
+}
+
+/**
+ * Index (0..31) of the first base of a 32-byte block at which the
+ * running sum of @p contrib reaches @p t, for t <= the block's
+ * total.  Every prefix is at most 32 * 255 = 8160 < 2^15, so signed
+ * 16-bit compares against t - 1 (-1 when t == 0) are exact.
+ */
+IRACC_AVX2 inline unsigned
+crossingLane32(__m256i contrib, uint32_t t)
+{
+    const __m256i bcast7 = _mm256_set1_epi16(0x0F0E);
+    const __m256i lo = prefixSum16(
+        _mm256_cvtepu8_epi16(_mm256_castsi256_si128(contrib)),
+        bcast7);
+    __m256i hi = prefixSum16(
+        _mm256_cvtepu8_epi16(_mm256_extracti128_si256(contrib, 1)),
+        bcast7);
+    // Carry the low half's total (u16 element 15) into every lane.
+    hi = _mm256_add_epi16(
+        hi, _mm256_shuffle_epi8(
+                _mm256_permute2x128_si256(lo, lo, 0x11), bcast7));
+    const __m256i lim =
+        _mm256_set1_epi16(static_cast<short>(static_cast<int>(t) - 1));
+    // movemask_epi8 yields two bits per u16 lane.
+    const uint64_t mask =
+        static_cast<uint32_t>(
+            _mm256_movemask_epi8(_mm256_cmpgt_epi16(lo, lim))) |
+        static_cast<uint64_t>(static_cast<uint32_t>(
+            _mm256_movemask_epi8(_mm256_cmpgt_epi16(hi, lim))))
+            << 32;
+    return static_cast<unsigned>(__builtin_ctzll(mask)) / 2;
 }
 
 /** Mismatch-quality sum over an arbitrary-length range. */
@@ -119,17 +174,18 @@ rangeSum(const uint8_t *c, const uint8_t *r, const uint8_t *q,
     uint32_t sum = 0;
     size_t i = 0;
     for (; i + 32 <= len; i += 32)
-        sum += sum32(c + i, r + i, q + i);
+        sum += byteSum32(mismatchQual32(c + i, r + i, q + i));
     for (; i < len; ++i)
         sum += (c[i] != r[i]) ? q[i] : 0;
     return sum;
 }
 
 /**
- * Pruned sweep, per-comparison (software) semantics.  Same shape as
- * whd_simd.cc's sweepPrunedPerComparison: branchless block sums,
- * scalar rescan of the block whose end-of-block sum crosses the
- * running minimum to recover the exact abort comparison.
+ * Pruned sweep, per-comparison (software) semantics.  Branchless
+ * 32-byte block sums; the first block whose end-of-block sum
+ * crosses the running minimum yields the exact abort comparison
+ * in-register (crossingLane32).  The read's n % 32 tail runs the
+ * scalar per-comparison loop.
  */
 IRACC_AVX2 WhdSweepResult
 sweepPrunedPerComparison(const uint8_t *cons, size_t m,
@@ -137,34 +193,42 @@ sweepPrunedPerComparison(const uint8_t *cons, size_t m,
                          size_t n)
 {
     WhdSweepResult r;
+    const size_t fullEnd = n - n % kWhdPruneBlock;
     for (size_t k = 0; k + n <= m; ++k) {
+        const uint8_t *cons_k = cons + k;
         uint64_t whd = 0;
-        bool pruned = false;
-        for (size_t chunk = 0; chunk < n && !pruned;
-             chunk += kWhdPruneBlock) {
-            const size_t lanes =
-                std::min<size_t>(kWhdPruneBlock, n - chunk);
-            const uint32_t bs = rangeSum(cons + k + chunk,
-                                         read + chunk,
-                                         qual + chunk, lanes);
+        // Comparisons executed up to the abort; 0 = not pruned.
+        size_t executed = 0;
+        size_t chunk = 0;
+        for (; chunk < fullEnd; chunk += kWhdPruneBlock) {
+            const __m256i contrib = mismatchQual32(
+                cons_k + chunk, read + chunk, qual + chunk);
+            const uint32_t bs = byteSum32(contrib);
             if (r.best != kWhdInfinity && whd + bs >= r.best) {
-                size_t p = chunk;
-                for (;; ++p) {
-                    if (cons[k + p] != read[p])
-                        whd += qual[p];
-                    if (whd >= r.best)
-                        break;
-                }
-                r.comparisons += p + 1;
-                r.chunks += p + 1;
-                ++r.offsetsPruned;
-                pruned = true;
+                executed = chunk + 1 +
+                           crossingLane32(
+                               contrib,
+                               static_cast<uint32_t>(r.best - whd));
                 break;
             }
             whd += bs;
         }
-        if (pruned)
+        if (executed == 0) {
+            for (size_t p = chunk; p < n; ++p) {
+                if (cons_k[p] != read[p])
+                    whd += qual[p];
+                if (r.best != kWhdInfinity && whd >= r.best) {
+                    executed = p + 1;
+                    break;
+                }
+            }
+        }
+        if (executed != 0) {
+            r.comparisons += executed;
+            r.chunks += executed;
+            ++r.offsetsPruned;
             continue;
+        }
         r.comparisons += n;
         r.chunks += n;
         const uint32_t v =

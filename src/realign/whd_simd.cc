@@ -26,9 +26,14 @@ namespace {
  *    point -- the first executed comparison whose running
  *    (saturated) sum reaches the current minimum -- is the first
  *    prefix crossing.  A block whose end-of-block sum crosses the
- *    bound contains that comparison; a scalar rescan of just that
- *    block recovers its exact index, which is all the counters
- *    need.
+ *    bound contains that comparison, and its exact index is all
+ *    the counters need.  The generic sweep recovers it with a
+ *    scalar rescan of just that block.  The AVX2 sweep finds it
+ *    in-register: with T = best - whd at the block start, the
+ *    block's inclusive 16-bit prefix sums are compared against
+ *    T - 1 and the first set lane is the abort.  The block
+ *    crosses, so T <= blockSum <= 32 * 255 = 8160 < 2^15 and the
+ *    signed 16-bit compare cannot wrap.
  * 3. Plain-vs-saturated compares: for best <= kWhdMax,
  *    min(sum, kWhdMax) >= best iff sum >= best; for
  *    best == kWhdInfinity the saturated value (<= kWhdMax) never

@@ -6,6 +6,10 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+
+#include "util/logging.hh"
 
 namespace iracc {
 
@@ -19,6 +23,18 @@ usageError(const char *fmt, ...)
     std::fprintf(stderr, "\n");
     va_end(args);
     std::exit(2);
+}
+
+void
+requireWritable(const std::string &path)
+{
+    const bool existed = std::filesystem::exists(path);
+    {
+        std::ofstream f(path, std::ios::app);
+        fatal_if(!f, "cannot write '%s'", path.c_str());
+    }
+    if (!existed)
+        std::filesystem::remove(path);
 }
 
 bool

@@ -36,6 +36,14 @@ namespace iracc {
     __attribute__((format(printf, 1, 2)));
 
 /**
+ * Fail fast (fatal(), exit 1) when @p path cannot be written, so a
+ * bad output path is found before any expensive work.  An existing
+ * file (which may also be an input) is opened in append mode and
+ * left intact; a probe file is removed again.
+ */
+void requireWritable(const std::string &path);
+
+/**
  * Parse the *entire* token as a base-10 (or 0x-prefixed) signed
  * integer.  Leading/trailing junk, an empty token, and overflow
  * all fail.

@@ -503,6 +503,21 @@ TEST(BenchReport, JsonPathResolution)
               "");
 }
 
+TEST(BenchReport, BadJsonPathFailsBeforeTheWork)
+{
+    // A trailing --json used to be silently ignored.
+    const char *argv[] = {"bench", "--json"};
+    EXPECT_EXIT(obs::BenchReport::jsonPathFromArgs(
+                    2, const_cast<char **>(argv)),
+                ::testing::ExitedWithCode(2), "--json expects a path");
+
+    obs::BenchReport report("b", "p");
+    EXPECT_EXIT(report.setOutputPath("/nonexistent-dir/x.json"),
+                ::testing::ExitedWithCode(1), "cannot write");
+    report.setOutputPath(""); // no output: nothing to check
+    EXPECT_FALSE(report.writeOutput());
+}
+
 // ---- util/json escaping ------------------------------------------
 
 TEST(JsonEscape, EscapesEverythingThatMustBeEscaped)

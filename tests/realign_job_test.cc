@@ -14,6 +14,8 @@
 
 #include "core/realign_job.hh"
 #include "core/workload.hh"
+#include "obs/obs.hh"
+#include "realign/whd_simd.hh"
 #include "util/logging.hh"
 
 namespace iracc {
@@ -260,6 +262,45 @@ TEST(RealignJob, MergesPerfCountersAcrossContigs)
     }
     for (size_t c = 0; c < seen.size(); ++c)
         EXPECT_TRUE(seen[c]) << "no trace events for contig " << c;
+}
+
+TEST(RealignJob, PublishesWhdCountersIdenticalUnderEveryKernel)
+{
+    setQuiet(true);
+    GenomeWorkload wl = buildWorkload(multiContigWorkload());
+
+    // The pruned software kernel (pruneChunk == 1) and the
+    // accelerated datapath (pruneChunk == width) both publish.
+    for (const char *name : {"native", "iracc"}) {
+        std::vector<uint64_t> want;
+        for (WhdKernel kernel : supportedWhdKernels()) {
+            ScopedWhdKernel pin(kernel);
+            obs::MetricsRegistry registry;
+            obs::Observability ob;
+            ob.metrics = &registry;
+            RealignJobConfig cfg;
+            cfg.threads = 2;
+            cfg.obs = &ob;
+            std::vector<Read> reads = allReads(wl);
+            RealignJobResult job =
+                makeSession(name, cfg).run(wl.reference, reads);
+
+            const std::string what = std::string(name) + " kernel=" +
+                                     whdKernelName(kernel);
+            const std::vector<uint64_t> got = {
+                registry.counterValue("realign.whd.comparisons"),
+                registry.counterValue("realign.whd.offsets_evaluated"),
+                registry.counterValue("realign.whd.offsets_pruned")};
+            EXPECT_EQ(got[0], job.stats.whd.comparisons) << what;
+            EXPECT_EQ(got[1], job.stats.whd.offsetsEvaluated) << what;
+            EXPECT_EQ(got[2], job.stats.whd.offsetsPruned) << what;
+            EXPECT_GT(got[2], 0u) << what;
+            if (want.empty())
+                want = got;
+            else
+                EXPECT_EQ(got, want) << what << " vs scalar";
+        }
+    }
 }
 
 TEST(RealignJob, EmptyAndSingleContigEdgeCases)

@@ -377,6 +377,81 @@ TEST(DispatchSweep, SaturationNearWhdMaxBitEqual)
                             prune, 1, "saturation");
 }
 
+TEST(DispatchSweep, PrunedAbortAtEveryBlockLane)
+{
+    // Two offsets.  The read alternates A/C, so each consensus base
+    // past the first can mismatch offset 1 while matching offset 0
+    // (cons[j] = read[j]) or mismatch both ('G').  Offset 1 then
+    // mismatches every comparison, its running sum is the plain
+    // quality prefix, and offset 0's WHD (the best when offset 1
+    // runs) is the quality sum over a freely chosen base set.  That
+    // set is sized to put offset 1's abort on comparison `abort`:
+    // at exact equality (prefix == best), or one base after the
+    // prefix sits one short of best.  Every comparison of every
+    // read length is targeted: each lane 0-31 of the first and of
+    // later 32-byte blocks, plus the scalar tail.  Qualities are Q
+    // except a 1 on the last base; Q = 255 fills a whole block
+    // with 255s, the widest 16-bit prefix (8160).
+    for (size_t n : {32u, 33u, 64u, 100u}) {
+        for (int q_all : {30, 255}) {
+            QualSeq qual(n, static_cast<uint8_t>(q_all));
+            qual[n - 1] = 1;
+            BaseSeq read;
+            for (size_t p = 0; p < n; ++p)
+                read.push_back(p % 2 ? 'C' : 'A');
+            for (size_t abort = 0; abort < n; ++abort) {
+                for (bool later : {false, true}) {
+                    if (later && abort == 0)
+                        continue; // no comparison before the first
+                    // Bases of offset 0 that mismatch.
+                    std::vector<bool> worse(n, false);
+                    if (!later && abort + 1 < n) {
+                        // best = q * (abort + 1) = prefix(abort).
+                        for (size_t p = 0; p <= abort; ++p)
+                            worse[p] = true;
+                    } else if (later && abort + 1 < n) {
+                        // best = q * abort + 1 = prefix(abort-1) + 1.
+                        for (size_t p = 0; p < abort; ++p)
+                            worse[p] = true;
+                        worse[n - 1] = true;
+                    } else {
+                        // Last comparison: best = total (equality),
+                        // or prefix(n - 2) + 1 -- the same sum.
+                        std::fill(worse.begin(), worse.end(), true);
+                    }
+                    BaseSeq cons;
+                    for (size_t j = 0; j < n; ++j)
+                        cons.push_back(worse[j] ? 'G' : read[j]);
+                    cons.push_back('G');
+                    uint64_t best = 0;
+                    for (size_t p = 0; p < n; ++p)
+                        best += worse[p] ? qual[p] : 0;
+
+                    const uint8_t *cp =
+                        reinterpret_cast<const uint8_t *>(cons.data());
+                    const uint8_t *rp =
+                        reinterpret_cast<const uint8_t *>(read.data());
+                    const std::string where =
+                        "n=" + std::to_string(n) +
+                        " q=" + std::to_string(q_all) +
+                        " abort=" + std::to_string(abort) +
+                        (later ? " later" : " equal");
+                    const WhdSweepResult ref =
+                        whdSweep(cp, cons.size(), rp, qual.data(), n,
+                                 true, 1, WhdKernel::Scalar);
+                    // The construction lands where it claims.
+                    ASSERT_EQ(ref.best, best) << where;
+                    ASSERT_EQ(ref.bestK, 0u) << where;
+                    ASSERT_EQ(ref.offsetsPruned, 1u) << where;
+                    ASSERT_EQ(ref.comparisons, n + abort + 1) << where;
+                    expectSweepBitEqual(cp, cons.size(), rp,
+                                        qual.data(), n, true, 1, where);
+                }
+            }
+        }
+    }
+}
+
 TEST(DispatchSweep, MinWhdGridAndStatsMatchScalarKernel)
 {
     Rng rng(0xFACE);
