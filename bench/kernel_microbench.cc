@@ -191,30 +191,25 @@ registerDispatchBenchmarks()
 // ---- Self-timed iracc-bench-v1 section -------------------------
 
 /**
- * comparisons/second of minWhd on the default workload: run
- * batches until the measurement window is long enough to trust,
- * then take the best of a few repeats (the repeat least disturbed
- * by the machine).
+ * comparisons/second of @p run (one pass, returning the
+ * comparisons it executed): run batches until the measurement
+ * window is long enough to trust, then take the best of a few
+ * repeats (the repeat least disturbed by the machine).
  */
+template <typename Pass>
 double
-measureMinWhdRate(WhdKernel kernel, bool prune,
-                  const IrTargetInput &input)
+measureRate(Pass run)
 {
-    ScopedWhdKernel scope(kernel);
-    WhdStats once;
-    minWhd(input, prune, &once); // warm up + count one run's work
-    const double work = static_cast<double>(once.comparisons);
+    // Warm up + count one pass's work.
+    const double work = static_cast<double>(run());
 
     // Calibrate batch size to >= ~30 ms.
     uint64_t batch = 1;
     double secs = 0.0;
     for (;;) {
         Timer t;
-        for (uint64_t i = 0; i < batch; ++i) {
-            WhdStats s;
-            MinWhdGrid grid = minWhd(input, prune, &s);
-            benchmark::DoNotOptimize(grid);
-        }
+        for (uint64_t i = 0; i < batch; ++i)
+            run();
         secs = t.seconds();
         if (secs >= 0.03 || batch > (1ull << 24))
             break;
@@ -223,14 +218,61 @@ measureMinWhdRate(WhdKernel kernel, bool prune,
     double best = secs;
     for (int rep = 0; rep < 2; ++rep) {
         Timer t;
-        for (uint64_t i = 0; i < batch; ++i) {
-            WhdStats s;
-            MinWhdGrid grid = minWhd(input, prune, &s);
-            benchmark::DoNotOptimize(grid);
-        }
+        for (uint64_t i = 0; i < batch; ++i)
+            run();
         best = std::min(best, t.seconds());
     }
     return work * static_cast<double>(batch) / best;
+}
+
+/** comparisons/second of minWhd (software, per-comparison). */
+double
+measureMinWhdRate(WhdKernel kernel, bool prune,
+                  const IrTargetInput &input)
+{
+    ScopedWhdKernel scope(kernel);
+    return measureRate([&] {
+        WhdStats s;
+        MinWhdGrid grid = minWhd(input, prune, &s);
+        benchmark::DoNotOptimize(grid);
+        return s.comparisons;
+    });
+}
+
+/**
+ * The width-32 per-chunk pruned sweep over every (consensus, read)
+ * pair -- the accelerator datapath precompute irCompute runs.
+ */
+WhdSweepResult
+chunk32Sweep(WhdKernel kernel, const IrTargetInput &input)
+{
+    WhdSweepResult total;
+    for (const BaseSeq &cons : input.consensuses) {
+        for (size_t j = 0; j < input.readBases.size(); ++j) {
+            const BaseSeq &read = input.readBases[j];
+            if (read.size() > cons.size())
+                continue;
+            const WhdSweepResult r = whdSweep(
+                reinterpret_cast<const uint8_t *>(cons.data()),
+                cons.size(),
+                reinterpret_cast<const uint8_t *>(read.data()),
+                input.readQuals[j].data(), read.size(), true,
+                /*pruneChunk=*/32, kernel);
+            benchmark::DoNotOptimize(r.best);
+            total.comparisons += r.comparisons;
+            total.chunks += r.chunks;
+            total.offsetsPruned += r.offsetsPruned;
+        }
+    }
+    return total;
+}
+
+/** comparisons/second of the width-32 per-chunk sweep. */
+double
+measureChunk32Rate(WhdKernel kernel, const IrTargetInput &input)
+{
+    return measureRate(
+        [&] { return chunk32Sweep(kernel, input).comparisons; });
 }
 
 void
@@ -255,6 +297,15 @@ emitBenchJson(const std::string &path)
         report.addValue(
             "n_minwhd_pruned_offsets_pruned",
             static_cast<double>(pruned.offsetsPruned));
+        const WhdSweepResult chunk32 =
+            chunk32Sweep(WhdKernel::Scalar, input);
+        report.addValue("n_minwhd_chunk32_comparisons",
+                        static_cast<double>(chunk32.comparisons));
+        report.addValue("n_minwhd_chunk32_chunks",
+                        static_cast<double>(chunk32.chunks));
+        report.addValue(
+            "n_minwhd_chunk32_offsets_pruned",
+            static_cast<double>(chunk32.offsetsPruned));
         MarshalledTarget target = marshalTarget(input);
         for (uint32_t width : {1u, 8u, 32u}) {
             IrComputeResult res = irCompute(target, width, true);
@@ -284,6 +335,8 @@ emitBenchJson(const std::string &path)
         report.addValue("rate_minwhd_full_" + kname + "_cps", full);
         report.addValue("rate_minwhd_pruned_" + kname + "_cps",
                         pruned);
+        report.addValue("rate_minwhd_chunk32_" + kname + "_cps",
+                        measureChunk32Rate(kernel, input));
         if (kernel != WhdKernel::Scalar) {
             report.addValue("speedup_unpruned_" + kname,
                             full / scalar_full);

@@ -95,6 +95,17 @@ openOutput(const std::string &path)
     return f;
 }
 
+/**
+ * Close an openOutput() stream; fatal() when a write failed, after
+ * removing the partial file.
+ */
+void
+finishOutput(std::ofstream &f, const std::string &path)
+{
+    fatal_if(!closeOutput(f, path), "cannot write '%s'",
+             path.c_str());
+}
+
 int
 cmdSimulate(const Args &args)
 {
@@ -142,6 +153,12 @@ cmdSimulate(const Args &args)
     writeSamLite(sam, wl.reference, all_reads);
     writeFastq(fq, all_reads);
     writeTruthVcf(vcf, wl.reference, all_truth);
+    finishOutput(fa, out + "/ref.fa");
+    finishOutput(sam, out + "/aligned.samlite");
+    finishOutput(fq, out + "/reads.fq");
+    finishOutput(vcf, out + "/truth.vcf");
+    if (params.normalCoverage > 0.0)
+        finishOutput(nf, out + "/normal.samlite");
 
     std::printf("wrote %s/{ref.fa, aligned.samlite, reads.fq, "
                 "truth.vcf}\n%zu contigs, %zu reads, %zu truth "
@@ -296,12 +313,13 @@ cmdRealign(const Args &args)
             // Never leave a half-written output behind a parse
             // failure.
             f.close();
-            std::remove(out.c_str());
+            removePartialOutput(out);
             fatal("streaming ingest of '%s' failed [%s]: %s",
                   reads_path.c_str(),
                   streamErrorName(sr.parseError.code),
                   sr.parseError.describe().c_str());
         }
+        finishOutput(f, out);
         job = std::move(sr.job);
         std::printf("streamed %llu reads in %llu contig batches "
                     "(bounded memory)\n",
@@ -315,6 +333,7 @@ cmdRealign(const Args &args)
         job = session.run(ref, contigs, reads);
         std::ofstream f = openOutput(out);
         writeSamLite(f, ref, reads);
+        finishOutput(f, out);
     }
     const RealignStats &total = job.stats;
     const PerfReport &perf = job.perf;
@@ -419,6 +438,7 @@ cmdRealign(const Args &args)
             registry.writePrometheus(mf);
         else
             registry.writeJson(mf);
+        finishOutput(mf, metrics_path);
         std::printf("wrote %s (%s metrics)\n", metrics_path.c_str(),
                     prom ? "Prometheus" : "JSON");
     }
@@ -441,6 +461,7 @@ cmdRealign(const Args &args)
         obs::writeUnifiedChromeTrace(
             tf, &tracer, perf.enabled ? &perf : nullptr,
             perf.clockMhz > 0 ? perf.clockMhz : 125.0);
+        finishOutput(tf, trace_path);
         std::printf("wrote %s (%zu host spans, %zu sim events; "
                     "open in chrome://tracing or "
                     "https://ui.perfetto.dev)\n",
@@ -524,6 +545,7 @@ cmdCall(const Args &args)
 
     std::ofstream f = openOutput(out);
     writeVcf(f, ref, all_calls);
+    finishOutput(f, out);
 
     int64_t snvs = 0, indels = 0;
     for (const auto &v : all_calls)

@@ -39,8 +39,12 @@ baseToChar(Base b)
 bool
 isValidBaseChar(char c)
 {
-    switch (std::toupper(static_cast<unsigned char>(c))) {
+    // Spelled out rather than via std::toupper: the same set in the
+    // C locale (the program never calls setlocale), without a call
+    // per base on the ingest path.
+    switch (c) {
       case 'A': case 'C': case 'G': case 'T': case 'N':
+      case 'a': case 'c': case 'g': case 't': case 'n':
         return true;
       default:
         return false;
@@ -72,7 +76,7 @@ reverseComplement(const BaseSeq &seq)
 }
 
 bool
-isValidSequence(const BaseSeq &seq)
+isValidSequence(std::string_view seq)
 {
     return std::all_of(seq.begin(), seq.end(), isValidBaseChar);
 }

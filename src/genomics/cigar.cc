@@ -54,7 +54,7 @@ Cigar::fromString(const std::string &s)
 }
 
 bool
-Cigar::tryFromString(const std::string &s, Cigar *out)
+Cigar::tryFromString(std::string_view s, Cigar *out)
 {
     std::vector<CigarElem> elems;
     if (s == "*" || s.empty()) {

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace iracc {
@@ -68,7 +69,7 @@ class Cigar
      * inputs like "4294967296M".  @return false without touching
      * @p out on malformed input.
      */
-    static bool tryFromString(const std::string &s, Cigar *out);
+    static bool tryFromString(std::string_view s, Cigar *out);
 
     /** Convenience: a pure-match CIGAR of the given read length. */
     static Cigar simpleMatch(uint32_t read_length);

@@ -1,5 +1,6 @@
 #include "genomics/io.hh"
 
+#include <charconv>
 #include <istream>
 #include <ostream>
 
@@ -80,25 +81,70 @@ readFastq(std::istream &is)
     return reads;
 }
 
+namespace {
+
+/** Append the decimal form of @p v. */
+void
+appendInt(std::string &out, int64_t v)
+{
+    char digits[24];
+    const auto res = std::to_chars(digits, digits + sizeof(digits), v);
+    out.append(digits, res.ptr);
+}
+
+} // namespace
+
 void
 writeSamLite(std::ostream &os, const ReferenceGenome &ref,
              const std::vector<Read> &reads)
 {
+    // Lines are formatted into one reused buffer and handed to the
+    // stream in writes of at least kFlushBytes.
+    constexpr size_t kFlushBytes = 64u << 10;
+    std::string buf;
+    buf.reserve(2 * kFlushBytes);
     for (const Read &r : reads) {
-        int flags = (r.reverse ? 0x10 : 0) |
-                    (r.duplicate ? 0x400 : 0) |
-                    (r.paired ? 0x1 : 0) |
-                    (r.paired && r.firstOfPair ? 0x40 : 0) |
-                    (r.paired && !r.firstOfPair ? 0x80 : 0);
-        os << r.name << '\t'
-           << ref.contig(r.contig).name << '\t'
-           << (r.pos + 1) << '\t'
-           << static_cast<int>(r.mapq) << '\t'
-           << r.cigar.toString() << '\t'
-           << flags << '\t'
-           << r.bases << '\t'
-           << qualsToAscii(r.quals) << '\n';
+        const int flags = (r.reverse ? 0x10 : 0) |
+                          (r.duplicate ? 0x400 : 0) |
+                          (r.paired ? 0x1 : 0) |
+                          (r.paired && r.firstOfPair ? 0x40 : 0) |
+                          (r.paired && !r.firstOfPair ? 0x80 : 0);
+        buf += r.name;
+        buf += '\t';
+        buf += ref.contig(r.contig).name;
+        buf += '\t';
+        appendInt(buf, r.pos + 1);
+        buf += '\t';
+        appendInt(buf, r.mapq);
+        buf += '\t';
+        if (r.cigar.empty())
+            buf += '*';
+        for (const CigarElem &e : r.cigar.elements()) {
+            appendInt(buf, e.length);
+            buf += cigarOpChar(e.op);
+        }
+        buf += '\t';
+        appendInt(buf, flags);
+        buf += '\t';
+        buf += r.bases;
+        buf += '\t';
+        const size_t q0 = buf.size();
+        buf.resize(q0 + r.quals.size());
+        for (size_t i = 0; i < r.quals.size(); ++i) {
+            const uint8_t q = r.quals[i];
+            panic_if(q > kMaxPhred, "Phred score %u exceeds max %u",
+                     q, kMaxPhred);
+            buf[q0 + i] = static_cast<char>(q + 33);
+        }
+        buf += '\n';
+        if (buf.size() >= kFlushBytes) {
+            os.write(buf.data(),
+                     static_cast<std::streamsize>(buf.size()));
+            buf.clear();
+        }
     }
+    if (!buf.empty())
+        os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
 }
 
 std::vector<Read>

@@ -1,5 +1,7 @@
 #include "genomics/stream_io.hh"
 
+#include <algorithm>
+#include <cstring>
 #include <istream>
 
 #include "genomics/base.hh"
@@ -63,34 +65,69 @@ setError(ParseError *err, StreamErrorCode code, uint64_t line,
 } // namespace
 
 LineScanner::LineScanner(std::istream &is, StreamLimits limits)
-    : in(is), lim(limits)
+    : in(is), lim(limits), block(kBlockBytes)
 {
 }
 
 bool
-LineScanner::next(std::string *line, ParseError *err)
+LineScanner::refill()
 {
-    // Character-wise pull so an oversized line is rejected at the
-    // limit instead of being buffered whole -- the reader's memory
-    // bound must hold against hostile input too.
-    std::streambuf *buf = in.rdbuf();
-    line->clear();
-    int c = buf->sbumpc();
-    if (c == std::streambuf::traits_type::eof())
-        return false;
-    ++lineno;
-    while (c != std::streambuf::traits_type::eof() && c != '\n') {
-        if (line->size() >= lim.maxLineBytes) {
+    head = 0;
+    tail = static_cast<size_t>(std::max<std::streamsize>(
+        in.rdbuf()->sgetn(block.data(), kBlockBytes), 0));
+    return tail > 0;
+}
+
+bool
+LineScanner::next(std::string_view *line, ParseError *err)
+{
+    // A line inside one block is returned in place; one that
+    // straddles a refill is assembled in carry.  Either way an
+    // oversized line is rejected at its (maxLineBytes + 1)th byte,
+    // never buffered whole -- the reader's memory bound must hold
+    // against hostile input too.
+    carry.clear();
+    bool started = false;
+    for (;;) {
+        if (head == tail && !refill()) {
+            if (!started)
+                return false;
+            *line = carry; // last line without a newline
+            break;
+        }
+        if (!started) {
+            ++lineno;
+            started = true;
+        }
+        const char *start = block.data() + head;
+        const size_t avail = tail - head;
+        const char *nl =
+            static_cast<const char *>(std::memchr(start, '\n', avail));
+        const size_t len = nl ? static_cast<size_t>(nl - start) : avail;
+        if (carry.size() + len > lim.maxLineBytes) {
+            // Consume through the first byte past the limit, as a
+            // byte-at-a-time scan stops there.
+            head += lim.maxLineBytes - carry.size() + 1;
             setError(err, StreamErrorCode::OversizedLine, lineno,
                      "line exceeds " +
                          std::to_string(lim.maxLineBytes) + " bytes");
             return false;
         }
-        line->push_back(static_cast<char>(c));
-        c = buf->sbumpc();
+        if (nl) {
+            head += len + 1;
+            if (carry.empty()) {
+                *line = std::string_view(start, len);
+            } else {
+                carry.append(start, len);
+                *line = carry;
+            }
+            break;
+        }
+        carry.append(start, len);
+        head = tail;
     }
     if (!line->empty() && line->back() == '\r')
-        line->pop_back();
+        line->remove_suffix(1);
     return true;
 }
 
@@ -103,11 +140,11 @@ FastqStreamReader::FastqStreamReader(std::istream &is,
 StreamStatus
 FastqStreamReader::next(Read *out, ParseError *err)
 {
-    std::string header;
+    std::string_view view;
     ParseError scanErr;
     // Tolerate blank lines between records (batch-reader parity).
     do {
-        if (!scanner.next(&header, &scanErr)) {
+        if (!scanner.next(&view, &scanErr)) {
             if (!scanErr.ok()) {
                 if (err)
                     *err = scanErr;
@@ -115,7 +152,8 @@ FastqStreamReader::next(Read *out, ParseError *err)
             }
             return StreamStatus::End;
         }
-    } while (header.empty());
+    } while (view.empty());
+    const std::string header(view);
 
     if (header[0] != '@' || header.size() < 2) {
         setError(err, StreamErrorCode::MalformedRecord,
@@ -124,9 +162,10 @@ FastqStreamReader::next(Read *out, ParseError *err)
         return StreamStatus::Error;
     }
 
+    // The scanner's view dies at its next call: copy each line.
     std::string bases, plus, quals;
     for (std::string *l : {&bases, &plus, &quals}) {
-        if (!scanner.next(l, &scanErr)) {
+        if (!scanner.next(&view, &scanErr)) {
             if (!scanErr.ok()) {
                 if (err)
                     *err = scanErr;
@@ -137,6 +176,7 @@ FastqStreamReader::next(Read *out, ParseError *err)
             }
             return StreamStatus::Error;
         }
+        l->assign(view);
     }
     if (plus.empty() || plus[0] != '+') {
         setError(err, StreamErrorCode::MalformedRecord,
@@ -176,29 +216,6 @@ FastqStreamReader::next(Read *out, ParseError *err)
     return StreamStatus::Record;
 }
 
-namespace {
-
-/** Split on runs of tabs/spaces (what the batch reader accepted). */
-std::vector<std::string>
-splitFields(const std::string &line)
-{
-    std::vector<std::string> fields;
-    size_t i = 0;
-    while (i < line.size()) {
-        while (i < line.size() &&
-               (line[i] == '\t' || line[i] == ' '))
-            ++i;
-        size_t start = i;
-        while (i < line.size() && line[i] != '\t' && line[i] != ' ')
-            ++i;
-        if (i > start)
-            fields.push_back(line.substr(start, i - start));
-    }
-    return fields;
-}
-
-} // namespace
-
 SamLiteStreamReader::SamLiteStreamReader(std::istream &is,
                                          const ReferenceGenome &ref,
                                          StreamLimits limits)
@@ -206,10 +223,62 @@ SamLiteStreamReader::SamLiteStreamReader(std::istream &is,
 {
 }
 
+namespace {
+
+/** Field separators of SAM-lite (what the batch reader accepted). */
+bool
+isFieldSpace(char c)
+{
+    return c == '\t' || c == ' ';
+}
+
+/**
+ * parseInt64's whole-token rules (strtoll base 0) for a field.  A
+ * plain decimal without sign or leading zero, short enough that it
+ * cannot overflow, is parsed in place; everything else -- signs,
+ * octal and hex prefixes, overflow, junk -- goes through
+ * parseInt64 itself.
+ */
+bool
+parseIntField(std::string_view text, int64_t *out)
+{
+    if (text == "0") {
+        *out = 0;
+        return true;
+    }
+    if (!text.empty() && text.size() <= 18 && text[0] >= '1' &&
+        text[0] <= '9') {
+        int64_t v = 0;
+        size_t i = 0;
+        for (; i < text.size() && text[i] >= '0' && text[i] <= '9';
+             ++i)
+            v = v * 10 + (text[i] - '0');
+        if (i == text.size()) {
+            *out = v;
+            return true;
+        }
+    }
+    return parseInt64(std::string(text), out);
+}
+
+/** @return true when every char is a Sanger quality character. */
+bool
+isValidQualityText(std::string_view text)
+{
+    for (char c : text) {
+        const int q = static_cast<unsigned char>(c) - 33;
+        if (q < 0 || q > kMaxPhred)
+            return false;
+    }
+    return true;
+}
+
+} // namespace
+
 StreamStatus
 SamLiteStreamReader::next(Read *out, ParseError *err)
 {
-    std::string line;
+    std::string_view line;
     ParseError scanErr;
     do {
         if (!scanner.next(&line, &scanErr)) {
@@ -223,97 +292,118 @@ SamLiteStreamReader::next(Read *out, ParseError *err)
     } while (line.empty() || line[0] == '#');
 
     const uint64_t lineno = scanner.lineNumber();
-    std::vector<std::string> f = splitFields(line);
-    if (f.size() != 8) {
+    // Split on runs of separators; fields past the eighth are only
+    // counted, for the error message.
+    std::string_view f[8];
+    size_t fields = 0;
+    for (size_t i = 0; i < line.size();) {
+        while (i < line.size() && isFieldSpace(line[i]))
+            ++i;
+        const size_t start = i;
+        while (i < line.size() && !isFieldSpace(line[i]))
+            ++i;
+        if (i > start) {
+            if (fields < 8)
+                f[fields] = line.substr(start, i - start);
+            ++fields;
+        }
+    }
+    if (fields != 8) {
         setError(err, StreamErrorCode::WrongFieldCount, lineno,
                  "expected 8 fields, found " +
-                     std::to_string(f.size()));
+                     std::to_string(fields));
         return StreamStatus::Error;
     }
+    auto text = [&f](size_t i) { return std::string(f[i]); };
 
-    const int32_t contig = genome.findContig(f[1]);
-    if (contig < 0) {
-        setError(err, StreamErrorCode::UnknownContig, lineno,
-                 "contig '" + f[1] + "' not in the reference");
-        return StreamStatus::Error;
+    int32_t contig = lastContig;
+    if (contig < 0 || genome.contig(contig).name != f[1]) {
+        contig = genome.findContig(text(1));
+        if (contig < 0) {
+            setError(err, StreamErrorCode::UnknownContig, lineno,
+                     "contig '" + text(1) +
+                         "' not in the reference");
+            return StreamStatus::Error;
+        }
+        lastContig = contig;
     }
     const int64_t contigLen =
         static_cast<int64_t>(genome.contig(contig).seq.size());
 
     int64_t pos1 = 0;
-    if (!parseInt64(f[2], &pos1)) {
+    if (!parseIntField(f[2], &pos1)) {
         setError(err, StreamErrorCode::MalformedField, lineno,
-                 "POS '" + f[2] + "' is not a whole integer");
+                 "POS '" + text(2) + "' is not a whole integer");
         return StreamStatus::Error;
     }
     if (pos1 < 1 || pos1 - 1 >= contigLen) {
         setError(err, StreamErrorCode::PositionOutOfRange, lineno,
-                 "POS " + f[2] + " outside contig '" + f[1] +
+                 "POS " + text(2) + " outside contig '" + text(1) +
                      "' (length " + std::to_string(contigLen) + ")");
         return StreamStatus::Error;
     }
 
     int64_t mapq = 0;
-    if (!parseInt64(f[3], &mapq)) {
+    if (!parseIntField(f[3], &mapq)) {
         setError(err, StreamErrorCode::MalformedField, lineno,
-                 "MAPQ '" + f[3] + "' is not a whole integer");
+                 "MAPQ '" + text(3) + "' is not a whole integer");
         return StreamStatus::Error;
     }
     if (mapq < 0 || mapq > 255) {
         setError(err, StreamErrorCode::FieldOutOfRange, lineno,
-                 "MAPQ " + f[3] + " outside [0, 255]");
+                 "MAPQ " + text(3) + " outside [0, 255]");
         return StreamStatus::Error;
     }
 
     Cigar cigar;
     if (!Cigar::tryFromString(f[4], &cigar)) {
         setError(err, StreamErrorCode::MalformedCigar, lineno,
-                 "malformed CIGAR '" + f[4] + "'");
+                 "malformed CIGAR '" + text(4) + "'");
         return StreamStatus::Error;
     }
 
     int64_t flags = 0;
-    if (!parseInt64(f[5], &flags)) {
+    if (!parseIntField(f[5], &flags)) {
         setError(err, StreamErrorCode::MalformedField, lineno,
-                 "FLAG '" + f[5] + "' is not a whole integer");
+                 "FLAG '" + text(5) + "' is not a whole integer");
         return StreamStatus::Error;
     }
     if (flags < 0 || flags > 0xFFFF) {
         setError(err, StreamErrorCode::FieldOutOfRange, lineno,
-                 "FLAG " + f[5] + " outside [0, 65535]");
+                 "FLAG " + text(5) + " outside [0, 65535]");
         return StreamStatus::Error;
     }
 
-    if (!isValidSequence(f[6])) {
+    const std::string_view bases = f[6];
+    const std::string_view qualText = f[7];
+    if (!isValidSequence(bases)) {
         setError(err, StreamErrorCode::InvalidBase, lineno,
-                 "base outside A/C/G/T/N in read '" + f[0] + "'");
+                 "base outside A/C/G/T/N in read '" + text(0) + "'");
         return StreamStatus::Error;
     }
-
-    QualSeq quals;
-    if (!tryAsciiToQuals(f[7], &quals)) {
+    if (!isValidQualityText(qualText)) {
         setError(err, StreamErrorCode::InvalidQuality, lineno,
                  "quality char outside Sanger range in read '" +
-                     f[0] + "'");
+                     text(0) + "'");
         return StreamStatus::Error;
     }
-    if (quals.size() != f[6].size()) {
+    if (qualText.size() != bases.size()) {
         setError(err, StreamErrorCode::LengthMismatch, lineno,
-                 std::to_string(f[6].size()) + " bases but " +
-                     std::to_string(quals.size()) + " qualities");
+                 std::to_string(bases.size()) + " bases but " +
+                     std::to_string(qualText.size()) + " qualities");
         return StreamStatus::Error;
     }
-    if (!cigar.empty() && cigar.readLength() != f[6].size()) {
+    if (!cigar.empty() && cigar.readLength() != bases.size()) {
         setError(err, StreamErrorCode::CigarMismatch, lineno,
-                 "CIGAR '" + f[4] + "' consumes " +
+                 "CIGAR '" + text(4) + "' consumes " +
                      std::to_string(cigar.readLength()) +
                      " bases, sequence has " +
-                     std::to_string(f[6].size()));
+                     std::to_string(bases.size()));
         return StreamStatus::Error;
     }
 
     Read r;
-    r.name = std::move(f[0]);
+    r.name.assign(f[0]);
     r.contig = contig;
     r.pos = pos1 - 1;
     r.mapq = static_cast<uint8_t>(mapq);
@@ -322,8 +412,10 @@ SamLiteStreamReader::next(Read *out, ParseError *err)
     r.duplicate = (flags & 0x400) != 0;
     r.paired = (flags & 0x1) != 0;
     r.firstOfPair = (flags & 0x40) != 0;
-    r.bases = std::move(f[6]);
-    r.quals = std::move(quals);
+    r.bases.assign(bases);
+    r.quals.resize(qualText.size());
+    for (size_t i = 0; i < qualText.size(); ++i)
+        r.quals[i] = static_cast<uint8_t>(qualText[i] - 33);
     // Every invariant assertValid checks was validated above, so
     // this cannot fire on untrusted input.
     r.assertValid();

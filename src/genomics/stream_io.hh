@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -100,26 +101,43 @@ struct StreamLimits
  * trailing '\r' (CRLF input), counts lines, and enforces
  * StreamLimits::maxLineBytes without ever buffering an oversized
  * line.
+ *
+ * The scanner pulls kBlockBytes blocks from the stream's buffer
+ * and splits lines inside them, so it reads ahead of the line it
+ * returns: from construction on, the scanner (and the reader that
+ * holds it) owns the stream, and nothing else may read from it.
  */
 class LineScanner
 {
   public:
+    /** Bytes pulled from the stream per refill. */
+    static constexpr size_t kBlockBytes = 64u << 10;
+
     explicit LineScanner(std::istream &is, StreamLimits limits = {});
 
     /**
      * Pull the next line.  @return false at end of stream (err
      * untouched) and on an oversized line (err filled); true with
-     * @p line filled otherwise.
+     * @p line filled otherwise.  The view stays valid until the
+     * next call.
      */
-    bool next(std::string *line, ParseError *err);
+    bool next(std::string_view *line, ParseError *err);
 
     /** 1-based number of the line last returned. */
     uint64_t lineNumber() const { return lineno; }
 
   private:
+    /** Replace the drained block; @return false at end of stream. */
+    bool refill();
+
     std::istream &in;
     StreamLimits lim;
     uint64_t lineno = 0;
+    std::vector<char> block;
+    size_t head = 0; ///< next unread byte of block
+    size_t tail = 0; ///< end of the valid bytes of block
+    /** A line that straddles a refill, assembled across blocks. */
+    std::string carry;
 };
 
 /**
@@ -180,6 +198,8 @@ class SamLiteStreamReader
     LineScanner scanner;
     const ReferenceGenome &genome;
     uint64_t count = 0;
+    /** Contig of the previous record (input is contig-grouped). */
+    int32_t lastContig = -1;
 };
 
 /**

@@ -241,42 +241,76 @@ sweepPrunedPerComparison(const uint8_t *cons, size_t m,
     return r;
 }
 
+/** Running-minimum sentinel of the per-chunk sweep: no minimum yet. */
+constexpr uint64_t kNoMinimum = ~static_cast<uint64_t>(0);
+
 /**
  * Pruned sweep, per-chunk (hardware datapath) semantics: the
  * minimum check and the counters tick at pruneChunk granularity.
+ * The minimum lives in 64 bits with an all-ones "none yet" sentinel
+ * (whd_simd.cc note 3), so each prune test is one exact compare;
+ * counters stay in locals -- the uint8_t inputs may alias the
+ * result -- and are derived from the exit point.  Width32 runs each
+ * full chunk as one 32-byte block sum; otherwise chunks go through
+ * rangeSum.  The read's n % pruneChunk tail is the last chunk.
  */
+template <bool Width32>
 IRACC_AVX2 WhdSweepResult
 sweepPrunedPerChunk(const uint8_t *cons, size_t m,
                     const uint8_t *read, const uint8_t *qual,
                     size_t n, uint32_t pruneChunk)
 {
-    WhdSweepResult r;
+    const size_t w = Width32 ? kWhdPruneBlock : pruneChunk;
+    const size_t fullEnd = n - n % w;
+    const size_t tail = n - fullEnd;
+    const uint64_t chunksPerOffset = fullEnd / w + (tail != 0);
+    uint64_t best = kNoMinimum;
+    uint32_t bestK = 0;
+    uint64_t comparisons = 0;
+    uint64_t chunks = 0;
+    uint64_t offsetsPruned = 0;
     for (size_t k = 0; k + n <= m; ++k) {
+        const uint8_t *cons_k = cons + k;
         uint64_t whd = 0;
-        bool pruned = false;
-        for (size_t chunk = 0; chunk < n; chunk += pruneChunk) {
-            const size_t lanes =
-                std::min<size_t>(pruneChunk, n - chunk);
-            ++r.chunks;
-            r.comparisons += lanes;
-            whd += rangeSum(cons + k + chunk, read + chunk,
-                            qual + chunk, lanes);
-            if (r.best != kWhdInfinity && whd >= r.best) {
-                pruned = true;
+        size_t chunk = 0;
+        for (; chunk < fullEnd; chunk += w) {
+            whd += Width32 ? byteSum32(mismatchQual32(cons_k + chunk,
+                                                      read + chunk,
+                                                      qual + chunk))
+                           : rangeSum(cons_k + chunk, read + chunk,
+                                      qual + chunk, w);
+            if (whd >= best)
                 break;
-            }
         }
-        if (pruned) {
-            ++r.offsetsPruned;
+        if (chunk < fullEnd) {
+            chunks += chunk / w + 1;
+            comparisons += chunk + w;
+            ++offsetsPruned;
             continue;
         }
-        const uint32_t v =
-            whd > kWhdMax ? kWhdMax : static_cast<uint32_t>(whd);
-        if (v < r.best) {
-            r.best = v;
-            r.bestK = static_cast<uint32_t>(k);
+        chunks += chunksPerOffset;
+        comparisons += n;
+        if (tail != 0) {
+            whd += rangeSum(cons_k + fullEnd, read + fullEnd,
+                            qual + fullEnd, tail);
+            if (whd >= best) {
+                ++offsetsPruned;
+                continue;
+            }
+        }
+        const uint64_t v = std::min<uint64_t>(whd, kWhdMax);
+        if (v < best) {
+            best = v;
+            bestK = static_cast<uint32_t>(k);
         }
     }
+    WhdSweepResult r;
+    r.best = best == kNoMinimum ? kWhdInfinity
+                                : static_cast<uint32_t>(best);
+    r.bestK = bestK;
+    r.comparisons = comparisons;
+    r.chunks = chunks;
+    r.offsetsPruned = offsetsPruned;
     return r;
 }
 
@@ -323,7 +357,11 @@ whdSweepPrunedAvx2(const uint8_t *cons, size_t m,
 {
     if (pruneChunk == 1)
         return sweepPrunedPerComparison(cons, m, read, qual, n);
-    return sweepPrunedPerChunk(cons, m, read, qual, n, pruneChunk);
+    if (pruneChunk == kWhdPruneBlock)
+        return sweepPrunedPerChunk<true>(cons, m, read, qual, n,
+                                         pruneChunk);
+    return sweepPrunedPerChunk<false>(cons, m, read, qual, n,
+                                      pruneChunk);
 }
 
 } // namespace iracc

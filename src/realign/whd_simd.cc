@@ -1,7 +1,9 @@
 #include "realign/whd_simd.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 
 #include "realign/whd.hh"
 #include "util/logging.hh"
@@ -38,7 +40,12 @@ namespace {
  *    min(sum, kWhdMax) >= best iff sum >= best; for
  *    best == kWhdInfinity the saturated value (<= kWhdMax) never
  *    reaches it.  Vectorized prune checks therefore use plain
- *    64-bit sums guarded by best != kWhdInfinity.
+ *    64-bit sums guarded by best != kWhdInfinity.  The per-chunk
+ *    sweeps drop the guard: they hold the minimum in 64 bits with
+ *    an all-ones "no minimum yet" sentinel, which no plain sum
+ *    reaches (whd <= n * 255 < 2^64 - 1), so whd >= best is one
+ *    exact compare and a found minimum (<= kWhdMax) narrows back
+ *    to the 32-bit result.
  */
 
 bool
@@ -110,14 +117,37 @@ offsetWhd(const uint8_t *cons_k, const uint8_t *read,
 
 /**
  * Branchless mismatch-quality sum over one block (<= a few KiB so
- * the 32-bit partial cannot overflow).
+ * the 32-bit partial cannot overflow).  Eight bases per step in a
+ * 64-bit word (SWAR): XOR the consensus and read words, turn each
+ * nonzero byte into 0xFF, AND with the qualities, then add the
+ * eight masked bytes with one multiply.
  */
 uint32_t
 blockSum(const uint8_t *cons_p, const uint8_t *read_p,
          const uint8_t *qual_p, size_t len)
 {
+    constexpr uint64_t kLow7 = 0x7F7F7F7F7F7F7F7Full;
+    constexpr uint64_t kHigh = 0x8080808080808080ull;
+    constexpr uint64_t kEven = 0x00FF00FF00FF00FFull;
     uint32_t sum = 0;
-    for (size_t i = 0; i < len; ++i)
+    size_t i = 0;
+    for (; i + 8 <= len; i += 8) {
+        uint64_t c, r, q;
+        std::memcpy(&c, cons_p + i, 8);
+        std::memcpy(&r, read_p + i, 8);
+        std::memcpy(&q, qual_p + i, 8);
+        const uint64_t x = c ^ r;
+        // High bit of each byte set iff that byte of x is nonzero;
+        // the 7-bit add cannot carry across bytes.
+        const uint64_t ne = (((x & kLow7) + kLow7) | x) & kHigh;
+        const uint64_t v = q & ((ne >> 7) * 0xFF);
+        // Pairwise into four 16-bit lanes (each <= 510), then the
+        // multiply sums the lanes into the top 16 bits (<= 2040).
+        const uint64_t pairs = (v & kEven) + ((v >> 8) & kEven);
+        sum += static_cast<uint32_t>(
+            (pairs * 0x0001000100010001ull) >> 48);
+    }
+    for (; i < len; ++i)
         sum += (cons_p[i] != read_p[i]) ? qual_p[i] : 0;
     return sum;
 }
@@ -255,7 +285,10 @@ sweepPrunedPerComparison(const uint8_t *cons, size_t m,
  * Pruned sweep with per-chunk (hardware datapath) semantics: the
  * running minimum is checked at pruneChunk-base granularity, and a
  * pruned offset charges the whole chunk that crossed -- the block
- * sum IS the datapath's per-cycle work, no rescan needed.
+ * sum IS the datapath's per-cycle work, no rescan needed.  The
+ * minimum is held in 64 bits with an all-ones "none yet" sentinel
+ * (note 3) and the counters in locals, written to the result once
+ * per call.
  */
 template <uint32_t (*BlockSumFn)(const uint8_t *, const uint8_t *,
                                  const uint8_t *, size_t)>
@@ -264,33 +297,43 @@ sweepPrunedPerChunk(const uint8_t *cons, size_t m,
                     const uint8_t *read, const uint8_t *qual,
                     size_t n, uint32_t pruneChunk)
 {
-    WhdSweepResult r;
+    constexpr uint64_t kNoMinimum = ~static_cast<uint64_t>(0);
+    uint64_t best = kNoMinimum;
+    uint32_t bestK = 0;
+    uint64_t comparisons = 0;
+    uint64_t chunks = 0;
+    uint64_t offsetsPruned = 0;
     for (size_t k = 0; k + n <= m; ++k) {
         uint64_t whd = 0;
+        size_t chunk = 0;
         bool pruned = false;
-        for (size_t chunk = 0; chunk < n; chunk += pruneChunk) {
+        while (chunk < n && !pruned) {
             const size_t lanes =
                 std::min<size_t>(pruneChunk, n - chunk);
-            ++r.chunks;
-            r.comparisons += lanes;
             whd += BlockSumFn(cons + k + chunk, read + chunk,
                               qual + chunk, lanes);
-            if (r.best != kWhdInfinity && whd >= r.best) {
-                pruned = true;
-                break;
-            }
+            ++chunks;
+            chunk += lanes;
+            pruned = whd >= best;
         }
+        comparisons += chunk;
         if (pruned) {
-            ++r.offsetsPruned;
+            ++offsetsPruned;
             continue;
         }
-        const uint32_t v =
-            whd > kWhdMax ? kWhdMax : static_cast<uint32_t>(whd);
-        if (v < r.best) {
-            r.best = v;
-            r.bestK = static_cast<uint32_t>(k);
+        const uint64_t v = std::min<uint64_t>(whd, kWhdMax);
+        if (v < best) {
+            best = v;
+            bestK = static_cast<uint32_t>(k);
         }
     }
+    WhdSweepResult r;
+    r.best = best == kNoMinimum ? kWhdInfinity
+                                : static_cast<uint32_t>(best);
+    r.bestK = bestK;
+    r.comparisons = comparisons;
+    r.chunks = chunks;
+    r.offsetsPruned = offsetsPruned;
     return r;
 }
 

@@ -9,6 +9,7 @@
 #include "fault/fault.hh"
 #include "genomics/io.hh"
 #include "obs/obs.hh"
+#include "util/argparse.hh"
 #include "util/logging.hh"
 
 namespace iracc {
@@ -219,7 +220,16 @@ JobScheduler::runJob(JobRecord *job)
     std::string load_error;
     const JobSpec &spec = job->spec;
     const bool file_job = spec.synthScale <= 0;
-    if (!file_job) {
+    const bool want_out = !spec.outPath.empty();
+    std::ofstream out;
+    if (!file_job && want_out) {
+        // An unwritable output fails the job before the workload
+        // is synthesized.
+        out.open(spec.outPath);
+        if (!out)
+            load_error = "cannot write '" + spec.outPath + "'";
+    }
+    if (!file_job && load_error.empty()) {
         WorkloadParams params;
         params.seed = spec.synthSeed;
         params.scaleDivisor = spec.synthScale;
@@ -231,7 +241,7 @@ JobScheduler::runJob(JobRecord *job)
             reads.insert(reads.end(), chr.reads.begin(),
                          chr.reads.end());
         }
-    } else {
+    } else if (file_job) {
         std::ifstream fa(spec.refPath);
         if (!fa) {
             load_error =
@@ -290,8 +300,6 @@ JobScheduler::runJob(JobRecord *job)
         // or a cancellation removes the partial output -- callers
         // either get the complete byte-exact file or nothing.
         std::ifstream sam(spec.readsPath);
-        const bool want_out = !spec.outPath.empty();
-        std::ofstream out;
         if (!sam) {
             run_error =
                 "cannot open reads '" + spec.readsPath + "'";
@@ -317,19 +325,20 @@ JobScheduler::runJob(JobRecord *job)
             }
             if (want_out && (!sr.parseOk || result.cancelled)) {
                 out.close();
-                std::remove(spec.outPath.c_str());
+                removePartialOutput(spec.outPath);
+            } else if (want_out && !closeOutput(out, spec.outPath)) {
+                run_error = "cannot write '" + spec.outPath + "'";
             }
         }
     } else {
         result = session->run(ref, reads, run_cfg);
-        if (!spec.outPath.empty() && !result.cancelled) {
-            std::ofstream out(spec.outPath);
-            if (!out) {
-                run_error =
-                    "cannot write '" + spec.outPath + "'";
-            } else {
-                writeSamLite(out, ref, reads);
-            }
+        if (want_out && result.cancelled) {
+            out.close();
+            removePartialOutput(spec.outPath);
+        } else if (want_out) {
+            writeSamLite(out, ref, reads);
+            if (!closeOutput(out, spec.outPath))
+                run_error = "cannot write '" + spec.outPath + "'";
         }
     }
 

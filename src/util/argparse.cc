@@ -37,6 +37,24 @@ requireWritable(const std::string &path)
         std::filesystem::remove(path);
 }
 
+void
+removePartialOutput(const std::string &path)
+{
+    std::error_code ec;
+    if (std::filesystem::is_regular_file(path, ec))
+        std::filesystem::remove(path, ec);
+}
+
+bool
+closeOutput(std::ofstream &f, const std::string &path)
+{
+    f.close();
+    if (f)
+        return true;
+    removePartialOutput(path);
+    return false;
+}
+
 bool
 parseInt64(const std::string &text, int64_t *out)
 {

@@ -25,6 +25,7 @@
 #define IRACC_UTIL_ARGPARSE_HH
 
 #include <cstdint>
+#include <iosfwd>
 #include <limits>
 #include <map>
 #include <string>
@@ -42,6 +43,21 @@ namespace iracc {
  * left intact; a probe file is removed again.
  */
 void requireWritable(const std::string &path);
+
+/**
+ * Remove a partial output at @p path when it is a regular file; a
+ * device (/dev/null, /dev/full) or directory is left alone.
+ */
+void removePartialOutput(const std::string &path);
+
+/**
+ * Close @p f, the output stream of @p path, and report whether
+ * every write reached the file: a full disk or a device such as
+ * /dev/full fails the final flush, not the open.  On failure the
+ * partial output is removed (removePartialOutput) and false is
+ * returned.
+ */
+bool closeOutput(std::ofstream &f, const std::string &path);
 
 /**
  * Parse the *entire* token as a base-10 (or 0x-prefixed) signed

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <mutex>
 #include <sstream>
@@ -386,6 +387,59 @@ TEST(Scheduler, CancelRunningJobFreesCapacityForTheNext)
 
     sched.shutdown(true);
     EXPECT_EQ(sched.runningJobs(), 0u);
+}
+
+// ---- Output failures ---------------------------------------------
+
+TEST(Scheduler, UnwritableOutputFailsTheJob)
+{
+    // /dev/full accepts the open and fails the flush: a job must
+    // fail naming the path, not report ok over a lost output.
+    char tmpl[] = "/tmp/iracc_server_full_XXXXXX";
+    ASSERT_NE(mkdtemp(tmpl), nullptr);
+    const std::string dir = tmpl;
+    {
+        WorkloadParams params;
+        params.seed = 31;
+        params.scaleDivisor = 40000;
+        params.coverage = 4.0;
+        params.chromosomes = {22};
+        GenomeWorkload wl = buildWorkload(params);
+        std::ofstream fa(dir + "/ref.fa");
+        writeFasta(fa, wl.reference);
+        std::ofstream sam(dir + "/reads.samlite");
+        writeSamLite(sam, wl.reference, wl.chromosomes[0].reads);
+    }
+
+    JobSpec synth = tinySpec(31);
+    synth.outPath = "/dev/full";
+    JobSpec file;
+    file.synthScale = 0;
+    file.refPath = dir + "/ref.fa";
+    file.readsPath = dir + "/reads.samlite";
+    file.outPath = "/dev/full";
+    // A synth job opens its output before synthesizing, so a bad
+    // path fails it without running a contig.
+    JobSpec missing = tinySpec(31);
+    missing.outPath = dir + "/no-such-dir/out.sam";
+
+    JobSchedulerConfig cfg;
+    cfg.workers = 1;
+    JobScheduler sched(cfg);
+    sched.start();
+    for (const JobSpec *spec : {&synth, &file, &missing}) {
+        Admission a = sched.submit("t", *spec);
+        ASSERT_TRUE(a.accepted);
+        JobView view;
+        ASSERT_TRUE(sched.wait(a.jobId, &view));
+        EXPECT_EQ(view.state, JobState::Done);
+        EXPECT_EQ(view.status, "failed");
+        EXPECT_EQ(view.error, "cannot write '" + spec->outPath + "'");
+        EXPECT_EQ(view.progress.empty(), spec == &missing);
+    }
+    sched.shutdown(true);
+    EXPECT_FALSE(std::filesystem::exists(dir + "/no-such-dir"));
+    std::filesystem::remove_all(dir);
 }
 
 // ---- TCP end to end ----------------------------------------------

@@ -6,12 +6,21 @@
  * hammers the SAM-lite reader with random mutations of valid files
  * (run under ASan/UBSan in CI), and the streaming/in-memory
  * bit-equality contract is asserted across the full differential
- * variant matrix at 1 and 4 job threads.
+ * variant matrix at 1 and 4 job threads.  Every corpus is also
+ * replayed through a stream that hands out a few bytes per refill,
+ * and the block scanner's refill boundaries are pinned; the
+ * SAM-lite writer is matched byte for byte against
+ * tests/golden/.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -33,6 +42,89 @@ smallRef()
     return ref;
 }
 
+/** A stream buffer that hands out at most 7 bytes per underflow. */
+class TrickleBuf : public std::streambuf
+{
+  public:
+    explicit TrickleBuf(std::string text) : data(std::move(text)) {}
+
+  protected:
+    int_type
+    underflow() override
+    {
+        if (pos >= data.size())
+            return traits_type::eof();
+        const size_t n = std::min<size_t>(7, data.size() - pos);
+        char *p = &data[pos];
+        setg(p, p, p + n);
+        pos += n;
+        return traits_type::to_int_type(*p);
+    }
+
+  private:
+    std::string data;
+    size_t pos = 0;
+};
+
+/** One line per pulled record, then the final status and error. */
+std::vector<std::string>
+samTranscript(std::istream &in, StreamLimits limits = {})
+{
+    ReferenceGenome ref = smallRef();
+    SamLiteStreamReader reader(in, ref, limits);
+    std::vector<std::string> out;
+    Read r;
+    ParseError err;
+    StreamStatus st;
+    while ((st = reader.next(&r, &err)) == StreamStatus::Record) {
+        std::ostringstream line;
+        writeSamLite(line, ref, {r});
+        out.push_back(line.str());
+    }
+    out.push_back(std::to_string(static_cast<int>(st)) + " " +
+                  err.describe());
+    return out;
+}
+
+std::vector<std::string>
+fastqTranscript(std::istream &in, StreamLimits limits = {})
+{
+    FastqStreamReader reader(in, limits);
+    std::vector<std::string> out;
+    Read r;
+    ParseError err;
+    StreamStatus st;
+    while ((st = reader.next(&r, &err)) == StreamStatus::Record)
+        out.push_back(r.name + "|" + r.bases + "|" +
+                      qualsToAscii(r.quals));
+    out.push_back(std::to_string(static_cast<int>(st)) + " " +
+                  err.describe());
+    return out;
+}
+
+/**
+ * The readers must not depend on how the stream buffer delivers
+ * bytes: records, line numbers and errors from a trickling buffer
+ * equal those from one istringstream.
+ */
+void
+expectSameWhenTrickled(const std::string &text, bool fastq,
+                       StreamLimits limits = {})
+{
+    std::istringstream whole(text);
+    TrickleBuf trickle(text);
+    std::istream trickled(&trickle);
+    if (fastq) {
+        EXPECT_EQ(fastqTranscript(trickled, limits),
+                  fastqTranscript(whole, limits))
+            << text;
+    } else {
+        EXPECT_EQ(samTranscript(trickled, limits),
+                  samTranscript(whole, limits))
+            << text;
+    }
+}
+
 /** Parse one SAM-lite line and expect a specific rejection. */
 void
 expectSamError(const std::string &line, StreamErrorCode code)
@@ -48,6 +140,7 @@ expectSamError(const std::string &line, StreamErrorCode code)
         << line << " rejected as " << streamErrorName(err.code);
     EXPECT_EQ(err.line, 1u);
     EXPECT_FALSE(err.describe().empty());
+    expectSameWhenTrickled(line, false);
 }
 
 TEST(SamLiteStream, AcceptsValidRecordAndDecodesFlags)
@@ -73,6 +166,7 @@ TEST(SamLiteStream, AcceptsValidRecordAndDecodesFlags)
     EXPECT_EQ(r.quals[0], 'I' - 33);
     EXPECT_EQ(reader.next(&r, &err), StreamStatus::End);
     EXPECT_EQ(reader.records(), 1u);
+    expectSameWhenTrickled(in.str(), false);
 }
 
 TEST(SamLiteStream, SkipsCommentsBlanksAndCrlf)
@@ -89,6 +183,7 @@ TEST(SamLiteStream, SkipsCommentsBlanksAndCrlf)
     EXPECT_EQ(r.bases, "ACGT"); // no trailing '\r' smuggled in
     EXPECT_EQ(r.pos, 0);
     EXPECT_EQ(reader.next(&r, &err), StreamStatus::End);
+    expectSameWhenTrickled(in.str(), false);
 }
 
 TEST(SamLiteStream, RejectsWrongFieldCount)
@@ -193,6 +288,7 @@ TEST(SamLiteStream, RejectsOversizedLineWithoutBuffering)
     ParseError err;
     ASSERT_EQ(reader.next(&r, &err), StreamStatus::Error);
     EXPECT_EQ(err.code, StreamErrorCode::OversizedLine);
+    expectSameWhenTrickled(in.str(), false, limits);
 }
 
 TEST(SamLiteStream, ErrorAnchorsToOffendingLine)
@@ -210,6 +306,7 @@ TEST(SamLiteStream, ErrorAnchorsToOffendingLine)
     EXPECT_EQ(err.code, StreamErrorCode::MalformedField);
     EXPECT_EQ(err.line, 3u);
     EXPECT_NE(err.describe().find("line 3"), std::string::npos);
+    expectSameWhenTrickled(in.str(), false);
 }
 
 TEST(FastqStream, RoundTripAndCrlf)
@@ -231,6 +328,7 @@ TEST(FastqStream, RoundTripAndCrlf)
     EXPECT_EQ(r.quals[0], 0);
     EXPECT_EQ(reader.next(&r, &err), StreamStatus::End);
     EXPECT_EQ(reader.records(), 2u);
+    expectSameWhenTrickled(in.str(), true);
 }
 
 void
@@ -244,6 +342,7 @@ expectFastqError(const std::string &text, StreamErrorCode code)
         << "accepted: " << text;
     EXPECT_EQ(err.code, code)
         << text << " rejected as " << streamErrorName(err.code);
+    expectSameWhenTrickled(text, true);
 }
 
 TEST(FastqStream, RejectsHostileRecords)
@@ -276,6 +375,7 @@ TEST(FastqStream, RejectsOversizedLine)
     ParseError err;
     ASSERT_EQ(reader.next(&r, &err), StreamStatus::Error);
     EXPECT_EQ(err.code, StreamErrorCode::OversizedLine);
+    expectSameWhenTrickled(in.str(), true, limits);
 }
 
 TEST(BatchSource, GroupsByContigInOrder)
@@ -302,6 +402,7 @@ TEST(BatchSource, GroupsByContigInOrder)
     EXPECT_EQ(source.nextBatch(&contig, &batch, &err),
               StreamStatus::End);
     EXPECT_EQ(source.records(), 3u);
+    expectSameWhenTrickled(in.str(), false);
 }
 
 TEST(BatchSource, RejectsUngroupedInput)
@@ -327,6 +428,7 @@ TEST(BatchSource, RejectsUngroupedInput)
     // Poisoned after an error.
     EXPECT_EQ(source.nextBatch(&contig, &batch, &err),
               StreamStatus::End);
+    expectSameWhenTrickled(in.str(), false);
 }
 
 TEST(BatchSource, PropagatesParseErrorAndPoisons)
@@ -344,6 +446,7 @@ TEST(BatchSource, PropagatesParseErrorAndPoisons)
     EXPECT_EQ(err.code, StreamErrorCode::MalformedField);
     EXPECT_EQ(source.nextBatch(&contig, &batch, &err),
               StreamStatus::End);
+    expectSameWhenTrickled(in.str(), false);
 }
 
 TEST(BatchSource, EmptyStreamEndsCleanly)
@@ -423,6 +526,7 @@ TEST(StreamFuzz, RandomMutationsNeverCrashSamReader)
             EXPECT_FALSE(err.describe().empty());
         }
         EXPECT_EQ(produced, reader.records());
+        expectSameWhenTrickled(mutated, false);
     }
 }
 
@@ -463,7 +567,214 @@ TEST(StreamFuzz, RandomMutationsNeverCrashFastqReader)
         ParseError err;
         while (reader.next(&r, &err) == StreamStatus::Record) {
         }
+        expectSameWhenTrickled(mutated, true);
     }
+}
+
+/**
+ * Text whose line @p target starts @p before bytes ahead of the
+ * scanner's first refill boundary: short filler lines lead up to
+ * it, and "tail" follows on the next line.
+ */
+std::string
+straddlingText(const std::string &target, size_t before,
+               size_t *targetLine)
+{
+    std::string text;
+    size_t lines = 0;
+    const size_t fillTo = LineScanner::kBlockBytes - before;
+    while (text.size() < fillTo) {
+        const size_t len = std::min<size_t>(40, fillTo - text.size());
+        text += std::string(len - 1, 'f') + "\n";
+        ++lines;
+    }
+    *targetLine = lines + 1;
+    return text + target + "tail\n";
+}
+
+/** Refill boundaries are invisible to lines, limits and CRLF. */
+void
+expectStraddle(const std::string &text, size_t targetLine,
+               StreamLimits limits, const std::string *wantLine,
+               StreamErrorCode wantCode)
+{
+    TrickleBuf trickle(text);
+    std::istream trickled(&trickle);
+    std::istringstream whole(text);
+    for (std::istream *in : {static_cast<std::istream *>(&whole),
+                             static_cast<std::istream *>(&trickled)}) {
+        LineScanner scanner(*in, limits);
+        std::string_view line;
+        ParseError err;
+        bool got;
+        do {
+            got = scanner.next(&line, &err);
+        } while (got && scanner.lineNumber() < targetLine);
+        if (wantLine) {
+            ASSERT_TRUE(got) << err.describe();
+            EXPECT_EQ(scanner.lineNumber(), targetLine);
+            EXPECT_EQ(line, *wantLine);
+            ASSERT_TRUE(scanner.next(&line, &err));
+            EXPECT_EQ(line, "tail");
+            EXPECT_FALSE(scanner.next(&line, &err));
+            EXPECT_TRUE(err.ok());
+        } else {
+            ASSERT_FALSE(got);
+            EXPECT_EQ(err.code, wantCode);
+            EXPECT_EQ(err.line, targetLine);
+        }
+    }
+}
+
+TEST(LineScannerRefill, LineAtTheLimitStraddlesARefill)
+{
+    StreamLimits limits;
+    limits.maxLineBytes = 100;
+    const std::string exact(100, 'y');
+    size_t lineNo = 0;
+    const std::string text =
+        straddlingText(exact + "\n", 50, &lineNo);
+    expectStraddle(text, lineNo, limits, &exact,
+                   StreamErrorCode::None);
+}
+
+TEST(LineScannerRefill, LineOneOverTheLimitStraddlesARefill)
+{
+    StreamLimits limits;
+    limits.maxLineBytes = 100;
+    for (size_t before : {1, 50, 100, 101}) {
+        size_t lineNo = 0;
+        const std::string text = straddlingText(
+            std::string(101, 'y') + "\n", before, &lineNo);
+        expectStraddle(text, lineNo, limits, nullptr,
+                       StreamErrorCode::OversizedLine);
+    }
+}
+
+TEST(LineScannerRefill, CrlfSplitAcrossARefill)
+{
+    // '\r' is the block's last byte, '\n' the next block's first.
+    const std::string want(20, 'c');
+    size_t lineNo = 0;
+    const std::string text =
+        straddlingText(want + "\r\n", want.size() + 1, &lineNo);
+    ASSERT_EQ(text[LineScanner::kBlockBytes - 1], '\r');
+    ASSERT_EQ(text[LineScanner::kBlockBytes], '\n');
+    expectStraddle(text, lineNo, {}, &want, StreamErrorCode::None);
+}
+
+TEST(LineScannerRefill, LastLineWithoutNewline)
+{
+    for (const std::string &prefix :
+         {std::string(), std::string(LineScanner::kBlockBytes - 3,
+                                     '#') + "\n"}) {
+        const std::string text = prefix + "r1\tlast";
+        TrickleBuf trickle(text);
+        std::istream trickled(&trickle);
+        std::istringstream whole(text);
+        for (std::istream *in :
+             {static_cast<std::istream *>(&whole),
+              static_cast<std::istream *>(&trickled)}) {
+            LineScanner scanner(*in);
+            std::string_view line;
+            ParseError err;
+            if (!prefix.empty()) {
+                ASSERT_TRUE(scanner.next(&line, &err));
+            }
+            ASSERT_TRUE(scanner.next(&line, &err));
+            EXPECT_EQ(line, "r1\tlast");
+            EXPECT_FALSE(scanner.next(&line, &err));
+            EXPECT_TRUE(err.ok());
+            EXPECT_EQ(scanner.lineNumber(), prefix.empty() ? 1u : 2u);
+        }
+    }
+}
+
+/** Reads covering every field shape writeSamLite emits. */
+std::vector<Read>
+goldenReads()
+{
+    struct Shape
+    {
+        const char *cigar;
+        bool paired, first, reverse, duplicate;
+        const char *bases;
+    };
+    const Shape shapes[] = {
+        {"*", false, false, false, false, "ACGTN"},
+        {"5M", false, false, true, false, "acgtn"},
+        {"2M1I2M", true, true, false, false, "ACgTa"},
+        {"1S3M1D1M", true, false, true, true, "NNACG"},
+        {"2S1M2I", true, true, true, true, "tttTT"},
+        {"3M7D2M", false, false, false, true, "CCCCC"},
+    };
+    std::vector<Read> reads;
+    for (size_t i = 0; i < std::size(shapes); ++i) {
+        const Shape &sh = shapes[i];
+        Read r;
+        r.name = "g" + std::to_string(i) + (i % 2 ? "/1" : "");
+        r.contig = static_cast<int32_t>(i % 2);
+        r.pos = static_cast<int64_t>(i * 7);
+        r.mapq = static_cast<uint8_t>(i == 0 ? 0 : 255 - i);
+        if (std::string(sh.cigar) != "*")
+            r.cigar = Cigar::fromString(sh.cigar);
+        r.paired = sh.paired;
+        r.firstOfPair = sh.first;
+        r.reverse = sh.reverse;
+        r.duplicate = sh.duplicate;
+        r.bases = sh.bases;
+        for (size_t b = 0; b < r.bases.size(); ++b)
+            r.quals.push_back(
+                static_cast<uint8_t>((i * 17 + b * 31) % 94));
+        r.assertValid();
+        reads.push_back(std::move(r));
+    }
+    return reads;
+}
+
+TEST(SamLiteWriter, MatchesGoldenBytes)
+{
+    const std::string golden =
+        std::string(IRACC_GOLDEN_DIR) + "/writer.samlite";
+    ReferenceGenome ref = smallRef();
+    std::ostringstream os;
+    writeSamLite(os, ref, goldenReads());
+    const std::string got = os.str();
+
+    if (std::getenv("IRACC_UPDATE_GOLDEN") != nullptr) {
+        std::ofstream out(golden, std::ios::binary);
+        ASSERT_TRUE(out.good()) << golden;
+        out << got;
+        GTEST_SKIP() << "golden fixture updated: " << golden;
+    }
+    std::ifstream in(golden, std::ios::binary);
+    const std::string want((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    ASSERT_FALSE(want.empty())
+        << "missing fixture " << golden
+        << " (regenerate with IRACC_UPDATE_GOLDEN=1)";
+    EXPECT_EQ(got, want);
+}
+
+TEST(SamLiteWriter, BufferedWritesEqualPerReadWrites)
+{
+    // Enough reads that the writer hands the stream several full
+    // buffers plus a remainder.
+    ReferenceGenome ref = smallRef();
+    const std::vector<Read> shapes = goldenReads();
+    std::vector<Read> reads;
+    std::string perRead;
+    for (size_t i = 0; i < 6000; ++i) {
+        reads.push_back(shapes[i % shapes.size()]);
+        reads.back().name += "-" + std::to_string(i);
+        std::ostringstream one;
+        writeSamLite(one, ref, {reads.back()});
+        perRead += one.str();
+    }
+    ASSERT_GT(perRead.size(), 3 * (64u << 10));
+    std::ostringstream all;
+    writeSamLite(all, ref, reads);
+    EXPECT_EQ(all.str(), perRead);
 }
 
 /**

@@ -314,9 +314,11 @@ TEST(DispatchSweep, BitEqualOnLaneBoundaryShapes)
     // Offset counts straddle the 16-lane blocks of the unpruned
     // sweeps (full blocks, scalar tails, tail-only); read lengths
     // straddle the pruned block sizes (8 generic, 32 AVX2) and the
-    // datapath chunk widths.
+    // datapath chunk widths, including the one-vector width-32
+    // chunk of the AVX2 per-chunk sweep and its neighbours.
     const size_t offset_counts[] = {1, 2, 15, 16, 17, 32, 33, 40};
-    const size_t read_lens[] = {1, 7, 8, 9, 16, 31, 32, 33, 100};
+    const size_t read_lens[] = {1,  7,  8,  9,  16, 31, 32,
+                                33, 63, 64, 65, 100, 256};
     Rng rng(0xD15B);
     for (size_t offsets : offset_counts) {
         for (size_t n : read_lens) {
@@ -342,7 +344,7 @@ TEST(DispatchSweep, BitEqualOnLaneBoundaryShapes)
                                       std::to_string(offsets) +
                                       " n=" + std::to_string(n);
             for (bool prune : {false, true})
-                for (uint32_t chunk : {1u, 8u, 32u})
+                for (uint32_t chunk : {1u, 8u, 31u, 32u, 33u, 64u})
                     expectSweepBitEqual(cp, m, rp, qual.data(), n,
                                         prune, chunk, where);
         }

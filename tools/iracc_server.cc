@@ -14,6 +14,7 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
+#include <filesystem>
 
 #include "server/server.hh"
 #include "util/argparse.hh"
@@ -52,7 +53,8 @@ usage()
         "  --retry-after-ms N backpressure back-off hint "
         "(default 250)\n"
         "  --postmortem DIR   write post-mortem bundles for "
-        "Degraded/Failed jobs\n"
+        "Degraded/Failed jobs (an existing,\n"
+        "                     writable directory)\n"
         "  --name NAME        identity answered to ping\n");
 }
 
@@ -88,6 +90,18 @@ main(int argc, char **argv)
         args.getUint("--retry-after-ms", 250, 0, 3600000);
     cfg.scheduler.postmortemDir = args.get("--postmortem", "");
     cfg.stop = &gStop;
+    if (!cfg.scheduler.postmortemDir.empty()) {
+        // Checked before listening: a bad DIR would otherwise only
+        // surface, fatally, when the first failed job writes its
+        // bundle.
+        const std::string &dir = cfg.scheduler.postmortemDir;
+        std::error_code ec;
+        fatal_if(!std::filesystem::is_directory(dir, ec),
+                 "iracc_server: --postmortem '%s' is not an existing "
+                 "directory",
+                 dir.c_str());
+        requireWritable(dir + "/.iracc_server_probe");
+    }
 
     std::signal(SIGINT, onSignal);
     std::signal(SIGTERM, onSignal);
