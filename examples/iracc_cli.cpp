@@ -379,6 +379,15 @@ cmdRealign(const Args &args)
             registry.counterValue("realign.whd.offsets_pruned")),
         static_cast<unsigned long long>(
             registry.counterValue("realign.whd.offsets_evaluated")));
+    if (job.simulated) {
+        std::printf(
+            "execute host: %.3f s datapath precompute, %.3f s event "
+            "replay, %llu simulator events\n",
+            registry.histogramSum("realign.execute.precompute_seconds"),
+            registry.histogramSum("realign.execute.replay_seconds"),
+            static_cast<unsigned long long>(
+                registry.counterValue("realign.execute.sim_events")));
+    }
     std::printf("wrote %s\n", out.c_str());
 
     // Per-target latency percentiles (accelerated backends): the

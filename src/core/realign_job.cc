@@ -215,6 +215,7 @@ RealignSession::run(const ReferenceGenome &ref,
         job.criticalPathSeconds =
             std::max(job.criticalPathSeconds, c.run.seconds);
         job.fpgaSeconds += c.run.fpgaSeconds;
+        job.execHost.merge(c.run.execHost);
         job.simulated = job.simulated || c.run.simulated;
         // Fleet runs already span one pid per card; stride the
         // contig id so merged traces keep one process per
@@ -242,6 +243,16 @@ RealignSession::run(const ReferenceGenome &ref,
             .add(job.stats.whd.offsetsEvaluated);
         reg.counter("realign.whd.offsets_pruned")
             .add(job.stats.whd.offsetsPruned);
+        // Where the accelerated Execute stage's host time went:
+        // the datapath sweep vs. the cycle simulator's replay.
+        if (job.simulated) {
+            reg.histogram("realign.execute.precompute_seconds")
+                .sample(job.execHost.precomputeSeconds);
+            reg.histogram("realign.execute.replay_seconds")
+                .sample(job.execHost.replaySeconds);
+            reg.counter("realign.execute.sim_events")
+                .add(job.execHost.simEvents);
+        }
     }
     if (job.cancelled) {
         obs::frEmit(obs::FrSeverity::Warn, obs::FrCategory::Job,
@@ -301,6 +312,7 @@ mergeJobResult(RealignJobResult *agg, RealignJobResult &&part)
     agg->criticalPathSeconds =
         std::max(agg->criticalPathSeconds, part.criticalPathSeconds);
     agg->fpgaSeconds += part.fpgaSeconds;
+    agg->execHost.merge(part.execHost);
     agg->simulated = agg->simulated || part.simulated;
     // trace_pid 0 with stride 1 appends part's trace events with
     // their per-contig pids intact.

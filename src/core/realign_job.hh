@@ -169,6 +169,13 @@ struct RealignJobResult
     /** Accelerated backends: summed simulated-FPGA seconds. */
     double fpgaSeconds = 0.0;
 
+    /**
+     * Accelerated backends: Execute host time by phase and
+     * simulator events, summed over contigs; published at the job
+     * barrier as `realign.execute.*`.
+     */
+    ExecuteHostSplit execHost;
+
     /** True when the backend ran on the cycle-level simulator. */
     bool simulated = false;
 

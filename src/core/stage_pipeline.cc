@@ -66,6 +66,7 @@ AcceleratedExecuteStage::execute(const PreparedContig &prepared,
     out.fleet = std::move(run.fleet);
     out.targetLatencyCycles = run.targetLatencyCycles;
     out.targetLatencyNanos = run.targetLatencyNanos;
+    out.execHost = run.host;
     return out;
 }
 
@@ -110,6 +111,7 @@ runContigPipeline(const ReferenceGenome &ref, int32_t contig,
     ExecuteOutcome outcome = exec.execute(prepared, rng_seed);
     exec_span.close();
     out.stageTimes.executeSeconds = outcome.seconds;
+    out.execHost = outcome.execHost;
     obs::frEmit(obs::FrSeverity::Debug, obs::FrCategory::Stage,
                 obs::FrCode::StageExecute, 0, -1,
                 prepared.inputs.size(),

@@ -77,6 +77,9 @@ struct BackendRunResult
     /** Per-stage breakdown of the pipeline run. */
     StageTimes stageTimes;
 
+    /** Accelerated backends: Execute host time by phase. */
+    ExecuteHostSplit execHost;
+
     /**
      * Accelerated backends: performance-counter snapshot
      * (perf.enabled == false unless the backend was created with
@@ -131,6 +134,11 @@ struct ExecuteOutcome
     double dmaFraction = 0.0;
     double unitUtilization = 0.0;
     PerfReport perf;
+
+    /** Accelerated backends: host time of the stage by phase
+     *  (datapath precompute vs. event replay) and simulator
+     *  events. */
+    ExecuteHostSplit execHost;
 
     /** Hardened backends: recovery counters and run health. */
     RecoveryStats recovery;

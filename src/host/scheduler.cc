@@ -12,6 +12,7 @@
 #include "obs/flight_recorder.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
+#include "util/timer.hh"
 
 namespace iracc {
 
@@ -722,8 +723,14 @@ scheduleFleetTargets(FleetLease &lease,
     for (uint32_t k = 0; k < cards; ++k)
         out.fleet.cardRow(k); // idle cards still report a row
 
+    Timer phase;
     std::vector<IrComputeResult> precomputed =
         precomputeResults(lease.config().card, targets);
+    out.host.precomputeSeconds = phase.seconds();
+    phase.restart();
+    std::vector<uint64_t> eventsBefore(cards);
+    for (uint32_t k = 0; k < cards; ++k)
+        eventsBefore[k] = lease.card(k).events().executed();
     std::vector<std::vector<size_t>> orders =
         placeShards(lease.config(), cards, precomputed, out.fleet);
 
@@ -781,6 +788,7 @@ scheduleFleetTargets(FleetLease &lease,
         std::vector<UnitTimelineEntry> tl = sys.timeline();
         out.timeline.insert(out.timeline.end(), tl.begin(),
                             tl.end());
+        out.host.simEvents += sys.events().executed() - eventsBefore[k];
         out.cardPerf.push_back(sys.perfReport());
         out.perf.merge(out.cardPerf.back(), k);
         if (injectors[k]) {
@@ -803,6 +811,7 @@ scheduleFleetTargets(FleetLease &lease,
     else if (out.recovery.anyRecovery())
         out.status = RunStatus::Degraded;
     lease.stats.merge(out.fleet);
+    out.host.replaySeconds = phase.seconds();
     return out;
 }
 

@@ -51,6 +51,29 @@ enum class SchedulePolicy {
 /** @return display name of a policy. */
 const char *schedulePolicyName(SchedulePolicy policy);
 
+/**
+ * Host cost of the accelerated Execute stage, split by phase:
+ * evaluating every target's datapath result up front on worker
+ * threads (irCompute, the WHD sweep), then replaying the cards'
+ * event-driven timelines.  Seconds are measured host wall-clock;
+ * the event count is exact and independent of the WHD kernel and
+ * the thread count.
+ */
+struct ExecuteHostSplit
+{
+    double precomputeSeconds = 0.0;
+    double replaySeconds = 0.0;
+    uint64_t simEvents = 0; ///< simulator events, summed over cards
+
+    void
+    merge(const ExecuteHostSplit &o)
+    {
+        precomputeSeconds += o.precomputeSeconds;
+        replaySeconds += o.replaySeconds;
+        simEvents += o.simEvents;
+    }
+};
+
 /** Outcome of scheduling a target list onto a card fleet. */
 struct FleetScheduleResult
 {
@@ -110,6 +133,9 @@ struct FleetScheduleResult
 
     /** Ok / Degraded / Failed (see RunStatus). */
     RunStatus status = RunStatus::Ok;
+
+    /** Host seconds of this call by phase, and simulator events. */
+    ExecuteHostSplit host;
 };
 
 /**

@@ -1,7 +1,7 @@
 #include "realign/stages.hh"
 
 #include <algorithm>
-#include <numeric>
+#include <utility>
 
 #include "realign/limits.hh"
 #include "realign/realigner.hh"
@@ -20,30 +20,32 @@ planStage(const ReferenceGenome &ref, int32_t contig,
     ContigPlan plan;
     plan.contig = contig;
     plan.targets = createTargets(reads, contig,
-                                 ref.contig(contig).length(),
-                                 params);
+                                 ref.contig(contig).length(), params,
+                                 candidates);
 
-    // Sort candidate read indices by start position for range
-    // queries.  Reads on other contigs are never claimed, so a
-    // pre-partitioned per-contig candidate list yields the same
-    // plan as scanning the whole read set.
-    std::vector<uint32_t> order;
+    // (pos, index) keys of the claimable reads -- on this contig,
+    // not duplicates -- sorted for range queries.  Other reads are
+    // never claimed, so a pre-partitioned per-contig candidate list
+    // yields the same plan as scanning the whole read set.
+    std::vector<std::pair<int64_t, uint32_t>> keys;
+    auto add = [&](uint32_t i) {
+        const Read &read = reads[i];
+        if (read.contig == contig && !read.duplicate)
+            keys.emplace_back(read.pos, i);
+    };
     if (candidates) {
-        order = *candidates;
+        keys.reserve(candidates->size());
+        for (uint32_t i : *candidates)
+            add(i);
     } else {
-        order.resize(reads.size());
-        std::iota(order.begin(), order.end(), 0u);
+        for (uint32_t i = 0; i < reads.size(); ++i)
+            add(i);
     }
-    std::sort(order.begin(), order.end(),
-              [&reads](uint32_t a, uint32_t b) {
-                  return reads[a].pos != reads[b].pos
-                      ? reads[a].pos < reads[b].pos
-                      : a < b;
-              });
+    std::sort(keys.begin(), keys.end());
 
     // A read may straddle two targets; the first target claims it so
     // targets never share (and never race on) a read.
-    std::vector<char> claimed(reads.size(), 0);
+    std::vector<char> claimed(keys.size(), 0);
     // No read spans more than its length plus the largest deletion
     // we model; 4 KiB of slack is conservative.
     const int64_t max_span = kMaxReadLen + 4096;
@@ -51,25 +53,22 @@ planStage(const ReferenceGenome &ref, int32_t contig,
     plan.readsPerTarget.reserve(plan.targets.size());
     for (const IrTarget &target : plan.targets) {
         std::vector<uint32_t> assigned;
-        auto first = std::lower_bound(
-            order.begin(), order.end(), target.start - max_span,
-            [&reads](uint32_t idx, int64_t pos) {
-                return reads[idx].pos < pos;
-            });
-        for (auto it = first; it != order.end(); ++it) {
-            const Read &read = reads[*it];
-            if (read.pos >= target.end)
+        const auto first = std::lower_bound(
+            keys.begin(), keys.end(),
+            std::make_pair(target.start - max_span, uint32_t{0}));
+        for (auto it = first; it != keys.end(); ++it) {
+            if (it->first >= target.end)
                 break;
-            if (read.contig != contig || read.duplicate ||
-                claimed[*it]) {
+            char &taken = claimed[static_cast<size_t>(it - keys.begin())];
+            if (taken ||
+                !reads[it->second].overlaps(contig, target.start,
+                                            target.end)) {
                 continue;
             }
-            if (!read.overlaps(contig, target.start, target.end))
-                continue;
             if (assigned.size() >= kMaxReads)
                 break;
-            claimed[*it] = 1;
-            assigned.push_back(*it);
+            taken = 1;
+            assigned.push_back(it->second);
         }
         plan.readsPerTarget.push_back(std::move(assigned));
     }

@@ -59,11 +59,12 @@ struct ContigPlan
  * Plan stage: create targets and claim reads on one contig.
  *
  * @param candidates optional pre-partitioned subset of read
- *        indices to consider for claiming (the RealignJob engine
- *        partitions the genome-wide read set by contig once and
- *        passes each contig its slice); nullptr = scan all reads.
- *        Restricting to the contig's own reads yields the same
- *        plan, since reads on other contigs are never claimed.
+ *        indices that target creation and claiming scan (the
+ *        RealignJob engine partitions the genome-wide read set by
+ *        contig once and passes each contig its slice); nullptr =
+ *        scan all reads.  It must include every read on @p contig;
+ *        it then yields the same plan as the full scan, since
+ *        reads on other contigs are never claimed.
  */
 ContigPlan planStage(const ReferenceGenome &ref, int32_t contig,
                      const std::vector<Read> &reads,

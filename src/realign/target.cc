@@ -49,17 +49,25 @@ readIndelIntervals(const Read &read)
 std::vector<IrTarget>
 createTargets(const std::vector<Read> &reads, int32_t contig,
               int64_t contig_length,
-              const TargetCreationParams &params)
+              const TargetCreationParams &params,
+              const std::vector<uint32_t> *candidates)
 {
     std::vector<IndelInterval> intervals;
-    for (const Read &read : reads) {
+    auto scan = [&](const Read &read) {
         if (read.contig != contig || read.duplicate)
-            continue;
+            return;
         for (const auto &iv : readIndelIntervals(read)) {
             intervals.push_back({
                 std::max<int64_t>(0, iv.start - params.padding),
                 std::min(contig_length, iv.end + params.padding)});
         }
+    };
+    if (candidates) {
+        for (uint32_t i : *candidates)
+            scan(reads[i]);
+    } else {
+        for (const Read &read : reads)
+            scan(read);
     }
     if (intervals.empty())
         return {};

@@ -62,12 +62,15 @@ struct TargetCreationParams
  * @param contig        contig to scan
  * @param contig_length contig length for clamping
  * @param params        creation knobs
+ * @param candidates    optional indices into @p reads to scan
+ *                      instead of every read; must include every
+ *                      read on @p contig (others are ignored)
  * @return targets sorted by start, non-overlapping
  */
-std::vector<IrTarget> createTargets(const std::vector<Read> &reads,
-                                    int32_t contig,
-                                    int64_t contig_length,
-                                    const TargetCreationParams &params);
+std::vector<IrTarget> createTargets(
+    const std::vector<Read> &reads, int32_t contig,
+    int64_t contig_length, const TargetCreationParams &params,
+    const std::vector<uint32_t> *candidates = nullptr);
 
 /**
  * Collect the indices of reads belonging to a target, capped at

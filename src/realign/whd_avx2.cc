@@ -5,9 +5,10 @@
  * under the project's baseline flags; the dispatch layer routes here
  * only after CPUID reports AVX2.  The loop shapes (and the
  * correctness argument for bit-equal counters, whd_simd.cc notes
- * 1-3) mirror the generic sweeps in whd_simd.cc, except that the
+ * 1-4) mirror the generic sweeps in whd_simd.cc, except that the
  * per-comparison pruned sweep finds the abort comparison in-register
- * instead of rescanning -- tests/whd_test.cc referees the equality.
+ * instead of rescanning, and the width-32 per-chunk sweep evaluates
+ * four offsets per step -- tests/whd_test.cc referees the equality.
  */
 
 #include "realign/whd_simd.hh"
@@ -18,6 +19,7 @@
 
 #include <algorithm>
 
+#include "realign/limits.hh"
 #include "realign/whd.hh"
 
 #define IRACC_AVX2 __attribute__((target("avx2")))
@@ -244,6 +246,45 @@ sweepPrunedPerComparison(const uint8_t *cons, size_t m,
 /** Running-minimum sentinel of the per-chunk sweep: no minimum yet. */
 constexpr uint64_t kNoMinimum = ~static_cast<uint64_t>(0);
 
+/** Consecutive offsets the width-32 sweep evaluates per step. */
+constexpr size_t kOffsetGroup = 4;
+
+/**
+ * Full 32-byte chunks whose cumulative sums an offset group keeps:
+ * the accelerator's read-length limit.  Longer reads (reachable
+ * only through direct whdSweep calls) run offset by offset.
+ */
+constexpr size_t kGroupMaxChunks = kMaxReadLen / kWhdPruneBlock;
+
+/**
+ * One 32-byte chunk of four consecutive offsets: lane j (u64) is
+ * the mismatch-quality sum of consensus bytes cons_k0[j..j+31]
+ * against the read/quality chunk @p rv / @p qv.
+ */
+IRACC_AVX2 inline __m256i
+groupChunkSums(const uint8_t *cons_k0, __m256i rv, __m256i qv)
+{
+    const __m256i zero = _mm256_setzero_si256();
+    __m256i sad[kOffsetGroup];
+    for (size_t j = 0; j < kOffsetGroup; ++j) {
+        const __m256i cv = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(cons_k0 + j));
+        sad[j] = _mm256_sad_epu8(
+            _mm256_andnot_si256(_mm256_cmpeq_epi8(cv, rv), qv), zero);
+    }
+    // Per 128-bit lane: [offset 0's half sum, offset 1's half sum].
+    const __m256i s01 =
+        _mm256_add_epi64(_mm256_unpacklo_epi64(sad[0], sad[1]),
+                         _mm256_unpackhi_epi64(sad[0], sad[1]));
+    const __m256i s23 =
+        _mm256_add_epi64(_mm256_unpacklo_epi64(sad[2], sad[3]),
+                         _mm256_unpackhi_epi64(sad[2], sad[3]));
+    // [s01 high | s23 low] + [s01 low | s23 high] = [S0, S1, S2, S3].
+    return _mm256_add_epi64(
+        _mm256_permute2x128_si256(s01, s23, 0x21),
+        _mm256_blend_epi32(s01, s23, 0xF0));
+}
+
 /**
  * Pruned sweep, per-chunk (hardware datapath) semantics: the
  * minimum check and the counters tick at pruneChunk granularity.
@@ -251,8 +292,10 @@ constexpr uint64_t kNoMinimum = ~static_cast<uint64_t>(0);
  * (whd_simd.cc note 3), so each prune test is one exact compare;
  * counters stay in locals -- the uint8_t inputs may alias the
  * result -- and are derived from the exit point.  Width32 runs each
- * full chunk as one 32-byte block sum; otherwise chunks go through
- * rangeSum.  The read's n % pruneChunk tail is the last chunk.
+ * full chunk as one 32-byte block sum and, once a minimum exists,
+ * evaluates four consecutive offsets per step (whd_simd.cc note 4);
+ * otherwise chunks go through rangeSum.  The read's n % pruneChunk
+ * tail is the last chunk.
  */
 template <bool Width32>
 IRACC_AVX2 WhdSweepResult
@@ -262,14 +305,100 @@ sweepPrunedPerChunk(const uint8_t *cons, size_t m,
 {
     const size_t w = Width32 ? kWhdPruneBlock : pruneChunk;
     const size_t fullEnd = n - n % w;
+    const size_t full = fullEnd / w;
     const size_t tail = n - fullEnd;
-    const uint64_t chunksPerOffset = fullEnd / w + (tail != 0);
+    const uint64_t chunksPerOffset = full + (tail != 0);
+    const size_t offsets = m - n + 1;
+    const bool grouped =
+        Width32 && full != 0 && full <= kGroupMaxChunks;
     uint64_t best = kNoMinimum;
     uint32_t bestK = 0;
     uint64_t comparisons = 0;
     uint64_t chunks = 0;
     uint64_t offsetsPruned = 0;
-    for (size_t k = 0; k + n <= m; ++k) {
+
+    // An offset that aborted at full chunk c.
+    auto prunedAt = [&](size_t c) {
+        chunks += c + 1;
+        comparisons += (c + 1) * w;
+        ++offsetsPruned;
+    };
+    // An offset that cleared every full chunk with running sum whd:
+    // its tail is the last prune check, then the minimum update.
+    auto settle = [&](size_t k, uint64_t whd) IRACC_AVX2 {
+        chunks += chunksPerOffset;
+        comparisons += n;
+        if (tail != 0) {
+            whd += rangeSum(cons + k + fullEnd, read + fullEnd,
+                            qual + fullEnd, tail);
+            if (whd >= best) {
+                ++offsetsPruned;
+                return;
+            }
+        }
+        const uint64_t v = std::min<uint64_t>(whd, kWhdMax);
+        if (v < best) {
+            best = v;
+            bestK = static_cast<uint32_t>(k);
+        }
+    };
+
+    // Cumulative chunk sums of the current group, one row per chunk.
+    alignas(32) uint64_t cum[kGroupMaxChunks][kOffsetGroup] = {};
+    size_t k = 0;
+    while (k < offsets) {
+        if (grouped && best != kNoMinimum &&
+            k + kOffsetGroup <= offsets) {
+            // best <= kWhdMax here, so the signed 64-bit compare is
+            // exact; lane j of `below` is set while offset k + j's
+            // running sum is under the group-start minimum.
+            const __m256i bv =
+                _mm256_set1_epi64x(static_cast<long long>(best));
+            __m256i acc = _mm256_setzero_si256();
+            unsigned below = (1u << kOffsetGroup) - 1;
+            uint64_t executed = 0; // chunks run by the group so far
+            for (size_t c = 0; c < full; ++c) {
+                const size_t p = c * kWhdPruneBlock;
+                const __m256i rv = _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(read + p));
+                const __m256i qv = _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(qual + p));
+                acc = _mm256_add_epi64(
+                    acc, groupChunkSums(cons + k + p, rv, qv));
+                _mm256_store_si256(
+                    reinterpret_cast<__m256i *>(cum[c]), acc);
+                executed += static_cast<unsigned>(
+                    __builtin_popcount(below));
+                below = static_cast<unsigned>(_mm256_movemask_pd(
+                    _mm256_castsi256_pd(_mm256_cmpgt_epi64(bv, acc))));
+                if (below == 0)
+                    break;
+            }
+            if (below == 0) {
+                // All four aborted in the full chunks against the
+                // group-start minimum, which nobody lowered.
+                chunks += executed;
+                comparisons += executed * kWhdPruneBlock;
+                offsetsPruned += kOffsetGroup;
+            } else {
+                // Offset by offset, each against the minimum as
+                // the earlier members left it.  Running sums are
+                // monotone, so the chunks still under it number
+                // the abort chunk.
+                for (size_t j = 0; j < kOffsetGroup; ++j) {
+                    size_t c = 0;
+                    for (size_t i = 0; i < full; ++i)
+                        c += cum[i][j] < best;
+                    if (c < full)
+                        prunedAt(c);
+                    else
+                        settle(k + j, cum[full - 1][j]);
+                }
+            }
+            k += kOffsetGroup;
+            continue;
+        }
+
         const uint8_t *cons_k = cons + k;
         uint64_t whd = 0;
         size_t chunk = 0;
@@ -282,27 +411,11 @@ sweepPrunedPerChunk(const uint8_t *cons, size_t m,
             if (whd >= best)
                 break;
         }
-        if (chunk < fullEnd) {
-            chunks += chunk / w + 1;
-            comparisons += chunk + w;
-            ++offsetsPruned;
-            continue;
-        }
-        chunks += chunksPerOffset;
-        comparisons += n;
-        if (tail != 0) {
-            whd += rangeSum(cons_k + fullEnd, read + fullEnd,
-                            qual + fullEnd, tail);
-            if (whd >= best) {
-                ++offsetsPruned;
-                continue;
-            }
-        }
-        const uint64_t v = std::min<uint64_t>(whd, kWhdMax);
-        if (v < best) {
-            best = v;
-            bestK = static_cast<uint32_t>(k);
-        }
+        if (chunk < fullEnd)
+            prunedAt(chunk / w);
+        else
+            settle(k, whd);
+        ++k;
     }
     WhdSweepResult r;
     r.best = best == kNoMinimum ? kWhdInfinity

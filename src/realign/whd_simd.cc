@@ -46,6 +46,23 @@ namespace {
  *    reaches (whd <= n * 255 < 2^64 - 1), so whd >= best is one
  *    exact compare and a found minimum (<= kWhdMax) narrows back
  *    to the 32-bit result.
+ * 4. Offset groups (AVX2 width-32 per-chunk sweep): once a minimum
+ *    B exists, four consecutive offsets run their full chunks
+ *    together and each chunk's four cumulative sums are compared
+ *    against B.  Within a group the minimum only falls, and only
+ *    when a member survives (an aborted offset never touches it).
+ *    So if all four abort in the full chunks, no member saw
+ *    anything but B and the masks are final: each offset's abort
+ *    chunk is where its bit cleared, and the chunk count is the
+ *    sum of the per-step live-bit counts.  Otherwise the group is
+ *    replayed in offset order from the stored cumulative sums,
+ *    each member against the minimum the earlier members left: a
+ *    lower minimum can only move an abort to an earlier chunk,
+ *    and the sums already hold every chunk a member could abort
+ *    at.  The n % 32 tail is summed only for members that clear
+ *    every full chunk.  The first offset (no minimum yet), the
+ *    last < 4 offsets, and reads shorter than one chunk or longer
+ *    than kMaxReadLen run one offset at a time.
  */
 
 bool

@@ -270,8 +270,11 @@ TEST(RealignJob, PublishesWhdCountersIdenticalUnderEveryKernel)
     GenomeWorkload wl = buildWorkload(multiContigWorkload());
 
     // The pruned software kernel (pruneChunk == 1) and the
-    // accelerated datapath (pruneChunk == width) both publish.
+    // accelerated datapath (pruneChunk == width) both publish.  The
+    // accelerated backend also publishes its Execute split; its
+    // simulator event count is kernel-independent too.
     for (const char *name : {"native", "iracc"}) {
+        const bool accel = std::string(name) == "iracc";
         std::vector<uint64_t> want;
         for (WhdKernel kernel : supportedWhdKernels()) {
             ScopedWhdKernel pin(kernel);
@@ -290,11 +293,26 @@ TEST(RealignJob, PublishesWhdCountersIdenticalUnderEveryKernel)
             const std::vector<uint64_t> got = {
                 registry.counterValue("realign.whd.comparisons"),
                 registry.counterValue("realign.whd.offsets_evaluated"),
-                registry.counterValue("realign.whd.offsets_pruned")};
+                registry.counterValue("realign.whd.offsets_pruned"),
+                registry.counterValue("realign.execute.sim_events")};
             EXPECT_EQ(got[0], job.stats.whd.comparisons) << what;
             EXPECT_EQ(got[1], job.stats.whd.offsetsEvaluated) << what;
             EXPECT_EQ(got[2], job.stats.whd.offsetsPruned) << what;
             EXPECT_GT(got[2], 0u) << what;
+            EXPECT_EQ(got[3], job.execHost.simEvents) << what;
+            EXPECT_EQ(got[3] > 0, accel) << what;
+            // One sample per job, summed over its contigs; software
+            // backends run no simulator and publish none.
+            EXPECT_EQ(registry.histogramCount(
+                          "realign.execute.replay_seconds"),
+                      accel ? 1u : 0u)
+                << what;
+            EXPECT_DOUBLE_EQ(registry.histogramSum(
+                                 "realign.execute.precompute_seconds"),
+                             job.execHost.precomputeSeconds)
+                << what;
+            EXPECT_EQ(job.execHost.precomputeSeconds > 0.0, accel)
+                << what;
             if (want.empty())
                 want = got;
             else

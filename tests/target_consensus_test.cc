@@ -9,6 +9,7 @@
 
 #include "realign/consensus.hh"
 #include "realign/limits.hh"
+#include "realign/stages.hh"
 #include "realign/target.hh"
 #include "util/rng.hh"
 
@@ -102,6 +103,56 @@ TEST(CreateTargets, IgnoresDuplicatesAndOtherContigs)
     std::vector<Read> reads = {dup, other};
     EXPECT_TRUE(createTargets(reads, 0, 10000, {}).empty());
     EXPECT_EQ(createTargets(reads, 3, 10000, {}).size(), 1u);
+}
+
+TEST(PlanStage, CandidateListGivesTheFullScanPlan)
+{
+    // Shuffled reads on three contigs, some flagged duplicate, with
+    // repeated start positions (ties order by read index) and a pile
+    // past kMaxReads (the cap keeps the earliest keys).  Each
+    // contig's candidate list, in any order, must plan exactly what
+    // the full scan plans.
+    Rng rng(0xC0A7);
+    ReferenceGenome ref;
+    for (const char *name : {"c0", "c1", "c2"})
+        ref.addContig(name, ReferenceGenome::randomSequence(20000, rng));
+    const char *cigars[] = {"70M", "70M", "40M2D30M", "30M3I37M",
+                            "20M1D50M"};
+    std::vector<Read> reads;
+    for (int i = 0; i < 3000; ++i) {
+        const int32_t contig = static_cast<int32_t>(rng.below(3));
+        const int64_t pos = i % 3 == 0 ? 5000 + rng.range(0, 40)
+                                       : rng.range(0, 19900);
+        Read r = makeRead(pos, cigars[rng.below(5)], contig);
+        r.duplicate = rng.chance(0.1);
+        reads.push_back(r);
+    }
+    rng.shuffle(reads);
+
+    for (int32_t contig = 0; contig < 3; ++contig) {
+        std::vector<uint32_t> candidates;
+        for (uint32_t i = 0; i < reads.size(); ++i) {
+            if (reads[i].contig == contig)
+                candidates.push_back(i);
+        }
+        const ContigPlan full = planStage(ref, contig, reads);
+        ASSERT_FALSE(full.targets.empty()) << contig;
+        size_t most = 0;
+        for (const auto &claimed : full.readsPerTarget)
+            most = std::max(most, claimed.size());
+        EXPECT_EQ(most, kMaxReads) << contig;
+
+        for (bool shuffled : {false, true}) {
+            if (shuffled)
+                rng.shuffle(candidates);
+            const ContigPlan part =
+                planStage(ref, contig, reads, {}, &candidates);
+            EXPECT_EQ(part.contig, contig);
+            EXPECT_EQ(part.targets, full.targets) << contig;
+            EXPECT_EQ(part.readsPerTarget, full.readsPerTarget)
+                << contig << (shuffled ? " shuffled" : "");
+        }
+    }
 }
 
 TEST(AssignReads, OverlapRuleAndCap)

@@ -315,10 +315,14 @@ TEST(DispatchSweep, BitEqualOnLaneBoundaryShapes)
     // sweeps (full blocks, scalar tails, tail-only); read lengths
     // straddle the pruned block sizes (8 generic, 32 AVX2) and the
     // datapath chunk widths, including the one-vector width-32
-    // chunk of the AVX2 per-chunk sweep and its neighbours.
-    const size_t offset_counts[] = {1, 2, 15, 16, 17, 32, 33, 40};
-    const size_t read_lens[] = {1,  7,  8,  9,  16, 31, 32,
-                                33, 63, 64, 65, 100, 256};
+    // chunk of the AVX2 per-chunk sweep and its neighbours.  Offset
+    // counts 1-9 put every remainder after the AVX2 width-32 sweep's
+    // four-offset groups; 96 and 256 are whole-chunk reads, and 288
+    // is one chunk past the reads a group covers.
+    const size_t offset_counts[] = {1, 2,  3,  4,  5,  6,  7, 8,
+                                    9, 15, 16, 17, 32, 33, 40};
+    const size_t read_lens[] = {1,  7,  8,  9,  16,  31,  32, 33,
+                                63, 64, 65, 96, 100, 256, 288};
     Rng rng(0xD15B);
     for (size_t offsets : offset_counts) {
         for (size_t n : read_lens) {
@@ -347,6 +351,131 @@ TEST(DispatchSweep, BitEqualOnLaneBoundaryShapes)
                 for (uint32_t chunk : {1u, 8u, 31u, 32u, 33u, 64u})
                     expectSweepBitEqual(cp, m, rp, qual.data(), n,
                                         prune, chunk, where);
+        }
+    }
+}
+
+/** Exact (unclamped) WHD of one offset. */
+uint64_t
+plainWhd(const uint8_t *cons_k, const uint8_t *read, const uint8_t *qual,
+         size_t n)
+{
+    uint64_t sum = 0;
+    for (size_t p = 0; p < n; ++p)
+        sum += cons_k[p] != read[p] ? qual[p] : 0;
+    return sum;
+}
+
+/**
+ * Full 32-base chunk of one offset at whose end the running WHD
+ * first reaches @p bound (the per-chunk prune point); n / 32 when
+ * no full chunk does.
+ */
+size_t
+chunk32Abort(const uint8_t *cons_k, const uint8_t *read,
+             const uint8_t *qual, size_t n, uint64_t bound)
+{
+    uint64_t sum = 0;
+    for (size_t c = 0; c + 32 <= n; c += 32) {
+        sum += plainWhd(cons_k + c, read + c, qual + c, 32);
+        if (sum >= bound)
+            return c / 32;
+    }
+    return n / 32;
+}
+
+TEST(DispatchSweep, OffsetGroupResolution)
+{
+    // The AVX2 width-32 sweep decides four consecutive offsets per
+    // step against the minimum at the group's start, then resolves
+    // any group with a survivor offset by offset.  These shapes pin
+    // the cases where that minimum is not final.
+    const uint32_t chunks[] = {1u, 8u, 32u};
+    for (size_t n : {31u, 32u, 33u, 64u, 96u, 100u, 256u}) {
+        const std::string len = "n=" + std::to_string(n);
+
+        // Every offset survives: offset k's window holds 9 - k
+        // mismatching bases, a new minimum each time.  The first
+        // group also starts right after the offset that had no
+        // minimum to compare against.
+        {
+            const size_t offsets = 9;
+            BaseSeq cons(n + offsets - 1, 'A');
+            std::fill(cons.begin(), cons.begin() + offsets, 'G');
+            const BaseSeq read(n, 'A');
+            const QualSeq qual(n, 30);
+            const uint8_t *cp =
+                reinterpret_cast<const uint8_t *>(cons.data());
+            const uint8_t *rp =
+                reinterpret_cast<const uint8_t *>(read.data());
+            const WhdSweepResult ref =
+                whdSweep(cp, cons.size(), rp, qual.data(), n, true, 32,
+                         WhdKernel::Scalar);
+            ASSERT_EQ(ref.offsetsPruned, 0u) << len;
+            ASSERT_EQ(ref.bestK, offsets - 1) << len;
+            for (uint32_t chunk : chunks)
+                expectSweepBitEqual(cp, cons.size(), rp, qual.data(), n,
+                                    true, chunk, "all survive " + len);
+        }
+
+        // A survivor at offset s, for s covering every position of
+        // a four-offset group whichever offset the groups start at.
+        // Its new minimum moves offset s + 1's abort to an earlier
+        // chunk.  Exact: the survivor matches (minimum 0), so every
+        // later offset aborts at chunk 0.  Chunk0: the first chunk
+        // has quality 1 and holds the survivor's 30 mismatches, so
+        // random later offsets clear chunk 0 and abort at chunk 1,
+        // where against the older minimum they ran on.  A move
+        // needs two full chunks (three for Chunk0, whose chunk 1 is
+        // the one moved to).
+        for (bool exact : {true, false}) {
+            if (n < (exact ? 64u : 96u))
+                continue;
+            for (size_t s = 1; s <= 8; ++s) {
+                Rng rng(0x6A0F + 131 * s + n + exact);
+                const size_t offsets = s + 8;
+                BaseSeq read;
+                for (size_t p = 0; p < n; ++p)
+                    read.push_back(kConcreteBases[rng.below(4)]);
+                QualSeq qual(n, 40);
+                if (!exact)
+                    std::fill(qual.begin(), qual.begin() + 32, 1);
+                BaseSeq cons;
+                for (size_t b = 0; b < n + offsets - 1; ++b)
+                    cons.push_back(kConcreteBases[rng.below(4)]);
+                for (size_t p = 0; p < n; ++p) {
+                    const bool miss = !exact && p < 30;
+                    cons[s + p] = miss ? (read[p] == 'A' ? 'C' : 'A')
+                                       : read[p];
+                }
+                const uint8_t *cp =
+                    reinterpret_cast<const uint8_t *>(cons.data());
+                const uint8_t *rp =
+                    reinterpret_cast<const uint8_t *>(read.data());
+                uint64_t before = ~uint64_t{0};
+                for (size_t k = 0; k < s; ++k)
+                    before = std::min(before, plainWhd(cp + k, rp,
+                                                       qual.data(), n));
+                const uint64_t after =
+                    plainWhd(cp + s, rp, qual.data(), n);
+                const std::string where =
+                    len + " s=" + std::to_string(s) +
+                    (exact ? " exact" : " chunk0");
+                // The construction lands where it claims.
+                ASSERT_LT(after, before) << where;
+                ASSERT_EQ(after, exact ? 0u : 30u) << where;
+                const size_t moved = chunk32Abort(
+                    cp + s + 1, rp, qual.data(), n, after);
+                ASSERT_EQ(moved, exact ? 0u : 1u) << where;
+                ASSERT_GT(chunk32Abort(cp + s + 1, rp, qual.data(), n,
+                                       before),
+                          moved)
+                    << where;
+                for (uint32_t chunk : chunks)
+                    expectSweepBitEqual(cp, cons.size(), rp,
+                                        qual.data(), n, true, chunk,
+                                        where);
+            }
         }
     }
 }
