@@ -10,12 +10,12 @@
  */
 
 #include <cstdio>
+#include <numeric>
 
 #include "accel/ir_compute.hh"
 #include "bench_common.hh"
 #include "core/workload.hh"
 #include "realign/realigner.hh"
-#include "util/stats.hh"
 #include "util/table.hh"
 
 using namespace iracc;
@@ -39,7 +39,7 @@ main(int argc, char **argv)
     Table table({"Chrom", "Unpruned cmp", "Pruned cmp",
                  "Eliminated", "Cycles w1", "Cycles w32",
                  "Cycle save w32"});
-    Accumulator eliminated;
+    std::vector<double> eliminated;
 
     for (const auto &chr : wl.chromosomes) {
         SoftwareRealigner planner{SoftwareRealignerConfig{}};
@@ -67,7 +67,7 @@ main(int argc, char **argv)
         }
         double frac = 1.0 - static_cast<double>(pruned) /
                             static_cast<double>(unpruned);
-        eliminated.sample(frac);
+        eliminated.push_back(frac);
         double save32 = 1.0 - static_cast<double>(cyc_w32_p) /
                               static_cast<double>(cyc_w32_np);
         table.addRow({"Ch" + std::to_string(chr.number),
@@ -94,15 +94,18 @@ main(int argc, char **argv)
         report.addValue(key + "cyclesW32Pruned",
                         static_cast<double>(cyc_w32_p));
     }
-    table.addRow({"AVG", "-", "-", Table::pct(eliminated.mean()),
-                  "-", "-", "-"});
+    // Summed in chromosome order, as the committed baseline was.
+    const double mean =
+        std::accumulate(eliminated.begin(), eliminated.end(), 0.0) /
+        static_cast<double>(eliminated.size());
+    table.addRow({"AVG", "-", "-", Table::pct(mean), "-", "-", "-"});
     table.print();
 
     std::printf("\nPaper: pruning eliminates >50%% of computations "
                 "for a small register and\ncompare; results are "
                 "bit-identical (verified by the test suite).\n");
 
-    report.addValue("eliminatedFractionMean", eliminated.mean());
+    report.addValue("eliminatedFractionMean", mean);
     report.addTable("perChromosome", table);
     report.writeOutput();
     return 0;

@@ -9,7 +9,7 @@
  *
  * Every number printed here is read back from the host
  * MetricsRegistry the libraries sample into (the
- * `align.stage.*` / `refine.stage.*` / `variant.call.seconds`
+ * `align.stage.*` / `refine.stage.*` / `variant.call_ns`
  * histograms), so this bench, `--metrics` exports and trace spans
  * all report from one source of truth.
  *
@@ -43,9 +43,9 @@ main(int argc, char **argv)
         argc, argv, "fig2_pipeline_breakdown",
         "Figure 2 -- genomic analysis execution time breakdown");
 
-    // The one source of truth: every pipeline below samples its
-    // stage seconds into this registry, and every number printed
-    // is read back out of it.
+    // The one source of truth: every pipeline below records its
+    // stage nanoseconds into this registry, and every number
+    // printed is read back out of it.
     obs::MetricsRegistry reg;
     obs::Observability ob;
     ob.metrics = &reg;
@@ -104,25 +104,24 @@ main(int argc, char **argv)
     }
 
     // ---- Report: everything below reads from the registry --------
-    const double smem = reg.histogramSum("align.stage.smem.seconds");
-    const double lookup =
-        reg.histogramSum("align.stage.lookup.seconds");
-    const double extend =
-        reg.histogramSum("align.stage.extend.seconds");
-    const double out_other =
-        reg.histogramSum("align.stage.output.seconds") +
-        reg.histogramSum("align.stage.other.seconds");
+    auto seconds = [&reg](const char *name) {
+        return 1e-9 *
+               static_cast<double>(reg.histogramSnapshot(name).total());
+    };
+    const double smem = seconds("align.stage.smem_ns");
+    const double lookup = seconds("align.stage.lookup_ns");
+    const double extend = seconds("align.stage.extend_ns");
+    const double out_other = seconds("align.stage.output_ns") +
+                             seconds("align.stage.other_ns");
     const double primary = smem + lookup + extend + out_other;
 
-    const double sort = reg.histogramSum("refine.stage.sort.seconds");
-    const double dupmark =
-        reg.histogramSum("refine.stage.dupmark.seconds");
-    const double realign =
-        reg.histogramSum("refine.stage.realign.seconds");
-    const double bqsr = reg.histogramSum("refine.stage.bqsr.seconds");
+    const double sort = seconds("refine.stage.sort_ns");
+    const double dupmark = seconds("refine.stage.dupmark_ns");
+    const double realign = seconds("refine.stage.realign_ns");
+    const double bqsr = seconds("refine.stage.bqsr_ns");
     const double refinement = sort + dupmark + realign + bqsr;
 
-    const double calling = reg.histogramSum("variant.call.seconds");
+    const double calling = seconds("variant.call_ns");
     const double total = primary + refinement + calling;
 
     std::printf("Pipeline totals (%llu reads, %llu aligned, %llu "

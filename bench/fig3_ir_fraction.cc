@@ -7,13 +7,14 @@
  * with the GATK3-style software realigner.
  */
 
+#include <algorithm>
 #include <cstdio>
+#include <numeric>
 
 #include "bench_common.hh"
 #include "core/realign_job.hh"
 #include "core/realigner_api.hh"
 #include "refine/pipeline.hh"
-#include "util/stats.hh"
 #include "util/table.hh"
 
 using namespace iracc;
@@ -42,14 +43,14 @@ main(int argc, char **argv)
 
     Table table({"Chrom", "Sort(s)", "DupMark(s)", "IR(s)",
                  "BQSR(s)", "IR fraction"});
-    Accumulator fractions;
+    std::vector<double> fractions;
 
     for (const auto &chr : wl.chromosomes) {
         std::vector<Read> reads = chr.reads;
         RefineResult res = runRefinementPipeline(
             wl.reference, chr.contig, reads, gatk3_stage,
             chr.truth);
-        fractions.sample(res.times.irFraction());
+        fractions.push_back(res.times.irFraction());
         table.addRow({"Ch" + std::to_string(chr.number),
                       Table::num(res.times.sortSeconds, 3),
                       Table::num(res.times.dupMarkSeconds, 3),
@@ -57,19 +58,22 @@ main(int argc, char **argv)
                       Table::num(res.times.bqsrSeconds, 3),
                       Table::pct(res.times.irFraction())});
     }
-    table.addRow({"AVG", "-", "-", "-", "-",
-                  Table::pct(fractions.mean())});
+    const double mean =
+        std::accumulate(fractions.begin(), fractions.end(), 0.0) /
+        static_cast<double>(fractions.size());
+    const auto [lo, hi] =
+        std::minmax_element(fractions.begin(), fractions.end());
+    table.addRow({"AVG", "-", "-", "-", "-", Table::pct(mean)});
     table.print();
 
     std::printf("\nPaper: IR consumes 53-67%% of refinement per "
                 "chromosome, 58%% on average.\n"
                 "Measured range: %s - %s\n",
-                Table::pct(fractions.min()).c_str(),
-                Table::pct(fractions.max()).c_str());
+                Table::pct(*lo).c_str(), Table::pct(*hi).c_str());
 
-    report.addValue("irFractionMean", fractions.mean());
-    report.addValue("irFractionMin", fractions.min());
-    report.addValue("irFractionMax", fractions.max());
+    report.addValue("irFractionMean", mean);
+    report.addValue("irFractionMin", *lo);
+    report.addValue("irFractionMax", *hi);
     report.addTable("perChromosome", table);
     report.writeOutput();
     return 0;

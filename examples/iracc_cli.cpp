@@ -380,11 +380,15 @@ cmdRealign(const Args &args)
         static_cast<unsigned long long>(
             registry.counterValue("realign.whd.offsets_evaluated")));
     if (job.simulated) {
+        auto sumSeconds = [&registry](const char *name) {
+            return 1e-9 * static_cast<double>(
+                              registry.histogramSnapshot(name).total());
+        };
         std::printf(
             "execute host: %.3f s datapath precompute, %.3f s event "
             "replay, %llu simulator events\n",
-            registry.histogramSum("realign.execute.precompute_seconds"),
-            registry.histogramSum("realign.execute.replay_seconds"),
+            sumSeconds("realign.execute.precompute_ns"),
+            sumSeconds("realign.execute.replay_ns"),
             static_cast<unsigned long long>(
                 registry.counterValue("realign.execute.sim_events")));
     }

@@ -122,34 +122,35 @@ ReadAligner::alignRead(Read &read)
 uint32_t
 ReadAligner::alignAll(std::vector<Read> &reads)
 {
-    Timer total;
     const AlignerStageTimes before = times;
     obs::ScopedSpan span(obsv, "align batch", "align");
     uint32_t aligned = 0;
     for (Read &read : reads)
         aligned += alignRead(read) ? 1 : 0;
-    span.close();
+    const double elapsed = span.close();
     const double stage_delta = times.smemSeconds +
         times.lookupSeconds + times.extendSeconds +
         times.outputSeconds -
         (before.smemSeconds + before.lookupSeconds +
          before.extendSeconds + before.outputSeconds);
-    double elapsed = total.seconds();
     if (elapsed > stage_delta)
         times.otherSeconds += elapsed - stage_delta;
 
     if (obsv && obsv->metrics) {
         obs::MetricsRegistry &reg = *obsv->metrics;
-        reg.histogram("align.stage.smem.seconds")
-            .sample(times.smemSeconds - before.smemSeconds);
-        reg.histogram("align.stage.lookup.seconds")
-            .sample(times.lookupSeconds - before.lookupSeconds);
-        reg.histogram("align.stage.extend.seconds")
-            .sample(times.extendSeconds - before.extendSeconds);
-        reg.histogram("align.stage.output.seconds")
-            .sample(times.outputSeconds - before.outputSeconds);
-        reg.histogram("align.stage.other.seconds")
-            .sample(times.otherSeconds - before.otherSeconds);
+        auto record = [&reg](const char *name, double seconds) {
+            reg.histogram(name).record(obs::nanos(seconds));
+        };
+        record("align.stage.smem_ns",
+               times.smemSeconds - before.smemSeconds);
+        record("align.stage.lookup_ns",
+               times.lookupSeconds - before.lookupSeconds);
+        record("align.stage.extend_ns",
+               times.extendSeconds - before.extendSeconds);
+        record("align.stage.output_ns",
+               times.outputSeconds - before.outputSeconds);
+        record("align.stage.other_ns",
+               times.otherSeconds - before.otherSeconds);
         reg.counter("align.reads.total").add(reads.size());
         reg.counter("align.reads.aligned").add(aligned);
     }

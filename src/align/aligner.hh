@@ -82,7 +82,7 @@ class ReadAligner
      * Attach (or detach, with nullptr) host observability: each
      * alignAll() batch then emits one "align batch" trace span,
      * samples the per-stage deltas into the
-     * `align.stage.<stage>.seconds` histograms, and bumps the
+     * `align.stage.<stage>_ns` histograms, and bumps the
      * `align.reads.total` / `align.reads.aligned` counters.  The
      * per-read hot path is untouched either way.
      */

@@ -164,7 +164,7 @@ RealignSession::run(const ReferenceGenome &ref,
                                  ? "contig " + std::to_string(contig)
                                  : std::string(),
                              "realign.job",
-                             "realign.job.contig_seconds");
+                             "realign.job.contig_ns");
         auto exec = be->makeExecuteStage(workers);
         slots[i].run = runContigPipeline(
             ref, contig, reads, be->targetParams(), *exec,
@@ -190,7 +190,7 @@ RealignSession::run(const ReferenceGenome &ref,
         // The barrier-wait span measures how long the submitting
         // thread idles at the fork-join point.
         obs::ScopedSpan barrier(obsv, "job barrier", "realign.job",
-                                "realign.job.barrier_wait_seconds");
+                                "realign.job.barrier_wait_ns");
         pool.waitIdle();
         barrier.close();
     }
@@ -246,10 +246,10 @@ RealignSession::run(const ReferenceGenome &ref,
         // Where the accelerated Execute stage's host time went:
         // the datapath sweep vs. the cycle simulator's replay.
         if (job.simulated) {
-            reg.histogram("realign.execute.precompute_seconds")
-                .sample(job.execHost.precomputeSeconds);
-            reg.histogram("realign.execute.replay_seconds")
-                .sample(job.execHost.replaySeconds);
+            reg.histogram("realign.execute.precompute_ns")
+                .record(obs::nanos(job.execHost.precomputeSeconds));
+            reg.histogram("realign.execute.replay_ns")
+                .record(obs::nanos(job.execHost.replaySeconds));
             reg.counter("realign.execute.sim_events")
                 .add(job.execHost.simEvents);
         }

@@ -89,8 +89,8 @@ struct RealignJobConfig
     /**
      * Optional host observability (null = uninstrumented): one
      * "contig N" span per contig with a
-     * `realign.job.contig_seconds` histogram, a "job barrier"
-     * span with `realign.job.barrier_wait_seconds`, a
+     * `realign.job.contig_ns` histogram, a "job barrier"
+     * span with `realign.job.barrier_wait_ns`, a
      * `realign.job.contigs` counter, worker-pool gauges under
      * `realign.pool.*`, and per-stage instrumentation threaded
      * into runContigPipeline.  Results stay bit-identical;

@@ -79,26 +79,24 @@ runContigPipeline(const ReferenceGenome &ref, int32_t contig,
                   uint64_t rng_seed, obs::Observability *obsv)
 {
     BackendRunResult out;
-    Timer t;
 
     // Plan: target creation + read claiming (no mutation).
-    obs::ScopedSpan plan_span(obsv, "plan", "realign");
+    obs::ScopedSpan plan_span(obsv, "plan", "realign",
+                              "realign.stage.plan_ns");
     ContigPlan plan = planStage(ref, contig, reads, targets,
                                 candidates);
-    plan_span.close();
-    out.stageTimes.planSeconds = t.seconds();
+    out.stageTimes.planSeconds = plan_span.close();
     obs::frEmit(obs::FrSeverity::Debug, obs::FrCategory::Stage,
                 obs::FrCode::StagePlan, 0, -1, plan.targets.size());
 
     // Prepare: consensus generation (+ marshalling when the
     // Execute stage consumes byte images).
-    t.restart();
-    obs::ScopedSpan prepare_span(obsv, "prepare", "realign");
+    obs::ScopedSpan prepare_span(obsv, "prepare", "realign",
+                                 "realign.stage.prepare_ns");
     PreparedContig prepared =
         prepareStage(ref, reads, plan,
                      exec.needsMarshalledTargets(), prepare_threads);
-    prepare_span.close();
-    out.stageTimes.prepareSeconds = t.seconds();
+    out.stageTimes.prepareSeconds = prepare_span.close();
     obs::frEmit(obs::FrSeverity::Debug, obs::FrCategory::Stage,
                 obs::FrCode::StagePrepare, 0, -1,
                 prepared.inputs.size());
@@ -118,11 +116,10 @@ runContigPipeline(const ReferenceGenome &ref, int32_t contig,
                 outcome.targetLatencyCycles.max());
 
     // Apply: decision writeback + stats assembly.
-    t.restart();
-    obs::ScopedSpan apply_span(obsv, "apply", "realign");
+    obs::ScopedSpan apply_span(obsv, "apply", "realign",
+                               "realign.stage.apply_ns");
     out.stats = applyStage(prepared, outcome.decisions, reads);
-    apply_span.close();
-    out.stageTimes.applySeconds = t.seconds();
+    out.stageTimes.applySeconds = apply_span.close();
     obs::frEmit(obs::FrSeverity::Debug, obs::FrCategory::Stage,
                 obs::FrCode::StageApply, 0, -1,
                 out.stats.readsRealigned);
@@ -131,14 +128,8 @@ runContigPipeline(const ReferenceGenome &ref, int32_t contig,
 
     if (obsv && obsv->metrics) {
         obs::MetricsRegistry &reg = *obsv->metrics;
-        reg.histogram("realign.stage.plan.seconds")
-            .sample(out.stageTimes.planSeconds);
-        reg.histogram("realign.stage.prepare.seconds")
-            .sample(out.stageTimes.prepareSeconds);
-        reg.histogram("realign.stage.execute.seconds")
-            .sample(out.stageTimes.executeSeconds);
-        reg.histogram("realign.stage.apply.seconds")
-            .sample(out.stageTimes.applySeconds);
+        reg.histogram("realign.stage.execute_ns")
+            .record(obs::nanos(out.stageTimes.executeSeconds));
         reg.counter("realign.targets").add(out.stats.targets);
         reg.counter("realign.reads_considered")
             .add(out.stats.readsConsidered);
@@ -185,9 +176,9 @@ runContigPipeline(const ReferenceGenome &ref, int32_t contig,
         // Per-target latency percentiles (accelerated backends
         // only): exact merge into the job-wide distributions.
         if (outcome.targetLatencyCycles.count() > 0) {
-            reg.latency("realign.target.latency_cycles")
+            reg.histogram("realign.target.latency_cycles")
                 .merge(outcome.targetLatencyCycles);
-            reg.latency("realign.target.latency_ns")
+            reg.histogram("realign.target.latency_ns")
                 .merge(outcome.targetLatencyNanos);
         }
 
@@ -198,8 +189,7 @@ runContigPipeline(const ReferenceGenome &ref, int32_t contig,
             count("fleet.steals", outcome.fleet.steals());
             count("fleet.migrations", outcome.fleet.migrations());
             for (const FleetCardExecStats &c : outcome.fleet.cards) {
-                reg.histogram("fleet.queue_depth")
-                    .sample(static_cast<double>(c.shards));
+                reg.histogram("fleet.queue_depth").record(c.shards);
             }
         }
     }

@@ -237,7 +237,7 @@ class AcceleratedExecuteStage : public ExecuteStage
  * @param rng_seed        base seed for deterministic RNG streams
  * @param obs             optional host observability: one trace
  *                        span per stage, per-stage
- *                        `realign.stage.<stage>.seconds`
+ *                        `realign.stage.<stage>_ns`
  *                        histograms and realignment work counters
  *                        (null = uninstrumented)
  */

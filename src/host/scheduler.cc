@@ -388,10 +388,9 @@ class CardDispatch
         // increments per target, recorder or no recorder.
         const Cycle waited = sys.now() - s.readyAt;
         ctx.out.targetLatencyCycles.record(waited);
-        ctx.out.targetLatencyNanos.record(static_cast<uint64_t>(
-            sys.cyclesToSeconds(waited) * 1e9));
+        ctx.out.targetLatencyNanos.record(
+            obs::nanos(sys.cyclesToSeconds(waited)));
         if (PerfMonitor *p = sys.perf()) {
-            p->sampleTargetLatency(waited);
             p->traceSpan("target " + std::to_string(t), "sched",
                          kTraceTidScheduler, s.readyAt, sys.now(), t);
         }

@@ -31,6 +31,15 @@
 namespace iracc {
 namespace obs {
 
+/** @p seconds as whole nanoseconds, rounded to the nearest one:
+ *  the value every `_ns` histogram records. */
+inline uint64_t nanos(double seconds)
+{
+    return seconds > 0.0
+               ? static_cast<uint64_t>(std::llround(seconds * 1e9))
+               : 0;
+}
+
 class LatencyHistogram {
   public:
     static constexpr uint32_t kSubBucketBits = 4;

@@ -1,8 +1,5 @@
 #include "obs/metrics.hh"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
 #include <ostream>
 
 #include "util/json.hh"
@@ -11,76 +8,11 @@
 namespace iracc {
 namespace obs {
 
-HistogramMetric::HistogramMetric(std::vector<double> upper_bounds)
-    : ub(std::move(upper_bounds)), bins(ub.size() + 1),
-      lo(std::numeric_limits<double>::infinity()),
-      hi(-std::numeric_limits<double>::infinity())
-{
-    panic_if(!std::is_sorted(ub.begin(), ub.end()),
-             "histogram bounds must ascend");
-}
-
-void
-HistogramMetric::sample(double x)
-{
-    size_t i = static_cast<size_t>(
-        std::lower_bound(ub.begin(), ub.end(), x) - ub.begin());
-    bins[i].fetch_add(1, std::memory_order_relaxed);
-    n.fetch_add(1, std::memory_order_relaxed);
-    atomicAdd(total, x);
-
-    double cur = lo.load(std::memory_order_relaxed);
-    while (x < cur &&
-           !lo.compare_exchange_weak(cur, x,
-                                     std::memory_order_relaxed)) {
-    }
-    cur = hi.load(std::memory_order_relaxed);
-    while (x > cur &&
-           !hi.compare_exchange_weak(cur, x,
-                                     std::memory_order_relaxed)) {
-    }
-}
-
-double
-HistogramMetric::mean() const
-{
-    uint64_t c = count();
-    return c ? sum() / static_cast<double>(c) : 0.0;
-}
-
-double
-HistogramMetric::min() const
-{
-    return lo.load(std::memory_order_relaxed);
-}
-
-double
-HistogramMetric::max() const
-{
-    return hi.load(std::memory_order_relaxed);
-}
-
-uint64_t
-HistogramMetric::bucketCount(size_t i) const
-{
-    panic_if(i >= bins.size(), "histogram bucket %zu out of range",
-             i);
-    return bins[i].load(std::memory_order_relaxed);
-}
-
-std::vector<double>
-defaultSecondsBounds()
-{
-    return {1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.1, 0.25, 0.5,
-            1.0,  2.5,  5.0,  10.0, 30.0, 100.0};
-}
-
 Counter &
 MetricsRegistry::counter(const std::string &name)
 {
     std::lock_guard<std::mutex> lock(mtx);
-    panic_if(gauges.count(name) || hists.count(name) ||
-                 lats.count(name),
+    panic_if(gauges.count(name) || hists.count(name),
              "metric '%s' already registered with another kind",
              name.c_str());
     auto &slot = counters[name];
@@ -93,8 +25,7 @@ Gauge &
 MetricsRegistry::gauge(const std::string &name)
 {
     std::lock_guard<std::mutex> lock(mtx);
-    panic_if(counters.count(name) || hists.count(name) ||
-                 lats.count(name),
+    panic_if(counters.count(name) || hists.count(name),
              "metric '%s' already registered with another kind",
              name.c_str());
     auto &slot = gauges[name];
@@ -103,33 +34,14 @@ MetricsRegistry::gauge(const std::string &name)
     return *slot;
 }
 
-HistogramMetric &
-MetricsRegistry::histogram(const std::string &name,
-                           std::vector<double> bounds)
+LatencyMetric &
+MetricsRegistry::histogram(const std::string &name)
 {
     std::lock_guard<std::mutex> lock(mtx);
-    panic_if(counters.count(name) || gauges.count(name) ||
-                 lats.count(name),
+    panic_if(counters.count(name) || gauges.count(name),
              "metric '%s' already registered with another kind",
              name.c_str());
     auto &slot = hists[name];
-    if (!slot) {
-        slot = std::make_unique<HistogramMetric>(
-            bounds.empty() ? defaultSecondsBounds()
-                           : std::move(bounds));
-    }
-    return *slot;
-}
-
-LatencyMetric &
-MetricsRegistry::latency(const std::string &name)
-{
-    std::lock_guard<std::mutex> lock(mtx);
-    panic_if(counters.count(name) || gauges.count(name) ||
-                 hists.count(name),
-             "metric '%s' already registered with another kind",
-             name.c_str());
-    auto &slot = lats[name];
     if (!slot)
         slot = std::make_unique<LatencyMetric>();
     return *slot;
@@ -151,44 +63,14 @@ MetricsRegistry::gaugeValue(const std::string &name) const
     return it == gauges.end() ? 0 : it->second->value();
 }
 
-double
-MetricsRegistry::histogramSum(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(mtx);
-    auto it = hists.find(name);
-    return it == hists.end() ? 0.0 : it->second->sum();
-}
-
-uint64_t
-MetricsRegistry::histogramCount(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(mtx);
-    auto it = hists.find(name);
-    return it == hists.end() ? 0 : it->second->count();
-}
-
 LatencyHistogram
-MetricsRegistry::latencySnapshot(const std::string &name) const
+MetricsRegistry::histogramSnapshot(const std::string &name) const
 {
     std::lock_guard<std::mutex> lock(mtx);
-    auto it = lats.find(name);
-    return it == lats.end() ? LatencyHistogram()
-                            : it->second->snapshotHist();
+    auto it = hists.find(name);
+    return it == hists.end() ? LatencyHistogram()
+                             : it->second->snapshotHist();
 }
-
-namespace {
-
-/** JSON cannot carry inf/nan; clamp extremes for empty metrics. */
-void
-writeNumber(std::ostream &os, double v)
-{
-    if (std::isfinite(v))
-        os << v;
-    else
-        os << "null";
-}
-
-} // namespace
 
 void
 MetricsRegistry::writeJson(std::ostream &os) const
@@ -211,33 +93,7 @@ MetricsRegistry::writeJson(std::ostream &os) const
     }
     os << "},\"histograms\":{";
     first = true;
-    for (const auto &[name, h] : hists) {
-        os << (first ? "" : ",") << jsonQuote(name)
-           << ":{\"count\":" << h->count() << ",\"sum\":";
-        writeNumber(os, h->sum());
-        os << ",\"mean\":";
-        writeNumber(os, h->mean());
-        if (h->count() > 0) {
-            os << ",\"min\":";
-            writeNumber(os, h->min());
-            os << ",\"max\":";
-            writeNumber(os, h->max());
-        }
-        os << ",\"bounds\":[";
-        for (size_t i = 0; i < h->bounds().size(); ++i) {
-            os << (i ? "," : "");
-            writeNumber(os, h->bounds()[i]);
-        }
-        // counts has one extra element: the +Inf bucket.
-        os << "],\"counts\":[";
-        for (size_t i = 0; i <= h->bounds().size(); ++i)
-            os << (i ? "," : "") << h->bucketCount(i);
-        os << "]}";
-        first = false;
-    }
-    os << "},\"latencies\":{";
-    first = true;
-    for (const auto &[name, l] : lats) {
+    for (const auto &[name, l] : hists) {
         LatencyHistogram h = l->snapshotHist();
         os << (first ? "" : ",") << jsonQuote(name)
            << ":{\"count\":" << h.count()
@@ -286,28 +142,7 @@ MetricsRegistry::writePrometheus(std::ostream &os) const
            << "# TYPE " << p << "_high_water gauge\n"
            << p << "_high_water " << g->highWater() << "\n";
     }
-    for (const auto &[name, h] : hists) {
-        std::string p = promName(name);
-        os << "# TYPE " << p << " histogram\n";
-        // One pass over the bins builds a self-consistent
-        // cumulative series.  The le="+Inf" bucket and _count MUST
-        // both equal the cumulative total of the emitted buckets:
-        // reading h->count() separately races with concurrent
-        // sample() calls (the n and bin updates are independent
-        // atomics) and can emit a "+Inf" smaller than the last
-        // bucket -- a non-monotone series scrapers reject.
-        uint64_t cum = 0;
-        for (size_t i = 0; i < h->bounds().size(); ++i) {
-            cum += h->bucketCount(i);
-            os << p << "_bucket{le=\"" << h->bounds()[i] << "\"} "
-               << cum << "\n";
-        }
-        cum += h->bucketCount(h->bounds().size());
-        os << p << "_bucket{le=\"+Inf\"} " << cum << "\n"
-           << p << "_sum " << h->sum() << "\n"
-           << p << "_count " << cum << "\n";
-    }
-    for (const auto &[name, l] : lats) {
+    for (const auto &[name, l] : hists) {
         LatencyHistogram h = l->snapshotHist();
         std::string p = promName(name);
         os << "# TYPE " << p << " summary\n";

@@ -1,28 +1,29 @@
 /**
  * @file
  * Host-side metrics: a thread-safe registry of named counters,
- * gauges, and fixed-bucket histograms.
+ * gauges, and histograms.
  *
  * This is the wall-clock-domain counterpart of the simulator's
  * PerfMonitor (src/sim/perf_monitor.hh): the FPGA model counts
  * cycles, this registry counts what the *host software* does --
- * reads aligned, pipeline stage seconds, thread-pool queue depth,
- * task wait distributions.  Like the PerfMonitor, it is opt-in:
- * components hold a null pointer and every instrumentation site is
- * behind a single pointer test, so the uninstrumented hot path is
- * unchanged.
+ * reads aligned, pipeline stage nanoseconds, thread-pool queue
+ * depth, task wait distributions.  Like the PerfMonitor, it is
+ * opt-in: components hold a null pointer and every instrumentation
+ * site is behind a single pointer test, so the uninstrumented hot
+ * path is unchanged.
  *
+ * Every distribution is one kind: a mutex-guarded log-linear
+ * LatencyHistogram (obs/latency_histogram.hh) of raw uint64 values
+ * in the unit its name declares (`_ns`, `_cycles`, or a count).
  * Metric handles returned by the registry are stable for the
- * registry's lifetime and individually thread-safe (relaxed
- * atomics; a histogram's count/sum/bucket updates are each atomic,
- * so concurrent totals are exact even though a single sample's
- * fields land independently).  Registration takes the registry
+ * registry's lifetime and individually thread-safe (counters and
+ * gauges are relaxed atomics).  Registration takes the registry
  * mutex; instrument hot loops by hoisting the handle out.
  *
  * Export formats: writeJson() (machine-readable, round-trips
  * through src/util/json) and writePrometheus() (text exposition
- * format, for scraping).  The metric name catalogue lives in
- * docs/OBSERVABILITY.md.
+ * format, for scraping; histograms are summaries).  The metric
+ * name catalogue lives in docs/OBSERVABILITY.md.
  */
 
 #ifndef IRACC_OBS_METRICS_HH
@@ -35,23 +36,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "obs/latency_histogram.hh"
 
 namespace iracc {
 namespace obs {
-
-/** Add @p d to @p a without std::atomic<double>::fetch_add (kept
- *  portable to pre-C++20 library modes). */
-inline void
-atomicAdd(std::atomic<double> &a, double d)
-{
-    double cur = a.load(std::memory_order_relaxed);
-    while (!a.compare_exchange_weak(cur, cur + d,
-                                    std::memory_order_relaxed)) {
-    }
-}
 
 /** Monotonically increasing event count. */
 class Counter
@@ -112,55 +101,9 @@ class Gauge
 };
 
 /**
- * Fixed-bucket histogram: cumulative-style buckets defined by
- * ascending upper bounds, plus an implicit +Inf bucket, with exact
- * count/sum and min/max.  All updates are lock-free.
- */
-class HistogramMetric
-{
-  public:
-    /** @param upper_bounds ascending bucket upper bounds
-     *  (inclusive, Prometheus "le" semantics); may be empty, which
-     *  leaves only the +Inf bucket. */
-    explicit HistogramMetric(std::vector<double> upper_bounds);
-
-    void sample(double x);
-
-    uint64_t count() const { return n.load(std::memory_order_relaxed); }
-    double
-    sum() const
-    {
-        return total.load(std::memory_order_relaxed);
-    }
-    double mean() const;
-    double min() const; ///< +inf when empty
-    double max() const; ///< -inf when empty
-
-    const std::vector<double> &bounds() const { return ub; }
-
-    /** Count in bucket @p i; i == bounds().size() is +Inf. */
-    uint64_t bucketCount(size_t i) const;
-
-  private:
-    std::vector<double> ub;
-    std::vector<std::atomic<uint64_t>> bins; ///< ub.size() + 1
-    std::atomic<uint64_t> n{0};
-    std::atomic<double> total{0.0};
-    std::atomic<double> lo;
-    std::atomic<double> hi;
-};
-
-/** Default histogram bounds for durations in seconds
- *  (1 us .. 100 s, roughly logarithmic). */
-std::vector<double> defaultSecondsBounds();
-
-/**
- * Percentile-capable latency metric: a mutex-guarded
- * LatencyHistogram (obs/latency_histogram.hh).  Unlike the
- * fixed-bucket HistogramMetric, quantiles carry bounded relative
- * error at any magnitude, and whole per-run histograms merge in
- * exactly.  Values are raw uint64 in whatever unit the metric
- * name declares (cycles, nanoseconds).
+ * A registry histogram: a mutex-guarded LatencyHistogram, so
+ * quantiles carry bounded relative error at any magnitude and
+ * whole per-run histograms merge in exactly.
  */
 class LatencyMetric
 {
@@ -208,22 +151,14 @@ class MetricsRegistry
     Counter &counter(const std::string &name);
     Gauge &gauge(const std::string &name);
 
-    /** @param bounds bucket upper bounds; empty selects
-     *  defaultSecondsBounds().  Only the first registration's
-     *  bounds stick. */
-    HistogramMetric &histogram(const std::string &name,
-                               std::vector<double> bounds = {});
-
-    /** Percentile latency distribution (see LatencyMetric). */
-    LatencyMetric &latency(const std::string &name);
+    /** The histogram named @p name (see LatencyMetric). */
+    LatencyMetric &histogram(const std::string &name);
 
     // -- convenience readers (0 / empty semantics when absent) --
     uint64_t counterValue(const std::string &name) const;
     int64_t gaugeValue(const std::string &name) const;
-    double histogramSum(const std::string &name) const;
-    uint64_t histogramCount(const std::string &name) const;
-    /** Empty histogram when the metric is absent. */
-    LatencyHistogram latencySnapshot(const std::string &name) const;
+    /** Consistent copy; empty when the metric is absent. */
+    LatencyHistogram histogramSnapshot(const std::string &name) const;
 
     /** One JSON object: {"counters":{...},"gauges":{...},
      *  "histograms":{...}}.  Names escaped via util/json. */
@@ -237,8 +172,7 @@ class MetricsRegistry
     mutable std::mutex mtx;
     std::map<std::string, std::unique_ptr<Counter>> counters;
     std::map<std::string, std::unique_ptr<Gauge>> gauges;
-    std::map<std::string, std::unique_ptr<HistogramMetric>> hists;
-    std::map<std::string, std::unique_ptr<LatencyMetric>> lats;
+    std::map<std::string, std::unique_ptr<LatencyMetric>> hists;
 };
 
 } // namespace obs

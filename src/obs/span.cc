@@ -85,6 +85,7 @@ SpanTracer::threadNames() const
 
 ScopedSpan::ScopedSpan(const Observability *obs, std::string name,
                        std::string cat, std::string histogram)
+    : started(std::chrono::steady_clock::now())
 {
     if (!obs || !obs->on())
         return;
@@ -92,8 +93,6 @@ ScopedSpan::ScopedSpan(const Observability *obs, std::string name,
     nm = std::move(name);
     ct = std::move(cat);
     hist = std::move(histogram);
-    started = std::chrono::steady_clock::now();
-    open = true;
 }
 
 double
@@ -102,16 +101,18 @@ ScopedSpan::close()
     if (!open)
         return 0.0;
     open = false;
-    auto ended = std::chrono::steady_clock::now();
-    double seconds =
-        std::chrono::duration<double>(ended - started).count();
+    double seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - started)
+                         .count();
+    if (!o)
+        return seconds;
     if (o->tracer) {
         double end_us = o->tracer->nowUs();
         o->tracer->record(nm, ct, end_us - seconds * 1e6,
                           seconds * 1e6);
     }
     if (o->metrics && !hist.empty())
-        o->metrics->histogram(hist).sample(seconds);
+        o->metrics->histogram(hist).record(nanos(seconds));
     return seconds;
 }
 
@@ -161,14 +162,12 @@ instrumentThreadPool(iracc::ThreadPool &pool,
                      MetricsRegistry &registry,
                      const std::string &prefix)
 {
-    // Metric handles are resolved once; the hooks touch only
-    // atomics afterwards.
+    // Metric handles are resolved once; the hooks touch only the
+    // handles afterwards.
     Gauge &depth = registry.gauge(prefix + ".queue_depth");
     Counter &tasks = registry.counter(prefix + ".tasks");
-    HistogramMetric &wait =
-        registry.histogram(prefix + ".task_wait_seconds");
-    HistogramMetric &busy =
-        registry.histogram(prefix + ".task_busy_seconds");
+    LatencyMetric &wait = registry.histogram(prefix + ".task_wait_ns");
+    LatencyMetric &busy = registry.histogram(prefix + ".task_busy_ns");
 
     auto hooks = std::make_shared<ThreadPoolHooks>();
     hooks->onEnqueue = [&depth](size_t d) {
@@ -178,10 +177,10 @@ instrumentThreadPool(iracc::ThreadPool &pool,
                                                size_t d) {
         depth.set(static_cast<int64_t>(d));
         tasks.add(1);
-        wait.sample(wait_seconds);
+        wait.record(nanos(wait_seconds));
     };
     hooks->onTaskDone = [&busy](double busy_seconds) {
-        busy.sample(busy_seconds);
+        busy.record(nanos(busy_seconds));
     };
     pool.setHooks(std::move(hooks));
 }

@@ -18,9 +18,11 @@
  * (pid = contig id), all on a microsecond axis.
  *
  * Like every observability surface in this repository, tracing is
- * opt-in: instrumented code holds a nullable pointer and
- * ScopedSpan is a complete no-op (not even a clock read) when
- * constructed with a null bundle.
+ * opt-in: instrumented code holds a nullable pointer.  ScopedSpan
+ * is also the one stage timer: it always reads the clock, so its
+ * close() gives callers their stage seconds, and it records a
+ * trace span and a histogram sample only when a bundle is
+ * attached.
  */
 
 #ifndef IRACC_OBS_SPAN_HH
@@ -117,10 +119,11 @@ struct Observability
 };
 
 /**
- * RAII span: on close (or destruction) records a trace span on the
- * bundle's tracer and samples the elapsed seconds into the named
- * duration histogram of the bundle's registry.  When @p obs is
- * null or empty the object is inert -- no clock is read.
+ * RAII stage timer: on close (or destruction) records a trace span
+ * on the bundle's tracer and the elapsed nanoseconds, rounded to
+ * the nearest one, into the named histogram of the bundle's
+ * registry.  With a null or empty bundle it records nothing but
+ * still measures.
  */
 class ScopedSpan
 {
@@ -129,7 +132,7 @@ class ScopedSpan
      * @param obs       nullable observability bundle
      * @param name      span name (trace display)
      * @param cat       span category
-     * @param histogram name of the seconds histogram to sample;
+     * @param histogram name of the `_ns` histogram to record into;
      *                  empty = trace span only
      */
     ScopedSpan(const Observability *obs, std::string name,
@@ -140,17 +143,17 @@ class ScopedSpan
 
     ~ScopedSpan() { close(); }
 
-    /** End the span; idempotent.  @return elapsed seconds
-     *  (0 when instrumentation is disabled). */
+    /** End the span; idempotent.  @return elapsed seconds (0 after
+     *  the first call). */
     double close();
 
   private:
-    const Observability *o = nullptr; ///< null when inert
+    const Observability *o = nullptr; ///< null when not recording
     std::string nm;
     std::string ct;
     std::string hist;
     std::chrono::steady_clock::time_point started;
-    bool open = false;
+    bool open = true;
 };
 
 /**
@@ -175,11 +178,11 @@ namespace obs {
  *
  *   <prefix>.queue_depth        gauge (+ high water)
  *   <prefix>.tasks              counter
- *   <prefix>.task_wait_seconds  histogram (enqueue -> dequeue)
- *   <prefix>.task_busy_seconds  histogram (task execution)
+ *   <prefix>.task_wait_ns       histogram (enqueue -> dequeue)
+ *   <prefix>.task_busy_ns       histogram (task execution)
  *
- * Worker utilization over a window = task_busy_seconds.sum /
- * (wall seconds x worker count).  Install while the pool is idle.
+ * Worker utilization over a window = task_busy_ns.sum /
+ * (wall nanoseconds x worker count).  Install while the pool is idle.
  */
 void instrumentThreadPool(iracc::ThreadPool &pool,
                           MetricsRegistry &registry,

@@ -4,32 +4,8 @@
 #include "refine/bqsr.hh"
 #include "refine/duplicate_marker.hh"
 #include "refine/sort.hh"
-#include "util/timer.hh"
 
 namespace iracc {
-
-namespace {
-
-/**
- * Run one refinement stage: wall-clock seconds via Timer (the
- * RefineStageTimes contract predates the obs layer), plus -- when
- * instrumented -- one trace span and one histogram sample from the
- * same measurement, so printed breakdowns and exported metrics
- * agree.
- */
-template <typename Fn>
-double
-timedStage(obs::Observability *obsv, const char *span_name,
-           const char *histogram, Fn &&fn)
-{
-    Timer t;
-    obs::ScopedSpan span(obsv, span_name, "refine", histogram);
-    fn();
-    span.close();
-    return t.seconds();
-}
-
-} // namespace
 
 RefineResult
 runRefinementPipeline(const ReferenceGenome &ref,
@@ -40,29 +16,34 @@ runRefinementPipeline(const ReferenceGenome &ref,
 {
     RefineResult out;
 
-    out.times.sortSeconds =
-        timedStage(obsv, "sort", "refine.stage.sort.seconds",
-                   [&] { coordinateSort(reads); });
+    // Stage 1: coordinate sort.
+    obs::ScopedSpan sort(obsv, "sort", "refine", "refine.stage.sort_ns");
+    coordinateSort(reads);
+    out.times.sortSeconds = sort.close();
 
-    out.times.dupMarkSeconds = timedStage(
-        obsv, "dupmark", "refine.stage.dupmark.seconds",
-        [&] { out.duplicatesMarked = markDuplicates(reads); });
+    // Stage 2: duplicate marking.
+    obs::ScopedSpan dupmark(obsv, "dupmark", "refine",
+                            "refine.stage.dupmark_ns");
+    out.duplicatesMarked = markDuplicates(reads);
+    out.times.dupMarkSeconds = dupmark.close();
 
-    // The genome-level IR stage realigns every contig (possibly in
-    // parallel); the reorder pass restores coordinate order just
-    // like the per-contig flow below.
-    out.times.realignSeconds = timedStage(
-        obsv, "realign", "refine.stage.realign.seconds", [&] {
-            out.realign = realigner(ref, reads);
-            coordinateSort(reads);
-        });
+    // Stage 3: INDEL realignment (the accelerated stage).  Like
+    // GATK3's IndelRealigner, the stage emits coordinate-sorted
+    // output: realigned start positions move within their target
+    // window, so a reorder pass restores the invariant downstream
+    // stages assume.
+    obs::ScopedSpan realign(obsv, "realign", "refine",
+                            "refine.stage.realign_ns");
+    out.realign = realigner(ref, reads);
+    coordinateSort(reads);
+    out.times.realignSeconds = realign.close();
 
-    out.times.bqsrSeconds =
-        timedStage(obsv, "bqsr", "refine.stage.bqsr.seconds", [&] {
-            BqsrTable table;
-            table.observe(ref, reads, known_sites);
-            table.recalibrate(reads);
-        });
+    // Stage 4: base quality score recalibration.
+    obs::ScopedSpan bqsr(obsv, "bqsr", "refine", "refine.stage.bqsr_ns");
+    BqsrTable table;
+    table.observe(ref, reads, known_sites);
+    table.recalibrate(reads);
+    out.times.bqsrSeconds = bqsr.close();
 
     if (obsv && obsv->metrics) {
         obsv->metrics->counter("refine.duplicates_marked")
@@ -78,42 +59,12 @@ runRefinementPipeline(const ReferenceGenome &ref, int32_t contig,
                       const std::vector<Variant> &known_sites,
                       obs::Observability *obsv)
 {
-    RefineResult out;
-
-    // Stage 1: coordinate sort.
-    out.times.sortSeconds =
-        timedStage(obsv, "sort", "refine.stage.sort.seconds",
-                   [&] { coordinateSort(reads); });
-
-    // Stage 2: duplicate marking.
-    out.times.dupMarkSeconds = timedStage(
-        obsv, "dupmark", "refine.stage.dupmark.seconds",
-        [&] { out.duplicatesMarked = markDuplicates(reads); });
-
-    // Stage 3: INDEL realignment (the accelerated stage).  Like
-    // GATK3's IndelRealigner, the stage emits coordinate-sorted
-    // output: realigned start positions move within their target
-    // window, so a reorder pass restores the invariant downstream
-    // stages assume.
-    out.times.realignSeconds = timedStage(
-        obsv, "realign", "refine.stage.realign.seconds", [&] {
-            out.realign = realigner(ref, contig, reads);
-            coordinateSort(reads);
-        });
-
-    // Stage 4: base quality score recalibration.
-    out.times.bqsrSeconds =
-        timedStage(obsv, "bqsr", "refine.stage.bqsr.seconds", [&] {
-            BqsrTable table;
-            table.observe(ref, reads, known_sites);
-            table.recalibrate(reads);
-        });
-
-    if (obsv && obsv->metrics) {
-        obsv->metrics->counter("refine.duplicates_marked")
-            .add(out.duplicatesMarked);
-    }
-    return out;
+    return runRefinementPipeline(
+        ref, reads,
+        [&](const ReferenceGenome &r, std::vector<Read> &rs) {
+            return realigner(r, contig, rs);
+        },
+        known_sites, obsv);
 }
 
 } // namespace iracc

@@ -84,7 +84,7 @@ using GenomeRealignStage = std::function<RealignStats(
  * @param realigner   the IR stage implementation
  * @param known_sites known variants masked during BQSR
  * @param obs         optional host observability: per-stage trace
- *                    spans plus `refine.stage.<stage>.seconds`
+ *                    spans plus `refine.stage.<stage>_ns`
  *                    histograms and a `refine.duplicates_marked`
  *                    counter (null = uninstrumented)
  */

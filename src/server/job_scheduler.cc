@@ -192,12 +192,10 @@ JobScheduler::workerLoop()
         if (cfg.metrics) {
             cfg.metrics->gauge("server.jobs_running")
                 .set(static_cast<int64_t>(runningCount));
-            cfg.metrics
-                ->histogram("server.job.queue_wait_seconds")
-                .sample(std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() -
-                            job->enqueuedAt)
-                            .count());
+            const std::chrono::duration<double> waited =
+                std::chrono::steady_clock::now() - job->enqueuedAt;
+            cfg.metrics->histogram("server.job.queue_wait_ns")
+                .record(obs::nanos(waited.count()));
         }
         lock.unlock();
         runJob(job);
@@ -380,8 +378,8 @@ JobScheduler::finishJob(JobRecord *job, JobState state)
     if (cfg.metrics) {
         cfg.metrics->gauge("server.jobs_running")
             .set(static_cast<int64_t>(runningCount));
-        cfg.metrics->histogram("server.job.run_seconds")
-            .sample(job->wallSeconds);
+        cfg.metrics->histogram("server.job.run_ns")
+            .record(obs::nanos(job->wallSeconds));
     }
     jobTerminal.notify_all();
 }

@@ -105,7 +105,6 @@ PerfReport::merge(const PerfReport &other, uint32_t trace_pid,
 
     targetCompute.merge(other.targetCompute);
     cmdQueueWait.merge(other.cmdQueueWait);
-    targetLatency.merge(other.targetLatency);
     unitIdleGap.merge(other.unitIdleGap);
 
     for (const auto &tn : other.trackNames) {
@@ -186,8 +185,7 @@ PerfMonitor::unitTarget(uint32_t unit, uint64_t target_id,
     u.writeCycles += finished - computed;
     u.busyCycles += finished - dispatched;
 
-    rep.targetCompute.sample(
-        static_cast<double>(computed - loaded));
+    rep.targetCompute.record(computed - loaded);
 
     size_t idx = 0;
     for (; idx < rep.units.size(); ++idx) {
@@ -195,8 +193,7 @@ PerfMonitor::unitTarget(uint32_t unit, uint64_t target_id,
             break;
     }
     if (lastFinish[idx].first)
-        rep.unitIdleGap.sample(static_cast<double>(
-            dispatched - lastFinish[idx].second));
+        rep.unitIdleGap.record(dispatched - lastFinish[idx].second);
     lastFinish[idx] = {true, finished};
 
     if (opts.trace) {
@@ -245,13 +242,7 @@ PerfMonitor::channelTransfer(size_t chan, uint64_t bytes,
 void
 PerfMonitor::sampleCmdQueueWait(Cycle cycles)
 {
-    rep.cmdQueueWait.sample(static_cast<double>(cycles));
-}
-
-void
-PerfMonitor::sampleTargetLatency(Cycle cycles)
-{
-    rep.targetLatency.sample(static_cast<double>(cycles));
+    rep.cmdQueueWait.record(cycles);
 }
 
 void
@@ -311,15 +302,14 @@ cyclesToUs(Cycle cycles, double clock_mhz)
 }
 
 std::string
-accumulatorRow(const Accumulator &a)
+histogramRow(const obs::LatencyHistogram &h)
 {
-    if (a.count() == 0)
+    if (h.count() == 0)
         return "(no samples)";
     std::ostringstream os;
-    os << "n=" << a.count() << " mean=" << Table::num(a.mean(), 1)
-       << " min=" << Table::num(a.min(), 0)
-       << " max=" << Table::num(a.max(), 0)
-       << " stddev=" << Table::num(a.stddev(), 1);
+    os << "n=" << h.count() << " mean=" << Table::num(h.mean(), 1)
+       << " min=" << h.min() << " p50=" << h.p50()
+       << " p99=" << h.p99() << " max=" << h.max();
     return os.str();
 }
 
@@ -447,26 +437,24 @@ renderPerfSummary(const PerfReport &rep)
     }
 
     os << "Per-target compute cycles:  "
-       << accumulatorRow(rep.targetCompute) << "\n";
+       << histogramRow(rep.targetCompute) << "\n";
     os << "Cmd queue wait (cycles):    "
-       << accumulatorRow(rep.cmdQueueWait) << "\n";
-    os << "Target latency (cycles):    "
-       << accumulatorRow(rep.targetLatency) << "\n";
+       << histogramRow(rep.cmdQueueWait) << "\n";
     os << "Unit idle gap (cycles):     "
-       << accumulatorRow(rep.unitIdleGap) << "\n";
+       << histogramRow(rep.unitIdleGap) << "\n";
     return os.str();
 }
 
 void
 writePerfJson(std::ostream &os, const PerfReport &rep)
 {
-    auto accum = [&os](const char *key, const Accumulator &a) {
-        os << "\"" << key << "\":{\"count\":" << a.count()
-           << ",\"sum\":" << a.sum();
-        if (a.count() > 0) {
-            os << ",\"mean\":" << a.mean() << ",\"min\":" << a.min()
-               << ",\"max\":" << a.max()
-               << ",\"stddev\":" << a.stddev();
+    auto hist = [&os](const char *key, const obs::LatencyHistogram &h) {
+        os << "\"" << key << "\":{\"count\":" << h.count()
+           << ",\"sum\":" << h.total();
+        if (h.count() > 0) {
+            os << ",\"mean\":" << h.mean() << ",\"min\":" << h.min()
+               << ",\"max\":" << h.max() << ",\"p50\":" << h.p50()
+               << ",\"p99\":" << h.p99();
         }
         os << "}";
     };
@@ -507,13 +495,11 @@ writePerfJson(std::ostream &os, const PerfReport &rep)
            << ",\"highWater\":" << b.highWater << "}";
     }
     os << "],";
-    accum("targetCompute", rep.targetCompute);
+    hist("targetCompute", rep.targetCompute);
     os << ",";
-    accum("cmdQueueWait", rep.cmdQueueWait);
+    hist("cmdQueueWait", rep.cmdQueueWait);
     os << ",";
-    accum("targetLatency", rep.targetLatency);
-    os << ",";
-    accum("unitIdleGap", rep.unitIdleGap);
+    hist("unitIdleGap", rep.unitIdleGap);
     os << "}\n";
 }
 

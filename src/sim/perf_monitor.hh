@@ -13,8 +13,9 @@
  *    per shared channel (32:1 DDR arbiter, PCIe DMA, AXILite hub),
  *    grants, conflicts, queue-wait, occupancy, bytes and latency;
  *  - per-target distributions: compute cycles, command queue wait,
- *    ready-to-collected latency, and the inter-target idle gap of
- *    each unit (the straggler wait the async scheduler removes);
+ *    and the inter-target idle gap of each unit (the straggler
+ *    wait the async scheduler removes); ready-to-collected latency
+ *    is the scheduler's always-on targetLatencyCycles;
  *  - block-RAM buffer and device-memory high-water marks.
  *
  * When tracing is enabled the monitor additionally records one
@@ -38,8 +39,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/latency_histogram.hh"
 #include "sim/event_queue.hh"
-#include "util/stats.hh"
 
 namespace iracc {
 
@@ -130,17 +131,14 @@ struct PerfReport
     uint64_t deviceMemHighWater = 0;
 
     /** Per-target compute cycles (straggler spread). */
-    Accumulator targetCompute;
+    obs::LatencyHistogram targetCompute;
 
     /** Per-target AXILite command-delivery wait (cycles). */
-    Accumulator cmdQueueWait;
-
-    /** Per-target cycles from scheduler-ready to result collected. */
-    Accumulator targetLatency;
+    obs::LatencyHistogram cmdQueueWait;
 
     /** Per-unit idle gap between consecutive targets (cycles):
      *  the straggler wait synchronous batching induces. */
-    Accumulator unitIdleGap;
+    obs::LatencyHistogram unitIdleGap;
 
     /** Human-readable names for trace tracks (tid -> name). */
     std::vector<std::pair<uint32_t, std::string>> trackNames;
@@ -244,9 +242,6 @@ class PerfMonitor
 
     /** Sample one target's command-delivery queue wait. */
     void sampleCmdQueueWait(Cycle cycles);
-
-    /** Sample one target's ready-to-collected latency. */
-    void sampleTargetLatency(Cycle cycles);
 
     /** Record an arbitrary timeline span (no counter effect). */
     void traceSpan(std::string name, std::string cat, uint32_t tid,

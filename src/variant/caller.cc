@@ -49,7 +49,7 @@ callVariants(const ReferenceGenome &ref, const std::vector<Read> &reads,
              const CallerParams &params, obs::Observability *obsv)
 {
     obs::ScopedSpan span(obsv, "call variants", "variant",
-                         "variant.call.seconds");
+                         "variant.call_ns");
     std::vector<PileupColumn> cols = buildPileup(reads, contig, start,
                                                  end);
     const Contig &ctg = ref.contig(contig);

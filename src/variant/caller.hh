@@ -54,7 +54,7 @@ struct CalledVariant
 
 /**
  * Call variants over one contig interval.  @p obs optionally adds
- * a "call variants" trace span, a `variant.call.seconds`
+ * a "call variants" trace span, a `variant.call_ns`
  * histogram and `variant.calls.{snv,indel}` counters.
  */
 std::vector<CalledVariant> callVariants(

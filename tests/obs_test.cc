@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <sstream>
 #include <thread>
@@ -42,18 +43,16 @@ TEST(Metrics, CounterGaugeHistogramBasics)
     EXPECT_EQ(reg.gaugeValue("g"), 2);
     EXPECT_EQ(g.highWater(), 8);
 
-    obs::HistogramMetric &h = reg.histogram("h", {1.0, 10.0});
-    h.sample(0.5);
-    h.sample(1.0); // le semantics: lands in the 1.0 bucket
-    h.sample(5.0);
-    h.sample(100.0); // +Inf bucket
-    EXPECT_EQ(h.count(), 4u);
-    EXPECT_DOUBLE_EQ(h.sum(), 106.5);
-    EXPECT_DOUBLE_EQ(h.min(), 0.5);
-    EXPECT_DOUBLE_EQ(h.max(), 100.0);
-    EXPECT_EQ(h.bucketCount(0), 2u);
-    EXPECT_EQ(h.bucketCount(1), 1u);
-    EXPECT_EQ(h.bucketCount(2), 1u);
+    obs::LatencyMetric &h = reg.histogram("h_ns");
+    for (uint64_t v : {5, 10, 10, 100})
+        h.record(v);
+    const obs::LatencyHistogram snap = reg.histogramSnapshot("h_ns");
+    EXPECT_EQ(snap.count(), 4u);
+    EXPECT_EQ(snap.total(), 125u);
+    EXPECT_EQ(snap.min(), 5u);
+    EXPECT_EQ(snap.max(), 100u);
+    EXPECT_EQ(snap.p50(), 10u);
+    EXPECT_EQ(reg.histogramSnapshot("missing").count(), 0u);
 }
 
 TEST(Metrics, HandlesAreStableAcrossLookups)
@@ -62,25 +61,23 @@ TEST(Metrics, HandlesAreStableAcrossLookups)
     obs::Counter &a = reg.counter("same");
     obs::Counter &b = reg.counter("same");
     EXPECT_EQ(&a, &b);
-    obs::HistogramMetric &h1 = reg.histogram("h", {1.0});
-    obs::HistogramMetric &h2 = reg.histogram("h", {2.0, 3.0});
+    obs::LatencyMetric &h1 = reg.histogram("h");
+    obs::LatencyMetric &h2 = reg.histogram("h");
     EXPECT_EQ(&h1, &h2);
-    // Only the first registration's bounds stick.
-    EXPECT_EQ(h2.bounds().size(), 1u);
 }
 
 TEST(Metrics, ConcurrentUpdatesAreExact)
 {
     // N threads hammer the same counter, gauge, and histogram; the
-    // totals must be exact, not approximate -- each field update is
-    // a single atomic RMW.
+    // totals must be exact, not approximate -- counter and gauge
+    // updates are single atomic RMWs, histogram records take the
+    // histogram's mutex.
     const int threads = 8;
     const int iters = 10000;
     obs::MetricsRegistry reg;
     obs::Counter &c = reg.counter("hits");
     obs::Gauge &g = reg.gauge("depth");
-    obs::HistogramMetric &h =
-        reg.histogram("lat", {0.5, 1.5, 2.5});
+    obs::LatencyMetric &h = reg.histogram("lat");
 
     std::vector<std::thread> pool;
     for (int t = 0; t < threads; ++t) {
@@ -90,7 +87,7 @@ TEST(Metrics, ConcurrentUpdatesAreExact)
                 g.add(1);
                 g.add(-1);
                 // Value depends only on (t, i): deterministic sum.
-                h.sample((t + i) % 3);
+                h.record(static_cast<uint64_t>((t + i) % 3));
             }
         });
     }
@@ -101,24 +98,17 @@ TEST(Metrics, ConcurrentUpdatesAreExact)
         static_cast<uint64_t>(threads) * iters;
     EXPECT_EQ(c.value(), total);
     EXPECT_EQ(g.value(), 0);
-    EXPECT_EQ(h.count(), total);
+    const obs::LatencyHistogram snap = h.snapshotHist();
+    EXPECT_EQ(snap.count(), total);
 
-    double expect_sum = 0.0;
-    uint64_t per_bucket[3] = {0, 0, 0};
+    uint64_t expect_sum = 0;
     for (int t = 0; t < threads; ++t) {
-        for (int i = 0; i < iters; ++i) {
-            expect_sum += (t + i) % 3;
-            ++per_bucket[(t + i) % 3];
-        }
+        for (int i = 0; i < iters; ++i)
+            expect_sum += static_cast<uint64_t>((t + i) % 3);
     }
-    EXPECT_DOUBLE_EQ(h.sum(), expect_sum);
-    // Samples 0, 1, 2 land in buckets le=0.5, le=1.5, le=2.5.
-    EXPECT_EQ(h.bucketCount(0), per_bucket[0]);
-    EXPECT_EQ(h.bucketCount(1), per_bucket[1]);
-    EXPECT_EQ(h.bucketCount(2), per_bucket[2]);
-    EXPECT_EQ(h.bucketCount(3), 0u);
-    EXPECT_DOUBLE_EQ(h.min(), 0.0);
-    EXPECT_DOUBLE_EQ(h.max(), 2.0);
+    EXPECT_EQ(snap.total(), expect_sum);
+    EXPECT_EQ(snap.min(), 0u);
+    EXPECT_EQ(snap.max(), 2u);
 }
 
 TEST(Metrics, JsonExportRoundTripsHostileNames)
@@ -131,7 +121,7 @@ TEST(Metrics, JsonExportRoundTripsHostileNames)
     obs::MetricsRegistry reg;
     reg.counter(hostile).add(7);
     reg.gauge("g\"2").set(-3);
-    reg.histogram("h\\3", {1.0}).sample(0.25);
+    reg.histogram("h\\3").record(250);
 
     std::ostringstream os;
     reg.writeJson(os);
@@ -148,85 +138,34 @@ TEST(Metrics, JsonExportRoundTripsHostileNames)
     ASSERT_TRUE(root.at("histograms").has("h\\3"));
     const JsonValue &h = root.at("histograms").at("h\\3");
     EXPECT_DOUBLE_EQ(h.at("count").asNumber(), 1.0);
-    EXPECT_DOUBLE_EQ(h.at("sum").asNumber(), 0.25);
-    // bounds + implicit +Inf bucket.
-    EXPECT_EQ(h.at("bounds").size(), 1u);
-    EXPECT_EQ(h.at("counts").size(), 2u);
+    EXPECT_DOUBLE_EQ(h.at("sum").asNumber(), 250.0);
+    EXPECT_DOUBLE_EQ(h.at("p50").asNumber(), 250.0);
 }
 
 TEST(Metrics, PrometheusExportSanitizesNames)
 {
     obs::MetricsRegistry reg;
     reg.counter("realign.pool.tasks").add(3);
-    reg.histogram("stage.seconds", {1.0}).sample(0.5);
+    reg.histogram("stage.plan_ns").record(500);
     std::ostringstream os;
     reg.writePrometheus(os);
     const std::string text = os.str();
     EXPECT_NE(text.find("realign_pool_tasks 3"), std::string::npos);
-    EXPECT_NE(text.find("stage_seconds_bucket{le=\"1\"} 1"),
+    // Every histogram is exposed as a summary.
+    EXPECT_NE(text.find("# TYPE stage_plan_ns summary"),
               std::string::npos);
-    EXPECT_NE(text.find("stage_seconds_count 1"),
-              std::string::npos);
+    EXPECT_NE(text.find("stage_plan_ns_sum 500"), std::string::npos);
+    EXPECT_NE(text.find("stage_plan_ns_count 1"), std::string::npos);
+    EXPECT_EQ(text.find(" histogram\n"), std::string::npos);
     // No unsanitized dots in metric names.
     EXPECT_EQ(text.find("realign.pool"), std::string::npos);
-}
-
-TEST(Metrics, PrometheusHistogramSeriesIsCumulativeAndConsistent)
-{
-    obs::MetricsRegistry reg;
-    auto &h = reg.histogram("job.seconds", {0.1, 1.0, 10.0});
-    h.sample(0.05);
-    h.sample(0.5);
-    h.sample(0.5);
-    h.sample(5.0);
-    h.sample(50.0);
-
-    std::ostringstream os;
-    reg.writePrometheus(os);
-    const std::string text = os.str();
-
-    // Exposition-format contract: _bucket series are cumulative
-    // (each le bound counts every sample <= it), monotone
-    // non-decreasing, and le="+Inf" equals _count exactly.
-    EXPECT_NE(text.find("job_seconds_bucket{le=\"0.1\"} 1"),
-              std::string::npos)
-        << text;
-    EXPECT_NE(text.find("job_seconds_bucket{le=\"1\"} 3"),
-              std::string::npos)
-        << text;
-    EXPECT_NE(text.find("job_seconds_bucket{le=\"10\"} 4"),
-              std::string::npos)
-        << text;
-    EXPECT_NE(text.find("job_seconds_bucket{le=\"+Inf\"} 5"),
-              std::string::npos)
-        << text;
-    EXPECT_NE(text.find("job_seconds_count 5"), std::string::npos)
-        << text;
-
-    uint64_t inf_bucket = 0, count = 0;
-    std::istringstream lines(text);
-    std::string line;
-    uint64_t prev = 0;
-    while (std::getline(lines, line)) {
-        if (line.rfind("job_seconds_bucket", 0) == 0) {
-            uint64_t v =
-                std::stoull(line.substr(line.rfind(' ') + 1));
-            EXPECT_GE(v, prev) << "non-monotone series:\n" << text;
-            prev = v;
-            if (line.find("+Inf") != std::string::npos)
-                inf_bucket = v;
-        } else if (line.rfind("job_seconds_count", 0) == 0) {
-            count = std::stoull(line.substr(line.rfind(' ') + 1));
-        }
-    }
-    EXPECT_EQ(inf_bucket, count);
 }
 
 TEST(Metrics, PrometheusEmptySummaryExposesNaNQuantiles)
 {
     obs::MetricsRegistry reg;
-    reg.latency("idle.usecs"); // registered, never recorded
-    auto &busy = reg.latency("busy.usecs");
+    reg.histogram("idle.usecs"); // registered, never recorded
+    auto &busy = reg.histogram("busy.usecs");
     busy.record(100);
     busy.record(200);
 
@@ -257,12 +196,25 @@ TEST(Metrics, PrometheusEmptySummaryExposesNaNQuantiles)
 
 TEST(Spans, ScopedSpanIsInertWhenNull)
 {
+    // Without a bundle a span records nothing anywhere, but it is
+    // still the stage timer: close() returns the elapsed seconds.
+    obs::MetricsRegistry reg;
+    obs::SpanTracer tracer;
     obs::ScopedSpan null_span(nullptr, "x", "y", "z");
-    EXPECT_DOUBLE_EQ(null_span.close(), 0.0);
+    const auto t0 = std::chrono::steady_clock::now();
+    while (std::chrono::steady_clock::now() - t0 <
+           std::chrono::microseconds(200)) {
+    }
+    const double elapsed = null_span.close();
+    EXPECT_GE(elapsed, 200e-6);
+    EXPECT_DOUBLE_EQ(null_span.close(), 0.0); // idempotent
 
     obs::Observability empty;
-    obs::ScopedSpan empty_span(&empty, "x", "y");
-    EXPECT_DOUBLE_EQ(empty_span.close(), 0.0);
+    obs::ScopedSpan empty_span(&empty, "x", "y", "z");
+    EXPECT_GE(empty_span.close(), 0.0);
+
+    EXPECT_TRUE(tracer.spans().empty());
+    EXPECT_EQ(reg.histogramSnapshot("z").count(), 0u);
 }
 
 TEST(Spans, RecordsTraceAndHistogramFromOneMeasurement)
@@ -274,7 +226,7 @@ TEST(Spans, RecordsTraceAndHistogramFromOneMeasurement)
     ob.tracer = &tracer;
 
     {
-        obs::ScopedSpan span(&ob, "work", "test", "work.seconds");
+        obs::ScopedSpan span(&ob, "work", "test", "work_ns");
     } // destructor closes
 
     auto spans = tracer.spans();
@@ -282,9 +234,10 @@ TEST(Spans, RecordsTraceAndHistogramFromOneMeasurement)
     EXPECT_EQ(spans[0].name, "work");
     EXPECT_EQ(spans[0].cat, "test");
     EXPECT_GE(spans[0].durUs, 0.0);
-    EXPECT_EQ(reg.histogramCount("work.seconds"), 1u);
+    const obs::LatencyHistogram work = reg.histogramSnapshot("work_ns");
+    EXPECT_EQ(work.count(), 1u);
     // The histogram sample is the same measurement as the span.
-    EXPECT_NEAR(reg.histogramSum("work.seconds") * 1e6,
+    EXPECT_NEAR(static_cast<double>(work.total()) * 1e-3,
                 spans[0].durUs, 1.0);
 }
 
@@ -411,9 +364,9 @@ TEST(PoolInstrumentation, CountsTasksAndWaits)
     EXPECT_EQ(ran.load(), tasks);
     EXPECT_EQ(reg.counterValue("pool.tasks"),
               static_cast<uint64_t>(tasks));
-    EXPECT_EQ(reg.histogramCount("pool.task_wait_seconds"),
+    EXPECT_EQ(reg.histogramSnapshot("pool.task_wait_ns").count(),
               static_cast<uint64_t>(tasks));
-    EXPECT_EQ(reg.histogramCount("pool.task_busy_seconds"),
+    EXPECT_EQ(reg.histogramSnapshot("pool.task_busy_ns").count(),
               static_cast<uint64_t>(tasks));
     // Depth callbacks run outside the queue lock, so the final
     // value can lag by a worker or two -- but the high water is

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "core/workload.hh"
 #include "obs/obs.hh"
 #include "realign/whd_simd.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 
 namespace iracc {
@@ -303,13 +306,16 @@ TEST(RealignJob, PublishesWhdCountersIdenticalUnderEveryKernel)
             EXPECT_EQ(got[3] > 0, accel) << what;
             // One sample per job, summed over its contigs; software
             // backends run no simulator and publish none.
-            EXPECT_EQ(registry.histogramCount(
-                          "realign.execute.replay_seconds"),
+            EXPECT_EQ(registry
+                          .histogramSnapshot("realign.execute.replay_ns")
+                          .count(),
                       accel ? 1u : 0u)
                 << what;
-            EXPECT_DOUBLE_EQ(registry.histogramSum(
-                                 "realign.execute.precompute_seconds"),
-                             job.execHost.precomputeSeconds)
+            EXPECT_EQ(registry
+                          .histogramSnapshot(
+                              "realign.execute.precompute_ns")
+                          .total(),
+                      obs::nanos(job.execHost.precomputeSeconds))
                 << what;
             EXPECT_EQ(job.execHost.precomputeSeconds > 0.0, accel)
                 << what;
@@ -318,6 +324,97 @@ TEST(RealignJob, PublishesWhdCountersIdenticalUnderEveryKernel)
             else
                 EXPECT_EQ(got, want) << what << " vs scalar";
         }
+    }
+}
+
+TEST(RealignJob, TargetLatencyNanosRoundToTheCycle)
+{
+    setQuiet(true);
+    GenomeWorkload wl = buildWorkload(multiContigWorkload());
+    std::vector<Read> reads = allReads(wl);
+    RealignJobResult job =
+        makeSession("iracc").run(wl.reference, reads);
+
+    // The card runs at 125 MHz, so every cycle is exactly 8 ns and
+    // the nanosecond histogram must be the cycle histogram times 8:
+    // a latency truncated toward zero would fall 1 ns short.
+    const obs::LatencyHistogram &cyc = job.targetLatencyCycles;
+    const obs::LatencyHistogram &ns = job.targetLatencyNanos;
+    ASSERT_GT(cyc.count(), 0u);
+    EXPECT_EQ(ns.count(), cyc.count());
+    EXPECT_EQ(ns.total(), 8 * cyc.total());
+    EXPECT_EQ(ns.min(), 8 * cyc.min());
+    EXPECT_EQ(ns.max(), 8 * cyc.max());
+}
+
+/** Value of the Prometheus sample line "@p series <v>" in @p text. */
+double
+promSample(const std::string &text, const std::string &series)
+{
+    std::istringstream lines(text);
+    std::string line;
+    while (std::getline(lines, line)) {
+        if (line.rfind(series + " ", 0) == 0)
+            return std::stod(line.substr(series.size() + 1));
+    }
+    ADD_FAILURE() << "no sample '" << series << "' in:\n" << text;
+    return -1.0;
+}
+
+TEST(RealignJob, OneMeasurementOneNumber)
+{
+    setQuiet(true);
+    WorkloadParams params = multiContigWorkload();
+    params.chromosomes = {21, 22};
+    GenomeWorkload wl = buildWorkload(params);
+
+    obs::MetricsRegistry registry;
+    obs::Observability ob;
+    ob.metrics = &registry;
+    RealignJobConfig cfg;
+    cfg.threads = 2;
+    cfg.obs = &ob;
+    std::vector<Read> reads = allReads(wl);
+    RealignJobResult job =
+        makeSession("iracc", cfg).run(wl.reference, reads);
+    ASSERT_EQ(job.contigs.size(), 2u);
+
+    // The stage seconds a caller reads and the stage histograms
+    // the registry exports are one measurement each.
+    uint64_t plan = 0, prepare = 0, apply = 0;
+    for (const ContigJobResult &c : job.contigs) {
+        plan += obs::nanos(c.run.stageTimes.planSeconds);
+        prepare += obs::nanos(c.run.stageTimes.prepareSeconds);
+        apply += obs::nanos(c.run.stageTimes.applySeconds);
+    }
+    EXPECT_EQ(registry.histogramSnapshot("realign.stage.plan_ns").total(),
+              plan);
+    EXPECT_EQ(
+        registry.histogramSnapshot("realign.stage.prepare_ns").total(),
+        prepare);
+    EXPECT_EQ(registry.histogramSnapshot("realign.stage.apply_ns").total(),
+              apply);
+
+    // Both exports render every histogram with the same count and
+    // sum.
+    std::ostringstream json_os, prom_os;
+    registry.writeJson(json_os);
+    registry.writePrometheus(prom_os);
+    const std::string prom = prom_os.str();
+    EXPECT_EQ(prom.find(" histogram\n"), std::string::npos);
+    std::string err;
+    JsonValue root = JsonValue::parse(json_os.str(), &err);
+    ASSERT_EQ(root.kind(), JsonValue::Kind::Object) << err;
+    const auto &hists = root.at("histograms").asObject();
+    ASSERT_GT(hists.size(), 4u);
+    for (const auto &[name, h] : hists) {
+        std::string p = name;
+        std::replace(p.begin(), p.end(), '.', '_');
+        EXPECT_EQ(promSample(prom, p + "_count"),
+                  h.at("count").asNumber())
+            << name;
+        EXPECT_EQ(promSample(prom, p + "_sum"), h.at("sum").asNumber())
+            << name;
     }
 }
 

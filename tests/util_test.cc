@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the util library: RNG determinism and distributions,
- * statistics containers, thread pool, table rendering, and strict
+ * the geometric mean, thread pool, table rendering, and strict
  * command-line numeric parsing.
  */
 
@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "util/argparse.hh"
 #include "util/rng.hh"
@@ -19,6 +20,26 @@
 
 namespace iracc {
 namespace {
+
+/** Sample mean and population standard deviation. */
+struct Moments
+{
+    double mean = 0.0;
+    double stddev = 0.0;
+};
+
+Moments
+momentsOf(const std::vector<double> &v)
+{
+    Moments m;
+    for (double x : v)
+        m.mean += x;
+    m.mean /= static_cast<double>(v.size());
+    for (double x : v)
+        m.stddev += (x - m.mean) * (x - m.mean);
+    m.stddev = std::sqrt(m.stddev / static_cast<double>(v.size()));
+    return m;
+}
 
 TEST(Rng, DeterministicAcrossInstances)
 {
@@ -74,11 +95,12 @@ TEST(Rng, UniformInUnitInterval)
 TEST(Rng, NormalMoments)
 {
     Rng rng(13);
-    Accumulator acc;
+    std::vector<double> v;
     for (int i = 0; i < 20000; ++i)
-        acc.sample(rng.normal(10.0, 3.0));
-    EXPECT_NEAR(acc.mean(), 10.0, 0.1);
-    EXPECT_NEAR(acc.stddev(), 3.0, 0.1);
+        v.push_back(rng.normal(10.0, 3.0));
+    const Moments m = momentsOf(v);
+    EXPECT_NEAR(m.mean, 10.0, 0.1);
+    EXPECT_NEAR(m.stddev, 3.0, 0.1);
 }
 
 TEST(Rng, ZipfIsSkewedAndBounded)
@@ -101,10 +123,10 @@ TEST(Rng, GeometricMeanMatches)
 {
     Rng rng(19);
     double p = 0.25;
-    Accumulator acc;
+    std::vector<double> v;
     for (int i = 0; i < 20000; ++i)
-        acc.sample(static_cast<double>(rng.geometric(p)));
-    EXPECT_NEAR(acc.mean(), (1.0 - p) / p, 0.1);
+        v.push_back(static_cast<double>(rng.geometric(p)));
+    EXPECT_NEAR(momentsOf(v).mean, (1.0 - p) / p, 0.1);
 }
 
 TEST(Rng, StreamIsPureFunctionOfKeys)
@@ -160,35 +182,6 @@ TEST(Rng, ShuffleIsPermutation)
     std::multiset<int> a(v.begin(), v.end());
     std::multiset<int> b(orig.begin(), orig.end());
     EXPECT_EQ(a, b);
-}
-
-TEST(Accumulator, BasicMoments)
-{
-    Accumulator acc;
-    for (double v : {1.0, 2.0, 3.0, 4.0})
-        acc.sample(v);
-    EXPECT_EQ(acc.count(), 4u);
-    EXPECT_DOUBLE_EQ(acc.mean(), 2.5);
-    EXPECT_DOUBLE_EQ(acc.min(), 1.0);
-    EXPECT_DOUBLE_EQ(acc.max(), 4.0);
-    EXPECT_NEAR(acc.stddev(), std::sqrt(1.25), 1e-12);
-}
-
-TEST(Accumulator, MergeEqualsCombined)
-{
-    Accumulator a, b, all;
-    for (int i = 0; i < 10; ++i) {
-        a.sample(i);
-        all.sample(i);
-    }
-    for (int i = 10; i < 25; ++i) {
-        b.sample(i);
-        all.sample(i);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), all.count());
-    EXPECT_DOUBLE_EQ(a.mean(), all.mean());
-    EXPECT_DOUBLE_EQ(a.max(), all.max());
 }
 
 TEST(Geomean, KnownValues)
