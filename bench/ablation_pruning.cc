@@ -15,7 +15,7 @@
 #include "accel/ir_compute.hh"
 #include "bench_common.hh"
 #include "core/workload.hh"
-#include "realign/realigner.hh"
+#include "realign/stages.hh"
 #include "util/table.hh"
 
 using namespace iracc;
@@ -42,9 +42,8 @@ main(int argc, char **argv)
     std::vector<double> eliminated;
 
     for (const auto &chr : wl.chromosomes) {
-        SoftwareRealigner planner{SoftwareRealignerConfig{}};
-        auto plan = planner.planContig(wl.reference, chr.contig,
-                                       chr.reads);
+        ContigPlan plan =
+            planStage(wl.reference, chr.contig, chr.reads);
         uint64_t unpruned = 0, pruned = 0;
         uint64_t cyc_w1_p = 0, cyc_w1_np = 0;
         uint64_t cyc_w32_p = 0, cyc_w32_np = 0;

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <string>
-#include <thread>
 
 #include "core/postmortem.hh"
 #include "obs/flight_recorder.hh"
@@ -101,19 +101,15 @@ RealignSession::run(const ReferenceGenome &ref,
                 reads.size(), shape ? shape->cards : 0,
                 shape && shape->stealing ? 1 : 0);
 
-    // Workers beyond the contig count or the physical core count
-    // only add contention (each accelerated contig runs its own
-    // cycle-level simulation, a cache-heavy CPU-bound job), so cap
-    // at both.  Results are bit-identical for any worker count; the
-    // cap only affects wall-clock.
-    const uint32_t hw =
-        std::max(1u, std::thread::hardware_concurrency());
-    const uint32_t workers = static_cast<uint32_t>(std::min<size_t>(
-        std::min<size_t>(cfg.threads, hw), order.size()));
+    // Contigs run at most cfg.threads at a time on the shared host
+    // executor; their nested Prepare / Execute fork-joins spread
+    // over whichever workers are idle.
+    const uint32_t width = static_cast<uint32_t>(
+        std::min<size_t>(cfg.threads, order.size()));
 
     // Per-contig results land in preallocated slots and are merged
     // in ascending contig order at the barrier, so the job result
-    // is bit-identical for any worker count.
+    // is bit-identical for any width.
     obs::Observability *obsv = cfg.obs;
     std::vector<ContigJobResult> slots(order.size());
     // Skip markers for cooperatively cancelled contigs; written by
@@ -165,7 +161,7 @@ RealignSession::run(const ReferenceGenome &ref,
                                  : std::string(),
                              "realign.job",
                              "realign.job.contig_ns");
-        auto exec = be->makeExecuteStage(workers);
+        auto exec = be->makeExecuteStage(width);
         slots[i].run = runContigPipeline(
             ref, contig, reads, be->targetParams(), *exec,
             be->hostThreads(), &byContig[contig], cfg.seed, obsv);
@@ -177,23 +173,20 @@ RealignSession::run(const ReferenceGenome &ref,
         notifyProgress(i, false);
     };
 
-    if (workers <= 1) {
-        for (size_t i = 0; i < order.size(); ++i)
-            runOne(i);
-    } else {
-        ThreadPool pool(workers);
-        if (obsv && obsv->metrics)
-            obs::instrumentThreadPool(pool, *obsv->metrics,
-                                      "realign.pool");
-        for (size_t i = 0; i < order.size(); ++i)
-            pool.submit([&runOne, i] { runOne(i); });
-        // The barrier-wait span measures how long the submitting
-        // thread idles at the fork-join point.
-        obs::ScopedSpan barrier(obsv, "job barrier", "realign.job",
-                                "realign.job.barrier_wait_ns");
-        pool.waitIdle();
-        barrier.close();
-    }
+    ThreadPoolHooks hooks;
+    if (obsv && obsv->metrics)
+        hooks = obs::instrumentThreadPool(*obsv->metrics, "realign.pool");
+    // The barrier-wait span measures how long the submitting
+    // thread idles at the fork-join point once it has no contig
+    // left to claim.
+    std::optional<obs::ScopedSpan> barrier;
+    hooks.onJoin = [&] {
+        barrier.emplace(obsv, "job barrier", "realign.job",
+                        "realign.job.barrier_wait_ns");
+    };
+    ThreadPool::shared().parallelFor(order.size(), width, runOne,
+                                     obsv ? &hooks : nullptr);
+    barrier.reset();
 
     obs::frEmit(obs::FrSeverity::Info, obs::FrCategory::Job,
                 obs::FrCode::Barrier, 0, -1, order.size());

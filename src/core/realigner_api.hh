@@ -39,7 +39,6 @@
 #include "genomics/read.hh"
 #include "genomics/reference.hh"
 #include "host/scheduler.hh"
-#include "realign/realigner.hh"
 #include "sim/perf_monitor.hh"
 
 namespace iracc {
@@ -71,7 +70,7 @@ class RealignerBackend
     virtual std::unique_ptr<ExecuteStage>
     makeExecuteStage(uint32_t concurrent_contigs = 1) const = 0;
 
-    /** Host-side threads available for the Prepare stage. */
+    /** Width of the Prepare stage's fork-join (see prepareStage). */
     virtual uint32_t hostThreads() const { return 1; }
 
     /**

@@ -16,10 +16,7 @@ SoftwareExecuteStage::execute(const PreparedContig &prepared,
     ExecuteOutcome out;
     Timer t;
 
-    SoftwareExecuteParams params;
-    params.prune = cfg.prune;
-    params.threads = cfg.threads;
-    params.workAmplification = cfg.workAmplification;
+    SoftwareRealignerConfig params = cfg;
     params.rngSeed = rng_seed;
 
     out.decisions = executeStageSoftware(prepared, params, &out.whd);

@@ -23,7 +23,6 @@
 #include "obs/latency_histogram.hh"
 #include "genomics/reference.hh"
 #include "host/scheduler.hh"
-#include "realign/realigner.hh"
 #include "realign/stages.hh"
 #include "sim/perf_monitor.hh"
 
@@ -231,7 +230,7 @@ class AcceleratedExecuteStage : public ExecuteStage
  *
  * @param targets         target-creation knobs
  * @param exec            the backend's Execute stage
- * @param prepare_threads worker threads for input assembly
+ * @param prepare_threads width of the Prepare stage's fork-join
  * @param candidates      optional pre-partitioned read-index
  *                        subset for the Plan stage (see planStage)
  * @param rng_seed        base seed for deterministic RNG streams

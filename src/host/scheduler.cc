@@ -6,7 +6,6 @@
 #include <memory>
 #include <numeric>
 #include <string>
-#include <thread>
 
 #include "accel/ir_compute.hh"
 #include "obs/flight_recorder.hh"
@@ -566,21 +565,19 @@ class CardDispatch
 };
 
 /**
- * Evaluate every target's datapath result up front on worker
- * threads.  Each result is a pure function of the marshalled bytes
- * and the unit configuration, so the event-driven scheduling model
- * only replays the (deterministic) cycle costs -- and any card
- * placement of a target yields the same bits.
+ * Evaluate every target's datapath result up front across the
+ * whole host executor.  Each result is a pure function of the
+ * marshalled bytes and the unit configuration, so the event-driven
+ * scheduling model only replays the (deterministic) cycle costs --
+ * and any card placement of a target yields the same bits.
  */
 std::vector<IrComputeResult>
 precomputeResults(const AccelConfig &cfg,
                   const std::vector<MarshalledTarget> &targets)
 {
     std::vector<IrComputeResult> precomputed(targets.size());
-    ThreadPool pool(std::min<size_t>(
-        8,
-        std::max<size_t>(1, std::thread::hardware_concurrency())));
-    pool.parallelFor(targets.size(), [&](size_t t) {
+    ThreadPool &pool = ThreadPool::shared();
+    pool.parallelFor(targets.size(), pool.numThreads() + 1, [&](size_t t) {
         precomputed[t] = irCompute(targets[t],
                                    cfg.dataParallelWidth,
                                    cfg.pruning);

@@ -47,6 +47,8 @@ thread_local uint32_t tls_fallback_seq = 0;
 struct FlightRecorder::Impl {
     mutable std::mutex ringsMutex;
     std::vector<std::unique_ptr<Ring>> rings;
+    /** Rings whose thread exited, reused by the next new thread. */
+    std::vector<Ring *> freeRings;
 
     mutable std::mutex stringsMutex;
     std::vector<std::string> strings;
@@ -58,8 +60,19 @@ struct FlightRecorder::Impl {
     Ring *acquireRing()
     {
         std::lock_guard<std::mutex> lock(ringsMutex);
+        if (!freeRings.empty()) {
+            Ring *ring = freeRings.back();
+            freeRings.pop_back();
+            return ring;
+        }
         rings.push_back(std::make_unique<Ring>());
         return rings.back().get();
+    }
+
+    void releaseRing(Ring *ring)
+    {
+        std::lock_guard<std::mutex> lock(ringsMutex);
+        freeRings.push_back(ring);
     }
 };
 
@@ -69,8 +82,10 @@ FlightRecorder::~FlightRecorder() { delete impl_; }
 FlightRecorder &
 FlightRecorder::instance()
 {
-    static FlightRecorder recorder;
-    return recorder;
+    // Never destroyed: threads that outlive static destruction may
+    // still emit or hand back their ring.
+    static FlightRecorder *recorder = new FlightRecorder;
+    return *recorder;
 }
 
 void
@@ -78,12 +93,26 @@ FlightRecorder::emit(FrSeverity sev, FrCategory cat, FrCode code,
                      uint64_t vtime, int32_t card, uint64_t a0,
                      uint64_t a1, uint64_t a2, uint64_t a3)
 {
-    // Rings live for the process lifetime (owned by the recorder,
-    // never erased), so the cached pointer stays valid after
-    // clear() and across contexts.
-    static thread_local Ring *ring = nullptr;
-    if (!ring)
-        ring = impl_->acquireRing();
+    // A thread leases a ring on its first emit and hands it back
+    // when it exits; the next new thread continues writing where it
+    // stopped, so the old events stay readable until they wrap.
+    // Rings are owned by the recorder and never erased, so the
+    // cached pointer stays valid after clear() and across contexts.
+    struct RingLease {
+        Impl *owner = nullptr;
+        Ring *ring = nullptr;
+        ~RingLease()
+        {
+            if (ring)
+                owner->releaseRing(ring);
+        }
+    };
+    static thread_local RingLease lease;
+    if (!lease.ring) {
+        lease.owner = impl_;
+        lease.ring = impl_->acquireRing();
+    }
+    Ring *ring = lease.ring;
 
     int32_t contig = FlightContext::currentContig();
     uint32_t seq = FlightContext::nextSeq();
@@ -169,6 +198,13 @@ FlightRecorder::clear()
     std::lock_guard<std::mutex> lock(impl_->ringsMutex);
     for (auto &ring : impl_->rings)
         ring->pos.store(0, std::memory_order_relaxed);
+}
+
+size_t
+FlightRecorder::ringCount() const
+{
+    std::lock_guard<std::mutex> lock(impl_->ringsMutex);
+    return impl_->rings.size();
 }
 
 void

@@ -9,7 +9,9 @@
  * no locks, no allocation, no formatting -- so the recorder stays
  * on in production and in every benchmark.  Rings wrap: the
  * recorder keeps the most recent kRingSlots events per thread,
- * which is exactly what a post-mortem wants.
+ * which is exactly what a post-mortem wants.  A ring outlives its
+ * thread: on thread exit it goes back to the recorder, and the next
+ * new thread reuses it.
  *
  * Determinism contract (docs/OBSERVABILITY.md): every emit site
  * stamps the event with the *virtual* (cycle-domain) time and the
@@ -24,6 +26,7 @@
  * but excluded from the canonical rendering.
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -133,6 +136,13 @@ class FlightRecorder {
 
     /** Reset all rings (tests). */
     void clear();
+
+    /**
+     * Rings ever allocated (tests).  A thread's ring returns to a
+     * free list when the thread exits, so this is bounded by the
+     * most threads that emitted at the same time.
+     */
+    size_t ringCount() const;
 
     /**
      * Live tail: when enabled, every emit at most this severe is

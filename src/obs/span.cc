@@ -7,7 +7,6 @@
 #include "sim/perf_monitor.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
-#include "util/thread_pool.hh"
 
 namespace iracc {
 namespace obs {
@@ -157,9 +156,8 @@ writeUnifiedChromeTrace(std::ostream &os, const SpanTracer *host,
     os << "\n]}\n";
 }
 
-void
-instrumentThreadPool(iracc::ThreadPool &pool,
-                     MetricsRegistry &registry,
+ThreadPoolHooks
+instrumentThreadPool(MetricsRegistry &registry,
                      const std::string &prefix)
 {
     // Metric handles are resolved once; the hooks touch only the
@@ -169,20 +167,17 @@ instrumentThreadPool(iracc::ThreadPool &pool,
     LatencyMetric &wait = registry.histogram(prefix + ".task_wait_ns");
     LatencyMetric &busy = registry.histogram(prefix + ".task_busy_ns");
 
-    auto hooks = std::make_shared<ThreadPoolHooks>();
-    hooks->onEnqueue = [&depth](size_t d) {
-        depth.set(static_cast<int64_t>(d));
-    };
-    hooks->onDequeue = [&depth, &tasks, &wait](double wait_seconds,
-                                               size_t d) {
-        depth.set(static_cast<int64_t>(d));
+    ThreadPoolHooks hooks;
+    hooks.onClaim = [&depth, &tasks, &wait](double wait_seconds,
+                                            size_t unclaimed) {
+        depth.set(static_cast<int64_t>(unclaimed));
         tasks.add(1);
         wait.record(nanos(wait_seconds));
     };
-    hooks->onTaskDone = [&busy](double busy_seconds) {
+    hooks.onDone = [&busy](double busy_seconds) {
         busy.record(nanos(busy_seconds));
     };
-    pool.setHooks(std::move(hooks));
+    return hooks;
 }
 
 } // namespace obs

@@ -37,6 +37,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/thread_pool.hh"
+
 namespace iracc {
 
 struct PerfReport;
@@ -166,27 +168,22 @@ class ScopedSpan
 void writeUnifiedChromeTrace(std::ostream &os, const SpanTracer *host,
                              const PerfReport *sim, double clock_mhz);
 
-} // namespace obs
-
-class ThreadPool; // util layer
-
-namespace obs {
-
 /**
- * Attach queue-depth / task-wait / busy-time metrics to a thread
- * pool under @p prefix:
+ * Build hooks that record one fork-join's claim-wait / busy-time
+ * metrics under @p prefix; pass them to ThreadPool::parallelFor:
  *
- *   <prefix>.queue_depth        gauge (+ high water)
- *   <prefix>.tasks              counter
- *   <prefix>.task_wait_ns       histogram (enqueue -> dequeue)
- *   <prefix>.task_busy_ns       histogram (task execution)
+ *   <prefix>.queue_depth        gauge (+ high water): indices not
+ *                               yet claimed
+ *   <prefix>.tasks              counter: indices run
+ *   <prefix>.task_wait_ns       histogram (parallelFor call ->
+ *                               claim)
+ *   <prefix>.task_busy_ns       histogram (index execution)
  *
  * Worker utilization over a window = task_busy_ns.sum /
- * (wall nanoseconds x worker count).  Install while the pool is idle.
+ * (wall nanoseconds x fork-join width).
  */
-void instrumentThreadPool(iracc::ThreadPool &pool,
-                          MetricsRegistry &registry,
-                          const std::string &prefix);
+ThreadPoolHooks instrumentThreadPool(MetricsRegistry &registry,
+                                     const std::string &prefix);
 
 } // namespace obs
 } // namespace iracc

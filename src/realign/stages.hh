@@ -93,24 +93,56 @@ struct PreparedContig
  * non-empty planned target.
  *
  * @param marshal also produce the accelerator byte images
- * @param threads worker threads for input assembly (deterministic:
- *        each target writes its own preallocated slot)
+ * @param threads width of the input-assembly fork-join
+ *        (deterministic: each target writes its own preallocated
+ *        slot)
  */
 PreparedContig prepareStage(const ReferenceGenome &ref,
                             const std::vector<Read> &reads,
                             const ContigPlan &plan, bool marshal,
                             uint32_t threads = 1);
 
-/** Parameters of the software Execute stage (the WHD kernel). */
-struct SoftwareExecuteParams
+/**
+ * Work-model multiplier applied to the JVM-based baselines
+ * (GATK3, ADAM) to account for interpreted-framework overhead
+ * relative to this repository's native kernel.  The single source
+ * of truth for the model: backends feed it into
+ * SoftwareRealignerConfig::workAmplification (documented in
+ * DESIGN.md as part of the software-baseline substitution).
+ */
+constexpr double kJvmWorkAmplification = 1.5;
+
+/**
+ * Configuration of a software realignment backend and its Execute
+ * stage.  A configuration flag selects the paper's two software
+ * baselines:
+ *
+ *  - prune = false : faithful GATK3-style full evaluation
+ *  - prune = true  : the "most optimized software" comparator
+ *                    (plays the role of ADAM in the paper)
+ */
+struct SoftwareRealignerConfig
 {
     /** Enable computation pruning in the WHD kernel. */
     bool prune = false;
 
-    /** Worker threads (1 = fully serial). */
+    /**
+     * Width of the Prepare and Execute fork-joins (1 = fully
+     * serial); the shared host executor bounds it further.
+     */
     uint32_t threads = 1;
 
-    /** JVM work-model multiplier (see SoftwareRealignerConfig). */
+    /** Target creation knobs (the Plan stage). */
+    TargetCreationParams targetParams;
+
+    /**
+     * Artificial work multiplier used only to model the
+     * interpreted-framework overhead of the Java/Spark baselines
+     * relative to tuned native code; 1.0 = none (the JVM baselines
+     * pass kJvmWorkAmplification).  Fractional values re-run the
+     * kernel on a deterministic fraction of targets picked by
+     * per-target RNG streams.
+     */
     double workAmplification = 1.0;
 
     /**
@@ -135,7 +167,7 @@ struct SoftwareExecuteParams
  */
 std::vector<ConsensusDecision> executeStageSoftware(
     const PreparedContig &prepared,
-    const SoftwareExecuteParams &params, WhdStats *whd = nullptr);
+    const SoftwareRealignerConfig &params, WhdStats *whd = nullptr);
 
 /** Aggregate statistics from realigning one or more contigs. */
 struct RealignStats
@@ -156,6 +188,34 @@ struct RealignStats
         whd.merge(o.whd);
     }
 };
+
+/**
+ * Map a window-relative consensus offset back to a reference
+ * position and CIGAR for one read, accounting for the indel the
+ * consensus carries.
+ *
+ * @param input     the target input the decision was computed on
+ * @param cons_idx  the picked consensus
+ * @param offset    the read's placement offset k on that consensus
+ * @param read_len  the read length
+ * @param new_pos   out: 0-based reference start position
+ * @param new_cigar out: alignment CIGAR
+ */
+void mapOffsetToAlignment(const IrTargetInput &input, uint32_t cons_idx,
+                          uint32_t offset, uint32_t read_len,
+                          int64_t &new_pos, Cigar &new_cigar);
+
+/**
+ * Apply a consensus decision to the caller's read set: every read
+ * flagged realign gets its position and CIGAR rewritten.  Software
+ * and accelerated Execute stages share it, so their read updates
+ * are bit-equal.
+ *
+ * @return number of reads updated
+ */
+uint32_t applyDecision(const IrTargetInput &input,
+                       const ConsensusDecision &decision,
+                       std::vector<Read> &reads);
 
 /**
  * Apply stage: write every realignment decision back into the

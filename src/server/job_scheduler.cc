@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 #include "core/workload.hh"
@@ -21,6 +22,30 @@ const char *
 statusName(RunStatus s)
 {
     return runStatusName(s);
+}
+
+/**
+ * Why a file job's paths cannot work, or "" when they can: --ref
+ * and --reads must open and the --out directory must exist.
+ * Checked at submit, so a mistyped path is rejected before the job
+ * queues instead of failing it when it runs.
+ */
+std::string
+badPathError(const JobSpec &spec)
+{
+    if (spec.synthScale > 0)
+        return "";
+    if (!std::ifstream(spec.refPath))
+        return "cannot open reference '" + spec.refPath + "'";
+    if (!std::ifstream(spec.readsPath))
+        return "cannot open reads '" + spec.readsPath + "'";
+    const std::filesystem::path dir =
+        std::filesystem::path(spec.outPath).parent_path();
+    std::error_code ec;
+    if (!dir.empty() && !std::filesystem::is_directory(dir, ec))
+        return "no directory '" + dir.string() + "' for output '" +
+               spec.outPath + "'";
+    return "";
 }
 
 } // namespace
@@ -96,9 +121,16 @@ JobScheduler::submit(const std::string &tenant, JobSpec spec)
 {
     Admission adm;
     adm.tenantQuota = cfg.maxInFlightPerTenant;
+    adm.error = badPathError(spec);
     std::lock_guard<std::mutex> lock(mu);
+    if (!adm.error.empty()) {
+        adm.reason = "bad-path";
+        bumpTenantCounter(tenant, "rejected");
+        return adm;
+    }
     if (!accepting) {
         adm.reason = "shutting-down";
+        adm.error = "server is shutting down";
         bumpTenantCounter(tenant, "rejected");
         return adm;
     }
@@ -117,6 +149,8 @@ JobScheduler::submit(const std::string &tenant, JobSpec spec)
     if (in_flight >= cfg.maxInFlightPerTenant ||
         queuedCount >= cfg.maxQueuedTotal) {
         adm.reason = "backpressure";
+        adm.error = "tenant over quota or queue full; retry after "
+                    "retry_after_ms";
         adm.retryAfterMs = cfg.retryAfterMs;
         bumpTenantCounter(tenant, "rejected");
         return adm;

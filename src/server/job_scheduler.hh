@@ -68,8 +68,13 @@ struct Admission
     bool accepted = false;
     uint64_t jobId = 0;
 
-    /** Rejected: "backpressure" or "shutting-down". */
+    /** Rejected: "backpressure", "shutting-down" or "bad-path" (a
+     *  file job's --ref/--reads cannot be opened or its --out
+     *  directory does not exist). */
     std::string reason;
+
+    /** Rejected: human-readable detail (names the bad path). */
+    std::string error;
     uint64_t retryAfterMs = 0;
 
     /** Tenant jobs in flight (queued + running) after the call. */

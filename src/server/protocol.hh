@@ -196,7 +196,8 @@ struct Response
     /**
      * Machine-readable failure reason: "backpressure" (admission
      * refused, retry later), "unknown-job", "bad-request",
-     * "shutting-down".
+     * "shutting-down", "bad-path" (a file job names a path that
+     * cannot work; nothing was queued).
      */
     std::string reason;
 

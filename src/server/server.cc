@@ -208,10 +208,7 @@ RealignServer::handleRequest(const Request &req)
             resp.ok = false;
             resp.reason = adm.reason;
             resp.retryAfterMs = adm.retryAfterMs;
-            resp.error = adm.reason == "backpressure"
-                             ? "tenant over quota or queue full; "
-                               "retry after retry_after_ms"
-                             : "server is shutting down";
+            resp.error = adm.error;
         }
         break;
     }

@@ -1,6 +1,8 @@
 #include "util/thread_pool.hh"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 
 #include "util/logging.hh"
 
@@ -8,22 +10,90 @@ namespace iracc {
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
 double
-secondsSince(std::chrono::steady_clock::time_point t0)
+seconds(Clock::duration d)
 {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
+    return std::chrono::duration<double>(d).count();
 }
 
 } // namespace
 
-ThreadPool::ThreadPool(size_t num_threads)
+/**
+ * One fork-join's shared state.  Tickets hold it by shared_ptr, so
+ * a ticket dequeued after the fork-join returned finds every index
+ * claimed and drops it without touching the caller's stack.
+ */
+struct ThreadPool::ForkJoin
 {
-    panic_if(num_threads == 0, "ThreadPool requires >= 1 thread");
-    workers.reserve(num_threads);
-    for (size_t i = 0; i < num_threads; ++i)
-        workers.emplace_back([this] { workerLoop(); });
+    ForkJoin(size_t n, const std::function<void(size_t)> &fn,
+             const ThreadPoolHooks *hooks)
+        : n(n), fn(fn), hooks(hooks)
+    {
+        if (hooks)
+            started = Clock::now();
+    }
+
+    /** Claim and run indices until none is left. */
+    void
+    drain()
+    {
+        for (;;) {
+            const size_t i = next.fetch_add(1);
+            if (i >= n)
+                return;
+            run(i);
+            // The last finisher wakes the caller, which may then
+            // return: fn and hooks are not touched again.
+            if (done.fetch_add(1) + 1 == n) {
+                std::lock_guard<std::mutex> lock(mtx);
+                finished = true;
+                allDone.notify_one();
+            }
+        }
+    }
+
+    void
+    run(size_t i)
+    {
+        if (!hooks) {
+            fn(i);
+            return;
+        }
+        const Clock::time_point t0 = Clock::now();
+        if (hooks->onClaim) {
+            const size_t claimed = std::min(n, next.load());
+            hooks->onClaim(seconds(t0 - started), n - claimed);
+        }
+        fn(i);
+        if (hooks->onDone)
+            hooks->onDone(seconds(Clock::now() - t0));
+    }
+
+    const size_t n;
+    const std::function<void(size_t)> &fn;
+    const ThreadPoolHooks *const hooks;
+    Clock::time_point started;
+    std::atomic<size_t> next{0};
+    std::atomic<size_t> done{0};
+    std::mutex mtx;
+    bool finished = false; ///< every index ran; guarded by mtx
+    std::condition_variable allDone;
+};
+
+ThreadPool &
+ThreadPool::shared()
+{
+    // hardware_concurrency() may report 0 (unknown): one worker.
+    static ThreadPool *pool = new ThreadPool(
+        std::max(2u, std::thread::hardware_concurrency()) - 1);
+    return *pool;
+}
+
+ThreadPool::ThreadPool(size_t num_workers) : numWorkers(num_workers)
+{
+    panic_if(num_workers == 0, "ThreadPool requires >= 1 worker");
 }
 
 ThreadPool::~ThreadPool()
@@ -32,108 +102,60 @@ ThreadPool::~ThreadPool()
         std::lock_guard<std::mutex> lock(mtx);
         stopping = true;
     }
-    taskAvailable.notify_all();
+    ticketAvailable.notify_all();
     for (auto &w : workers)
         w.join();
 }
 
 void
-ThreadPool::setHooks(std::shared_ptr<const ThreadPoolHooks> h)
+ThreadPool::parallelFor(size_t n, size_t width,
+                        const std::function<void(size_t)> &fn,
+                        const ThreadPoolHooks *hooks)
 {
-    std::lock_guard<std::mutex> lock(mtx);
-    panic_if(!tasks.empty() || activeTasks != 0,
-             "ThreadPool::setHooks requires an idle pool");
-    hooks = std::move(h);
+    width = std::min({width, n, numWorkers + 1});
+    if (width <= 1) {
+        ForkJoin(n, fn, hooks).drain();
+        return;
+    }
+    auto job = std::make_shared<ForkJoin>(n, fn, hooks);
+    post(job, width - 1);
+    job->drain();
+    if (hooks && hooks->onJoin)
+        hooks->onJoin();
+    std::unique_lock<std::mutex> lock(job->mtx);
+    job->allDone.wait(lock, [&] { return job->finished; });
 }
 
 void
-ThreadPool::submit(std::function<void()> task)
+ThreadPool::post(const std::shared_ptr<ForkJoin> &job, size_t count)
 {
-    std::shared_ptr<const ThreadPoolHooks> h;
-    size_t depth = 0;
     {
         std::lock_guard<std::mutex> lock(mtx);
-        QueuedTask qt;
-        qt.fn = std::move(task);
-        if (hooks)
-            qt.enqueued = std::chrono::steady_clock::now();
-        tasks.push(std::move(qt));
-        h = hooks;
-        depth = tasks.size();
+        while (workers.size() < numWorkers)
+            workers.emplace_back([this] { workerLoop(); });
+        for (size_t t = 0; t < count; ++t)
+            tickets.push_back(job);
     }
-    taskAvailable.notify_one();
-    if (h && h->onEnqueue)
-        h->onEnqueue(depth);
-}
-
-void
-ThreadPool::waitIdle()
-{
-    std::unique_lock<std::mutex> lock(mtx);
-    allIdle.wait(lock, [this] {
-        return tasks.empty() && activeTasks == 0;
-    });
-}
-
-void
-ThreadPool::parallelFor(size_t n, const std::function<void(size_t)> &fn)
-{
-    if (n == 0)
-        return;
-    size_t chunks = std::min(n, numThreads() * 4);
-    size_t per = (n + chunks - 1) / chunks;
-    for (size_t c = 0; c < chunks; ++c) {
-        size_t begin = c * per;
-        size_t end = std::min(n, begin + per);
-        if (begin >= end)
-            break;
-        submit([&fn, begin, end] {
-            for (size_t i = begin; i < end; ++i)
-                fn(i);
-        });
-    }
-    waitIdle();
+    for (size_t t = 0; t < count; ++t)
+        ticketAvailable.notify_one();
 }
 
 void
 ThreadPool::workerLoop()
 {
     for (;;) {
-        QueuedTask task;
-        std::shared_ptr<const ThreadPoolHooks> h;
-        size_t depth = 0;
+        std::shared_ptr<ForkJoin> job;
         {
             std::unique_lock<std::mutex> lock(mtx);
-            taskAvailable.wait(lock, [this] {
-                return stopping || !tasks.empty();
+            ticketAvailable.wait(lock, [this] {
+                return stopping || !tickets.empty();
             });
-            if (stopping && tasks.empty())
+            if (stopping)
                 return;
-            task = std::move(tasks.front());
-            tasks.pop();
-            ++activeTasks;
-            h = hooks;
-            depth = tasks.size();
+            job = std::move(tickets.front());
+            tickets.pop_front();
         }
-        std::chrono::steady_clock::time_point started;
-        if (h) {
-            started = std::chrono::steady_clock::now();
-            if (h->onDequeue) {
-                h->onDequeue(std::chrono::duration<double>(
-                                 started - task.enqueued)
-                                 .count(),
-                             depth);
-            }
-        }
-        task.fn();
-        if (h && h->onTaskDone)
-            h->onTaskDone(secondsSince(started));
-        {
-            std::lock_guard<std::mutex> lock(mtx);
-            --activeTasks;
-            if (tasks.empty() && activeTasks == 0)
-                allIdle.notify_all();
-        }
+        job->drain();
     }
 }
 

@@ -1,105 +1,109 @@
 /**
  * @file
- * Fixed-size worker pool used by the multithreaded software
- * realigners.  GATK3 "does not scale beyond 8 threads" (paper
- * Section II-A footnote); the pool lets baselines run at a configured
- * thread count so the comparison methodology matches the paper.
+ * The host executor: one process-wide set of worker threads behind
+ * every fork-join in the library (contigs of a job, Prepare,
+ * software Execute, the accelerated datapath precompute).
+ *
+ * Callers give each fork-join a width -- the most indices it may run
+ * at once -- instead of building a pool of that size.  The calling
+ * thread always claims indices too, and a fork-join waits only for
+ * helpers that actually claimed an index, so a parallelFor called
+ * from inside another parallelFor cannot deadlock: a large contig's
+ * targets spread over whichever workers are idle.
  */
 
 #ifndef IRACC_UTIL_THREAD_POOL_HH
 #define IRACC_UTIL_THREAD_POOL_HH
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
 namespace iracc {
 
 /**
- * Optional pool instrumentation callbacks.  The util layer cannot
- * depend on src/obs, so observability attaches through this
- * neutral struct (see obs::instrumentThreadPool); when no hooks
- * are installed -- the default -- the pool takes no timestamps and
- * the hot path is unchanged.  Callbacks run outside the pool lock
- * and must be thread-safe; install hooks only while the pool is
- * idle.
+ * Optional per-call instrumentation of one fork-join.  The util
+ * layer cannot depend on src/obs, so observability attaches through
+ * this neutral struct (see obs::instrumentThreadPool); without
+ * hooks -- the default -- parallelFor takes no timestamps.
+ * Callbacks run on whichever thread claimed the index and must be
+ * thread-safe.
  */
 struct ThreadPoolHooks
 {
-    /** After a task is enqueued; @p depth = queued tasks. */
-    std::function<void(size_t depth)> onEnqueue;
+    /**
+     * After an index is claimed, before it runs.
+     * @p wait_seconds  time since parallelFor was called
+     * @p unclaimed     indices not yet claimed
+     */
+    std::function<void(double wait_seconds, size_t unclaimed)> onClaim;
+
+    /** After fn(i) returns; @p busy_seconds = its execution time. */
+    std::function<void(double busy_seconds)> onDone;
 
     /**
-     * After a worker dequeues a task, before running it.
-     * @p wait_seconds  time the task sat in the queue
-     * @p depth         tasks still queued
+     * On the calling thread, once no index is left to claim and
+     * before it waits for the helpers still running theirs.  Not
+     * called when the fork-join runs inline.
      */
-    std::function<void(double wait_seconds, size_t depth)> onDequeue;
-
-    /** After a task finishes; @p busy_seconds = execution time. */
-    std::function<void(double busy_seconds)> onTaskDone;
+    std::function<void()> onJoin;
 };
 
 /**
- * A minimal task-queue thread pool.  Tasks are void() callables;
- * waitIdle() provides a barrier for fork-join usage.
+ * A nest-safe fork-join executor.  Workers start on the first
+ * fork-join that needs a helper and then sleep until the next one.
  */
 class ThreadPool
 {
   public:
-    /** @param num_threads worker count; must be >= 1 */
-    explicit ThreadPool(size_t num_threads);
+    /**
+     * The process-wide executor: hardware_concurrency() - 1
+     * workers (at least 1), since the calling thread always works
+     * too.  Never destroyed, so no worker is joined during static
+     * destruction.
+     */
+    static ThreadPool &shared();
+
+    /** @param num_workers helper threads; must be >= 1 */
+    explicit ThreadPool(size_t num_workers);
 
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    /** Enqueue a task for execution on some worker. */
-    void submit(std::function<void()> task);
-
-    /** Block until the queue is empty and all workers are idle. */
-    void waitIdle();
-
     /**
-     * Convenience fork-join: run fn(i) for i in [0, n) across the
-     * pool and wait for completion.  Work is dealt in contiguous
-     * chunks to limit queue overhead.
+     * Run fn(i) for every i in [0, n) and return when all have
+     * finished.  At most min(@p width, n, numThreads() + 1) indices
+     * run at once; width <= 1 runs every index on the caller, with
+     * no queue and no allocation.  Indices are claimed one at a
+     * time, so the assignment of indices to threads varies run to
+     * run: fn must write only to its own index's slot.
      */
-    void parallelFor(size_t n, const std::function<void(size_t)> &fn);
+    void parallelFor(size_t n, size_t width,
+                     const std::function<void(size_t)> &fn,
+                     const ThreadPoolHooks *hooks = nullptr);
 
-    size_t numThreads() const { return workers.size(); }
-
-    /**
-     * Install (or clear, with nullptr) instrumentation hooks.
-     * Must be called while no tasks are queued or running.
-     */
-    void setHooks(std::shared_ptr<const ThreadPoolHooks> hooks);
+    /** Helper threads (started lazily). */
+    size_t numThreads() const { return numWorkers; }
 
   private:
-    struct QueuedTask
-    {
-        std::function<void()> fn;
-        /** Enqueue timestamp; only stamped when hooks are set. */
-        std::chrono::steady_clock::time_point enqueued;
-    };
+    struct ForkJoin;
 
+    void post(const std::shared_ptr<ForkJoin> &job, size_t tickets);
     void workerLoop();
 
-    std::vector<std::thread> workers;
-    std::queue<QueuedTask> tasks;
-    std::shared_ptr<const ThreadPoolHooks> hooks;
+    const size_t numWorkers;
     std::mutex mtx;
-    std::condition_variable taskAvailable;
-    std::condition_variable allIdle;
-    size_t activeTasks = 0;
-    bool stopping = false;
+    std::deque<std::shared_ptr<ForkJoin>> tickets; ///< guarded by mtx
+    bool stopping = false;                         ///< guarded by mtx
+    std::condition_variable ticketAvailable;
+    std::vector<std::thread> workers; ///< started lazily, under mtx
 };
 
 } // namespace iracc

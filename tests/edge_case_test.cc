@@ -12,7 +12,7 @@
 #include "accel/ir_compute.hh"
 #include "genomics/io.hh"
 #include "realign/limits.hh"
-#include "realign/realigner.hh"
+#include "core/realign_job.hh"
 #include "realign/whd.hh"
 #include "util/rng.hh"
 #include "variant/pileup.hh"
@@ -353,8 +353,10 @@ TEST(RealignerEdge, ContigWithoutIndelsIsANoOp)
         reads.push_back(r);
     }
     auto before = reads;
-    SoftwareRealigner realigner{SoftwareRealignerConfig{}};
-    RealignStats stats = realigner.realignContig(ref, 0, reads);
+    RealignStats stats =
+        RealignSession(makeSoftwareBackend("software", "unpruned", {}))
+            .runContig(ref, 0, reads)
+            .stats;
     EXPECT_EQ(stats.targets, 0u);
     EXPECT_EQ(stats.readsRealigned, 0u);
     for (size_t i = 0; i < reads.size(); ++i)

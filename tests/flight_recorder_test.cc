@@ -60,6 +60,10 @@ TEST(FlightRecorder, HammerWithWraparoundKeepsMostRecent)
                          FrCode::Dispatch, /*vtime=*/i,
                          /*card=*/t, /*a0=*/i);
             done.fetch_add(1, std::memory_order_relaxed);
+            // Stay alive until every writer is done: an exited
+            // thread's ring goes to the next new thread.
+            while (done.load(std::memory_order_relaxed) < kThreads)
+                std::this_thread::yield();
         });
     }
     for (auto &w : writers)
@@ -86,6 +90,36 @@ TEST(FlightRecorder, HammerWithWraparoundKeepsMostRecent)
     }
     rec.clear();
     EXPECT_TRUE(rec.snapshot().empty());
+}
+
+TEST(FlightRecorder, ExitedThreadsHandTheirRingsOn)
+{
+    FlightRecorder &rec = FlightRecorder::instance();
+    rec.clear();
+    const size_t ringsBefore = rec.ringCount();
+
+    // Sequential short-lived threads: each one's ring goes back to
+    // the recorder when it exits, and the next thread reuses it, so
+    // memory stays bounded for threads the library does not own.
+    constexpr int kThreads = 256;
+    for (int t = 0; t < kThreads; ++t) {
+        std::thread([t, &rec] {
+            FlightContext ctx(2000 + t);
+            rec.emit(FrSeverity::Info, FrCategory::Job,
+                     FrCode::ContigStart, /*vtime=*/t);
+        }).join();
+    }
+
+    // A reused ring keeps the events of its earlier owners, as
+    // after a wrap: every thread's event is still in the snapshot.
+    std::set<int32_t> contigs;
+    for (const FrEvent &e : rec.snapshot())
+        contigs.insert(e.contig);
+    EXPECT_EQ(contigs.size(), static_cast<size_t>(kThreads));
+    EXPECT_EQ(*contigs.begin(), 2000);
+    EXPECT_EQ(*contigs.rbegin(), 2000 + kThreads - 1);
+    EXPECT_LE(rec.ringCount(), ringsBefore + 1);
+    rec.clear();
 }
 
 TEST(FlightRecorder, SnapshotOrdersCanonicallyNotByArrival)

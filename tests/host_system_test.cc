@@ -72,9 +72,11 @@ TEST(FpgaEquivalence, MatchesSoftwareOnWholeChromosome)
     std::vector<Read> sw_reads = chr.reads;
     SoftwareRealignerConfig sw_cfg;
     sw_cfg.prune = false;
-    SoftwareRealigner sw(sw_cfg);
-    RealignStats sw_stats = sw.realignContig(wl.reference, chr.contig,
-                                             sw_reads);
+    RealignStats sw_stats =
+        RealignSession(makeSoftwareBackend("software", "unpruned",
+                                           sw_cfg))
+            .runContig(wl.reference, chr.contig, sw_reads)
+            .stats;
     ASSERT_GT(sw_stats.targets, 10u);
     ASSERT_GT(sw_stats.readsRealigned, 0u);
 

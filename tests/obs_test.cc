@@ -353,13 +353,12 @@ TEST(PoolInstrumentation, CountsTasksAndWaits)
 {
     obs::MetricsRegistry reg;
     ThreadPool pool(3);
-    obs::instrumentThreadPool(pool, reg, "pool");
+    const ThreadPoolHooks hooks = obs::instrumentThreadPool(reg, "pool");
 
     const int tasks = 50;
     std::atomic<int> ran{0};
-    for (int i = 0; i < tasks; ++i)
-        pool.submit([&ran] { ran.fetch_add(1); });
-    pool.waitIdle();
+    pool.parallelFor(tasks, 4, [&ran](size_t) { ran.fetch_add(1); },
+                     &hooks);
 
     EXPECT_EQ(ran.load(), tasks);
     EXPECT_EQ(reg.counterValue("pool.tasks"),
@@ -368,18 +367,19 @@ TEST(PoolInstrumentation, CountsTasksAndWaits)
               static_cast<uint64_t>(tasks));
     EXPECT_EQ(reg.histogramSnapshot("pool.task_busy_ns").count(),
               static_cast<uint64_t>(tasks));
-    // Depth callbacks run outside the queue lock, so the final
-    // value can lag by a worker or two -- but the high water is
-    // monotone and at least one enqueue saw a non-empty queue.
+    // queue_depth counts the indices not yet claimed: the first
+    // claim leaves 49, and the last claim leaves none -- but the
+    // gauge is set by whichever claim stores last, so only the
+    // high water is exact.
     EXPECT_GE(reg.gaugeValue("pool.queue_depth"), 0);
-    EXPECT_GE(reg.gauge("pool.queue_depth").highWater(), 1);
+    EXPECT_EQ(reg.gauge("pool.queue_depth").highWater(), tasks - 1);
 }
 
 TEST(PoolInstrumentation, UninstrumentedPoolStillWorks)
 {
     ThreadPool pool(2);
     std::atomic<int> ran{0};
-    pool.parallelFor(100, [&ran](size_t) { ran.fetch_add(1); });
+    pool.parallelFor(100, 3, [&ran](size_t) { ran.fetch_add(1); });
     EXPECT_EQ(ran.load(), 100);
 }
 

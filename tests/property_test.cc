@@ -13,7 +13,7 @@
 #include "accel/ir_compute.hh"
 #include "accel/resource_model.hh"
 #include "core/workload.hh"
-#include "realign/realigner.hh"
+#include "core/realign_job.hh"
 #include "realign/score.hh"
 #include "refine/bqsr.hh"
 #include "util/logging.hh"
@@ -317,14 +317,14 @@ TEST_P(SeedSweep, FpgaMatchesSoftwareForAnyWorkload)
     std::vector<Read> sw_reads = chr.reads;
     SoftwareRealignerConfig cfg;
     cfg.prune = true;
-    RealignStats sw = SoftwareRealigner(cfg).realignContig(
-        wl.reference, chr.contig, sw_reads);
+    RealignStats sw =
+        RealignSession(makeSoftwareBackend("software", "pruned", cfg))
+            .runContig(wl.reference, chr.contig, sw_reads)
+            .stats;
 
     // The accelerated path must agree bit-for-bit.
     std::vector<Read> hw_reads = chr.reads;
-    SoftwareRealigner planner{SoftwareRealignerConfig{}};
-    auto plan = planner.planContig(wl.reference, chr.contig,
-                                   hw_reads);
+    ContigPlan plan = planStage(wl.reference, chr.contig, hw_reads);
     uint64_t hw_realigned = 0;
     for (size_t t = 0; t < plan.targets.size(); ++t) {
         if (plan.readsPerTarget[t].empty())

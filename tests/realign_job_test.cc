@@ -9,9 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/syscall.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/realign_job.hh"
@@ -442,6 +448,36 @@ TEST(RealignJob, EmptyAndSingleContigEdgeCases)
     EXPECT_EQ(fingerprint(a), fingerprint(b));
     expectStatsEqual(ja.stats, jb.stats, "runContig vs run");
     expectWhdEqual(ja.stats.whd, jb.stats.whd, "runContig vs run");
+}
+
+TEST(RealignJob, RepeatedRunsReuseTheHostExecutorThreads)
+{
+    setQuiet(true);
+    GenomeWorkload wl = buildWorkload(multiContigWorkload());
+    const std::vector<Read> reads = allReads(wl);
+
+    // onProgress runs on the thread that ran the contig.  Every run
+    // draws on the one process-wide executor, so 20 runs of a
+    // 3-contig job at 4 threads see the caller plus at most its
+    // hardware_concurrency() - 1 workers -- not new threads per run.
+    std::mutex mu;
+    std::set<long> tids;
+    RealignJobConfig cfg;
+    cfg.threads = 4;
+    cfg.onProgress = [&](const RealignJobProgress &) {
+        std::lock_guard<std::mutex> lock(mu);
+        tids.insert(static_cast<long>(syscall(SYS_gettid)));
+    };
+    RealignSession session = makeSession("native", cfg);
+    for (int run = 0; run < 20; ++run) {
+        std::vector<Read> work = reads;
+        RealignJobResult job = session.run(wl.reference, work);
+        ASSERT_EQ(job.contigs.size(), 3u);
+    }
+    EXPECT_GE(tids.size(), 1u);
+    EXPECT_LE(tids.size(),
+              static_cast<size_t>(std::thread::hardware_concurrency()) +
+                  1);
 }
 
 } // namespace

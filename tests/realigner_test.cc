@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the software realigner end-to-end: offset-to-alignment
+ * Tests for the software backend end-to-end: offset-to-alignment
  * mapping, decision application, thread-count invariance, and the
  * headline behavioral property -- realignment moves misaligned
  * indel reads back to a consistent representation.
@@ -9,7 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "core/workload.hh"
-#include "realign/realigner.hh"
+#include "core/realign_job.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -144,7 +144,19 @@ testWorkload()
     return params;
 }
 
-TEST(SoftwareRealigner, MovesMisalignedReadsToTruth)
+/** Realign one contig on a software backend configured by @p cfg. */
+RealignStats
+realignSoftware(const SoftwareRealignerConfig &cfg,
+                const ReferenceGenome &ref, int32_t contig,
+                std::vector<Read> &reads)
+{
+    return RealignSession(makeSoftwareBackend("software",
+                                              "software backend", cfg))
+        .runContig(ref, contig, reads)
+        .stats;
+}
+
+TEST(SoftwareBackend, MovesMisalignedReadsToTruth)
 {
     setQuiet(true);
     GenomeWorkload wl = buildWorkload(testWorkload());
@@ -162,9 +174,8 @@ TEST(SoftwareRealigner, MovesMisalignedReadsToTruth)
 
     SoftwareRealignerConfig cfg;
     cfg.prune = true;
-    SoftwareRealigner realigner(cfg);
-    RealignStats stats = realigner.realignContig(wl.reference,
-                                                 chr.contig, reads);
+    RealignStats stats =
+        realignSoftware(cfg, wl.reference, chr.contig, reads);
 
     ASSERT_GT(stats.targets, 5u);
     EXPECT_GT(stats.readsRealigned, 0u);
@@ -192,7 +203,7 @@ TEST(SoftwareRealigner, MovesMisalignedReadsToTruth)
               0.6);
 }
 
-TEST(SoftwareRealigner, ThreadCountInvariant)
+TEST(SoftwareBackend, ThreadCountInvariant)
 {
     setQuiet(true);
     GenomeWorkload wl = buildWorkload(testWorkload());
@@ -206,10 +217,10 @@ TEST(SoftwareRealigner, ThreadCountInvariant)
     SoftwareRealignerConfig cfg8;
     cfg8.threads = 8;
 
-    RealignStats s1 = SoftwareRealigner(cfg1).realignContig(
-        wl.reference, chr.contig, serial);
-    RealignStats s8 = SoftwareRealigner(cfg8).realignContig(
-        wl.reference, chr.contig, parallel);
+    RealignStats s1 =
+        realignSoftware(cfg1, wl.reference, chr.contig, serial);
+    RealignStats s8 =
+        realignSoftware(cfg8, wl.reference, chr.contig, parallel);
 
     EXPECT_EQ(s1.targets, s8.targets);
     EXPECT_EQ(s1.readsRealigned, s8.readsRealigned);
@@ -221,7 +232,7 @@ TEST(SoftwareRealigner, ThreadCountInvariant)
     }
 }
 
-TEST(SoftwareRealigner, PruningDoesNotChangeResults)
+TEST(SoftwareBackend, PruningDoesNotChangeResults)
 {
     setQuiet(true);
     GenomeWorkload wl = buildWorkload(testWorkload());
@@ -235,10 +246,10 @@ TEST(SoftwareRealigner, PruningDoesNotChangeResults)
     SoftwareRealignerConfig b;
     b.prune = true;
 
-    RealignStats sa = SoftwareRealigner(a).realignContig(
-        wl.reference, chr.contig, no_prune);
-    RealignStats sb = SoftwareRealigner(b).realignContig(
-        wl.reference, chr.contig, pruned);
+    RealignStats sa =
+        realignSoftware(a, wl.reference, chr.contig, no_prune);
+    RealignStats sb =
+        realignSoftware(b, wl.reference, chr.contig, pruned);
 
     EXPECT_EQ(sa.readsRealigned, sb.readsRealigned);
     for (size_t i = 0; i < no_prune.size(); ++i)
@@ -248,14 +259,12 @@ TEST(SoftwareRealigner, PruningDoesNotChangeResults)
     EXPECT_GT(sb.whd.prunedFraction(), 0.3);
 }
 
-TEST(SoftwareRealigner, PlanClaimsEachReadOnce)
+TEST(PlanStage, PlanClaimsEachReadOnce)
 {
     setQuiet(true);
     GenomeWorkload wl = buildWorkload(testWorkload());
     const ChromosomeWorkload &chr = wl.chromosomes[0];
-    SoftwareRealigner realigner(SoftwareRealignerConfig{});
-    auto plan = realigner.planContig(wl.reference, chr.contig,
-                                     chr.reads);
+    ContigPlan plan = planStage(wl.reference, chr.contig, chr.reads);
     std::vector<int> claims(chr.reads.size(), 0);
     for (const auto &list : plan.readsPerTarget)
         for (uint32_t i : list)

@@ -10,7 +10,7 @@
 
 #include "core/workload.hh"
 #include "host/scheduler.hh"
-#include "realign/realigner.hh"
+#include "realign/stages.hh"
 #include "util/rng.hh"
 
 namespace iracc {

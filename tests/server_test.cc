@@ -270,6 +270,51 @@ TEST(Scheduler, ShutdownRefusesNewWork)
     EXPECT_EQ(a.reason, "shutting-down");
 }
 
+TEST(Scheduler, RejectsFileJobsWithBadPathsBeforeQueueing)
+{
+    char tmpl[] = "/tmp/iracc_server_paths_XXXXXX";
+    ASSERT_NE(mkdtemp(tmpl), nullptr);
+    const std::string dir = tmpl;
+    std::ofstream(dir + "/ref.fa") << ">chr1\nACGT\n";
+    std::ofstream(dir + "/reads.samlite") << "";
+
+    JobSpec good;
+    good.synthScale = 0;
+    good.refPath = dir + "/ref.fa";
+    good.readsPath = dir + "/reads.samlite";
+    good.outPath = dir + "/out.sam";
+    JobSpec noRef = good;
+    noRef.refPath = dir + "/missing.fa";
+    JobSpec noReads = good;
+    noReads.readsPath = dir + "/missing.samlite";
+    JobSpec noOutDir = good;
+    noOutDir.outPath = dir + "/no-such-dir/out.sam";
+
+    obs::MetricsRegistry reg;
+    JobSchedulerConfig cfg;
+    cfg.workers = 1;
+    cfg.metrics = &reg;
+    JobScheduler sched(cfg); // not started: nothing runs
+    for (const JobSpec *spec : {&noRef, &noReads, &noOutDir}) {
+        Admission a = sched.submit("t", *spec);
+        EXPECT_FALSE(a.accepted);
+        EXPECT_EQ(a.reason, "bad-path");
+        EXPECT_EQ(a.jobId, 0u);
+    }
+    EXPECT_NE(sched.submit("t", noRef).error.find("missing.fa"),
+              std::string::npos);
+    EXPECT_EQ(sched.queuedJobs(), 0u);
+    EXPECT_EQ(reg.counterValue("server.jobs_rejected"), 4u);
+    EXPECT_EQ(reg.counterValue("server.tenant.t.rejected"), 4u);
+    EXPECT_EQ(reg.counterValue("server.jobs_submitted"), 0u);
+
+    // Usable paths are admitted (the output need not exist yet).
+    EXPECT_TRUE(sched.submit("t", good).accepted);
+    EXPECT_EQ(sched.queuedJobs(), 1u);
+    sched.shutdown(false);
+    std::filesystem::remove_all(dir);
+}
+
 // ---- Fair share --------------------------------------------------
 
 TEST(Scheduler, RoundRobinAcrossTenantsWithBacklogs)

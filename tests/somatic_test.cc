@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/workload.hh"
-#include "realign/realigner.hh"
+#include "core/realign_job.hh"
 #include "util/logging.hh"
 #include "variant/somatic.hh"
 
@@ -196,10 +196,10 @@ TEST(SomaticEndToEnd, RealignmentImprovesSomaticIndelRecall)
     std::vector<Read> normal = chr.normalReads;
     SoftwareRealignerConfig cfg;
     cfg.prune = true;
-    SoftwareRealigner(cfg).realignContig(wl.reference, chr.contig,
-                                         tumor);
-    SoftwareRealigner(cfg).realignContig(wl.reference, chr.contig,
-                                         normal);
+    const RealignSession session(
+        makeSoftwareBackend("software", "pruned", cfg));
+    session.runContig(wl.reference, chr.contig, tumor);
+    session.runContig(wl.reference, chr.contig, normal);
     auto after = callSomaticVariants(wl.reference, tumor, normal,
                                      chr.contig, 0, len, sp);
     CallAccuracy acc_after = scoreSomaticCalls(after, chr.truth,

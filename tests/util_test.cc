@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cmath>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "util/argparse.hh"
@@ -194,19 +195,82 @@ TEST(ThreadPool, ParallelForCoversAllIndices)
 {
     ThreadPool pool(4);
     std::vector<std::atomic<int>> hits(1000);
-    pool.parallelFor(1000, [&](size_t i) { ++hits[i]; });
+    pool.parallelFor(1000, 5, [&](size_t i) { ++hits[i]; });
     for (const auto &h : hits)
         ASSERT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, WaitIdleIsABarrier)
+/** Nested fork-joins, each wider than the pool, cover every
+ *  (outer, inner) pair exactly once without deadlocking. */
+void
+expectNestedCoverage(ThreadPool &pool)
+{
+    constexpr size_t kOuter = 16, kInner = 64;
+    std::vector<std::atomic<int>> hits(kOuter * kInner);
+    pool.parallelFor(kOuter, kOuter, [&](size_t o) {
+        pool.parallelFor(kInner, kInner,
+                         [&](size_t i) { ++hits[o * kInner + i]; });
+    });
+    for (const auto &h : hits)
+        ASSERT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, NestedParallelForOnOneWorker)
+{
+    ThreadPool pool(1);
+    expectNestedCoverage(pool);
+}
+
+TEST(ThreadPool, NestedParallelForOnManyWorkers)
+{
+    ThreadPool pool(4);
+    for (int rep = 0; rep < 20; ++rep)
+        expectNestedCoverage(pool);
+    // The shared executor nests the same way.
+    expectNestedCoverage(ThreadPool::shared());
+}
+
+TEST(ThreadPool, WidthOneRunsOnTheCaller)
+{
+    ThreadPool pool(4);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<int> elsewhere{0};
+    pool.parallelFor(100, 1, [&](size_t) {
+        if (std::this_thread::get_id() != caller)
+            ++elsewhere;
+    });
+    EXPECT_EQ(elsewhere.load(), 0);
+}
+
+TEST(ThreadPool, HooksFireOncePerIndex)
 {
     ThreadPool pool(3);
-    std::atomic<int> done{0};
-    for (int i = 0; i < 50; ++i)
-        pool.submit([&done] { ++done; });
-    pool.waitIdle();
-    EXPECT_EQ(done.load(), 50);
+    std::atomic<int> claims{0}, dones{0}, joins{0};
+    std::atomic<size_t> maxUnclaimed{0};
+    ThreadPoolHooks hooks;
+    hooks.onClaim = [&](double wait_seconds, size_t unclaimed) {
+        EXPECT_GE(wait_seconds, 0.0);
+        ++claims;
+        size_t cur = maxUnclaimed.load();
+        while (unclaimed > cur &&
+               !maxUnclaimed.compare_exchange_weak(cur, unclaimed)) {
+        }
+    };
+    hooks.onDone = [&](double busy_seconds) {
+        EXPECT_GE(busy_seconds, 0.0);
+        ++dones;
+    };
+    hooks.onJoin = [&] { ++joins; };
+    for (size_t width : {1, 4}) {
+        claims = dones = joins = 0;
+        pool.parallelFor(50, width, [](size_t) {}, &hooks);
+        EXPECT_EQ(claims.load(), 50);
+        EXPECT_EQ(dones.load(), 50);
+        // Only a fork-join with helpers has a join to wait at.
+        EXPECT_EQ(joins.load(), width == 1 ? 0 : 1);
+    }
+    // The first claim leaves the other 49 indices unclaimed.
+    EXPECT_EQ(maxUnclaimed.load(), 49u);
 }
 
 TEST(Table, RenderAligned)

@@ -19,7 +19,10 @@
  * 4 job Failed or cancelled, 1 transport/server error, 2 usage
  * error.  `submit` without --wait exits 0 once the job is
  * accepted; with backpressure it exits 4 and prints the server's
- * retry_after_ms so scripted tenants can back off.
+ * retry_after_ms so scripted tenants can back off.  A file job
+ * whose --ref/--reads cannot be opened or whose --out directory
+ * does not exist is rejected the same way (exit 4, reason
+ * bad-path) before it queues.
  */
 
 #include <cstdio>
@@ -254,6 +257,10 @@ main(int argc, char **argv)
                              resp.tenantQuota),
                          static_cast<unsigned long long>(
                              resp.retryAfterMs));
+            return 4;
+        } else if (transport_ok && resp.reason == "bad-path") {
+            std::fprintf(stderr, "rejected: bad-path: %s\n",
+                         resp.error.c_str());
             return 4;
         }
     } else if (cmd == "status") {
