@@ -93,9 +93,9 @@ BM_CalcWhd(benchmark::State &state)
 BENCHMARK(BM_CalcWhd);
 
 void
-BM_MinWhd(benchmark::State &state, WhdKernel kernel, bool prune)
+BM_MinWhd(benchmark::State &state, SimdKernel kernel, bool prune)
 {
-    ScopedWhdKernel scope(kernel);
+    ScopedSimdKernel scope(kernel);
     IrTargetInput input = benchInput();
     WhdStats stats;
     for (auto _ : state) {
@@ -108,9 +108,9 @@ BM_MinWhd(benchmark::State &state, WhdKernel kernel, bool prune)
 }
 
 void
-BM_IrComputeWidth(benchmark::State &state, WhdKernel kernel)
+BM_IrComputeWidth(benchmark::State &state, SimdKernel kernel)
 {
-    ScopedWhdKernel scope(kernel);
+    ScopedSimdKernel scope(kernel);
     MarshalledTarget target = marshalTarget(benchInput());
     const uint32_t width = static_cast<uint32_t>(state.range(0));
     uint64_t cycles = 0;
@@ -165,8 +165,8 @@ BENCHMARK(BM_SmithWaterman);
 void
 registerDispatchBenchmarks()
 {
-    for (WhdKernel kernel : supportedWhdKernels()) {
-        const std::string kname = whdKernelName(kernel);
+    for (SimdKernel kernel : supportedSimdKernels()) {
+        const std::string kname = simdKernelName(kernel);
         for (bool prune : {false, true}) {
             std::string name = "BM_MinWhd/" + kname + "/" +
                                (prune ? "pruned" : "full");
@@ -227,10 +227,10 @@ measureRate(Pass run)
 
 /** comparisons/second of minWhd (software, per-comparison). */
 double
-measureMinWhdRate(WhdKernel kernel, bool prune,
+measureMinWhdRate(SimdKernel kernel, bool prune,
                   const IrTargetInput &input)
 {
-    ScopedWhdKernel scope(kernel);
+    ScopedSimdKernel scope(kernel);
     return measureRate([&] {
         WhdStats s;
         MinWhdGrid grid = minWhd(input, prune, &s);
@@ -244,7 +244,7 @@ measureMinWhdRate(WhdKernel kernel, bool prune,
  * pair -- the accelerator datapath precompute irCompute runs.
  */
 WhdSweepResult
-chunk32Sweep(WhdKernel kernel, const IrTargetInput &input)
+chunk32Sweep(SimdKernel kernel, const IrTargetInput &input)
 {
     WhdSweepResult total;
     for (const BaseSeq &cons : input.consensuses) {
@@ -269,7 +269,7 @@ chunk32Sweep(WhdKernel kernel, const IrTargetInput &input)
 
 /** comparisons/second of the width-32 per-chunk sweep. */
 double
-measureChunk32Rate(WhdKernel kernel, const IrTargetInput &input)
+measureChunk32Rate(SimdKernel kernel, const IrTargetInput &input)
 {
     return measureRate(
         [&] { return chunk32Sweep(kernel, input).comparisons; });
@@ -298,7 +298,7 @@ emitBenchJson(const std::string &path)
             "n_minwhd_pruned_offsets_pruned",
             static_cast<double>(pruned.offsetsPruned));
         const WhdSweepResult chunk32 =
-            chunk32Sweep(WhdKernel::Scalar, input);
+            chunk32Sweep(SimdKernel::Scalar, input);
         report.addValue("n_minwhd_chunk32_comparisons",
                         static_cast<double>(chunk32.comparisons));
         report.addValue("n_minwhd_chunk32_chunks",
@@ -319,17 +319,17 @@ emitBenchJson(const std::string &path)
     // (ratios cancel most machine noise, so the gate can hold them
     // to a floor).
     const double scalar_full =
-        measureMinWhdRate(WhdKernel::Scalar, false, input);
+        measureMinWhdRate(SimdKernel::Scalar, false, input);
     const double scalar_pruned =
-        measureMinWhdRate(WhdKernel::Scalar, true, input);
-    for (WhdKernel kernel : supportedWhdKernels()) {
-        const std::string kname = whdKernelName(kernel);
+        measureMinWhdRate(SimdKernel::Scalar, true, input);
+    for (SimdKernel kernel : supportedSimdKernels()) {
+        const std::string kname = simdKernelName(kernel);
         const double full =
-            kernel == WhdKernel::Scalar
+            kernel == SimdKernel::Scalar
                 ? scalar_full
                 : measureMinWhdRate(kernel, false, input);
         const double pruned =
-            kernel == WhdKernel::Scalar
+            kernel == SimdKernel::Scalar
                 ? scalar_pruned
                 : measureMinWhdRate(kernel, true, input);
         report.addValue("rate_minwhd_full_" + kname + "_cps", full);
@@ -337,7 +337,7 @@ emitBenchJson(const std::string &path)
                         pruned);
         report.addValue("rate_minwhd_chunk32_" + kname + "_cps",
                         measureChunk32Rate(kernel, input));
-        if (kernel != WhdKernel::Scalar) {
+        if (kernel != SimdKernel::Scalar) {
             report.addValue("speedup_unpruned_" + kname,
                             full / scalar_full);
             report.addValue("speedup_pruned_" + kname,

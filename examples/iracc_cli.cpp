@@ -372,7 +372,7 @@ cmdRealign(const Args &args)
     std::printf(
         "whd kernel: %s, %llu comparisons, %llu of %llu offsets "
         "pruned\n",
-        whdKernelName(activeWhdKernel()),
+        simdKernelName(activeSimdKernel()),
         static_cast<unsigned long long>(
             registry.counterValue("realign.whd.comparisons")),
         static_cast<unsigned long long>(

@@ -69,7 +69,7 @@ irCompute(const MarshalledTarget &target, uint32_t width, bool prune)
         scratch.readLen[j] = len;
     }
 
-    const WhdKernel kernel = activeWhdKernel();
+    const SimdKernel kernel = activeSimdKernel();
 
     IrComputeResult result;
     MinWhdGrid grid(num_cons, num_reads);

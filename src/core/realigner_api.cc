@@ -306,13 +306,13 @@ differentialVariants(const std::vector<uint32_t> &job_threads)
     // indistinguishable from the oracle.  Pinned explicitly (the
     // base matrix runs whatever dispatch resolves ambiently, which
     // CI steers via IRACC_KERNEL).
-    for (WhdKernel kernel : supportedWhdKernels()) {
+    for (SimdKernel kernel : supportedSimdKernels()) {
         for (bool prune : {false, true}) {
             BackendVariant v;
             v.accelerated = false;
             v.prune = prune;
             v.jobThreads = 1;
-            v.kernel = whdKernelName(kernel);
+            v.kernel = simdKernelName(kernel);
             v.label = std::string("software/prune=") +
                       (prune ? "on" : "off") +
                       "/jobs=1/kernel=" + v.kernel;

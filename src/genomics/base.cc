@@ -1,8 +1,8 @@
 #include "genomics/base.hh"
 
-#include <algorithm>
 #include <cctype>
 
+#include "genomics/scan_kernels.hh"
 #include "util/logging.hh"
 
 namespace iracc {
@@ -78,7 +78,8 @@ reverseComplement(const BaseSeq &seq)
 bool
 isValidSequence(std::string_view seq)
 {
-    return std::all_of(seq.begin(), seq.end(), isValidBaseChar);
+    return findInvalidBase(seq.data(), seq.size(),
+                           activeSimdKernel()) == seq.size();
 }
 
 int

@@ -40,7 +40,10 @@ char complement(char c);
 /** @return the reverse complement of a sequence. */
 BaseSeq reverseComplement(const BaseSeq &seq);
 
-/** @return true when every character of seq is a valid base. */
+/**
+ * @return true when every character of seq is a valid base (checked
+ * by the active SIMD kernel, genomics/scan_kernels.hh).
+ */
 bool isValidSequence(std::string_view seq);
 
 /** Index (0..3) of a concrete base for substitution sampling. */

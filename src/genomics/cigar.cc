@@ -1,6 +1,6 @@
 #include "genomics/cigar.hh"
 
-#include <cctype>
+#include <algorithm>
 #include <limits>
 
 #include "util/logging.hh"
@@ -32,16 +32,19 @@ charToCigarOp(char c)
     }
 }
 
-Cigar::Cigar(std::vector<CigarElem> raw)
+Cigar::Cigar(std::vector<CigarElem> raw) : elems(std::move(raw))
 {
-    for (const auto &e : raw) {
+    // Merge in place: kept runs only ever move toward the front.
+    size_t kept = 0;
+    for (const CigarElem &e : elems) {
         if (e.length == 0)
             continue;
-        if (!elems.empty() && elems.back().op == e.op)
-            elems.back().length += e.length;
+        if (kept > 0 && elems[kept - 1].op == e.op)
+            elems[kept - 1].length += e.length;
         else
-            elems.push_back(e);
+            elems[kept++] = e;
     }
+    elems.resize(kept);
 }
 
 Cigar
@@ -56,35 +59,48 @@ Cigar::fromString(const std::string &s)
 bool
 Cigar::tryFromString(std::string_view s, Cigar *out)
 {
-    std::vector<CigarElem> elems;
     if (s == "*" || s.empty()) {
         *out = Cigar();
         return true;
     }
+    constexpr uint64_t kMax = std::numeric_limits<uint32_t>::max();
+    std::vector<CigarElem> elems;
+    elems.reserve(static_cast<size_t>(std::count_if(
+        s.begin(), s.end(), [](char c) { return c < '0' || c > '9'; })));
+    // Every op consumes read or reference bases, so bounding both
+    // totals also bounds every merged run.
+    uint64_t readLen = 0;
+    uint64_t refLen = 0;
     uint64_t len = 0;
     bool have_len = false;
     for (char c : s) {
-        if (std::isdigit(static_cast<unsigned char>(c))) {
+        if (c >= '0' && c <= '9') {
             len = len * 10 + static_cast<uint64_t>(c - '0');
-            if (len > std::numeric_limits<uint32_t>::max())
+            if (len > kMax)
                 return false;
             have_len = true;
-        } else {
-            if (!have_len)
-                return false;
-            CigarOp op;
-            switch (c) {
-              case 'M': op = CigarOp::Match; break;
-              case 'I': op = CigarOp::Insert; break;
-              case 'D': op = CigarOp::Delete; break;
-              case 'S': op = CigarOp::SoftClip; break;
-              default:
-                return false;
-            }
-            elems.push_back({static_cast<uint32_t>(len), op});
-            len = 0;
-            have_len = false;
+            continue;
         }
+        if (!have_len)
+            return false;
+        CigarOp op;
+        switch (c) {
+          case 'M': op = CigarOp::Match; break;
+          case 'I': op = CigarOp::Insert; break;
+          case 'D': op = CigarOp::Delete; break;
+          case 'S': op = CigarOp::SoftClip; break;
+          default:
+            return false;
+        }
+        if (op != CigarOp::Delete)
+            readLen += len;
+        if (op == CigarOp::Match || op == CigarOp::Delete)
+            refLen += len;
+        if (readLen > kMax || refLen > kMax)
+            return false;
+        elems.push_back({static_cast<uint32_t>(len), op});
+        len = 0;
+        have_len = false;
     }
     if (have_len)
         return false;

@@ -54,7 +54,8 @@ class Cigar
   public:
     Cigar() = default;
 
-    /** Build from elements; merges adjacent same-op runs. */
+    /** Build from elements; merges adjacent same-op runs in place
+     *  and drops zero-length ones. */
     explicit Cigar(std::vector<CigarElem> elems);
 
     /** Parse a SAM CIGAR string like "45M2I53M"; panics on
@@ -64,10 +65,11 @@ class Cigar
     /**
      * Non-terminating parse for untrusted input (the streaming SAM
      * readers).  Rejects unknown ops, ops without a length, a
-     * trailing length, and element lengths that overflow uint32 --
-     * the unchecked fromString accumulator used to wrap silently on
-     * inputs like "4294967296M".  @return false without touching
-     * @p out on malformed input.
+     * trailing length, and any element length, merged run, read
+     * consumption or reference consumption that overflows uint32 --
+     * an unchecked accumulator would wrap silently on inputs like
+     * "4294967296M" or "4294967295M2M".  Makes one allocation.
+     * @return false without touching @p out on malformed input.
      */
     static bool tryFromString(std::string_view s, Cigar *out);
 

@@ -1,8 +1,11 @@
 #include "genomics/io.hh"
 
 #include <charconv>
+#include <cstring>
 #include <istream>
+#include <memory>
 #include <ostream>
+#include <string_view>
 
 #include "genomics/stream_io.hh"
 #include "util/logging.hh"
@@ -83,13 +86,21 @@ readFastq(std::istream &is)
 
 namespace {
 
-/** Append the decimal form of @p v. */
-void
-appendInt(std::string &out, int64_t v)
+/** Longest decimal of an int64 (with sign) or a uint32. */
+constexpr size_t kMaxIntChars = 20;
+
+char *
+put(char *p, std::string_view text)
 {
-    char digits[24];
-    const auto res = std::to_chars(digits, digits + sizeof(digits), v);
-    out.append(digits, res.ptr);
+    std::memcpy(p, text.data(), text.size());
+    return p + text.size();
+}
+
+char *
+putInt(char *p, int64_t v)
+{
+    // Callers reserve kMaxIntChars for every integer.
+    return std::to_chars(p, p + kMaxIntChars, v).ptr;
 }
 
 } // namespace
@@ -98,53 +109,66 @@ void
 writeSamLite(std::ostream &os, const ReferenceGenome &ref,
              const std::vector<Read> &reads)
 {
-    // Lines are formatted into one reused buffer and handed to the
-    // stream in writes of at least kFlushBytes.
+    // Lines are formatted into one buffer with a bump pointer and
+    // handed to the stream in writes of at least kFlushBytes.
     constexpr size_t kFlushBytes = 64u << 10;
-    std::string buf;
-    buf.reserve(2 * kFlushBytes);
+    size_t cap = 2 * kFlushBytes;
+    std::unique_ptr<char[]> buf(new char[cap]);
+    size_t used = 0;
+    auto flush = [&] {
+        os.write(buf.get(), static_cast<std::streamsize>(used));
+        used = 0;
+    };
     for (const Read &r : reads) {
+        const std::string &contigName = ref.contig(r.contig).name;
+        // Upper bound of the line: the strings, POS, MAPQ, FLAG, each
+        // CIGAR element (or '*'), seven tabs and the newline.
+        const size_t need = r.name.size() + contigName.size() +
+                            r.bases.size() + r.quals.size() +
+                            3 * kMaxIntChars +
+                            (r.cigar.size() + 1) * (kMaxIntChars + 1) +
+                            8;
+        if (used + need > cap) {
+            flush();
+            if (need > cap) {
+                cap = need;
+                buf.reset(new char[cap]);
+            }
+        }
         const int flags = (r.reverse ? 0x10 : 0) |
                           (r.duplicate ? 0x400 : 0) |
                           (r.paired ? 0x1 : 0) |
                           (r.paired && r.firstOfPair ? 0x40 : 0) |
                           (r.paired && !r.firstOfPair ? 0x80 : 0);
-        buf += r.name;
-        buf += '\t';
-        buf += ref.contig(r.contig).name;
-        buf += '\t';
-        appendInt(buf, r.pos + 1);
-        buf += '\t';
-        appendInt(buf, r.mapq);
-        buf += '\t';
+        char *p = buf.get() + used;
+        p = put(p, r.name);
+        *p++ = '\t';
+        p = put(p, contigName);
+        *p++ = '\t';
+        p = putInt(p, r.pos + 1);
+        *p++ = '\t';
+        p = putInt(p, r.mapq);
+        *p++ = '\t';
         if (r.cigar.empty())
-            buf += '*';
+            *p++ = '*';
         for (const CigarElem &e : r.cigar.elements()) {
-            appendInt(buf, e.length);
-            buf += cigarOpChar(e.op);
+            p = putInt(p, e.length);
+            *p++ = cigarOpChar(e.op);
         }
-        buf += '\t';
-        appendInt(buf, flags);
-        buf += '\t';
-        buf += r.bases;
-        buf += '\t';
-        const size_t q0 = buf.size();
-        buf.resize(q0 + r.quals.size());
-        for (size_t i = 0; i < r.quals.size(); ++i) {
-            const uint8_t q = r.quals[i];
-            panic_if(q > kMaxPhred, "Phred score %u exceeds max %u",
-                     q, kMaxPhred);
-            buf[q0 + i] = static_cast<char>(q + 33);
-        }
-        buf += '\n';
-        if (buf.size() >= kFlushBytes) {
-            os.write(buf.data(),
-                     static_cast<std::streamsize>(buf.size()));
-            buf.clear();
-        }
+        *p++ = '\t';
+        p = putInt(p, flags);
+        *p++ = '\t';
+        p = put(p, r.bases);
+        *p++ = '\t';
+        encodeQuals(r.quals.data(), r.quals.size(), p);
+        p += r.quals.size();
+        *p++ = '\n';
+        used = static_cast<size_t>(p - buf.get());
+        if (used >= kFlushBytes)
+            flush();
     }
-    if (!buf.empty())
-        os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+    if (used > 0)
+        flush();
 }
 
 std::vector<Read>
@@ -153,14 +177,16 @@ readSamLite(std::istream &is, const ReferenceGenome &ref)
     // The old implementation parsed with istringstream >>, which
     // accepts partial tokens ("12x" -> 12) and lets malformed
     // numerics cascade into panics deeper in the pipeline.  Parse
-    // through the validating streaming reader instead.
+    // through the validating streaming reader instead, straight
+    // into a new last element that End or Error drops again.
     std::vector<Read> reads;
     SamLiteStreamReader reader(is, ref);
-    Read r;
     ParseError err;
     StreamStatus st;
-    while ((st = reader.next(&r, &err)) == StreamStatus::Record)
-        reads.push_back(std::move(r));
+    while ((st = reader.next(&reads.emplace_back(), &err)) ==
+           StreamStatus::Record) {
+    }
+    reads.pop_back();
     fatal_if(st == StreamStatus::Error, "SAM-lite parse failed: %s",
              err.describe().c_str());
     return reads;

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <string>
 
+#include "genomics/scan_kernels.hh"
 #include "util/logging.hh"
 
 namespace iracc {
@@ -45,13 +46,21 @@ asciiToPhred(char c)
     return static_cast<uint8_t>(q);
 }
 
+void
+encodeQuals(const uint8_t *quals, size_t n, char *out)
+{
+    if (encodeQualityChars(quals, n, out, activeSimdKernel()))
+        return;
+    for (size_t i = 0; i < n; ++i)
+        phredToAscii(quals[i]); // panics at the first bad score
+    panic("encodeQuals: kernel flagged a score none exceeds");
+}
+
 std::string
 qualsToAscii(const QualSeq &quals)
 {
-    std::string out;
-    out.reserve(quals.size());
-    for (uint8_t q : quals)
-        out.push_back(phredToAscii(q));
+    std::string out(quals.size(), '\0');
+    encodeQuals(quals.data(), quals.size(), out.data());
     return out;
 }
 
@@ -68,15 +77,11 @@ asciiToQuals(const std::string &s)
 bool
 tryAsciiToQuals(const std::string &s, QualSeq *out)
 {
-    QualSeq quals;
-    quals.reserve(s.size());
-    for (char c : s) {
-        int q = static_cast<unsigned char>(c) - 33;
-        if (q < 0 || q > kMaxPhred)
-            return false;
-        quals.push_back(static_cast<uint8_t>(q));
-    }
-    *out = std::move(quals);
+    const SimdKernel kernel = activeSimdKernel();
+    if (findInvalidQualityChar(s.data(), s.size(), kernel) != s.size())
+        return false;
+    out->resize(s.size());
+    decodeQualityChars(s.data(), s.size(), out->data(), kernel);
     return true;
 }
 

@@ -13,6 +13,7 @@
 #ifndef IRACC_GENOMICS_QUALITY_HH
 #define IRACC_GENOMICS_QUALITY_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -39,6 +40,12 @@ char phredToAscii(uint8_t q);
 
 /** @return the Phred score for a Sanger FASTQ ASCII character. */
 uint8_t asciiToPhred(char c);
+
+/**
+ * Encode @p n raw scores as FASTQ characters into @p out with the
+ * active SIMD kernel; panics naming the first score above kMaxPhred.
+ */
+void encodeQuals(const uint8_t *quals, size_t n, char *out);
 
 /** Encode a raw score vector as a FASTQ quality string. */
 std::string qualsToAscii(const QualSeq &quals);

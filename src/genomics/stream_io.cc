@@ -5,6 +5,7 @@
 #include <istream>
 
 #include "genomics/base.hh"
+#include "genomics/scan_kernels.hh"
 #include "util/argparse.hh"
 #include "util/logging.hh"
 
@@ -261,18 +262,6 @@ parseIntField(std::string_view text, int64_t *out)
     return parseInt64(std::string(text), out);
 }
 
-/** @return true when every char is a Sanger quality character. */
-bool
-isValidQualityText(std::string_view text)
-{
-    for (char c : text) {
-        const int q = static_cast<unsigned char>(c) - 33;
-        if (q < 0 || q > kMaxPhred)
-            return false;
-    }
-    return true;
-}
-
 } // namespace
 
 StreamStatus
@@ -292,21 +281,30 @@ SamLiteStreamReader::next(Read *out, ParseError *err)
     } while (line.empty() || line[0] == '#');
 
     const uint64_t lineno = scanner.lineNumber();
+    const SimdKernel kernel = activeSimdKernel();
     // Split on runs of separators; fields past the eighth are only
-    // counted, for the error message.
+    // counted, for the error message.  A field ends at the next
+    // separator: the kernel finds the next byte <= 0x20, and any
+    // such byte other than a separator stays inside the field.
     std::string_view f[8];
     size_t fields = 0;
-    for (size_t i = 0; i < line.size();) {
-        while (i < line.size() && isFieldSpace(line[i]))
+    const char *p = line.data();
+    const size_t n = line.size();
+    for (size_t i = 0; i < n;) {
+        if (isFieldSpace(p[i])) {
             ++i;
-        const size_t start = i;
-        while (i < line.size() && !isFieldSpace(line[i]))
-            ++i;
-        if (i > start) {
-            if (fields < 8)
-                f[fields] = line.substr(start, i - start);
-            ++fields;
+            continue;
         }
+        const size_t start = i;
+        for (;;) {
+            i = findLowByte(p, n, i, kernel);
+            if (i == n || isFieldSpace(p[i]))
+                break;
+            ++i;
+        }
+        if (fields < 8)
+            f[fields] = line.substr(start, i - start);
+        ++fields;
     }
     if (fields != 8) {
         setError(err, StreamErrorCode::WrongFieldCount, lineno,
@@ -376,12 +374,14 @@ SamLiteStreamReader::next(Read *out, ParseError *err)
 
     const std::string_view bases = f[6];
     const std::string_view qualText = f[7];
-    if (!isValidSequence(bases)) {
+    if (findInvalidBase(bases.data(), bases.size(), kernel) !=
+        bases.size()) {
         setError(err, StreamErrorCode::InvalidBase, lineno,
                  "base outside A/C/G/T/N in read '" + text(0) + "'");
         return StreamStatus::Error;
     }
-    if (!isValidQualityText(qualText)) {
+    if (findInvalidQualityChar(qualText.data(), qualText.size(),
+                               kernel) != qualText.size()) {
         setError(err, StreamErrorCode::InvalidQuality, lineno,
                  "quality char outside Sanger range in read '" +
                      text(0) + "'");
@@ -402,24 +402,23 @@ SamLiteStreamReader::next(Read *out, ParseError *err)
         return StreamStatus::Error;
     }
 
-    Read r;
-    r.name.assign(f[0]);
-    r.contig = contig;
-    r.pos = pos1 - 1;
-    r.mapq = static_cast<uint8_t>(mapq);
-    r.cigar = std::move(cigar);
-    r.reverse = (flags & 0x10) != 0;
-    r.duplicate = (flags & 0x400) != 0;
-    r.paired = (flags & 0x1) != 0;
-    r.firstOfPair = (flags & 0x40) != 0;
-    r.bases.assign(bases);
-    r.quals.resize(qualText.size());
-    for (size_t i = 0; i < qualText.size(); ++i)
-        r.quals[i] = static_cast<uint8_t>(qualText[i] - 33);
-    // Every invariant assertValid checks was validated above, so
-    // this cannot fire on untrusted input.
-    r.assertValid();
-    *out = std::move(r);
+    // Every invariant Read::assertValid checks holds now, so the
+    // record is written into *out in place, reusing its buffers.
+    out->name.assign(f[0]);
+    out->bases.assign(bases);
+    out->quals.resize(qualText.size());
+    decodeQualityChars(qualText.data(), qualText.size(),
+                       out->quals.data(), kernel);
+    out->contig = contig;
+    out->pos = pos1 - 1;
+    out->cigar = std::move(cigar);
+    out->mapq = static_cast<uint8_t>(mapq);
+    out->reverse = (flags & 0x10) != 0;
+    out->duplicate = (flags & 0x400) != 0;
+    out->paired = (flags & 0x1) != 0;
+    out->firstOfPair = (flags & 0x40) != 0;
+    out->matePos = -1;
+    out->truePos = -1;
     ++count;
     return StreamStatus::Record;
 }
@@ -440,20 +439,30 @@ SamLiteBatchSource::nextBatch(int32_t *contig,
     if (finished)
         return StreamStatus::End;
 
-    Read r;
-    if (!havePending) {
-        StreamStatus st = reader.next(&r, err);
+    // Each record is parsed straight into a new last element, which
+    // is dropped again on End or Error.
+    auto pull = [&]() {
+        const StreamStatus st = reader.next(&reads->emplace_back(), err);
+        if (st != StreamStatus::Record)
+            reads->pop_back();
+        return st;
+    };
+
+    if (havePending) {
+        reads->push_back(std::move(pending));
+        havePending = false;
+    } else {
+        const StreamStatus st = pull();
         if (st != StreamStatus::Record) {
             finished = true;
             return st;
         }
-        pending = std::move(r);
-        havePending = true;
     }
 
-    const int32_t batchContig = pending.contig;
+    const int32_t batchContig = reads->front().contig;
     if (!seenContigs.insert(batchContig).second) {
         finished = true;
+        reads->clear();
         setError(err, StreamErrorCode::UngroupedInput, 0,
                  "reads for contig id " +
                      std::to_string(batchContig) +
@@ -462,22 +471,20 @@ SamLiteBatchSource::nextBatch(int32_t *contig,
         return StreamStatus::Error;
     }
 
-    reads->push_back(std::move(pending));
-    havePending = false;
     for (;;) {
-        StreamStatus st = reader.next(&r, err);
+        const StreamStatus st = pull();
         if (st == StreamStatus::End)
             break;
         if (st == StreamStatus::Error) {
             finished = true;
             return st;
         }
-        if (r.contig != batchContig) {
-            pending = std::move(r);
+        if (reads->back().contig != batchContig) {
+            pending = std::move(reads->back());
+            reads->pop_back();
             havePending = true;
             break;
         }
-        reads->push_back(std::move(r));
     }
     *contig = batchContig;
     return StreamStatus::Record;

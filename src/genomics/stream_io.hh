@@ -180,7 +180,9 @@ class FastqStreamReader
  *    as the bases (LengthMismatch)
  *
  * Comment lines ('#') and blank lines are skipped, matching the
- * batch reader.
+ * batch reader.  Field splitting and the base and quality checks
+ * run on the active SIMD kernel (genomics/scan_kernels.hh); every
+ * kernel yields the same records and the same ParseError.
  */
 class SamLiteStreamReader
 {
@@ -188,7 +190,12 @@ class SamLiteStreamReader
     SamLiteStreamReader(std::istream &is, const ReferenceGenome &ref,
                         StreamLimits limits = {});
 
-    /** Pull one read.  @p out is only written on Record. */
+    /**
+     * Pull one read.  @p out is only written on Record: every field
+     * is checked first, then parsed into *out in place, reusing its
+     * buffers (matePos and truePos, which SAM-lite does not carry,
+     * are reset to -1).
+     */
     StreamStatus next(Read *out, ParseError *err);
 
     /** Records successfully produced so far. */
@@ -245,6 +252,7 @@ class SamLiteBatchSource : public ReadBatchSource
 
   private:
     SamLiteStreamReader reader;
+    /** The first read of the next contig, pulled to end this batch. */
     Read pending;
     bool havePending = false;
     bool finished = false;

@@ -82,7 +82,7 @@ minWhdInto(const IrTargetInput &input, bool prune, WhdStats *stats,
     const size_t num_reads = input.numReads();
     grid.reset(num_cons, num_reads);
 
-    const WhdKernel kernel = activeWhdKernel();
+    const SimdKernel kernel = activeSimdKernel();
     thread_local ConsensusBatch batch;
     batch.load(input);
 

@@ -13,7 +13,7 @@
 
 #include "realign/whd_simd.hh"
 
-#if IRACC_WHD_HAVE_AVX2
+#if IRACC_HAVE_AVX2
 
 #include <immintrin.h>
 
@@ -479,4 +479,4 @@ whdSweepPrunedAvx2(const uint8_t *cons, size_t m,
 
 } // namespace iracc
 
-#endif // IRACC_WHD_HAVE_AVX2
+#endif // IRACC_HAVE_AVX2

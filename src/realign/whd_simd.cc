@@ -1,8 +1,6 @@
 #include "realign/whd_simd.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
 
 #include "realign/whd.hh"
@@ -64,16 +62,6 @@ namespace {
  *    last < 4 offsets, and reads shorter than one chunk or longer
  *    than kMaxReadLen run one offset at a time.
  */
-
-bool
-cpuHasAvx2()
-{
-#if IRACC_WHD_HAVE_AVX2
-    return __builtin_cpu_supports("avx2") != 0;
-#else
-    return false;
-#endif
-}
 
 /**
  * The reference sweep: the software kernel's per-comparison loop
@@ -366,137 +354,27 @@ fillUnprunedCounters(WhdSweepResult &r, size_t m, size_t n,
                       : offsets * ((n + pruneChunk - 1) / pruneChunk);
 }
 
-std::atomic<int> activeKernel{-1};
-
-WhdKernel
-resolveActiveKernel()
-{
-    const char *env = std::getenv("IRACC_KERNEL");
-    if (env == nullptr || *env == '\0')
-        return bestSupportedWhdKernel();
-    WhdKernel k;
-    if (!parseWhdKernel(env, &k)) {
-        fatal("IRACC_KERNEL='%s' is not a WHD kernel "
-              "(scalar|generic|avx2)", env);
-    }
-    if (!whdKernelSupported(k)) {
-        fatal("IRACC_KERNEL=%s is not supported here (%s)",
-              whdKernelName(k),
-              whdKernelCompiled(k) ? "CPU lacks the instruction set"
-                                   : "not compiled into this binary");
-    }
-    return k;
-}
-
 } // anonymous namespace
-
-const char *
-whdKernelName(WhdKernel kernel)
-{
-    switch (kernel) {
-      case WhdKernel::Scalar:
-        return "scalar";
-      case WhdKernel::Generic:
-        return "generic";
-      case WhdKernel::Avx2:
-        return "avx2";
-    }
-    return "unknown";
-}
-
-bool
-parseWhdKernel(const std::string &name, WhdKernel *out)
-{
-    for (WhdKernel k : {WhdKernel::Scalar, WhdKernel::Generic,
-                        WhdKernel::Avx2}) {
-        if (name == whdKernelName(k)) {
-            *out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-whdKernelCompiled(WhdKernel kernel)
-{
-    switch (kernel) {
-      case WhdKernel::Scalar:
-      case WhdKernel::Generic:
-        return true;
-      case WhdKernel::Avx2:
-        return IRACC_WHD_HAVE_AVX2 != 0;
-    }
-    return false;
-}
-
-bool
-whdKernelSupported(WhdKernel kernel)
-{
-    if (!whdKernelCompiled(kernel))
-        return false;
-    return kernel != WhdKernel::Avx2 || cpuHasAvx2();
-}
-
-std::vector<WhdKernel>
-supportedWhdKernels()
-{
-    std::vector<WhdKernel> out;
-    for (WhdKernel k : {WhdKernel::Scalar, WhdKernel::Generic,
-                        WhdKernel::Avx2}) {
-        if (whdKernelSupported(k))
-            out.push_back(k);
-    }
-    return out;
-}
-
-WhdKernel
-bestSupportedWhdKernel()
-{
-    return whdKernelSupported(WhdKernel::Avx2) ? WhdKernel::Avx2
-                                               : WhdKernel::Generic;
-}
-
-WhdKernel
-activeWhdKernel()
-{
-    int v = activeKernel.load(std::memory_order_relaxed);
-    if (v < 0) {
-        // Benign race: every thread resolves the same value.
-        v = static_cast<int>(resolveActiveKernel());
-        activeKernel.store(v, std::memory_order_relaxed);
-    }
-    return static_cast<WhdKernel>(v);
-}
-
-void
-setWhdKernel(WhdKernel kernel)
-{
-    if (!whdKernelSupported(kernel))
-        fatal("WHD kernel %s is not supported on this host",
-              whdKernelName(kernel));
-    activeKernel.store(static_cast<int>(kernel),
-                       std::memory_order_relaxed);
-}
 
 WhdSweepResult
 whdSweep(const uint8_t *cons, size_t m, const uint8_t *read,
          const uint8_t *qual, size_t n, bool prune,
-         uint32_t pruneChunk, WhdKernel kernel)
+         uint32_t pruneChunk, SimdKernel kernel)
 {
     panic_if(n > m, "whdSweep: read length %zu overruns consensus "
              "length %zu", n, m);
     panic_if(pruneChunk == 0, "whdSweep: pruneChunk must be >= 1");
 
-    if (kernel == WhdKernel::Avx2 && !cpuHasAvx2())
-        kernel = WhdKernel::Generic;
+    if (kernel == SimdKernel::Avx2 &&
+        !simdKernelSupported(SimdKernel::Avx2))
+        kernel = SimdKernel::Generic;
 
     switch (kernel) {
-      case WhdKernel::Scalar:
+      case SimdKernel::Scalar:
         return sweepScalar(cons, m, read, qual, n, prune,
                            pruneChunk);
 
-      case WhdKernel::Generic:
+      case SimdKernel::Generic:
         if (!prune) {
             WhdSweepResult r =
                 sweepUnprunedGeneric(cons, m, read, qual, n);
@@ -511,7 +389,7 @@ whdSweep(const uint8_t *cons, size_t m, const uint8_t *read,
         return sweepPrunedPerChunk<blockSum>(cons, m, read, qual, n,
                                              pruneChunk);
 
-      case WhdKernel::Avx2: {
+      case SimdKernel::Avx2: {
         if (!prune) {
             WhdSweepResult r =
                 whdSweepUnprunedAvx2(cons, m, read, qual, n);
@@ -525,9 +403,9 @@ whdSweep(const uint8_t *cons, size_t m, const uint8_t *read,
     fatal("whdSweep: unknown kernel %d", static_cast<int>(kernel));
 }
 
-#if !IRACC_WHD_HAVE_AVX2
+#if !IRACC_HAVE_AVX2
 // Stubs keep the link closed on non-x86 / non-GNU toolchains; the
-// dispatch layer never routes here (whdKernelSupported is false).
+// dispatch layer never routes here (simdKernelSupported is false).
 WhdSweepResult
 whdSweepUnprunedAvx2(const uint8_t *, size_t, const uint8_t *,
                      const uint8_t *, size_t)

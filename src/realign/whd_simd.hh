@@ -31,10 +31,9 @@
  * The differential harness (src/testing) and tests/whd_test.cc
  * referee the equality.
  *
- * Dispatch: the process-wide active kernel is resolved once from
- * the IRACC_KERNEL environment variable (scalar|generic|avx2) or,
- * unset, the best CPU-supported implementation.  Tests and benches
- * override it with setWhdKernel()/ScopedWhdKernel.
+ * Dispatch: the sweep runs whichever SimdKernel the caller passes;
+ * callers pass the process-wide activeSimdKernel() (util/
+ * simd_kernel.hh), which IRACC_KERNEL selects.
  */
 
 #ifndef IRACC_REALIGN_WHD_SIMD_HH
@@ -42,30 +41,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <vector>
 
-/**
- * The AVX2 kernel needs x86-64 plus a GNU-compatible compiler (the
- * implementation uses function target attributes so the rest of the
- * binary keeps its baseline ISA).  Elsewhere whd_avx2.cc compiles to
- * fatal() stubs and dispatch never selects it.
- */
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define IRACC_WHD_HAVE_AVX2 1
-#else
-#define IRACC_WHD_HAVE_AVX2 0
-#endif
+#include "util/simd_kernel.hh"
 
 namespace iracc {
-
-/** One WHD kernel implementation (runtime-dispatch design point). */
-enum class WhdKernel : uint8_t
-{
-    Scalar = 0,
-    Generic = 1,
-    Avx2 = 2,
-};
 
 /** Offset lanes processed per block by the generic unpruned sweep. */
 constexpr size_t kWhdGenericLanes = 16;
@@ -83,58 +62,6 @@ constexpr size_t kWhdPruneBlock = 32;
  * abort point matters more than vector utilization.
  */
 constexpr size_t kWhdGenericPruneBlock = 8;
-
-/** Registry name of a kernel ("scalar" / "generic" / "avx2"). */
-const char *whdKernelName(WhdKernel kernel);
-
-/**
- * Parse a kernel name (the IRACC_KERNEL vocabulary).
- * @return false when @p name is not a known kernel.
- */
-bool parseWhdKernel(const std::string &name, WhdKernel *out);
-
-/** @return true when @p kernel was compiled into this binary. */
-bool whdKernelCompiled(WhdKernel kernel);
-
-/** @return true when @p kernel is compiled in AND this CPU runs it. */
-bool whdKernelSupported(WhdKernel kernel);
-
-/** Every supported kernel, scalar first (test/bench sweep order). */
-std::vector<WhdKernel> supportedWhdKernels();
-
-/** The fastest supported kernel (what dispatch picks by default). */
-WhdKernel bestSupportedWhdKernel();
-
-/**
- * The active kernel: resolved once per process from IRACC_KERNEL
- * (fatal() on unknown or unsupported names) or
- * bestSupportedWhdKernel() when unset.
- */
-WhdKernel activeWhdKernel();
-
-/**
- * Override the active kernel (process-wide; fatal() when
- * unsupported).  Call from a single thread before kernel work
- * starts -- tests and benches sweeping design points.
- */
-void setWhdKernel(WhdKernel kernel);
-
-/** RAII kernel override that restores the previous choice. */
-class ScopedWhdKernel
-{
-  public:
-    explicit ScopedWhdKernel(WhdKernel kernel)
-        : previous(activeWhdKernel())
-    {
-        setWhdKernel(kernel);
-    }
-    ~ScopedWhdKernel() { setWhdKernel(previous); }
-    ScopedWhdKernel(const ScopedWhdKernel &) = delete;
-    ScopedWhdKernel &operator=(const ScopedWhdKernel &) = delete;
-
-  private:
-    WhdKernel previous;
-};
 
 /**
  * Result of sweeping every offset of one (consensus, read) pair.
@@ -178,11 +105,11 @@ struct WhdSweepResult
 WhdSweepResult whdSweep(const uint8_t *cons, size_t m,
                         const uint8_t *read, const uint8_t *qual,
                         size_t n, bool prune, uint32_t pruneChunk,
-                        WhdKernel kernel);
+                        SimdKernel kernel);
 
 /**
  * AVX2 entry points (defined in whd_avx2.cc, compiled with the avx2
- * function target; call only when whdKernelSupported(Avx2)).
+ * function target; call only when simdKernelSupported(Avx2)).
  * Internal to the dispatch layer -- use whdSweep().
  */
 WhdSweepResult whdSweepUnprunedAvx2(const uint8_t *cons, size_t m,

@@ -116,11 +116,11 @@ runVariant(const BackendVariant &variant, const ReferenceGenome &ref,
            std::vector<Read> reads)
 {
     if (!variant.kernel.empty()) {
-        WhdKernel kernel;
-        panic_if(!parseWhdKernel(variant.kernel, &kernel),
-                 "variant '%s' names unknown WHD kernel '%s'",
+        SimdKernel kernel;
+        panic_if(!parseSimdKernel(variant.kernel, &kernel),
+                 "variant '%s' names unknown SIMD kernel '%s'",
                  variant.label.c_str(), variant.kernel.c_str());
-        ScopedWhdKernel scope(kernel);
+        ScopedSimdKernel scope(kernel);
         return runBackendPipeline(makeVariantBackend(variant),
                                   variant.jobThreads, ref,
                                   std::move(reads));
@@ -272,12 +272,12 @@ diffKernelInput(const IrTargetInput &input)
     // Dispatch sweep: every supported WHD kernel implementation
     // must reproduce the ambient kernel's grids AND work counters
     // bit for bit, pruned and unpruned.
-    for (WhdKernel kernel : supportedWhdKernels()) {
-        ScopedWhdKernel scope(kernel);
+    for (SimdKernel kernel : supportedSimdKernels()) {
+        ScopedSimdKernel scope(kernel);
         for (bool prune : {false, true}) {
             std::string label =
                 fmt("software/kernel=%s/prune=%s",
-                    whdKernelName(kernel), prune ? "on" : "off");
+                    simdKernelName(kernel), prune ? "on" : "off");
             WhdStats stats;
             MinWhdGrid got = minWhd(input, prune, &stats);
             const MinWhdGrid &want_grid =
@@ -377,8 +377,8 @@ diffKernelInput(const IrTargetInput &input)
             // Dispatch sweep on the datapath model: every kernel
             // must agree on outputs, work counters, and the cycle
             // model (hdcCycles folds in the executed chunk count).
-            for (WhdKernel kernel : supportedWhdKernels()) {
-                ScopedWhdKernel scope(kernel);
+            for (SimdKernel kernel : supportedSimdKernels()) {
+                ScopedSimdKernel scope(kernel);
                 IrComputeResult kk =
                     irCompute(marshalled, width, prune);
                 if (kk.bestConsensus != hw.bestConsensus ||
@@ -391,7 +391,7 @@ diffKernelInput(const IrTargetInput &input)
                     kk.selectorCycles != hw.selectorCycles) {
                     return DiffResult::fail(
                         fmt("%s/kernel=%s", label.c_str(),
-                            whdKernelName(kernel)),
+                            simdKernelName(kernel)),
                         "datapath results diverge across dispatch "
                         "kernels");
                 }
@@ -889,11 +889,11 @@ diffStreamingIngest(const ReferenceGenome &ref,
     for (const BackendVariant &variant : variants) {
         DiffResult r;
         if (!variant.kernel.empty()) {
-            WhdKernel kernel;
-            panic_if(!parseWhdKernel(variant.kernel, &kernel),
-                     "variant '%s' names unknown WHD kernel '%s'",
+            SimdKernel kernel;
+            panic_if(!parseSimdKernel(variant.kernel, &kernel),
+                     "variant '%s' names unknown SIMD kernel '%s'",
                      variant.label.c_str(), variant.kernel.c_str());
-            ScopedWhdKernel scope(kernel);
+            ScopedSimdKernel scope(kernel);
             r = diffStreamingVariant(variant, ref, input_sam);
         } else {
             r = diffStreamingVariant(variant, ref, input_sam);

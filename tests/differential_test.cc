@@ -243,13 +243,13 @@ TEST(Differential, CorpusReplay)
     // Every corpus case replays under every supported dispatch
     // kernel: a workload that once exposed a divergence is exactly
     // the workload a vectorized sweep must not re-break.
-    for (WhdKernel kernel : supportedWhdKernels()) {
-        ScopedWhdKernel scope(kernel);
+    for (SimdKernel kernel : supportedSimdKernels()) {
+        ScopedSimdKernel scope(kernel);
         for (const std::string &path : files) {
             ReproCase repro = difftest::loadReproCase(path);
             DiffResult r = difftest::replayReproCase(repro);
             EXPECT_TRUE(r.ok)
-                << path << " [kernel=" << whdKernelName(kernel)
+                << path << " [kernel=" << simdKernelName(kernel)
                 << "]: [" << r.variant << "] " << r.detail;
         }
     }

@@ -1,16 +1,22 @@
 /**
  * @file
  * Tests for the genomics data model: bases, qualities, CIGARs, and
- * read records.
+ * read records, plus every SIMD kernel of the record scanners
+ * against the scalar reference.
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "genomics/base.hh"
 #include "genomics/cigar.hh"
 #include "genomics/quality.hh"
 #include "genomics/read.hh"
+#include "genomics/scan_kernels.hh"
 #include "util/rng.hh"
+#include "util/simd_kernel.hh"
 
 namespace iracc {
 namespace {
@@ -106,6 +112,35 @@ TEST(Cigar, MergesAdjacentRuns)
     EXPECT_EQ(c.toString(), "15M3D");
 }
 
+TEST(Cigar, MergesInPlaceKeepingOrder)
+{
+    Cigar c({{0, CigarOp::Match}, {2, CigarOp::SoftClip},
+             {3, CigarOp::SoftClip}, {4, CigarOp::Match},
+             {0, CigarOp::Delete}, {6, CigarOp::Match},
+             {1, CigarOp::Insert}});
+    EXPECT_EQ(c.toString(), "5S10M1I");
+    EXPECT_TRUE(Cigar({{0, CigarOp::Match}}).empty());
+}
+
+TEST(Cigar, TryFromStringRejectsUint32Overflow)
+{
+    Cigar c = Cigar::simpleMatch(7);
+    // An element, a merged run, the read consumption or the
+    // reference consumption past uint32 is malformed, not wrapped.
+    for (const char *s : {"4294967296M", "4294967295M2M",
+                          "4294967295M2I", "4294967295S1I",
+                          "4294967295D1M", "2147483648I2147483648S"}) {
+        EXPECT_FALSE(Cigar::tryFromString(s, &c)) << s;
+        EXPECT_EQ(c, Cigar::simpleMatch(7)) << s; // untouched
+    }
+    // At the limit itself every total still fits.
+    ASSERT_TRUE(Cigar::tryFromString("4294967294M1I", &c));
+    EXPECT_EQ(c.readLength(), 4294967295u);
+    ASSERT_TRUE(Cigar::tryFromString("4294967295D4294967295I", &c));
+    EXPECT_EQ(c.referenceLength(), 4294967295u);
+    EXPECT_EQ(c.readLength(), 4294967295u);
+}
+
 TEST(Cigar, EmptyIsStar)
 {
     EXPECT_EQ(Cigar().toString(), "*");
@@ -165,6 +200,131 @@ TEST(Read, ValidityChecks)
     Read bad = r;
     bad.cigar = Cigar::simpleMatch(5);
     EXPECT_DEATH(bad.assertValid(), "CIGAR");
+}
+
+/**
+ * Every finder of genomics/scan_kernels.hh equals the scalar
+ * reference with each byte <= 0x21 or >= 0x7e, and a rotating
+ * sample of the printable ones, planted at every index of every
+ * length up to 100, so word (8) and vector (32) boundaries and the
+ * overlapping tails are all crossed.
+ */
+TEST(ScanKernels, FindersMatchScalarAtEveryIndex)
+{
+    Rng rng(17);
+    for (size_t n = 1; n <= 100; ++n) {
+        std::string bases(n, 'A'), quals(n, 'I'), text(n, 'x');
+        for (size_t i = 0; i < n; ++i) {
+            bases[i] = "ACGTNacgtn"[rng.below(10)];
+            quals[i] = static_cast<char>('!' + rng.below(94));
+            text[i] = static_cast<char>('!' + rng.below(94));
+        }
+        for (size_t k = 0; k < n; ++k) {
+            for (int v = 0; v < 256; ++v) {
+                const uint8_t b = static_cast<uint8_t>(v);
+                if (b % 7 != k % 7 && b > 0x21 && b < 0x7e)
+                    continue; // sample the ordinary printable bytes
+                std::string bs = bases, qs = quals, ts = text;
+                bs[k] = qs[k] = ts[k] = static_cast<char>(b);
+                const size_t from = rng.below(n + 1);
+                const size_t wantBase =
+                    findInvalidBase(bs.data(), n, SimdKernel::Scalar);
+                const size_t wantQual = findInvalidQualityChar(
+                    qs.data(), n, SimdKernel::Scalar);
+                const size_t wantLow = findLowByte(ts.data(), n, from,
+                                                   SimdKernel::Scalar);
+                const bool qualOk = b >= '!' && b <= '~';
+                ASSERT_EQ(wantBase, isValidBaseChar(bs[k]) ? n : k);
+                ASSERT_EQ(wantQual, qualOk ? n : k);
+                ASSERT_EQ(wantLow, b <= 0x20 && k >= from ? k : n);
+                for (SimdKernel kernel : supportedSimdKernels()) {
+                    auto where = [&] {
+                        return std::string(simdKernelName(kernel)) +
+                               " n=" + std::to_string(n) +
+                               " k=" + std::to_string(k) +
+                               " byte=" + std::to_string(b) +
+                               " from=" + std::to_string(from);
+                    };
+                    ASSERT_EQ(findInvalidBase(bs.data(), n, kernel),
+                              wantBase) << where();
+                    ASSERT_EQ(findInvalidQualityChar(qs.data(), n,
+                                                     kernel),
+                              wantQual) << where();
+                    ASSERT_EQ(findLowByte(ts.data(), n, from, kernel),
+                              wantLow) << where();
+                }
+            }
+        }
+    }
+}
+
+TEST(ScanKernels, QualityTransformsMatchScalar)
+{
+    Rng rng(23);
+    for (size_t n = 0; n <= 100; ++n) {
+        QualSeq q(n);
+        for (auto &v : q)
+            v = static_cast<uint8_t>(rng.below(kMaxPhred + 1));
+        const std::string text = qualsToAscii(q);
+        for (SimdKernel kernel : supportedSimdKernels()) {
+            const std::string what = std::string(simdKernelName(kernel)) +
+                                     " n=" + std::to_string(n);
+            std::string enc(n, '\0');
+            EXPECT_TRUE(encodeQualityChars(q.data(), n, enc.data(),
+                                           kernel)) << what;
+            EXPECT_EQ(enc, text) << what;
+            QualSeq dec(n);
+            decodeQualityChars(text.data(), n, dec.data(), kernel);
+            EXPECT_EQ(dec, q) << what;
+            // Any score above kMaxPhred, at any index, is reported.
+            for (size_t k = 0; k < n; ++k) {
+                for (uint8_t bad : {uint8_t(kMaxPhred + 1),
+                                    uint8_t(0x7f), uint8_t(0x80),
+                                    uint8_t(0xdf), uint8_t(0xff)}) {
+                    QualSeq b = q;
+                    b[k] = bad;
+                    EXPECT_FALSE(encodeQualityChars(b.data(), n,
+                                                    enc.data(), kernel))
+                        << what << " k=" << k << " q=" << int(bad);
+                }
+            }
+        }
+    }
+}
+
+/** The dispatched public checks agree under every kernel. */
+TEST(ScanKernels, PublicChecksFollowTheActiveKernel)
+{
+    for (SimdKernel kernel : supportedSimdKernels()) {
+        ScopedSimdKernel pin(kernel);
+        const std::string longSeq(70, 'g');
+        EXPECT_TRUE(isValidSequence(longSeq));
+        EXPECT_FALSE(isValidSequence(longSeq + "U"));
+        EXPECT_FALSE(isValidSequence(std::string("\x80") + longSeq));
+        QualSeq q = {1, 2, 3};
+        EXPECT_TRUE(tryAsciiToQuals(std::string(40, '5'), &q));
+        EXPECT_EQ(q, QualSeq(40, '5' - 33));
+        EXPECT_FALSE(tryAsciiToQuals(std::string(40, '5') + " ", &q));
+        EXPECT_EQ(q, QualSeq(40, '5' - 33)); // untouched on failure
+        EXPECT_EQ(qualsToAscii(QualSeq(50, kMaxPhred)),
+                  std::string(50, '~'));
+    }
+}
+
+TEST(ScanKernelsDeathTest, QualsToAsciiNamesTheFirstBadScore)
+{
+    for (SimdKernel kernel : supportedSimdKernels()) {
+        ScopedSimdKernel pin(kernel);
+        for (size_t k : {0, 5, 31, 40, 63}) {
+            QualSeq q(64, 30);
+            q[k] = 94;
+            if (k < 63)
+                q[63] = 200;
+            EXPECT_DEATH(qualsToAscii(q),
+                         "Phred score 94 exceeds max 93")
+                << simdKernelName(kernel) << " k=" << k;
+        }
+    }
 }
 
 TEST(GenomePos, Ordering)

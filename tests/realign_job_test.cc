@@ -285,8 +285,8 @@ TEST(RealignJob, PublishesWhdCountersIdenticalUnderEveryKernel)
     for (const char *name : {"native", "iracc"}) {
         const bool accel = std::string(name) == "iracc";
         std::vector<uint64_t> want;
-        for (WhdKernel kernel : supportedWhdKernels()) {
-            ScopedWhdKernel pin(kernel);
+        for (SimdKernel kernel : supportedSimdKernels()) {
+            ScopedSimdKernel pin(kernel);
             obs::MetricsRegistry registry;
             obs::Observability ob;
             ob.metrics = &registry;
@@ -298,7 +298,7 @@ TEST(RealignJob, PublishesWhdCountersIdenticalUnderEveryKernel)
                 makeSession(name, cfg).run(wl.reference, reads);
 
             const std::string what = std::string(name) + " kernel=" +
-                                     whdKernelName(kernel);
+                                     simdKernelName(kernel);
             const std::vector<uint64_t> got = {
                 registry.counterValue("realign.whd.comparisons"),
                 registry.counterValue("realign.whd.offsets_evaluated"),

@@ -293,12 +293,12 @@ expectSweepBitEqual(const uint8_t *cons, size_t m,
 {
     const WhdSweepResult want = whdSweep(cons, m, read, qual, n,
                                          prune, chunk,
-                                         WhdKernel::Scalar);
-    for (WhdKernel kernel : supportedWhdKernels()) {
+                                         SimdKernel::Scalar);
+    for (SimdKernel kernel : supportedSimdKernels()) {
         const WhdSweepResult got =
             whdSweep(cons, m, read, qual, n, prune, chunk, kernel);
         const std::string ctx =
-            where + " kernel=" + whdKernelName(kernel) +
+            where + " kernel=" + simdKernelName(kernel) +
             " prune=" + (prune ? "on" : "off") +
             " chunk=" + std::to_string(chunk);
         EXPECT_EQ(got.best, want.best) << ctx;
@@ -410,7 +410,7 @@ TEST(DispatchSweep, OffsetGroupResolution)
                 reinterpret_cast<const uint8_t *>(read.data());
             const WhdSweepResult ref =
                 whdSweep(cp, cons.size(), rp, qual.data(), n, true, 32,
-                         WhdKernel::Scalar);
+                         SimdKernel::Scalar);
             ASSERT_EQ(ref.offsetsPruned, 0u) << len;
             ASSERT_EQ(ref.bestK, offsets - 1) << len;
             for (uint32_t chunk : chunks)
@@ -500,7 +500,7 @@ TEST(DispatchSweep, SaturationNearWhdMaxBitEqual)
 
     const WhdSweepResult ref = whdSweep(cp, cons.size(), rp,
                                         qual.data(), n, false, 1,
-                                        WhdKernel::Scalar);
+                                        SimdKernel::Scalar);
     EXPECT_EQ(ref.best, kWhdMax);
     EXPECT_EQ(ref.bestK, 0u);
     for (bool prune : {false, true})
@@ -569,7 +569,7 @@ TEST(DispatchSweep, PrunedAbortAtEveryBlockLane)
                         (later ? " later" : " equal");
                     const WhdSweepResult ref =
                         whdSweep(cp, cons.size(), rp, qual.data(), n,
-                                 true, 1, WhdKernel::Scalar);
+                                 true, 1, SimdKernel::Scalar);
                     // The construction lands where it claims.
                     ASSERT_EQ(ref.best, best) << where;
                     ASSERT_EQ(ref.bestK, 0u) << where;
@@ -615,7 +615,7 @@ TEST(DispatchSweep, MinWhdGridAndStatsMatchScalarKernel)
         MarshalledTarget marshalled = marshalTarget(input);
 
         for (bool prune : {false, true}) {
-            ScopedWhdKernel pin(WhdKernel::Scalar);
+            ScopedSimdKernel pin(SimdKernel::Scalar);
             WhdStats want_stats;
             const MinWhdGrid want =
                 minWhd(input, prune, &want_stats);
@@ -624,14 +624,14 @@ TEST(DispatchSweep, MinWhdGridAndStatsMatchScalarKernel)
                 want_hw.push_back(
                     irCompute(marshalled, width, prune));
 
-            for (WhdKernel kernel : supportedWhdKernels()) {
-                ScopedWhdKernel scope(kernel);
+            for (SimdKernel kernel : supportedSimdKernels()) {
+                ScopedSimdKernel scope(kernel);
                 WhdStats got_stats;
                 const MinWhdGrid got =
                     minWhd(input, prune, &got_stats);
                 EXPECT_TRUE(got == want)
                     << "trial " << trial << " kernel "
-                    << whdKernelName(kernel) << " prune " << prune;
+                    << simdKernelName(kernel) << " prune " << prune;
                 EXPECT_EQ(got_stats.comparisons,
                           want_stats.comparisons);
                 EXPECT_EQ(got_stats.comparisonsUnpruned,
@@ -649,7 +649,7 @@ TEST(DispatchSweep, MinWhdGridAndStatsMatchScalarKernel)
                     EXPECT_EQ(hw.whd.comparisons,
                               ref.whd.comparisons)
                         << "width " << width << " kernel "
-                        << whdKernelName(kernel);
+                        << simdKernelName(kernel);
                     EXPECT_EQ(hw.whd.offsetsPruned,
                               ref.whd.offsetsPruned);
                     EXPECT_EQ(hw.hdcCycles, ref.hdcCycles);
