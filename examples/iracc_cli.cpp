@@ -371,14 +371,16 @@ cmdRealign(const Args &args)
     }
     std::printf(
         "whd kernel: %s, %llu comparisons, %llu of %llu offsets "
-        "pruned\n",
+        "pruned, %llu swept\n",
         simdKernelName(activeSimdKernel()),
         static_cast<unsigned long long>(
             registry.counterValue("realign.whd.comparisons")),
         static_cast<unsigned long long>(
             registry.counterValue("realign.whd.offsets_pruned")),
         static_cast<unsigned long long>(
-            registry.counterValue("realign.whd.offsets_evaluated")));
+            registry.counterValue("realign.whd.offsets_evaluated")),
+        static_cast<unsigned long long>(
+            registry.counterValue("realign.whd.offsets_swept")));
     if (job.simulated) {
         auto sumSeconds = [&registry](const char *name) {
             return 1e-9 * static_cast<double>(

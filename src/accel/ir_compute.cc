@@ -1,10 +1,7 @@
 #include "accel/ir_compute.hh"
 
-#include <algorithm>
-
 #include "realign/limits.hh"
 #include "realign/score.hh"
-#include "realign/whd_simd.hh"
 #include "util/logging.hh"
 
 namespace iracc {
@@ -12,17 +9,15 @@ namespace iracc {
 namespace {
 
 /**
- * Per-call pointer/length scratch.  irCompute is the hot loop of
- * the scheduler's precompute pass and the hardened fallback path;
- * thread_local reuse removes the five vector allocations per call.
+ * Per-call scratch.  irCompute is the hot loop of the scheduler's
+ * precompute pass and the hardened fallback path; thread_local
+ * reuse of the rows, the sweep's tables and the grid removes every
+ * per-target allocation.
  */
 struct IrComputeScratch
 {
-    std::vector<const uint8_t *> consPtr;
-    std::vector<uint32_t> consLen;
-    std::vector<const uint8_t *> readPtr;
-    std::vector<const uint8_t *> qualPtr;
-    std::vector<uint32_t> readLen;
+    WhdTarget rows;
+    MinWhdGrid grid{0, 0};
 };
 
 } // anonymous namespace
@@ -38,16 +33,17 @@ irCompute(const MarshalledTarget &target, uint32_t width, bool prune)
     panic_if(num_reads > kMaxReads, "bad read count %u", num_reads);
 
     thread_local IrComputeScratch scratch;
+    WhdTarget &rows = scratch.rows;
 
     // Resolve consensus rows (dense layout, ir_set_len lengths).
-    scratch.consPtr.resize(num_cons);
-    scratch.consLen.resize(num_cons);
+    rows.cons.resize(num_cons);
+    rows.consLen.resize(num_cons);
     {
         size_t off = 0;
         for (uint32_t i = 0; i < num_cons; ++i) {
-            scratch.consPtr[i] = target.consensusData.data() + off;
-            scratch.consLen[i] = target.consensusLengths[i];
-            off += scratch.consLen[i];
+            rows.cons[i] = target.consensusData.data() + off;
+            rows.consLen[i] = target.consensusLengths[i];
+            off += rows.consLen[i];
         }
         panic_if(off != target.consensusData.size(),
                  "consensus buffer image size mismatch");
@@ -55,59 +51,37 @@ irCompute(const MarshalledTarget &target, uint32_t width, bool prune)
 
     // Resolve read slots; the end-of-read sentinel (0x00) or the
     // slot boundary delimits each read.
-    scratch.readPtr.resize(num_reads);
-    scratch.qualPtr.resize(num_reads);
-    scratch.readLen.resize(num_reads);
+    rows.read.resize(num_reads);
+    rows.qual.resize(num_reads);
+    rows.readLen.resize(num_reads);
     for (uint32_t j = 0; j < num_reads; ++j) {
         size_t off = static_cast<size_t>(j) * kMaxReadLen;
-        scratch.readPtr[j] = target.readData.data() + off;
-        scratch.qualPtr[j] = target.qualData.data() + off;
+        rows.read[j] = target.readData.data() + off;
+        rows.qual[j] = target.qualData.data() + off;
         uint32_t len = 0;
-        while (len < kMaxReadLen && scratch.readPtr[j][len] != 0)
+        while (len < kMaxReadLen && rows.read[j][len] != 0)
             ++len;
         panic_if(len == 0, "empty read slot %u", j);
-        scratch.readLen[j] = len;
+        rows.readLen[j] = len;
     }
-
-    const SimdKernel kernel = activeSimdKernel();
 
     IrComputeResult result;
-    MinWhdGrid grid(num_cons, num_reads);
+    MinWhdGrid &grid = scratch.grid;
 
     // --- Stage 1: Hamming Distance Calculator ---------------------
-    // The per-pair offset sweep runs through the shared dispatch
-    // kernel with pruneChunk = width: the running-minimum register
-    // is checked once per width-base chunk, exactly the datapath's
-    // per-cycle check.  Cycle accounting is derived from the sweep:
-    // one setup cycle per offset started (pruned offsets start
-    // too), one cycle per block-RAM row compare actually executed
-    // (== the sweep's chunk count), and two cycles per feasible
-    // pair to hand the minimum to the selector.
-    for (uint32_t i = 0; i < num_cons; ++i) {
-        const uint8_t *cons = scratch.consPtr[i];
-        const uint32_t m = scratch.consLen[i];
-        for (uint32_t j = 0; j < num_reads; ++j) {
-            const uint32_t n = scratch.readLen[j];
-            if (n > m)
-                continue; // read cannot slide on this consensus
-
-            const WhdSweepResult r =
-                whdSweep(cons, m, scratch.readPtr[j],
-                         scratch.qualPtr[j], n, prune,
-                         /*pruneChunk=*/width, kernel);
-            grid.set(i, j, r.best, r.bestK);
-
-            const uint64_t offsets = m - n + 1;
-            result.whd.offsetsEvaluated += offsets;
-            result.whd.comparisonsUnpruned +=
-                offsets * static_cast<uint64_t>(n);
-            result.whd.comparisons += r.comparisons;
-            result.whd.offsetsPruned += r.offsetsPruned;
-            result.hdcCycles += offsets; // offset setup cycles
-            result.hdcCycles += r.chunks; // row compares executed
-            result.hdcCycles += 2; // hand min to the selector
-        }
-    }
+    // The target sweep runs with pruneChunk = width: the running-
+    // minimum register is checked once per width-base chunk,
+    // exactly the datapath's per-cycle check.  Cycle accounting is
+    // derived from the sweep: one setup cycle per offset started
+    // (pruned offsets start too), one cycle per block-RAM row
+    // compare executed (== the sweep's chunk count), and two cycles
+    // per feasible pair to hand the minimum to the selector.  The
+    // host's sharing of consensus 0's sweep changes none of them.
+    const WhdTargetSweep swept = sweepTarget(
+        rows, prune, /*pruneChunk=*/width, activeSimdKernel(), grid,
+        result.whd);
+    result.hdcCycles =
+        result.whd.offsetsEvaluated + swept.chunks + 2 * swept.pairs;
 
     // --- Stage 2: Consensus Selector ------------------------------
     ConsensusDecision decision = scoreAndSelect(grid);

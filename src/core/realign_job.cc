@@ -234,6 +234,8 @@ RealignSession::run(const ReferenceGenome &ref,
             .add(job.stats.whd.comparisons);
         reg.counter("realign.whd.offsets_evaluated")
             .add(job.stats.whd.offsetsEvaluated);
+        reg.counter("realign.whd.offsets_swept")
+            .add(job.stats.whd.offsetsSwept);
         reg.counter("realign.whd.offsets_pruned")
             .add(job.stats.whd.offsetsPruned);
         // Where the accelerated Execute stage's host time went:

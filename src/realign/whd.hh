@@ -18,6 +18,16 @@
  * layer in realign/whd_simd.hh (scalar reference, portable generic
  * lanes, AVX2) -- every implementation produces bit-identical grids
  * and WhdStats.
+ *
+ * sweepTarget() is the one loop over a target's pairs, shared by
+ * the software kernel (minWhd) and the datapath model (irCompute).
+ * Each alternative consensus is the reference window (consensus 0)
+ * with one indel applied, so a pruned sweep of consensus i repeats
+ * consensus 0's wherever their bytes agree: it resumes from
+ * consensus 0's state and sweeps only the offsets whose window
+ * touches its indel (whd_simd.cc note 5).  The shared bytes are
+ * found by comparison, so grids and counters are those of the
+ * per-pair loop, bit for bit, for any consensus set.
  */
 
 #ifndef IRACC_REALIGN_WHD_HH
@@ -28,6 +38,7 @@
 #include <vector>
 
 #include "realign/consensus.hh"
+#include "realign/whd_simd.hh"
 
 namespace iracc {
 
@@ -77,6 +88,16 @@ struct WhdStats
     /** Offsets abandoned early by pruning. */
     uint64_t offsetsPruned = 0;
 
+    /**
+     * Offsets the host actually swept: offsetsEvaluated minus those
+     * a consensus took over from consensus 0's sweep
+     * (sweepTarget).  Host work, not modeled work -- the counters
+     * above and the datapath's cycles count every evaluated offset.
+     * A function of the target and `prune` alone, so identical
+     * under every kernel and prune granularity.
+     */
+    uint64_t offsetsSwept = 0;
+
     void
     merge(const WhdStats &o)
     {
@@ -84,6 +105,7 @@ struct WhdStats
         comparisonsUnpruned += o.comparisonsUnpruned;
         offsetsEvaluated += o.offsetsEvaluated;
         offsetsPruned += o.offsetsPruned;
+        offsetsSwept += o.offsetsSwept;
     }
 
     /** Fraction of comparisons eliminated by pruning. */
@@ -149,6 +171,60 @@ class MinWhdGrid
  */
 uint32_t calcWhd(const BaseSeq &cons, const BaseSeq &read,
                  const QualSeq &quals, size_t k);
+
+/**
+ * One target as sweepTarget() reads it: consensus rows and read
+ * slots as plain pointers and lengths, filled by the caller.  The
+ * sweep keeps its own tables here too, so a WhdTarget reused across
+ * targets (thread_local in both callers) makes it allocation-free.
+ */
+struct WhdTarget
+{
+    std::vector<const uint8_t *> cons;
+    std::vector<uint32_t> consLen;
+    std::vector<const uint8_t *> read;
+    std::vector<const uint8_t *> qual;
+    std::vector<uint32_t> readLen;
+
+    /** Bytes consensus i shares with consensus 0 at its start. */
+    std::vector<uint32_t> prefix;
+    /** Bytes consensus i shares with consensus 0 at its end. */
+    std::vector<uint32_t> suffix;
+    /** Offsets where consensus 0's sweep of one read is cut. */
+    std::vector<size_t> cuts;
+    /** Consensus 0's sweep state at each cut. */
+    std::vector<WhdSweepResult> states;
+
+    /** Point the rows at @p input's consensuses and reads. */
+    void load(const IrTargetInput &input);
+};
+
+/** Datapath work of one sweepTarget() call. */
+struct WhdTargetSweep
+{
+    /** pruneChunk-base chunks executed (block-RAM row compares). */
+    uint64_t chunks = 0;
+
+    /** Feasible (consensus, read) pairs: read fits the consensus. */
+    uint64_t pairs = 0;
+};
+
+/**
+ * Algorithm 1 over one target: fill @p grid (reset to the target's
+ * shape) and add the work to @p stats.  Equal, grid and counters,
+ * to a loop of whole-pair whdSweep() calls over every feasible
+ * pair; a pruned sweep of consensus i > 0 reuses consensus 0's
+ * sweep of the same read wherever their bytes agree (whd_simd.cc
+ * note 5).  Unpruned sweeps run whole, pair by pair.
+ *
+ * @param target     rows to sweep; its tables are scratch
+ * @param prune      enable computation pruning
+ * @param pruneChunk running-minimum check granularity (whdSweep)
+ * @param kernel     dispatch implementation
+ */
+WhdTargetSweep sweepTarget(WhdTarget &target, bool prune,
+                           uint32_t pruneChunk, SimdKernel kernel,
+                           MinWhdGrid &grid, WhdStats &stats);
 
 /**
  * Algorithm 1: fill the min-WHD grid for a target.

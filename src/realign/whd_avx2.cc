@@ -192,9 +192,10 @@ rangeSum(const uint8_t *c, const uint8_t *r, const uint8_t *q,
 IRACC_AVX2 WhdSweepResult
 sweepPrunedPerComparison(const uint8_t *cons, size_t m,
                          const uint8_t *read, const uint8_t *qual,
-                         size_t n)
+                         size_t n, uint32_t startBest)
 {
     WhdSweepResult r;
+    r.best = startBest;
     const size_t fullEnd = n - n % kWhdPruneBlock;
     for (size_t k = 0; k + n <= m; ++k) {
         const uint8_t *cons_k = cons + k;
@@ -301,7 +302,7 @@ template <bool Width32>
 IRACC_AVX2 WhdSweepResult
 sweepPrunedPerChunk(const uint8_t *cons, size_t m,
                     const uint8_t *read, const uint8_t *qual,
-                    size_t n, uint32_t pruneChunk)
+                    size_t n, uint32_t pruneChunk, uint32_t startBest)
 {
     const size_t w = Width32 ? kWhdPruneBlock : pruneChunk;
     const size_t fullEnd = n - n % w;
@@ -312,6 +313,8 @@ sweepPrunedPerChunk(const uint8_t *cons, size_t m,
     const bool grouped =
         Width32 && full != 0 && full <= kGroupMaxChunks;
     uint64_t best = kNoMinimum;
+    if (startBest != kWhdInfinity)
+        best = startBest;
     uint32_t bestK = 0;
     uint64_t comparisons = 0;
     uint64_t chunks = 0;
@@ -466,15 +469,16 @@ whdSweepUnprunedAvx2(const uint8_t *cons, size_t m,
 WhdSweepResult
 whdSweepPrunedAvx2(const uint8_t *cons, size_t m,
                    const uint8_t *read, const uint8_t *qual,
-                   size_t n, uint32_t pruneChunk)
+                   size_t n, uint32_t pruneChunk, uint32_t startBest)
 {
     if (pruneChunk == 1)
-        return sweepPrunedPerComparison(cons, m, read, qual, n);
+        return sweepPrunedPerComparison(cons, m, read, qual, n,
+                                        startBest);
     if (pruneChunk == kWhdPruneBlock)
         return sweepPrunedPerChunk<true>(cons, m, read, qual, n,
-                                         pruneChunk);
+                                         pruneChunk, startBest);
     return sweepPrunedPerChunk<false>(cons, m, read, qual, n,
-                                      pruneChunk);
+                                      pruneChunk, startBest);
 }
 
 } // namespace iracc

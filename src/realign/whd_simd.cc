@@ -58,9 +58,35 @@ namespace {
  *    lower minimum can only move an abort to an earlier chunk,
  *    and the sums already hold every chunk a member could abort
  *    at.  The n % 32 tail is summed only for members that clear
- *    every full chunk.  The first offset (no minimum yet), the
- *    last < 4 offsets, and reads shorter than one chunk or longer
- *    than kMaxReadLen run one offset at a time.
+ *    every full chunk.  An offset with no minimum yet (the first
+ *    of a sweep that starts without one), the last < 4 offsets,
+ *    and reads shorter than one chunk or longer than kMaxReadLen
+ *    run one offset at a time.
+ * 5. Offset ranges: a sweep's state before offset k -- the running
+ *    minimum, its offset, and the comparisons, chunks and pruned
+ *    offsets so far -- depends only on the windows at offsets
+ *    < k.  whdSweep(kBegin, kEnd, from) therefore runs a kernel on
+ *    the sub-row cons + kBegin, whose offsets are kBegin..kEnd - 1,
+ *    with from's minimum as the starting minimum, and adds the
+ *    counters to from's.  kWhdInfinity stays the "none yet"
+ *    sentinel (note 3), and the running minimum never exceeds
+ *    kWhdMax once one exists.  A minimum found in the range is
+ *    strictly below from's, so the first minimal offset still
+ *    wins.  The same argument lets one target sweep
+ *    (realign/whd.cc) share work across consensuses: each is the
+ *    reference window (consensus 0) with one indel applied.  Let
+ *    consensus i share its first P bytes and its last S bytes with
+ *    consensus 0, and let d = m_0 - m_i.  For a read of length n,
+ *    offsets k < P - n + 1 see consensus 0's windows, so consensus
+ *    i starts from consensus 0's state there.  Offsets
+ *    k >= m_i - S see consensus 0's windows at k + d.  If the
+ *    running minimum entering them equals consensus 0's at the
+ *    matching offset, every prune and minimum update repeats, so
+ *    consensus i adds consensus 0's counter deltas over those
+ *    offsets and takes consensus 0's final minimum (offset - d)
+ *    when it fell there.  Otherwise the shared suffix is swept.
+ *    Only the offsets whose window touches the indel are always
+ *    swept.
  */
 
 /**
@@ -73,9 +99,10 @@ namespace {
 WhdSweepResult
 sweepScalar(const uint8_t *cons, size_t m, const uint8_t *read,
             const uint8_t *qual, size_t n, bool prune,
-            uint32_t pruneChunk)
+            uint32_t pruneChunk, uint32_t startBest)
 {
     WhdSweepResult r;
+    r.best = startBest;
     for (size_t k = 0; k + n <= m; ++k) {
         uint32_t whd = 0;
         bool pruned = false;
@@ -243,9 +270,10 @@ template <size_t Block,
 WhdSweepResult
 sweepPrunedPerComparison(const uint8_t *cons, size_t m,
                          const uint8_t *read, const uint8_t *qual,
-                         size_t n)
+                         size_t n, uint32_t startBest)
 {
     WhdSweepResult r;
+    r.best = startBest;
     for (size_t k = 0; k + n <= m; ++k) {
         uint64_t whd = 0;
         bool pruned = false;
@@ -300,10 +328,12 @@ template <uint32_t (*BlockSumFn)(const uint8_t *, const uint8_t *,
 WhdSweepResult
 sweepPrunedPerChunk(const uint8_t *cons, size_t m,
                     const uint8_t *read, const uint8_t *qual,
-                    size_t n, uint32_t pruneChunk)
+                    size_t n, uint32_t pruneChunk, uint32_t startBest)
 {
     constexpr uint64_t kNoMinimum = ~static_cast<uint64_t>(0);
     uint64_t best = kNoMinimum;
+    if (startBest != kWhdInfinity)
+        best = startBest;
     uint32_t bestK = 0;
     uint64_t comparisons = 0;
     uint64_t chunks = 0;
@@ -354,17 +384,15 @@ fillUnprunedCounters(WhdSweepResult &r, size_t m, size_t n,
                       : offsets * ((n + pruneChunk - 1) / pruneChunk);
 }
 
-} // anonymous namespace
-
+/**
+ * Sweep every offset of (cons, m) starting from minimum
+ * @p startBest (kWhdInfinity = none yet); counters start at zero.
+ */
 WhdSweepResult
-whdSweep(const uint8_t *cons, size_t m, const uint8_t *read,
-         const uint8_t *qual, size_t n, bool prune,
-         uint32_t pruneChunk, SimdKernel kernel)
+sweepFrom(const uint8_t *cons, size_t m, const uint8_t *read,
+          const uint8_t *qual, size_t n, bool prune,
+          uint32_t pruneChunk, SimdKernel kernel, uint32_t startBest)
 {
-    panic_if(n > m, "whdSweep: read length %zu overruns consensus "
-             "length %zu", n, m);
-    panic_if(pruneChunk == 0, "whdSweep: pruneChunk must be >= 1");
-
     if (kernel == SimdKernel::Avx2 &&
         !simdKernelSupported(SimdKernel::Avx2))
         kernel = SimdKernel::Generic;
@@ -372,7 +400,7 @@ whdSweep(const uint8_t *cons, size_t m, const uint8_t *read,
     switch (kernel) {
       case SimdKernel::Scalar:
         return sweepScalar(cons, m, read, qual, n, prune,
-                           pruneChunk);
+                           pruneChunk, startBest);
 
       case SimdKernel::Generic:
         if (!prune) {
@@ -384,10 +412,11 @@ whdSweep(const uint8_t *cons, size_t m, const uint8_t *read,
         if (pruneChunk == 1) {
             return sweepPrunedPerComparison<kWhdGenericPruneBlock,
                                             blockSum>(cons, m, read,
-                                                      qual, n);
+                                                      qual, n,
+                                                      startBest);
         }
         return sweepPrunedPerChunk<blockSum>(cons, m, read, qual, n,
-                                             pruneChunk);
+                                             pruneChunk, startBest);
 
       case SimdKernel::Avx2: {
         if (!prune) {
@@ -397,10 +426,47 @@ whdSweep(const uint8_t *cons, size_t m, const uint8_t *read,
             return r;
         }
         return whdSweepPrunedAvx2(cons, m, read, qual, n,
-                                  pruneChunk);
+                                  pruneChunk, startBest);
       }
     }
     fatal("whdSweep: unknown kernel %d", static_cast<int>(kernel));
+}
+
+} // anonymous namespace
+
+WhdSweepResult
+whdSweep(const uint8_t *cons, size_t m, const uint8_t *read,
+         const uint8_t *qual, size_t n, bool prune,
+         uint32_t pruneChunk, SimdKernel kernel, size_t kBegin,
+         size_t kEnd, const WhdSweepResult &from)
+{
+    panic_if(n > m, "whdSweep: read length %zu overruns consensus "
+             "length %zu", n, m);
+    panic_if(pruneChunk == 0, "whdSweep: pruneChunk must be >= 1");
+    const size_t offsets = m - n + 1;
+    if (kEnd == kWhdSweepEnd)
+        kEnd = offsets;
+    panic_if(kBegin > kEnd || kEnd > offsets,
+             "whdSweep: offset range [%zu, %zu) outside [0, %zu)",
+             kBegin, kEnd, offsets);
+    if (kBegin == kEnd)
+        return from;
+
+    // The range is the whole sweep of the sub-row starting at
+    // kBegin (note 5).  Unpruned sweeps ignore the starting
+    // minimum; the strict < below merges them the same way.
+    const WhdSweepResult r =
+        sweepFrom(cons + kBegin, kEnd - kBegin + n - 1, read, qual,
+                  n, prune, pruneChunk, kernel, from.best);
+    WhdSweepResult out = from;
+    out.comparisons += r.comparisons;
+    out.offsetsPruned += r.offsetsPruned;
+    out.chunks += r.chunks;
+    if (r.best < from.best) {
+        out.best = r.best;
+        out.bestK = static_cast<uint32_t>(kBegin + r.bestK);
+    }
+    return out;
 }
 
 #if !IRACC_HAVE_AVX2
@@ -415,7 +481,7 @@ whdSweepUnprunedAvx2(const uint8_t *, size_t, const uint8_t *,
 
 WhdSweepResult
 whdSweepPrunedAvx2(const uint8_t *, size_t, const uint8_t *,
-                   const uint8_t *, size_t, uint32_t)
+                   const uint8_t *, size_t, uint32_t, uint32_t)
 {
     fatal("AVX2 WHD kernel is not compiled into this binary");
 }

@@ -83,9 +83,14 @@ struct WhdSweepResult
     uint64_t chunks = 0;
 };
 
+/** Default end of whdSweep's offset range: past the last offset. */
+constexpr size_t kWhdSweepEnd = ~static_cast<size_t>(0);
+
 /**
- * Sweep all offsets k in [0, m - n] of one (consensus, read) pair
- * with the requested kernel implementation.
+ * Sweep offsets k in [kBegin, kEnd) of one (consensus, read) pair
+ * with the requested kernel implementation, continuing from the
+ * state @p from.  The defaults sweep every offset [0, m - n] from
+ * the empty state: no minimum yet, zero counters.
  *
  * @param cons       consensus bytes (ASCII bases), length @p m
  * @param m          consensus length; requires n <= m
@@ -98,14 +103,24 @@ struct WhdSweepResult
  *                   w = per w-base chunk (the hardware datapath at
  *                   data-parallel width w)
  * @param kernel     implementation to run
+ * @param kBegin     first offset to sweep
+ * @param kEnd       one past the last offset; kWhdSweepEnd = m - n + 1
+ * @param from       state after offsets [0, kBegin): the running
+ *                   minimum and its offset (kWhdInfinity = none
+ *                   yet) and the counters so far
  *
- * Results (best/bestK and all counters) are bit-equal across every
- * kernel for any (prune, pruneChunk).
+ * A pruned sweep's state after offset k depends only on the
+ * windows at offsets <= k, so sweeping [0, k) and then [k, end)
+ * from the returned state equals one sweep of [0, end)
+ * (whd_simd.cc note 5).  Results (best/bestK and all counters) are
+ * bit-equal across every kernel for any (prune, pruneChunk, range).
  */
 WhdSweepResult whdSweep(const uint8_t *cons, size_t m,
                         const uint8_t *read, const uint8_t *qual,
                         size_t n, bool prune, uint32_t pruneChunk,
-                        SimdKernel kernel);
+                        SimdKernel kernel, size_t kBegin = 0,
+                        size_t kEnd = kWhdSweepEnd,
+                        const WhdSweepResult &from = WhdSweepResult());
 
 /**
  * AVX2 entry points (defined in whd_avx2.cc, compiled with the avx2
@@ -118,7 +133,8 @@ WhdSweepResult whdSweepUnprunedAvx2(const uint8_t *cons, size_t m,
 WhdSweepResult whdSweepPrunedAvx2(const uint8_t *cons, size_t m,
                                   const uint8_t *read,
                                   const uint8_t *qual, size_t n,
-                                  uint32_t pruneChunk);
+                                  uint32_t pruneChunk,
+                                  uint32_t startBest);
 
 } // namespace iracc
 

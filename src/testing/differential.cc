@@ -39,17 +39,20 @@ statsEqual(const WhdStats &a, const WhdStats &b)
     return a.comparisons == b.comparisons &&
            a.comparisonsUnpruned == b.comparisonsUnpruned &&
            a.offsetsEvaluated == b.offsetsEvaluated &&
-           a.offsetsPruned == b.offsetsPruned;
+           a.offsetsPruned == b.offsetsPruned &&
+           a.offsetsSwept == b.offsetsSwept;
 }
 
 std::string
 statsString(const WhdStats &s)
 {
-    return fmt("cmp=%llu unpruned=%llu offsets=%llu pruned=%llu",
+    return fmt("cmp=%llu unpruned=%llu offsets=%llu pruned=%llu "
+               "swept=%llu",
                static_cast<unsigned long long>(s.comparisons),
                static_cast<unsigned long long>(s.comparisonsUnpruned),
                static_cast<unsigned long long>(s.offsetsEvaluated),
-               static_cast<unsigned long long>(s.offsetsPruned));
+               static_cast<unsigned long long>(s.offsetsPruned),
+               static_cast<unsigned long long>(s.offsetsSwept));
 }
 
 /**
@@ -243,9 +246,136 @@ runBackendPipeline(std::unique_ptr<const RealignerBackend> backend,
     return out;
 }
 
+PairSweep
+sweepPairsScalar(const IrTargetInput &input, bool prune,
+                 uint32_t pruneChunk)
+{
+    PairSweep out;
+    out.grid.reset(input.numConsensuses(), input.numReads());
+    for (size_t i = 0; i < input.numConsensuses(); ++i) {
+        const BaseSeq &cons = input.consensuses[i];
+        for (size_t j = 0; j < input.numReads(); ++j) {
+            const size_t n = input.readBases[j].size();
+            if (n > cons.size())
+                continue;
+            const WhdSweepResult r = whdSweep(
+                reinterpret_cast<const uint8_t *>(cons.data()),
+                cons.size(),
+                reinterpret_cast<const uint8_t *>(
+                    input.readBases[j].data()),
+                input.readQuals[j].data(), n, prune, pruneChunk,
+                SimdKernel::Scalar);
+            out.grid.set(i, j, r.best, r.bestK);
+            const uint64_t offsets = cons.size() - n + 1;
+            out.stats.offsetsEvaluated += offsets;
+            out.stats.offsetsSwept += offsets;
+            out.stats.comparisonsUnpruned += offsets * n;
+            out.stats.comparisons += r.comparisons;
+            out.stats.offsetsPruned += r.offsetsPruned;
+            out.work.chunks += r.chunks;
+            ++out.work.pairs;
+        }
+    }
+    return out;
+}
+
+DiffResult
+diffTargetSweep(const IrTargetInput &input)
+{
+    // Pruned only: an unpruned sweepTarget runs pair by pair, and
+    // the per-kernel minWhd and irCompute checks cover it.
+    const bool marshallable = input.numConsensuses() > 0 &&
+                              input.limitViolation().empty();
+    MarshalledTarget marshalled;
+    if (marshallable)
+        marshalled = marshalTarget(input);
+    WhdTarget rows;
+    rows.load(input);
+    // offsetsSwept is the one counter the per-pair loop does not
+    // share; it must instead agree across every kernel and width.
+    uint64_t swept = 0;
+    bool have_swept = false;
+    for (uint32_t chunk : {1u, 8u, 32u}) {
+        const PairSweep want = sweepPairsScalar(input, true, chunk);
+        for (SimdKernel kernel : supportedSimdKernels()) {
+            const std::string label =
+                fmt("target-sweep/kernel=%s/chunk=%u",
+                    simdKernelName(kernel), chunk);
+            MinWhdGrid grid(0, 0);
+            WhdStats stats;
+            const WhdTargetSweep work =
+                sweepTarget(rows, true, chunk, kernel, grid, stats);
+            for (size_t i = 0; i < grid.numConsensuses(); ++i) {
+                for (size_t j = 0; j < grid.numReads(); ++j) {
+                    if (grid.whd(i, j) == want.grid.whd(i, j) &&
+                        grid.idx(i, j) == want.grid.idx(i, j))
+                        continue;
+                    return DiffResult::fail(
+                        label, fmt("(cons %zu, read %zu) min %u at %u, "
+                                   "per-pair %u at %u",
+                                   i, j, grid.whd(i, j), grid.idx(i, j),
+                                   want.grid.whd(i, j),
+                                   want.grid.idx(i, j)));
+                }
+            }
+            WhdStats shared = stats;
+            shared.offsetsSwept = want.stats.offsetsSwept;
+            if (!(grid == want.grid) || !statsEqual(shared, want.stats) ||
+                work.chunks != want.work.chunks ||
+                work.pairs != want.work.pairs) {
+                return DiffResult::fail(
+                    label,
+                    fmt("work diverges: %s chunks=%llu pairs=%llu vs "
+                        "per-pair %s chunks=%llu pairs=%llu",
+                        statsString(stats).c_str(),
+                        static_cast<unsigned long long>(work.chunks),
+                        static_cast<unsigned long long>(work.pairs),
+                        statsString(want.stats).c_str(),
+                        static_cast<unsigned long long>(
+                            want.work.chunks),
+                        static_cast<unsigned long long>(
+                            want.work.pairs)));
+            }
+            if (stats.offsetsSwept > stats.offsetsEvaluated ||
+                (have_swept && stats.offsetsSwept != swept)) {
+                return DiffResult::fail(
+                    label,
+                    fmt("offsets swept %llu of %llu; other kernels and "
+                        "widths swept %llu",
+                        static_cast<unsigned long long>(
+                            stats.offsetsSwept),
+                        static_cast<unsigned long long>(
+                            stats.offsetsEvaluated),
+                        static_cast<unsigned long long>(swept)));
+            }
+            swept = stats.offsetsSwept;
+            have_swept = true;
+        }
+        // The datapath's cycles under the ambient kernel; the
+        // per-kernel irCompute checks hold the other kernels to it.
+        if (marshallable) {
+            const IrComputeResult hw = irCompute(marshalled, chunk, true);
+            const Cycle cycles = want.stats.offsetsEvaluated +
+                                 want.work.chunks + 2 * want.work.pairs;
+            if (hw.hdcCycles != cycles) {
+                return DiffResult::fail(
+                    fmt("accelerated/width=%u/prune=on", chunk),
+                    fmt("calculator cycles %llu, per-pair loop %llu",
+                        static_cast<unsigned long long>(hw.hdcCycles),
+                        static_cast<unsigned long long>(cycles)));
+            }
+        }
+    }
+    return {};
+}
+
 DiffResult
 diffKernelInput(const IrTargetInput &input)
 {
+    DiffResult shared = diffTargetSweep(input);
+    if (!shared.ok)
+        return shared;
+
     // Software kernel: pruning must not change the grid.
     WhdStats stats_noprune, stats_prune;
     MinWhdGrid grid = minWhd(input, false, &stats_noprune);

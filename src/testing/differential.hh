@@ -15,6 +15,9 @@
  *     (picked consensus, realign flags, new positions);
  *   - at scalar width the datapath's WhdStats equal the software
  *     kernel's bit for bit;
+ *   - the pruned target sweep (sweepTarget) under every kernel at
+ *     pruneChunk {1, 8, 32} equals the per-pair scalar loop: grid,
+ *     WhdStats, chunks, pairs, and irCompute's cycles;
  *   - inputs that violate the architectural limits are rejected
  *     with a clean limitViolation() diagnostic (never marshalled).
  *
@@ -83,6 +86,32 @@ struct DiffResult
 
 /** Kernel-level differential over one target input. */
 DiffResult diffKernelInput(const IrTargetInput &input);
+
+/** One target swept pair by pair (see sweepPairsScalar). */
+struct PairSweep
+{
+    MinWhdGrid grid{0, 0};
+    WhdStats stats;
+    WhdTargetSweep work;
+};
+
+/**
+ * The reference of sweepTarget(): every feasible (consensus, read)
+ * pair swept whole by the scalar kernel, nothing shared between
+ * consensuses, so stats.offsetsSwept == stats.offsetsEvaluated.
+ */
+PairSweep sweepPairsScalar(const IrTargetInput &input, bool prune,
+                           uint32_t pruneChunk);
+
+/**
+ * Pruned sweepTarget() under every supported kernel at pruneChunk
+ * {1, 8, 32} against sweepPairsScalar: grid,
+ * every WhdStats counter but offsetsSwept (which must agree across
+ * kernels and widths instead), chunks and pairs.  Within the
+ * architectural limits, irCompute's hdcCycles at each width must
+ * also equal the cycle formula over the per-pair loop.
+ */
+DiffResult diffTargetSweep(const IrTargetInput &input);
 
 /**
  * Kernel-level differential over every generated input of a seed.

@@ -125,6 +125,33 @@ addRead(IrTargetInput &input, Rng &rng, size_t len)
     input.readBases.push_back(std::move(bases));
 }
 
+/**
+ * Consensus 0 with one indel applied, like the alternatives
+ * consensus generation builds (realign/consensus.hh): a deletion of
+ * up to 24 bases or an insertion of up to 24 random or tandem-copied
+ * bases, anchored at the window start, its end, or anywhere.  These
+ * are the consensuses whose sweeps share consensus 0's.
+ */
+BaseSeq
+indelConsensus(Rng &rng, const BaseSeq &ref)
+{
+    const size_t at = boundaryPick(rng, 0, ref.size(),
+                                   {0, 1, ref.size() / 2,
+                                    ref.size() - 1, ref.size()});
+    BaseSeq alt = ref;
+    if (at < ref.size() && rng.chance(0.5)) {
+        alt.erase(at, 1 + rng.below(std::min<size_t>(
+                               24, ref.size() - at)));
+        return alt;
+    }
+    const size_t len = 1 + rng.below(24);
+    BaseSeq ins = randomBases(rng, len);
+    if (at >= len && rng.chance(0.5))
+        ins = ref.substr(at - len, len); // tandem duplication
+    alt.insert(at, ins);
+    return alt;
+}
+
 /** Drop reads until the target fits the comparison budget. */
 void
 enforceBudget(IrTargetInput &input)
@@ -242,6 +269,21 @@ boundaryLibrary(Rng &rng)
         out.push_back(std::move(t));
     }
 
+    // Realistic alternatives: consensus 0 with one indel each,
+    // plus an exact copy of consensus 0, read lengths from one base
+    // to past the window.  Their sweeps share consensus 0's.
+    {
+        IrTargetInput t = makeSkeleton(rng, 160);
+        addConsensus(t, randomBases(rng, 160));
+        addConsensus(t, t.consensuses[0]);
+        for (int i = 0; i < 8; ++i)
+            addConsensus(t, indelConsensus(rng, t.consensuses[0]));
+        for (size_t len : {1u, 16u, 50u, 100u, 150u, 160u, 170u})
+            for (int j = 0; j < 3; ++j)
+                addRead(t, rng, len);
+        out.push_back(std::move(t));
+    }
+
     return out;
 }
 
@@ -257,7 +299,12 @@ randomTarget(Rng &rng)
     for (size_t i = 0; i < num_cons; ++i) {
         // Alternative consensuses vary in length like real indel
         // candidates; occasionally degenerate to shorter than every
-        // read.
+        // read.  Half are consensus 0 with one indel, as consensus
+        // generation builds them.
+        if (i > 0 && rng.chance(0.5)) {
+            addConsensus(t, indelConsensus(rng, t.consensuses[0]));
+            continue;
+        }
         size_t len = i == 0 ? cons_len
                             : boundaryPick(rng, 8, cons_len + 24,
                                            {8, cons_len - 1, cons_len,

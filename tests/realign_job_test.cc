@@ -282,6 +282,7 @@ TEST(RealignJob, PublishesWhdCountersIdenticalUnderEveryKernel)
     // accelerated datapath (pruneChunk == width) both publish.  The
     // accelerated backend also publishes its Execute split; its
     // simulator event count is kernel-independent too.
+    uint64_t native_swept = 0;
     for (const char *name : {"native", "iracc"}) {
         const bool accel = std::string(name) == "iracc";
         std::vector<uint64_t> want;
@@ -303,13 +304,18 @@ TEST(RealignJob, PublishesWhdCountersIdenticalUnderEveryKernel)
                 registry.counterValue("realign.whd.comparisons"),
                 registry.counterValue("realign.whd.offsets_evaluated"),
                 registry.counterValue("realign.whd.offsets_pruned"),
-                registry.counterValue("realign.execute.sim_events")};
+                registry.counterValue("realign.execute.sim_events"),
+                registry.counterValue("realign.whd.offsets_swept")};
             EXPECT_EQ(got[0], job.stats.whd.comparisons) << what;
             EXPECT_EQ(got[1], job.stats.whd.offsetsEvaluated) << what;
             EXPECT_EQ(got[2], job.stats.whd.offsetsPruned) << what;
             EXPECT_GT(got[2], 0u) << what;
             EXPECT_EQ(got[3], job.execHost.simEvents) << what;
             EXPECT_EQ(got[3] > 0, accel) << what;
+            // Alternatives share consensus 0's sweep, at either
+            // prune granularity.
+            EXPECT_EQ(got[4], job.stats.whd.offsetsSwept) << what;
+            EXPECT_LT(got[4], got[1]) << what;
             // One sample per job, summed over its contigs; software
             // backends run no simulator and publish none.
             EXPECT_EQ(registry
@@ -330,6 +336,12 @@ TEST(RealignJob, PublishesWhdCountersIdenticalUnderEveryKernel)
             else
                 EXPECT_EQ(got, want) << what << " vs scalar";
         }
+        // The swept offsets do not depend on the prune
+        // granularity: the running minima are the same.
+        if (accel)
+            EXPECT_EQ(want[4], native_swept);
+        else
+            native_swept = want[4];
     }
 }
 

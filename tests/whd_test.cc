@@ -11,6 +11,7 @@
 #include "realign/marshal.hh"
 #include "realign/whd.hh"
 #include "realign/whd_simd.hh"
+#include "testing/differential.hh"
 #include "util/rng.hh"
 
 namespace iracc {
@@ -664,6 +665,339 @@ TEST(DispatchSweep, MinWhdGridAndStatsMatchScalarKernel)
             }
         }
     }
+}
+
+TEST(DispatchSweep, RangeResumesExactly)
+{
+    // Sweep [0, k), then [k, end) from the returned state: every
+    // split k of every shape must equal the one-shot sweep, under
+    // every kernel and width.  Offset counts 1-13 put splits at
+    // every position of the AVX2 width-32 sweep's four-offset
+    // groups, at a pair's last offset (k = offsets - 1) and at both
+    // ends; "survive" makes every offset a new minimum, so the
+    // state carried across a split is one the range must beat.
+    Rng rng(0x5E5A);
+    for (size_t offsets : {1u, 2u, 4u, 5u, 8u, 9u, 13u}) {
+        for (size_t n : {1u, 7u, 32u, 33u, 64u, 100u}) {
+            for (bool survive : {false, true}) {
+                const size_t m = n + offsets - 1;
+                BaseSeq cons;
+                BaseSeq read;
+                QualSeq qual;
+                if (survive) {
+                    // Offset k's window holds offsets - k leading
+                    // G's against an all-A read (fewer each step).
+                    cons.assign(m, 'A');
+                    std::fill(cons.begin(),
+                              cons.begin() +
+                                  std::min(offsets, m),
+                              'G');
+                    read.assign(n, 'A');
+                    qual.assign(n, 30);
+                } else {
+                    for (size_t b = 0; b < m; ++b)
+                        cons.push_back(kConcreteBases[rng.below(4)]);
+                    read = cons.substr(rng.below(offsets), n);
+                    if (rng.chance(0.5))
+                        read[rng.below(n)] =
+                            kConcreteBases[rng.below(4)];
+                    for (size_t b = 0; b < n; ++b)
+                        qual.push_back(static_cast<uint8_t>(
+                            rng.chance(0.15) ? 0 : rng.range(0, 60)));
+                }
+                const uint8_t *cp =
+                    reinterpret_cast<const uint8_t *>(cons.data());
+                const uint8_t *rp =
+                    reinterpret_cast<const uint8_t *>(read.data());
+                for (bool prune : {false, true}) {
+                    for (uint32_t chunk : {1u, 8u, 31u, 32u, 33u}) {
+                        const WhdSweepResult want =
+                            whdSweep(cp, m, rp, qual.data(), n, prune,
+                                     chunk, SimdKernel::Scalar);
+                        for (SimdKernel kernel : supportedSimdKernels()) {
+                            for (size_t k = 0; k <= offsets; ++k) {
+                                const WhdSweepResult head = whdSweep(
+                                    cp, m, rp, qual.data(), n, prune,
+                                    chunk, kernel, 0, k);
+                                const WhdSweepResult got = whdSweep(
+                                    cp, m, rp, qual.data(), n, prune,
+                                    chunk, kernel, k, kWhdSweepEnd,
+                                    head);
+                                const std::string ctx =
+                                    "offsets=" + std::to_string(offsets) +
+                                    " n=" + std::to_string(n) +
+                                    (survive ? " survive" : " random") +
+                                    " kernel=" + simdKernelName(kernel) +
+                                    " prune=" + std::to_string(prune) +
+                                    " chunk=" + std::to_string(chunk) +
+                                    " k=" + std::to_string(k);
+                                EXPECT_EQ(got.best, want.best) << ctx;
+                                EXPECT_EQ(got.bestK, want.bestK) << ctx;
+                                EXPECT_EQ(got.comparisons,
+                                          want.comparisons) << ctx;
+                                EXPECT_EQ(got.offsetsPruned,
+                                          want.offsetsPruned) << ctx;
+                                EXPECT_EQ(got.chunks, want.chunks)
+                                    << ctx;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/** Consensus 0 with bases [at, at + del) replaced by @p ins. */
+BaseSeq
+withIndel(const BaseSeq &ref, size_t at, size_t del,
+          const BaseSeq &ins)
+{
+    BaseSeq alt = ref;
+    alt.replace(at, del, ins);
+    return alt;
+}
+
+BaseSeq
+randomSeq(Rng &rng, size_t len)
+{
+    BaseSeq s;
+    for (size_t b = 0; b < len; ++b)
+        s.push_back(kConcreteBases[rng.below(4)]);
+    return s;
+}
+
+/**
+ * A target over @p cons with reads of the given lengths, each
+ * sampled from a random consensus (with a point error half the
+ * time) or random where it fits none.  Qualities come from
+ * @p qual_of(rng).
+ */
+template <typename QualFn>
+IrTargetInput
+indelTarget(Rng &rng, std::vector<BaseSeq> cons,
+            std::initializer_list<size_t> read_lens, int per_len,
+            QualFn qual_of)
+{
+    std::vector<BaseSeq> reads;
+    std::vector<QualSeq> quals;
+    for (size_t len : read_lens) {
+        for (int r = 0; r < per_len; ++r) {
+            const BaseSeq &src = cons[rng.below(cons.size())];
+            BaseSeq read = len <= src.size()
+                               ? src.substr(rng.below(
+                                                src.size() - len + 1),
+                                            len)
+                               : randomSeq(rng, len);
+            if (rng.chance(0.5))
+                read[rng.below(len)] = kConcreteBases[rng.below(4)];
+            QualSeq q;
+            for (size_t b = 0; b < len; ++b)
+                q.push_back(qual_of(rng));
+            reads.push_back(read);
+            quals.push_back(q);
+        }
+    }
+    return makeInput(std::move(cons), std::move(reads),
+                     std::move(quals));
+}
+
+uint8_t
+typicalQual(Rng &rng)
+{
+    return static_cast<uint8_t>(rng.chance(0.1) ? 0
+                                                : rng.range(2, 41));
+}
+
+/** Host-swept offsets of @p input's pruned target sweep. */
+WhdStats
+sharedSweepStats(const IrTargetInput &input, uint32_t chunk)
+{
+    WhdTarget rows;
+    rows.load(input);
+    MinWhdGrid grid(0, 0);
+    WhdStats stats;
+    sweepTarget(rows, true, chunk, SimdKernel::Scalar, grid, stats);
+    return stats;
+}
+
+/**
+ * sweepTarget under every kernel at pruneChunk {1, 8, 32} equals
+ * the per-pair scalar loop (grid, counters, chunks, pairs), and so
+ * do irCompute's calculator cycles under every kernel.
+ */
+void
+expectTargetSweepExact(const IrTargetInput &input,
+                       const std::string &where)
+{
+    const difftest::DiffResult r = difftest::diffTargetSweep(input);
+    EXPECT_TRUE(r.ok) << where << ": " << r.variant << ": "
+                      << r.detail;
+    const MarshalledTarget marshalled = marshalTarget(input);
+    for (uint32_t width : {1u, 8u, 32u}) {
+        const difftest::PairSweep want =
+            difftest::sweepPairsScalar(input, true, width);
+        for (SimdKernel kernel : supportedSimdKernels()) {
+            ScopedSimdKernel pin(kernel);
+            EXPECT_EQ(irCompute(marshalled, width, true).hdcCycles,
+                      want.stats.offsetsEvaluated + want.work.chunks +
+                          2 * want.work.pairs)
+                << where << " width " << width << " kernel "
+                << simdKernelName(kernel);
+        }
+    }
+}
+
+TEST(TargetSweep, IndelsAtWindowStartMiddleAndEnd)
+{
+    for (uint64_t seed = 0; seed < 6; ++seed) {
+        Rng rng(0x7A56 + seed);
+        const BaseSeq ref = randomSeq(rng, 150);
+        std::vector<BaseSeq> cons = {ref};
+        for (size_t at : {0u, 1u, 75u, 140u, 149u}) {
+            cons.push_back(withIndel(ref, at, 1 + rng.below(10), ""));
+            cons.push_back(withIndel(ref, at, 0,
+                                     randomSeq(rng, 1 + rng.below(10))));
+        }
+        cons.push_back(ref + randomSeq(rng, 4)); // insertion at end
+        IrTargetInput input = indelTarget(
+            rng, cons, {1, 20, 60, 101, 140, 150}, 4, typicalQual);
+        expectTargetSweepExact(input, "seed " + std::to_string(seed));
+        // The alternatives did share consensus 0's sweep.
+        const WhdStats st = sharedSweepStats(input, 1);
+        EXPECT_LT(st.offsetsSwept, st.offsetsEvaluated);
+        EXPECT_EQ(st.offsetsSwept, sharedSweepStats(input, 32)
+                                       .offsetsSwept);
+    }
+}
+
+TEST(TargetSweep, ConsensusEqualToReferenceSweepsNothing)
+{
+    Rng rng(0xC0C0);
+    const BaseSeq ref = randomSeq(rng, 120);
+    IrTargetInput input =
+        indelTarget(rng, {ref, ref}, {1, 30, 119, 120}, 3, typicalQual);
+    expectTargetSweepExact(input, "copy of consensus 0");
+    // Consensus 1 takes every offset from consensus 0.
+    const WhdStats st = sharedSweepStats(input, 1);
+    EXPECT_EQ(st.offsetsSwept * 2, st.offsetsEvaluated);
+}
+
+TEST(TargetSweep, SuffixReusedOnlyWhenMinimaAgree)
+{
+    // Consensus 1 deletes ref[50, 55).  P = 50 and S = 45 are pinned
+    // by the bases either side of the deletion.  For 20-base reads
+    // consensus 1 sweeps offsets [31, 50) (the window touches the
+    // deletion) and its suffix [50, 76) is consensus 0's [55, 81).
+    Rng rng(0x5FF1);
+    BaseSeq ref = randomSeq(rng, 100);
+    ref.replace(49, 7, "GACGTAC"); // ref[50] != ref[55], ref[49] != ref[54]
+    const BaseSeq alt = withIndel(ref, 50, 5, "");
+    // Read A matches consensus 0 (and 1) at offset 10: both reach
+    // the suffix with minimum 0, so consensus 1 reuses it.  Read B
+    // spans the deletion on consensus 1 only: its minimum 0 at
+    // offset 40 is below consensus 0's at offset 55, so consensus 1
+    // sweeps its suffix.
+    const BaseSeq a = ref.substr(10, 20);
+    const BaseSeq b = alt.substr(40, 20);
+    ASSERT_NE(ref.find(b), 40u);
+    QualSeq q;
+    for (size_t p = 0; p < 20; ++p)
+        q.push_back(static_cast<uint8_t>(10 + p));
+    IrTargetInput input = makeInput({ref, alt}, {a, b}, {q, q});
+    expectTargetSweepExact(input, "suffix");
+    const MinWhdGrid grid = minWhd(input, true);
+    ASSERT_EQ(grid.whd(1, 1), 0u);
+    ASSERT_EQ(grid.idx(1, 1), 40u);
+    ASSERT_GT(grid.whd(0, 1), 0u);
+    // Consensus 0: 81 offsets per read.  Consensus 1: 19 for read A,
+    // 19 + 26 for read B.
+    EXPECT_EQ(sharedSweepStats(input, 1).offsetsSwept,
+              81u * 2 + 19 + 45);
+    EXPECT_EQ(sharedSweepStats(input, 32).offsetsSwept,
+              81u * 2 + 19 + 45);
+}
+
+TEST(TargetSweep, InsertionLongerThanReferenceWithLongerReads)
+{
+    // Reads of 101-110 bases fit only the insertion consensuses:
+    // consensus 0 has no sweep of them to share.
+    Rng rng(0x1A5E);
+    const BaseSeq ref = randomSeq(rng, 100);
+    std::vector<BaseSeq> cons = {ref};
+    cons.push_back(withIndel(ref, 0, 0, randomSeq(rng, 10)));
+    cons.push_back(withIndel(ref, 50, 0, randomSeq(rng, 8)));
+    cons.push_back(withIndel(ref, 100, 0, randomSeq(rng, 12)));
+    cons.push_back(withIndel(ref, 30, 4, ""));
+    IrTargetInput input = indelTarget(rng, cons, {40, 99, 100, 101, 105, 110},
+                                      3, typicalQual);
+    expectTargetSweepExact(input, "longer reads");
+}
+
+TEST(TargetSweep, TandemRepeatPrefixAndSuffixOverlap)
+{
+    // Indels inside repeats: the bytes a consensus shares with
+    // consensus 0 at its start and at its end overlap.
+    Rng rng(0x7A7A);
+    const BaseSeq left = randomSeq(rng, 40);
+    const BaseSeq right = randomSeq(rng, 40);
+    std::vector<BaseSeq> refs = {left + BaseSeq(30, 'A') + right,
+                                 left + "ACACACACACACACACAC" + right,
+                                 BaseSeq(90, 'T')};
+    for (size_t r = 0; r < refs.size(); ++r) {
+        const BaseSeq &ref = refs[r];
+        std::vector<BaseSeq> cons = {ref};
+        cons.push_back(withIndel(ref, 44, 2, ""));
+        cons.push_back(withIndel(ref, 45, 4, ""));
+        cons.push_back(withIndel(ref, 45, 0, ref.substr(43, 2)));
+        cons.push_back(withIndel(ref, 50, 0, ref.substr(50, 6)));
+        IrTargetInput input = indelTarget(rng, cons, {1, 10, 40, 80}, 4,
+                                          typicalQual);
+        expectTargetSweepExact(input, "repeat " + std::to_string(r));
+        // The construction lands where it claims: every shared
+        // prefix and suffix overlap.
+        WhdTarget rows;
+        rows.load(input);
+        MinWhdGrid grid(0, 0);
+        WhdStats stats;
+        sweepTarget(rows, true, 1, SimdKernel::Scalar, grid, stats);
+        for (size_t i = 1; i < cons.size(); ++i)
+            EXPECT_GT(rows.prefix[i] + rows.suffix[i],
+                      std::min(cons[i].size(), ref.size()))
+                << "repeat " << r << " consensus " << i;
+    }
+}
+
+TEST(TargetSweep, SingleConsensus)
+{
+    Rng rng(0x51C0);
+    IrTargetInput input = indelTarget(rng, {randomSeq(rng, 90)},
+                                      {1, 45, 90, 91}, 3, typicalQual);
+    expectTargetSweepExact(input, "single");
+    const WhdStats st = sharedSweepStats(input, 1);
+    EXPECT_EQ(st.offsetsSwept, st.offsetsEvaluated);
+}
+
+TEST(TargetSweep, PhredZeroAndSaturatingQualities)
+{
+    Rng rng(0x0FF0);
+    const BaseSeq ref = randomSeq(rng, 130);
+    std::vector<BaseSeq> cons = {ref};
+    for (size_t at : {0u, 64u, 125u}) {
+        cons.push_back(withIndel(ref, at, 3, ""));
+        cons.push_back(withIndel(ref, at, 0, "GATTACA"));
+    }
+    auto zero = [](Rng &) { return uint8_t{0}; };
+    auto top = [](Rng &) { return uint8_t{255}; };
+    auto mixed = [](Rng &r) {
+        return static_cast<uint8_t>(r.chance(0.5) ? 0 : 255);
+    };
+    expectTargetSweepExact(
+        indelTarget(rng, cons, {1, 33, 64, 120}, 4, zero), "phred 0");
+    expectTargetSweepExact(
+        indelTarget(rng, cons, {1, 33, 64, 120}, 4, top), "phred 255");
+    expectTargetSweepExact(
+        indelTarget(rng, cons, {1, 33, 64, 120}, 4, mixed), "mixed");
 }
 
 TEST(WorstCase, ComplexityFormula)
