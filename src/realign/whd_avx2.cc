@@ -5,10 +5,11 @@
  * under the project's baseline flags; the dispatch layer routes here
  * only after CPUID reports AVX2.  The loop shapes (and the
  * correctness argument for bit-equal counters, whd_simd.cc notes
- * 1-4) mirror the generic sweeps in whd_simd.cc, except that the
- * per-comparison pruned sweep finds the abort comparison in-register
- * instead of rescanning, and the width-32 per-chunk sweep evaluates
- * four offsets per step -- tests/whd_test.cc referees the equality.
+ * 1-4) mirror the generic sweeps in whd_simd.cc: the unpruned and
+ * per-comparison pruned sweeps run sixteen offsets per vector of
+ * u16 lanes, and the width-32 per-chunk sweep, which has no generic
+ * counterpart of that shape, evaluates four offsets per step --
+ * tests/whd_test.cc referees the equality.
  */
 
 #include "realign/whd_simd.hh"
@@ -18,6 +19,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cstring>
 
 #include "realign/limits.hh"
 #include "realign/whd.hh"
@@ -28,7 +30,7 @@ namespace iracc {
 
 namespace {
 
-/** Exact WHD of a single offset (scalar tail of the lane sweep). */
+/** Exact WHD of a single offset, for the lane sweeps' lone offsets. */
 uint32_t
 offsetWhdTail(const uint8_t *cons_k, const uint8_t *read,
               const uint8_t *qual, size_t n)
@@ -118,56 +120,6 @@ byteSum32(__m256i v)
                                  _mm_extract_epi64(s, 1));
 }
 
-/**
- * Inclusive prefix sums of 16 u16 lanes: three in-lane shift/add
- * steps, then the low 128-bit lane's total (u16 element 7, spread
- * by @p bcast7) carried into the high lane.
- */
-IRACC_AVX2 inline __m256i
-prefixSum16(__m256i v, __m256i bcast7)
-{
-    v = _mm256_add_epi16(v, _mm256_slli_si256(v, 2));
-    v = _mm256_add_epi16(v, _mm256_slli_si256(v, 4));
-    v = _mm256_add_epi16(v, _mm256_slli_si256(v, 8));
-    // permute2x128(v, v, 0x08) = [0, low lane]: only the high lane
-    // gains the low lane's total.
-    return _mm256_add_epi16(
-        v, _mm256_shuffle_epi8(_mm256_permute2x128_si256(v, v, 0x08),
-                               bcast7));
-}
-
-/**
- * Index (0..31) of the first base of a 32-byte block at which the
- * running sum of @p contrib reaches @p t, for t <= the block's
- * total.  Every prefix is at most 32 * 255 = 8160 < 2^15, so signed
- * 16-bit compares against t - 1 (-1 when t == 0) are exact.
- */
-IRACC_AVX2 inline unsigned
-crossingLane32(__m256i contrib, uint32_t t)
-{
-    const __m256i bcast7 = _mm256_set1_epi16(0x0F0E);
-    const __m256i lo = prefixSum16(
-        _mm256_cvtepu8_epi16(_mm256_castsi256_si128(contrib)),
-        bcast7);
-    __m256i hi = prefixSum16(
-        _mm256_cvtepu8_epi16(_mm256_extracti128_si256(contrib, 1)),
-        bcast7);
-    // Carry the low half's total (u16 element 15) into every lane.
-    hi = _mm256_add_epi16(
-        hi, _mm256_shuffle_epi8(
-                _mm256_permute2x128_si256(lo, lo, 0x11), bcast7));
-    const __m256i lim =
-        _mm256_set1_epi16(static_cast<short>(static_cast<int>(t) - 1));
-    // movemask_epi8 yields two bits per u16 lane.
-    const uint64_t mask =
-        static_cast<uint32_t>(
-            _mm256_movemask_epi8(_mm256_cmpgt_epi16(lo, lim))) |
-        static_cast<uint64_t>(static_cast<uint32_t>(
-            _mm256_movemask_epi8(_mm256_cmpgt_epi16(hi, lim))))
-            << 32;
-    return static_cast<unsigned>(__builtin_ctzll(mask)) / 2;
-}
-
 /** Mismatch-quality sum over an arbitrary-length range. */
 IRACC_AVX2 inline uint32_t
 rangeSum(const uint8_t *c, const uint8_t *r, const uint8_t *q,
@@ -180,68 +132,6 @@ rangeSum(const uint8_t *c, const uint8_t *r, const uint8_t *q,
     for (; i < len; ++i)
         sum += (c[i] != r[i]) ? q[i] : 0;
     return sum;
-}
-
-/**
- * Pruned sweep, per-comparison (software) semantics.  Branchless
- * 32-byte block sums; the first block whose end-of-block sum
- * crosses the running minimum yields the exact abort comparison
- * in-register (crossingLane32).  The read's n % 32 tail runs the
- * scalar per-comparison loop.
- */
-IRACC_AVX2 WhdSweepResult
-sweepPrunedPerComparison(const uint8_t *cons, size_t m,
-                         const uint8_t *read, const uint8_t *qual,
-                         size_t n, uint32_t startBest)
-{
-    WhdSweepResult r;
-    r.best = startBest;
-    const size_t fullEnd = n - n % kWhdPruneBlock;
-    for (size_t k = 0; k + n <= m; ++k) {
-        const uint8_t *cons_k = cons + k;
-        uint64_t whd = 0;
-        // Comparisons executed up to the abort; 0 = not pruned.
-        size_t executed = 0;
-        size_t chunk = 0;
-        for (; chunk < fullEnd; chunk += kWhdPruneBlock) {
-            const __m256i contrib = mismatchQual32(
-                cons_k + chunk, read + chunk, qual + chunk);
-            const uint32_t bs = byteSum32(contrib);
-            if (r.best != kWhdInfinity && whd + bs >= r.best) {
-                executed = chunk + 1 +
-                           crossingLane32(
-                               contrib,
-                               static_cast<uint32_t>(r.best - whd));
-                break;
-            }
-            whd += bs;
-        }
-        if (executed == 0) {
-            for (size_t p = chunk; p < n; ++p) {
-                if (cons_k[p] != read[p])
-                    whd += qual[p];
-                if (r.best != kWhdInfinity && whd >= r.best) {
-                    executed = p + 1;
-                    break;
-                }
-            }
-        }
-        if (executed != 0) {
-            r.comparisons += executed;
-            r.chunks += executed;
-            ++r.offsetsPruned;
-            continue;
-        }
-        r.comparisons += n;
-        r.chunks += n;
-        const uint32_t v =
-            whd > kWhdMax ? kWhdMax : static_cast<uint32_t>(whd);
-        if (v < r.best) {
-            r.best = v;
-            r.bestK = static_cast<uint32_t>(k);
-        }
-    }
-    return r;
 }
 
 /** Running-minimum sentinel of the per-chunk sweep: no minimum yet. */
@@ -430,6 +320,149 @@ sweepPrunedPerChunk(const uint8_t *cons, size_t m,
     return r;
 }
 
+/** A vector of kWhdLanes u16 lanes whose first @p lanes are set. */
+IRACC_AVX2 inline __m256i
+laneMask(size_t lanes)
+{
+    const __m256i index = _mm256_setr_epi16(0, 1, 2, 3, 4, 5, 6, 7, 8,
+                                            9, 10, 11, 12, 13, 14, 15);
+    return _mm256_cmpgt_epi16(
+        _mm256_set1_epi16(static_cast<short>(lanes)), index);
+}
+
+/**
+ * One block of the per-comparison lane sweep: lane l runs offset
+ * cons_k0 + l over the n bases (whd_simd.cc note 2).  @p rw / @p qw
+ * hold each read base and quality in both u16 halves of a u32, so
+ * one broadcast fills the sixteen lanes.  @p bound is the running
+ * minimum and @p acc the running sums, both biased by 0x8000 so
+ * that the signed compare is exact.  @p cnt counts each lane's
+ * comparisons while alive.  Every 8 bases the block stops once no
+ * lane in @p used is alive.  Returns the movemask (two bits per
+ * lane) of the used lanes still alive after the last base.
+ */
+IRACC_AVX2 inline uint32_t
+laneBlock(const uint8_t *cons_k0, const uint32_t *rw,
+          const uint32_t *qw, size_t n, __m256i bound, __m256i used,
+          __m256i &acc, __m256i &cnt)
+{
+    acc = _mm256_set1_epi16(static_cast<short>(0x8000));
+    cnt = _mm256_setzero_si256();
+    __m256i alive = _mm256_setzero_si256();
+    auto step = [&](size_t p) IRACC_AVX2 {
+        const __m256i c = _mm256_cvtepu8_epi16(_mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(cons_k0 + p)));
+        const __m256i r = _mm256_set1_epi32(static_cast<int>(rw[p]));
+        const __m256i q = _mm256_set1_epi32(static_cast<int>(qw[p]));
+        acc = _mm256_add_epi16(
+            acc, _mm256_andnot_si256(_mm256_cmpeq_epi16(c, r), q));
+        alive = _mm256_cmpgt_epi16(bound, acc);
+        cnt = _mm256_sub_epi16(cnt, alive);
+    };
+    size_t p = 0;
+    for (; p + 8 <= n; p += 8) {
+        for (size_t i = 0; i < 8; ++i)
+            step(p + i);
+        if (_mm256_testz_si256(alive, used))
+            return 0;
+    }
+    for (; p < n; ++p)
+        step(p);
+    return static_cast<uint32_t>(
+        _mm256_movemask_epi8(_mm256_and_si256(alive, used)));
+}
+
+/** Sum of the first @p lanes u16 lanes of @p v (each < 2^15). */
+IRACC_AVX2 inline uint32_t
+laneSum(__m256i v, size_t lanes)
+{
+    const __m256i s = _mm256_madd_epi16(
+        _mm256_and_si256(v, laneMask(lanes)), _mm256_set1_epi16(1));
+    __m128i t = _mm_add_epi32(_mm256_castsi256_si128(s),
+                              _mm256_extracti128_si256(s, 1));
+    t = _mm_add_epi32(t, _mm_unpackhi_epi64(t, t));
+    t = _mm_add_epi32(t, _mm_shuffle_epi32(t, 1));
+    return static_cast<uint32_t>(_mm_cvtsi128_si32(t));
+}
+
+/**
+ * Pruned sweep, per-comparison (software) semantics, for
+ * 1 <= n <= kMaxReadLen: sixteen consecutive offsets per block
+ * (whd_simd.cc notes 2 and 4).  A pruned lane ran cnt + 1
+ * comparisons.  The block ends at its first surviving lane, which
+ * sets the minimum; the next block starts one offset later.  An
+ * offset with no minimum to prune against runs alone, and the last
+ * < 16 offsets run from a zero-padded copy of the consensus.
+ */
+IRACC_AVX2 WhdSweepResult
+sweepPrunedLanes(const uint8_t *cons, size_t m, const uint8_t *read,
+                 const uint8_t *qual, size_t n, uint32_t startBest)
+{
+    uint32_t rw[kMaxReadLen];
+    uint32_t qw[kMaxReadLen];
+    for (size_t p = 0; p < n; ++p) {
+        rw[p] = read[p] * 0x00010001u;
+        qw[p] = qual[p] * 0x00010001u;
+    }
+
+    alignas(16) uint8_t pad[kMaxReadLen + kWhdLanes];
+    const size_t offsets = m - n + 1;
+    uint64_t best = kNoMinimum;
+    if (startBest != kWhdInfinity)
+        best = startBest;
+    uint32_t bestK = 0;
+    uint64_t comparisons = 0;
+    uint64_t offsetsPruned = 0;
+    size_t k = 0;
+    while (k < offsets) {
+        if (best == kNoMinimum) {
+            best = offsetWhdTail(cons + k, read, qual, n);
+            bestK = static_cast<uint32_t>(k);
+            comparisons += n;
+            ++k;
+            continue;
+        }
+        const size_t lanes = std::min(kWhdLanes, offsets - k);
+        const uint8_t *src = cons + k;
+        if (lanes < kWhdLanes) {
+            const size_t len = n + lanes - 1;
+            std::memcpy(pad, src, len);
+            std::memset(pad + len, 0, kWhdLanes - lanes);
+            src = pad;
+        }
+        // Sums never exceed 65,280, so a minimum above 0xFFFF
+        // prunes exactly like 0xFFFF.
+        const __m256i bound = _mm256_set1_epi16(static_cast<short>(
+            std::min<uint64_t>(best, 0xFFFF) ^ 0x8000));
+        __m256i acc = _mm256_setzero_si256();
+        __m256i cnt = _mm256_setzero_si256();
+        const uint32_t live = laneBlock(src, rw, qw, n, bound,
+                                        laneMask(lanes), acc, cnt);
+        const size_t first =
+            live != 0 ? static_cast<size_t>(__builtin_ctz(live)) / 2
+                      : lanes;
+        comparisons += first + laneSum(cnt, first);
+        offsetsPruned += first;
+        k += first;
+        if (first < lanes) {
+            alignas(32) uint16_t sums[kWhdLanes];
+            _mm256_store_si256(reinterpret_cast<__m256i *>(sums), acc);
+            best = sums[first] ^ 0x8000u;
+            bestK = static_cast<uint32_t>(k);
+            comparisons += n;
+            ++k;
+        }
+    }
+    WhdSweepResult r;
+    r.best = best == kNoMinimum ? kWhdInfinity
+                                : static_cast<uint32_t>(best);
+    r.bestK = bestK;
+    r.comparisons = comparisons;
+    r.chunks = comparisons;
+    r.offsetsPruned = offsetsPruned;
+    return r;
+}
+
 } // anonymous namespace
 
 IRACC_AVX2 WhdSweepResult
@@ -472,8 +505,7 @@ whdSweepPrunedAvx2(const uint8_t *cons, size_t m,
                    size_t n, uint32_t pruneChunk, uint32_t startBest)
 {
     if (pruneChunk == 1)
-        return sweepPrunedPerComparison(cons, m, read, qual, n,
-                                        startBest);
+        return sweepPrunedLanes(cons, m, read, qual, n, startBest);
     if (pruneChunk == kWhdPruneBlock)
         return sweepPrunedPerChunk<true>(cons, m, read, qual, n,
                                          pruneChunk, startBest);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "realign/limits.hh"
 #include "realign/whd.hh"
 #include "util/logging.hh"
 
@@ -21,47 +22,59 @@ namespace {
  *    qualities equals min(plain 64-bit sum, kWhdMax).  Vectorized
  *    paths therefore accumulate plain sums in wide integers and
  *    clamp once at the end.
- * 2. Prune-point reconstruction: within one offset the running sum
- *    is monotone non-decreasing, so the scalar kernel's abort
- *    point -- the first executed comparison whose running
- *    (saturated) sum reaches the current minimum -- is the first
- *    prefix crossing.  A block whose end-of-block sum crosses the
- *    bound contains that comparison, and its exact index is all
- *    the counters need.  The generic sweep recovers it with a
- *    scalar rescan of just that block.  The AVX2 sweep finds it
- *    in-register: with T = best - whd at the block start, the
- *    block's inclusive 16-bit prefix sums are compared against
- *    T - 1 and the first set lane is the abort.  The block
- *    crosses, so T <= blockSum <= 32 * 255 = 8160 < 2^15 and the
- *    signed 16-bit compare cannot wrap.
+ * 2. Prune point from lane liveness: within one offset the running
+ *    sum is monotone non-decreasing, so the scalar kernel's abort
+ *    point -- the first executed comparison whose running sum
+ *    reaches the current minimum B -- comes right after the last
+ *    comparison whose sum is still below B.  The per-comparison
+ *    sweeps run kWhdLanes consecutive offsets as lanes; after each
+ *    base a lane is alive while its sum is below B, and its count
+ *    of alive steps, cnt, only grows while it is alive.  A lane
+ *    that dies aborted on comparison cnt + 1, with no search for
+ *    the crossing; once no lane is alive the block can stop, which
+ *    the sweeps check every 8 bases.  A lane alive after all n
+ *    bases is not pruned.  Lanes hold sums and counts in u16: for
+ *    n <= kMaxReadLen a sum is at most 256 * 255 = 65,280, so a
+ *    minimum above 0xFFFF prunes like 0xFFFF, and biasing sums and
+ *    minimum by 0x8000 makes a signed 16-bit compare an exact
+ *    unsigned one.  Reads of length 0 (no comparison to abort on)
+ *    and longer than kMaxReadLen run the scalar reference.
  * 3. Plain-vs-saturated compares: for best <= kWhdMax,
  *    min(sum, kWhdMax) >= best iff sum >= best; for
  *    best == kWhdInfinity the saturated value (<= kWhdMax) never
- *    reaches it.  Vectorized prune checks therefore use plain
- *    64-bit sums guarded by best != kWhdInfinity.  The per-chunk
- *    sweeps drop the guard: they hold the minimum in 64 bits with
- *    an all-ones "no minimum yet" sentinel, which no plain sum
- *    reaches (whd <= n * 255 < 2^64 - 1), so whd >= best is one
- *    exact compare and a found minimum (<= kWhdMax) narrows back
- *    to the 32-bit result.
- * 4. Offset groups (AVX2 width-32 per-chunk sweep): once a minimum
- *    B exists, four consecutive offsets run their full chunks
- *    together and each chunk's four cumulative sums are compared
- *    against B.  Within a group the minimum only falls, and only
- *    when a member survives (an aborted offset never touches it).
- *    So if all four abort in the full chunks, no member saw
- *    anything but B and the masks are final: each offset's abort
- *    chunk is where its bit cleared, and the chunk count is the
- *    sum of the per-step live-bit counts.  Otherwise the group is
- *    replayed in offset order from the stored cumulative sums,
- *    each member against the minimum the earlier members left: a
- *    lower minimum can only move an abort to an earlier chunk,
- *    and the sums already hold every chunk a member could abort
- *    at.  The n % 32 tail is summed only for members that clear
- *    every full chunk.  An offset with no minimum yet (the first
- *    of a sweep that starts without one), the last < 4 offsets,
- *    and reads shorter than one chunk or longer than kMaxReadLen
- *    run one offset at a time.
+ *    reaches it.  The vectorized pruned sweeps therefore compare
+ *    plain sums.  They hold the minimum in 64 bits with an all-ones
+ *    "no minimum yet" sentinel, which no plain sum reaches
+ *    (whd <= n * 255 < 2^64 - 1), so whd >= best is one exact
+ *    compare and a found minimum (<= kWhdMax) narrows back to the
+ *    32-bit result.
+ * 4. Offset groups: the lane sweeps of note 2 and the AVX2 width-32
+ *    per-chunk sweep decide several consecutive offsets against
+ *    the minimum B at the group's start.  Within a group the
+ *    minimum only falls, and only when a member survives (an
+ *    aborted offset never touches it).  So every member before
+ *    the first survivor saw nothing but B, and its abort point is
+ *    final.
+ *    - Lanes: the first surviving lane sets the new minimum and
+ *      ends its block; the next block starts at the offset after
+ *      it, against the lowered minimum.  An offset with no minimum
+ *      yet (the first of a sweep that starts without one) runs
+ *      alone, and the last < kWhdLanes offsets run from a
+ *      zero-padded copy of the consensus, so no load leaves it;
+ *      the padding lanes are masked out of every decision.
+ *    - Width-32 groups of four: each chunk's four cumulative sums
+ *      are compared against B.  If all four abort in the full
+ *      chunks the masks are final: each offset's abort chunk is
+ *      where its bit cleared, and the chunk count is the sum of the
+ *      per-step live-bit counts.  Otherwise the group is replayed
+ *      in offset order from the stored cumulative sums, each
+ *      member against the minimum the earlier members left: a
+ *      lower minimum can only move an abort to an earlier chunk,
+ *      and the sums already hold every chunk a member could abort
+ *      at.  The n % 32 tail is summed only for members that clear
+ *      every full chunk.  An offset with no minimum yet, the last
+ *      < 4 offsets, and reads shorter than one chunk or longer
+ *      than kMaxReadLen run one offset at a time.
  * 5. Offset ranges: a sweep's state before offset k -- the running
  *    minimum, its offset, and the comparisons, chunks and pruned
  *    offsets so far -- depends only on the windows at offsets
@@ -185,7 +198,7 @@ blockSum(const uint8_t *cons_p, const uint8_t *read_p,
 }
 
 /**
- * Unpruned generic sweep: kWhdGenericLanes offsets advance
+ * Unpruned generic sweep: kWhdLanes offsets advance
  * together.  For base p the consensus bytes the lanes need --
  * cons[k0+l+p] for l in [0, L) -- are contiguous, so the inner loop
  * is a straight-line compare/mask/add over adjacent bytes that any
@@ -195,22 +208,22 @@ blockSum(const uint8_t *cons_p, const uint8_t *read_p,
 void
 unprunedLanesGeneric(const uint8_t *cons_k0, const uint8_t *read,
                      const uint8_t *qual, size_t n,
-                     uint64_t acc[kWhdGenericLanes])
+                     uint64_t acc[kWhdLanes])
 {
     constexpr size_t kSuper = 65535; // 65535 * 255 < 2^32
-    for (size_t l = 0; l < kWhdGenericLanes; ++l)
+    for (size_t l = 0; l < kWhdLanes; ++l)
         acc[l] = 0;
     for (size_t start = 0; start < n; start += kSuper) {
         const size_t end = std::min(n, start + kSuper);
-        uint32_t part[kWhdGenericLanes] = {};
+        uint32_t part[kWhdLanes] = {};
         for (size_t p = start; p < end; ++p) {
             const uint8_t rb = read[p];
             const uint8_t q = qual[p];
             const uint8_t *c = cons_k0 + p;
-            for (size_t l = 0; l < kWhdGenericLanes; ++l)
+            for (size_t l = 0; l < kWhdLanes; ++l)
                 part[l] += (c[l] != rb) ? q : 0;
         }
-        for (size_t l = 0; l < kWhdGenericLanes; ++l)
+        for (size_t l = 0; l < kWhdLanes; ++l)
             acc[l] += part[l];
     }
 }
@@ -241,12 +254,12 @@ sweepUnprunedGeneric(const uint8_t *cons, size_t m,
     WhdSweepResult r;
     const size_t offsets = m - n + 1;
     size_t k0 = 0;
-    uint64_t acc[kWhdGenericLanes];
-    for (; k0 + kWhdGenericLanes <= offsets; k0 += kWhdGenericLanes) {
+    uint64_t acc[kWhdLanes];
+    for (; k0 + kWhdLanes <= offsets; k0 += kWhdLanes) {
         unprunedLanesGeneric(cons + k0, read, qual, n, acc);
-        mergeLanes(acc, kWhdGenericLanes, k0, r);
+        mergeLanes(acc, kWhdLanes, k0, r);
     }
-    // Scalar tail: fewer than kWhdGenericLanes offsets remain (a
+    // Scalar tail: fewer than kWhdLanes offsets remain (a
     // full lane block would read past the consensus).
     for (; k0 < offsets; ++k0) {
         const uint32_t v = offsetWhd(cons + k0, read, qual, n);
@@ -259,58 +272,103 @@ sweepUnprunedGeneric(const uint8_t *cons, size_t m,
 }
 
 /**
- * Pruned sweep with per-comparison (software) semantics: evaluate
- * each offset in branchless blocks; when a block's end-of-sum
- * crosses the running minimum, rescan that block scalar to recover
- * the exact abort comparison for the counters (notes 2/3 above).
+ * Pruned sweep with per-comparison (software) semantics, for
+ * 1 <= n <= kMaxReadLen: kWhdLanes consecutive offsets per block in
+ * biased u16 lanes (notes 2 and 4).  The lane loops run over local
+ * arrays, like unprunedLanesGeneric, so the compiler vectorizes
+ * them.  A pruned lane ran cnt + 1 comparisons; the block ends at
+ * its first surviving lane, which sets the minimum.  An offset with
+ * no minimum to prune against runs alone, and the last < kWhdLanes
+ * offsets run from a zero-padded copy of the consensus.
  */
-template <size_t Block,
-          uint32_t (*BlockSumFn)(const uint8_t *, const uint8_t *,
-                                 const uint8_t *, size_t)>
 WhdSweepResult
-sweepPrunedPerComparison(const uint8_t *cons, size_t m,
-                         const uint8_t *read, const uint8_t *qual,
-                         size_t n, uint32_t startBest)
+sweepPrunedLanesGeneric(const uint8_t *cons, size_t m,
+                        const uint8_t *read, const uint8_t *qual,
+                        size_t n, uint32_t startBest)
 {
-    WhdSweepResult r;
-    r.best = startBest;
-    for (size_t k = 0; k + n <= m; ++k) {
-        uint64_t whd = 0;
-        bool pruned = false;
-        for (size_t chunk = 0; chunk < n && !pruned;
-             chunk += Block) {
-            const size_t lanes = std::min<size_t>(Block, n - chunk);
-            const uint32_t bs = BlockSumFn(cons + k + chunk,
-                                           read + chunk,
-                                           qual + chunk, lanes);
-            if (r.best != kWhdInfinity && whd + bs >= r.best) {
-                // The abort comparison is inside this block.
-                size_t p = chunk;
-                for (;; ++p) {
-                    if (cons[k + p] != read[p])
-                        whd += qual[p];
-                    if (whd >= r.best)
-                        break;
-                }
-                r.comparisons += p + 1;
-                r.chunks += p + 1; // chunk == comparison here
-                ++r.offsetsPruned;
-                pruned = true;
-                break;
-            }
-            whd += bs;
-        }
-        if (pruned)
+    constexpr uint64_t kNoMinimum = ~static_cast<uint64_t>(0);
+    uint8_t pad[kMaxReadLen + kWhdLanes];
+    const size_t offsets = m - n + 1;
+    uint64_t best = kNoMinimum;
+    if (startBest != kWhdInfinity)
+        best = startBest;
+    uint32_t bestK = 0;
+    uint64_t comparisons = 0;
+    uint64_t offsetsPruned = 0;
+    size_t k = 0;
+    while (k < offsets) {
+        if (best == kNoMinimum) {
+            best = offsetWhd(cons + k, read, qual, n);
+            bestK = static_cast<uint32_t>(k);
+            comparisons += n;
+            ++k;
             continue;
-        r.comparisons += n;
-        r.chunks += n;
-        const uint32_t v =
-            whd > kWhdMax ? kWhdMax : static_cast<uint32_t>(whd);
-        if (v < r.best) {
-            r.best = v;
-            r.bestK = static_cast<uint32_t>(k);
+        }
+        const size_t lanes = std::min(kWhdLanes, offsets - k);
+        const uint8_t *src = cons + k;
+        if (lanes < kWhdLanes) {
+            const size_t len = n + lanes - 1;
+            std::memcpy(pad, src, len);
+            std::memset(pad + len, 0, kWhdLanes - lanes);
+            src = pad;
+        }
+        // Sums never exceed 65,280, so a minimum above 0xFFFF
+        // prunes exactly like 0xFFFF.
+        const int16_t bound = static_cast<int16_t>(
+            std::min<uint64_t>(best, 0xFFFF) ^ 0x8000);
+        uint16_t used[kWhdLanes];
+        uint16_t acc[kWhdLanes];
+        uint16_t cnt[kWhdLanes];
+        uint16_t alive[kWhdLanes];
+        for (size_t l = 0; l < kWhdLanes; ++l) {
+            used[l] = l < lanes ? 0xFFFF : 0;
+            acc[l] = 0x8000;
+            cnt[l] = 0;
+            alive[l] = 0;
+        }
+        bool dead = false;
+        for (size_t p = 0; p < n && !dead;) {
+            for (const size_t stop = std::min(n, p + 8); p < stop;
+                 ++p) {
+                const uint8_t rb = read[p];
+                const uint8_t q = qual[p];
+                const uint8_t *c = src + p;
+                // Kept as a loop: GCC -O3 would otherwise unroll it
+                // completely before vectorizing and leave it scalar.
+#pragma GCC unroll 1
+                for (size_t l = 0; l < kWhdLanes; ++l) {
+                    const uint8_t miss = c[l] != rb ? q : 0;
+                    acc[l] = static_cast<uint16_t>(acc[l] + miss);
+                    alive[l] = static_cast<int16_t>(acc[l]) < bound
+                                   ? 0xFFFF
+                                   : 0;
+                    cnt[l] = static_cast<uint16_t>(cnt[l] - alive[l]);
+                }
+            }
+            uint16_t any = 0;
+            for (size_t l = 0; l < kWhdLanes; ++l)
+                any |= alive[l] & used[l];
+            dead = any == 0;
+        }
+        size_t first = 0;
+        for (; first < lanes && alive[first] == 0; ++first)
+            comparisons += cnt[first] + 1u;
+        offsetsPruned += first;
+        k += first;
+        if (first < lanes) {
+            best = acc[first] ^ 0x8000u;
+            bestK = static_cast<uint32_t>(k);
+            comparisons += n;
+            ++k;
         }
     }
+    WhdSweepResult r;
+    r.best = best == kNoMinimum ? kWhdInfinity
+                                : static_cast<uint32_t>(best);
+    r.bestK = bestK;
+    r.comparisons = comparisons;
+    r.chunks = comparisons;
+    r.offsetsPruned = offsetsPruned;
     return r;
 }
 
@@ -396,6 +454,10 @@ sweepFrom(const uint8_t *cons, size_t m, const uint8_t *read,
     if (kernel == SimdKernel::Avx2 &&
         !simdKernelSupported(SimdKernel::Avx2))
         kernel = SimdKernel::Generic;
+    // The lane sweeps keep a whole read's sums in u16 lanes (note
+    // 2); other read lengths run the reference.
+    if (prune && pruneChunk == 1 && (n == 0 || n > kMaxReadLen))
+        kernel = SimdKernel::Scalar;
 
     switch (kernel) {
       case SimdKernel::Scalar:
@@ -409,12 +471,9 @@ sweepFrom(const uint8_t *cons, size_t m, const uint8_t *read,
             fillUnprunedCounters(r, m, n, pruneChunk);
             return r;
         }
-        if (pruneChunk == 1) {
-            return sweepPrunedPerComparison<kWhdGenericPruneBlock,
-                                            blockSum>(cons, m, read,
-                                                      qual, n,
-                                                      startBest);
-        }
+        if (pruneChunk == 1)
+            return sweepPrunedLanesGeneric(cons, m, read, qual, n,
+                                           startBest);
         return sweepPrunedPerChunk<blockSum>(cons, m, read, qual, n,
                                              pruneChunk, startBest);
 

@@ -12,11 +12,11 @@
  *            running-minimum check per comparison (software) or per
  *            chunk (hardware model).
  *   generic  portable fixed-width lanes written so any optimizing
- *            compiler can auto-vectorize: the unpruned sweep runs
- *            kWhdGenericLanes offsets at once (for base n the
- *            consensus bytes needed across offset lanes are
- *            contiguous), the pruned sweep evaluates one offset in
- *            branchless blocks.
+ *            compiler can auto-vectorize: the unpruned sweep and the
+ *            per-comparison pruned sweep run kWhdLanes offsets at
+ *            once (for base n the consensus bytes needed across
+ *            offset lanes are contiguous); the per-chunk pruned
+ *            sweep evaluates one offset in SWAR blocks.
  *   avx2     the same shapes hand-written with AVX2 intrinsics
  *            (compiled via function target attributes, selected at
  *            runtime only when CPUID reports AVX2).
@@ -24,12 +24,13 @@
  * Every implementation is bit-equal to scalar: identical min-WHD
  * grids and offsets, identical WhdStats work counters, identical
  * datapath chunk counts.  The unpruned sweep derives its counters
- * in closed form; the pruned sweep reconstructs the exact scalar
- * abort point from block partial sums (quality accumulation is
- * monotone, so the first comparison whose running sum reaches the
- * current minimum is recoverable from the block that crossed it).
- * The differential harness (src/testing) and tests/whd_test.cc
- * referee the equality.
+ * in closed form.  The per-comparison pruned sweep counts each
+ * offset lane's comparisons while its running sum is below the
+ * minimum (quality accumulation is monotone, so the abort is the
+ * comparison after the last one counted); the per-chunk sweeps
+ * stop at the chunk whose end-of-chunk sum crosses it.  The
+ * differential harness (src/testing) and tests/whd_test.cc referee
+ * the equality.
  *
  * Dispatch: the sweep runs whichever SimdKernel the caller passes;
  * callers pass the process-wide activeSimdKernel() (util/
@@ -46,22 +47,18 @@
 
 namespace iracc {
 
-/** Offset lanes processed per block by the generic unpruned sweep. */
-constexpr size_t kWhdGenericLanes = 16;
+/**
+ * Consecutive offsets per block of the lane sweeps: the generic
+ * unpruned sweep and both kernels' per-comparison pruned sweeps
+ * (one __m256i of u16 lanes on AVX2).
+ */
+constexpr size_t kWhdLanes = 16;
 
 /**
- * Base block size of the AVX2 pruned sweep (one 32-byte vector per
- * block sum).
+ * Chunk width at which the AVX2 per-chunk pruned sweep sums a
+ * chunk in one 32-byte vector and groups offsets.
  */
 constexpr size_t kWhdPruneBlock = 32;
-
-/**
- * Base block size of the generic pruned sweep.  Smaller than the
- * AVX2 block: with computation pruning most offsets abort within
- * the first few comparisons, so a block's wasted work past the
- * abort point matters more than vector utilization.
- */
-constexpr size_t kWhdGenericPruneBlock = 8;
 
 /**
  * Result of sweeping every offset of one (consensus, read) pair.

@@ -285,19 +285,25 @@ TEST(MinWhd, CountersMatchScalarDatapathBitForBit)
     }
 }
 
-/** Scalar-vs-everything equality of one raw sweep configuration. */
+/**
+ * Scalar-vs-everything equality of one raw sweep configuration:
+ * offsets [kBegin, kEnd) from state @p from.
+ */
 void
 expectSweepBitEqual(const uint8_t *cons, size_t m,
                     const uint8_t *read, const uint8_t *qual,
                     size_t n, bool prune, uint32_t chunk,
-                    const std::string &where)
+                    const std::string &where, size_t kBegin = 0,
+                    size_t kEnd = kWhdSweepEnd,
+                    const WhdSweepResult &from = WhdSweepResult())
 {
-    const WhdSweepResult want = whdSweep(cons, m, read, qual, n,
-                                         prune, chunk,
-                                         SimdKernel::Scalar);
+    const WhdSweepResult want =
+        whdSweep(cons, m, read, qual, n, prune, chunk,
+                 SimdKernel::Scalar, kBegin, kEnd, from);
     for (SimdKernel kernel : supportedSimdKernels()) {
-        const WhdSweepResult got =
-            whdSweep(cons, m, read, qual, n, prune, chunk, kernel);
+        const WhdSweepResult got = whdSweep(cons, m, read, qual, n,
+                                            prune, chunk, kernel,
+                                            kBegin, kEnd, from);
         const std::string ctx =
             where + " kernel=" + simdKernelName(kernel) +
             " prune=" + (prune ? "on" : "off") +
@@ -313,9 +319,9 @@ expectSweepBitEqual(const uint8_t *cons, size_t m,
 TEST(DispatchSweep, BitEqualOnLaneBoundaryShapes)
 {
     // Offset counts straddle the 16-lane blocks of the unpruned
-    // sweeps (full blocks, scalar tails, tail-only); read lengths
-    // straddle the pruned block sizes (8 generic, 32 AVX2) and the
-    // datapath chunk widths, including the one-vector width-32
+    // and per-comparison pruned sweeps (full blocks, scalar or
+    // padded tails, tail-only); read lengths straddle the lane
+    // sweeps' 8-base exit checks and the datapath chunk widths, including the one-vector width-32
     // chunk of the AVX2 per-chunk sweep and its neighbours.  Offset
     // counts 1-9 put every remainder after the AVX2 width-32 sweep's
     // four-offset groups; 96 and 256 are whole-chunk reads, and 288
@@ -520,10 +526,10 @@ TEST(DispatchSweep, PrunedAbortAtEveryBlockLane)
     // set is sized to put offset 1's abort on comparison `abort`:
     // at exact equality (prefix == best), or one base after the
     // prefix sits one short of best.  Every comparison of every
-    // read length is targeted: each lane 0-31 of the first and of
-    // later 32-byte blocks, plus the scalar tail.  Qualities are Q
-    // except a 1 on the last base; Q = 255 fills a whole block
-    // with 255s, the widest 16-bit prefix (8160).
+    // read length is targeted, in each 8-base step between the lane
+    // sweeps' exit checks and each 32-byte block.  Qualities are Q
+    // except a 1 on the last base; Q = 255 gives the largest
+    // per-comparison steps.
     for (size_t n : {32u, 33u, 64u, 100u}) {
         for (int q_all : {30, 255}) {
             QualSeq qual(n, static_cast<uint8_t>(q_all));
@@ -998,6 +1004,262 @@ TEST(TargetSweep, PhredZeroAndSaturatingQualities)
         indelTarget(rng, cons, {1, 33, 64, 120}, 4, top), "phred 255");
     expectTargetSweepExact(
         indelTarget(rng, cons, {1, 33, 64, 120}, 4, mixed), "mixed");
+}
+
+/** The bytes of @p s as the sweep reads them. */
+const uint8_t *
+bytes(const BaseSeq &s)
+{
+    return reinterpret_cast<const uint8_t *>(s.data());
+}
+
+/** A sweep state with running minimum @p best and no counters. */
+WhdSweepResult
+minimumOf(uint32_t best)
+{
+    WhdSweepResult r;
+    r.best = best;
+    return r;
+}
+
+/** Per-comparison pruned sweep from @p from, every kernel vs scalar. */
+void
+expectLanesBitEqual(const BaseSeq &cons, const BaseSeq &read,
+                    const QualSeq &qual, const std::string &where,
+                    const WhdSweepResult &from = WhdSweepResult(),
+                    size_t kBegin = 0, size_t kEnd = kWhdSweepEnd)
+{
+    expectSweepBitEqual(bytes(cons), cons.size(), bytes(read),
+                        qual.data(), read.size(), true, 1, where,
+                        kBegin, kEnd, from);
+}
+
+/** Scalar per-comparison pruned sweep of every offset from @p from. */
+WhdSweepResult
+scalarLanes(const BaseSeq &cons, const BaseSeq &read,
+            const QualSeq &qual, const WhdSweepResult &from)
+{
+    return whdSweep(bytes(cons), cons.size(), bytes(read), qual.data(),
+                    read.size(), true, 1, SimdKernel::Scalar, 0,
+                    kWhdSweepEnd, from);
+}
+
+TEST(LaneSweep, EveryOffsetCount)
+{
+    // The per-comparison sweeps run sixteen offsets per block.
+    // Offset counts 1-40 give a lone padded block, whole blocks,
+    // and padded tails after one or two of them; from the empty
+    // state the first offset runs alone, so each count also runs
+    // from a carried minimum.  Half the reads are planted (one
+    // deep minimum, most lanes abort early), half are random (the
+    // minimum falls block after block).
+    Rng rng(0x1A4E);
+    for (size_t n : {1u, 7u, 8u, 9u, 100u, 256u}) {
+        for (size_t offsets = 1; offsets <= 40; ++offsets) {
+            const BaseSeq cons = randomSeq(rng, n + offsets - 1);
+            const bool planted = rng.chance(0.5);
+            BaseSeq read = planted ? cons.substr(rng.below(offsets), n)
+                                   : randomSeq(rng, n);
+            if (planted && rng.chance(0.5))
+                read[rng.below(n)] = kConcreteBases[rng.below(4)];
+            QualSeq qual;
+            for (size_t b = 0; b < n; ++b)
+                qual.push_back(static_cast<uint8_t>(
+                    rng.chance(0.15) ? 0 : rng.range(0, 60)));
+            const std::string where =
+                "n=" + std::to_string(n) +
+                " offsets=" + std::to_string(offsets) +
+                (planted ? " planted" : " random");
+            expectLanesBitEqual(cons, read, qual, where);
+            expectLanesBitEqual(cons, read, qual, where + " from 90",
+                                minimumOf(90));
+        }
+    }
+}
+
+TEST(LaneSweep, SurvivorAtEveryLane)
+{
+    // From a carried minimum of 40 the first block starts at
+    // offset 0.  Consensus bases are G/T and read bases A/C, so a
+    // window matches only where the read is planted: that offset,
+    // lane s, survives with WHD 0, and every other window holds a
+    // background base at quality 40 and aborts.  19 offsets put a
+    // padded block after the full one.
+    const size_t offsets = 19;
+    for (size_t n : {2u, 8u, 33u, 100u, 256u}) {
+        for (size_t s = 0; s < kWhdLanes; ++s) {
+            Rng rng(0x5A11 + 17 * n + s);
+            BaseSeq read;
+            for (size_t p = 0; p < n; ++p)
+                read.push_back(rng.chance(0.5) ? 'A' : 'C');
+            BaseSeq cons;
+            for (size_t b = 0; b < n + offsets - 1; ++b)
+                cons.push_back(rng.chance(0.5) ? 'G' : 'T');
+            std::copy(read.begin(), read.end(), cons.begin() + s);
+            const QualSeq qual(n, 40);
+            const std::string where =
+                "n=" + std::to_string(n) + " s=" + std::to_string(s);
+            const WhdSweepResult ref =
+                scalarLanes(cons, read, qual, minimumOf(40));
+            ASSERT_EQ(ref.best, 0u) << where;
+            ASSERT_EQ(ref.bestK, s) << where;
+            ASSERT_EQ(ref.offsetsPruned, offsets - 1) << where;
+            expectLanesBitEqual(cons, read, qual, where, minimumOf(40));
+        }
+    }
+}
+
+TEST(LaneSweep, TwoSurvivorsInOneBlock)
+{
+    // An all-A read over a run of A's in a G background, from a
+    // carried minimum of 40.  Window k's WHD is the quality sum of
+    // the read positions that fall outside the run.
+    //   ascending: the run is [s, s + n) and the read's last
+    //   quality is 1, so lane s has WHD 0 and lane s + 1 has WHD 1:
+    //   both beat 40, but s + 1 must abort against s's 0.
+    //   descending: the run is [s + 1, s + 1 + n) and the first
+    //   quality is 1, so lane s (WHD 1) is a minimum that lane
+    //   s + 1 (WHD 0) lowers again.
+    //   ties: a run d - 1 bases longer gives d windows of WHD 0;
+    //   only the first is a minimum, the rest tie and abort.
+    // All other windows pay a quality-40 background base.
+    const size_t offsets = 2 * kWhdLanes;
+    for (size_t n : {2u, 9u, 64u, 256u}) {
+        for (size_t s = 0; s + 1 < kWhdLanes; ++s) {
+            for (int shape = 0; shape < 3; ++shape) {
+                const size_t d = shape == 2 ? kWhdLanes - s : 1;
+                const size_t runStart = shape == 1 ? s + 1 : s;
+                BaseSeq cons(n + offsets - 1, 'G');
+                std::fill_n(cons.begin() + runStart, n + d - 1, 'A');
+                const BaseSeq read(n, 'A');
+                QualSeq qual(n, 40);
+                if (shape == 0)
+                    qual[n - 1] = 1;
+                if (shape == 1)
+                    qual[0] = 1;
+                const char *names[] = {" ascending", " descending",
+                                       " ties"};
+                const std::string where = "n=" + std::to_string(n) +
+                                          " s=" + std::to_string(s) +
+                                          names[shape];
+                const WhdSweepResult ref =
+                    scalarLanes(cons, read, qual, minimumOf(40));
+                ASSERT_EQ(ref.best, 0u) << where;
+                ASSERT_EQ(ref.bestK, shape == 1 ? s + 1 : s) << where;
+                ASSERT_EQ(ref.offsetsPruned,
+                          offsets - (shape == 1 ? 2 : 1))
+                    << where;
+                expectLanesBitEqual(cons, read, qual, where,
+                                    minimumOf(40));
+            }
+        }
+    }
+}
+
+TEST(LaneSweep, MinimaAtTheLaneLimits)
+{
+    // Lanes hold sums in u16 biased by 0x8000.  n = 256 at quality
+    // 255 reaches the 65,280 ceiling: with every base mismatching,
+    // each offset's sum meets a minimum of 65,280 on its last
+    // comparison and stays under 65,281 and anything above 0xFFFF.
+    // Random windows put the sums above 2^15, where an unbiased
+    // signed compare would flip.  A minimum of 0 aborts every
+    // offset on its first comparison, zero qualities included.
+    const size_t offsets = 21;
+    Rng rng(0xB1A5);
+    const uint32_t minima[] = {0,     1,     32767, 32768, 40000,
+                               65279, 65280, 65281, 65535, 65536,
+                               kWhdMax};
+    for (int shape = 0; shape < 3; ++shape) {
+        const size_t n = 256;
+        BaseSeq cons(n + offsets - 1, 'C');
+        BaseSeq read(n, 'A');
+        QualSeq qual(n, 255);
+        if (shape == 1) {
+            cons = randomSeq(rng, n + offsets - 1);
+            read = randomSeq(rng, n);
+        }
+        if (shape == 2)
+            qual.assign(n, 0);
+        const std::string where = "shape=" + std::to_string(shape);
+        if (shape == 0) {
+            const WhdSweepResult ref =
+                scalarLanes(cons, read, qual, WhdSweepResult());
+            ASSERT_EQ(ref.best, 65280u);
+            ASSERT_EQ(ref.comparisons, offsets * n);
+            ASSERT_EQ(ref.offsetsPruned, offsets - 1);
+        }
+        expectLanesBitEqual(cons, read, qual, where);
+        for (uint32_t best : minima)
+            expectLanesBitEqual(cons, read, qual,
+                                where + " from " + std::to_string(best),
+                                minimumOf(best));
+    }
+}
+
+TEST(LaneSweep, ReadLengthFallbacks)
+{
+    // n = 0 has no comparison to abort on and n > kMaxReadLen
+    // overflows a u16 lane: both run the scalar reference, which
+    // every kernel must still equal.  n = 256 is the longest lane
+    // read.
+    Rng rng(0xFA11);
+    for (size_t n : {0u, 255u, 256u, 257u, 300u}) {
+        for (size_t offsets : {1u, 17u, 40u}) {
+            const BaseSeq cons = randomSeq(rng, n + offsets - 1);
+            BaseSeq read = cons.substr(rng.below(offsets), n);
+            if (n > 0)
+                read[rng.below(n)] = kConcreteBases[rng.below(4)];
+            QualSeq qual;
+            for (size_t b = 0; b < n; ++b)
+                qual.push_back(static_cast<uint8_t>(rng.range(0, 255)));
+            const std::string where = "n=" + std::to_string(n) +
+                                      " offsets=" +
+                                      std::to_string(offsets);
+            expectLanesBitEqual(cons, read, qual, where);
+            expectLanesBitEqual(cons, read, qual, where + " from 500",
+                                minimumOf(500));
+            expectLanesBitEqual(cons, read, qual, where + " from 0",
+                                minimumOf(0));
+        }
+    }
+}
+
+TEST(LaneSweep, RangesFromCarriedStateAtEveryPhase)
+{
+    // A range that resumes from a carried state starts its first
+    // block at kBegin, so kBegin 0-47 puts the block grid at every
+    // phase relative to the offsets; the ranges end after one
+    // offset, one block, one block and one, and at the end.
+    const size_t offsets = 64;
+    Rng rng(0x9A5E);
+    for (size_t n : {9u, 64u, 150u}) {
+        for (bool planted : {false, true}) {
+            const BaseSeq cons = randomSeq(rng, n + offsets - 1);
+            BaseSeq read = planted ? cons.substr(rng.below(offsets), n)
+                                   : randomSeq(rng, n);
+            if (planted)
+                read[rng.below(n)] = kConcreteBases[rng.below(4)];
+            QualSeq qual;
+            for (size_t b = 0; b < n; ++b)
+                qual.push_back(static_cast<uint8_t>(rng.range(0, 60)));
+            for (size_t kBegin = 0; kBegin < 48; ++kBegin) {
+                const WhdSweepResult head = whdSweep(
+                    bytes(cons), cons.size(), bytes(read), qual.data(),
+                    n, true, 1, SimdKernel::Scalar, 0, kBegin);
+                for (size_t len : {size_t{1}, size_t{16}, size_t{17}, offsets}) {
+                    const size_t kEnd = std::min(offsets, kBegin + len);
+                    expectLanesBitEqual(
+                        cons, read, qual,
+                        "n=" + std::to_string(n) +
+                            (planted ? " planted" : " random") +
+                            " range=[" + std::to_string(kBegin) + "," +
+                            std::to_string(kEnd) + ")",
+                        head, kBegin, kEnd);
+                }
+            }
+        }
+    }
 }
 
 TEST(WorstCase, ComplexityFormula)
