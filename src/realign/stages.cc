@@ -25,12 +25,17 @@ planStage(const ReferenceGenome &ref, int32_t contig,
     // (pos, index) keys of the claimable reads -- on this contig,
     // not duplicates -- sorted for range queries.  Other reads are
     // never claimed, so a pre-partitioned per-contig candidate list
-    // yields the same plan as scanning the whole read set.
+    // yields the same plan as scanning the whole read set.  The
+    // widest reference span among them bounds how far before a
+    // target a read that overlaps it can start.
     std::vector<std::pair<int64_t, uint32_t>> keys;
+    int64_t max_span = 0;
     auto add = [&](uint32_t i) {
         const Read &read = reads[i];
-        if (read.contig == contig && !read.duplicate)
+        if (read.contig == contig && !read.duplicate) {
             keys.emplace_back(read.pos, i);
+            max_span = std::max(max_span, read.endPos() - read.pos);
+        }
     };
     if (candidates) {
         keys.reserve(candidates->size());
@@ -45,9 +50,6 @@ planStage(const ReferenceGenome &ref, int32_t contig,
     // A read may straddle two targets; the first target claims it so
     // targets never share (and never race on) a read.
     std::vector<char> claimed(keys.size(), 0);
-    // No read spans more than its length plus the largest deletion
-    // we model; 4 KiB of slack is conservative.
-    const int64_t max_span = kMaxReadLen + 4096;
 
     plan.readsPerTarget.reserve(plan.targets.size());
     for (const IrTarget &target : plan.targets) {

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "realign/consensus.hh"
 #include "realign/limits.hh"
 #include "realign/stages.hh"
@@ -153,6 +155,54 @@ TEST(PlanStage, CandidateListGivesTheFullScanPlan)
                 << contig << (shuffled ? " shuffled" : "");
         }
     }
+}
+
+TEST(PlanStage, ClaimsFollowOverlapPastLongSpans)
+{
+    // Reads spanning more than kMaxReadLen + 4096 reference bases:
+    // a long match with no indel (it makes no target of its own, so
+    // the first target it overlaps starts 4,875 bases after it) and
+    // a long deletion.  Each target claims, in (position, index)
+    // order, every unclaimed read that overlaps it.
+    Rng rng(0x5BA7);
+    ReferenceGenome ref;
+    ref.addContig("c0", ReferenceGenome::randomSequence(20000, rng));
+    std::vector<Read> reads = {makeRead(100, "5000M"),
+                               makeRead(8000, "50M5000D50M")};
+    for (int i = 0; i < 3; ++i) {
+        reads.push_back(makeRead(4980, "20M2D30M"));
+        reads.push_back(makeRead(15000, "20M2D30M"));
+        reads.push_back(makeRead(14000 + 100 * i, "60M"));
+    }
+    const ContigPlan plan = planStage(ref, 0, reads);
+    ASSERT_EQ(plan.readsPerTarget.size(), plan.targets.size());
+
+    std::vector<uint32_t> order(reads.size());
+    for (uint32_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+        return reads[a].pos != reads[b].pos ? reads[a].pos < reads[b].pos
+                                            : a < b;
+    });
+    std::vector<char> taken(reads.size(), 0);
+    for (size_t t = 0; t < plan.targets.size(); ++t) {
+        const IrTarget &target = plan.targets[t];
+        std::vector<uint32_t> want;
+        for (uint32_t i : order) {
+            if (taken[i] ||
+                !reads[i].overlaps(0, target.start, target.end))
+                continue;
+            taken[i] = 1;
+            want.push_back(i);
+        }
+        EXPECT_EQ(plan.readsPerTarget[t], want) << "target " << t;
+    }
+    // Both long reads were claimed; the match by a target that
+    // starts more than kMaxReadLen + 4096 bases after it.
+    EXPECT_TRUE(taken[0]);
+    EXPECT_TRUE(taken[1]);
+    EXPECT_GT(plan.targets.front().start,
+              reads[0].pos + kMaxReadLen + 4096);
 }
 
 TEST(AssignReads, OverlapRuleAndCap)
