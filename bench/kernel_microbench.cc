@@ -28,8 +28,10 @@
 
 #include "accel/ir_compute.hh"
 #include "align/smith_waterman.hh"
+#include "core/workload.hh"
 #include "obs/bench_report.hh"
 #include "realign/marshal.hh"
+#include "realign/stages.hh"
 #include "realign/whd.hh"
 #include "realign/whd_simd.hh"
 #include "util/argparse.hh"
@@ -122,6 +124,58 @@ BM_IrComputeWidth(benchmark::State &state, SimdKernel kernel)
     state.counters["model_cycles"] = static_cast<double>(cycles);
 }
 
+/**
+ * Every target of a fixed-seed genome (chr21-22 at scale 1000, 30x),
+ * marshalled once.  Its reads come from the simulator, indels and
+ * sequencing errors included, so offsets abort in every chunk, not
+ * nearly all in the first as with benchInput's three-error reads.
+ */
+const std::vector<MarshalledTarget> &
+genomeTargets()
+{
+    static const std::vector<MarshalledTarget> targets = [] {
+        WorkloadParams params;
+        params.seed = 0x6E0E;
+        params.chromosomes = {21, 22};
+        GenomeWorkload wl = buildWorkload(params);
+        std::vector<MarshalledTarget> out;
+        for (const ChromosomeWorkload &chr : wl.chromosomes) {
+            ContigPlan plan =
+                planStage(wl.reference, chr.contig, chr.reads);
+            for (size_t t = 0; t < plan.targets.size(); ++t) {
+                if (plan.readsPerTarget[t].empty())
+                    continue;
+                IrTargetInput input = buildTargetInput(
+                    wl.reference, chr.reads, plan.targets[t],
+                    plan.readsPerTarget[t]);
+                if (input.limitViolation().empty())
+                    out.push_back(marshalTarget(input));
+            }
+        }
+        return out;
+    }();
+    return targets;
+}
+
+/** irCompute at width 32 over every target of genomeTargets(). */
+void
+BM_IrComputeGenome(benchmark::State &state, SimdKernel kernel)
+{
+    ScopedSimdKernel scope(kernel);
+    const std::vector<MarshalledTarget> &targets = genomeTargets();
+    uint64_t cycles = 0;
+    for (auto _ : state) {
+        cycles = 0;
+        for (const MarshalledTarget &target : targets) {
+            IrComputeResult res = irCompute(target, 32, true);
+            cycles += res.totalCycles();
+            benchmark::DoNotOptimize(res);
+        }
+    }
+    state.counters["targets"] = static_cast<double>(targets.size());
+    state.counters["model_cycles"] = static_cast<double>(cycles);
+}
+
 void
 BM_MarshalTarget(benchmark::State &state)
 {
@@ -185,6 +239,13 @@ registerDispatchBenchmarks()
             ->Arg(1)
             ->Arg(8)
             ->Arg(32);
+        name = "BM_IrComputeGenome/" + kname;
+        benchmark::RegisterBenchmark(
+            name.c_str(),
+            [kernel](benchmark::State &st) {
+                BM_IrComputeGenome(st, kernel);
+            })
+            ->Unit(benchmark::kMillisecond);
     }
 }
 
@@ -240,8 +301,10 @@ measureMinWhdRate(SimdKernel kernel, bool prune,
 }
 
 /**
- * The width-32 per-chunk pruned sweep over every (consensus, read)
- * pair -- the accelerator datapath precompute irCompute runs.
+ * The width-32 per-chunk pruned sweep of each (consensus, read)
+ * pair on its own.  irCompute runs sweepTarget, which replays chunk
+ * rows shared across consensuses instead; this rates the per-pair
+ * whdSweep kernels.
  */
 WhdSweepResult
 chunk32Sweep(SimdKernel kernel, const IrTargetInput &input)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "realign/limits.hh"
 #include "util/logging.hh"
 
 namespace iracc {
@@ -91,6 +92,47 @@ sharedOffsets(uint32_t prefix, uint32_t suffix, size_t m, size_t n)
     return s;
 }
 
+/**
+ * Chunk rows of consensus i's windows at offsets [lo, hi) into
+ * t.windowRows (whd_simd.cc note 5): chunk c of offset k is
+ * consensus 0's row entry at k where its bytes lie in the shared
+ * prefix, at k + m_0 - m_i where they lie in the shared suffix, and
+ * is summed from consensus i's bytes otherwise.
+ */
+void
+fillWindowRows(WhdTarget &t, size_t i, size_t j, size_t stride,
+               size_t lo, size_t hi, const WhdRowKernels &kernels)
+{
+    const size_t n = t.readLen[j];
+    const size_t m0 = t.consLen[0];
+    const size_t m = t.consLen[i];
+    const size_t offsets0 = m0 - n + 1;
+    const size_t prefix = t.prefix[i];
+    const size_t sharedFrom = m - t.suffix[i];
+    for (size_t cs = 0, c = 0; cs < n; cs += kWhdPruneBlock, ++c) {
+        const size_t ce = std::min(n, cs + kWhdPruneBlock);
+        const uint16_t *row0 = t.rows.data() + c * stride;
+        uint16_t *row = t.windowRows.data() + c * stride;
+        // Prefix: k + ce <= P, and consensus 0 has offset k.
+        size_t a = lo;
+        if (prefix >= ce)
+            a = std::max(lo, std::min({hi, prefix - ce + 1, offsets0}));
+        // Suffix: k + cs >= m_i - S, and consensus 0 has offset
+        // k + m_0 - m_i.
+        const size_t fromSuffix =
+            std::max(sharedFrom > cs ? sharedFrom - cs : 0,
+                     m > m0 ? m - m0 : 0);
+        const size_t b = std::max(a, std::min(hi, fromSuffix));
+        std::copy(row0 + lo, row0 + a, row + lo);
+        if (a < b)
+            kernels.chunkRow(t.cons[i] + a + cs, t.read[j] + cs,
+                             t.qual[j] + cs, ce - cs, b - a, row + a);
+        if (b < hi)
+            std::copy(row0 + (b + m0 - m), row0 + (hi + m0 - m),
+                      row + b);
+    }
+}
+
 } // anonymous namespace
 
 WhdTargetSweep
@@ -106,6 +148,7 @@ sweepTarget(WhdTarget &t, bool prune, uint32_t pruneChunk,
 
     const uint8_t *cons0 = t.cons[0];
     const size_t m0 = t.consLen[0];
+    size_t maxLen = m0;
     t.prefix.resize(num_cons);
     t.suffix.resize(num_cons);
     for (size_t i = 1; i < num_cons; ++i) {
@@ -119,8 +162,10 @@ sweepTarget(WhdTarget &t, bool prune, uint32_t pruneChunk,
             ++q;
         t.prefix[i] = static_cast<uint32_t>(p);
         t.suffix[i] = static_cast<uint32_t>(q);
+        maxLen = std::max<size_t>(maxLen, t.consLen[i]);
     }
 
+    const WhdRowKernels kernels = whdRowKernels(kernel);
     WhdStats local;
     for (size_t j = 0; j < num_reads; ++j) {
         const size_t n = t.readLen[j];
@@ -154,6 +199,42 @@ sweepTarget(WhdTarget &t, bool prune, uint32_t pruneChunk,
             continue;
         }
 
+        // At width 32 every window is replayed from chunk rows
+        // (whd_simd.cc note 5): consensus 0's rows are summed once,
+        // over every offset, and each other consensus sums only the
+        // chunks that touch its indel.  Row entries past a range's
+        // last offset are padding the replay masks out.
+        const bool replay = pruneChunk == kWhdPruneBlock && n != 0 &&
+                            n <= kMaxReadLen;
+        const size_t stride = maxLen - n + 1 + kWhdLanes;
+        if (replay) {
+            const size_t rowsLen =
+                (n + kWhdPruneBlock - 1) / kWhdPruneBlock * stride;
+            if (t.rows.size() < rowsLen) {
+                t.rows.resize(rowsLen);
+                t.windowRows.resize(rowsLen);
+            }
+            for (size_t cs = 0, c = 0; cs < n;
+                 cs += kWhdPruneBlock, ++c)
+                kernels.chunkRow(cons0 + cs, t.read[j] + cs,
+                                 t.qual[j] + cs,
+                                 std::min(n - cs, kWhdPruneBlock),
+                                 m0 - n + 1, t.rows.data() + c * stride);
+        }
+        // Offsets [begin, end) replayed from @p rows, whose entry
+        // @p at holds offset begin.
+        auto replayRange = [&](const std::vector<uint16_t> &rows,
+                              size_t begin, size_t end, size_t at,
+                              const WhdSweepResult &from) {
+            local.offsetsSwept += end - begin;
+            if (begin == end)
+                return from;
+            return whdContinue(from, begin,
+                               kernels.replayRows(rows.data() + at,
+                                                  stride, n, end - begin,
+                                                  from.best));
+        };
+
         // Consensus 0, cut at every offset another consensus
         // resumes from.
         t.cuts.clear();
@@ -171,14 +252,19 @@ sweepTarget(WhdTarget &t, bool prune, uint32_t pruneChunk,
         t.cuts.erase(std::unique(t.cuts.begin(), t.cuts.end()),
                      t.cuts.end());
         t.states.resize(t.cuts.size());
+        auto sweep0 = [&](size_t begin, size_t end,
+                          const WhdSweepResult &from) {
+            return replay ? replayRange(t.rows, begin, end, begin, from)
+                          : sweep(0, begin, end, from);
+        };
         WhdSweepResult state;
         size_t at = 0;
         for (size_t c = 0; c < t.cuts.size(); ++c) {
-            state = sweep(0, at, t.cuts[c], state);
+            state = sweep0(at, t.cuts[c], state);
             t.states[c] = state;
             at = t.cuts[c];
         }
-        const WhdSweepResult whole = sweep(0, at, m0 - n + 1, state);
+        const WhdSweepResult whole = sweep0(at, m0 - n + 1, state);
         record(0, whole);
         auto stateAt = [&t](size_t k) -> const WhdSweepResult & {
             return t.states[static_cast<size_t>(
@@ -192,8 +278,16 @@ sweepTarget(WhdTarget &t, bool prune, uint32_t pruneChunk,
                 continue;
             const SharedOffsets s =
                 sharedOffsets(t.prefix[i], t.suffix[i], m, n);
-            WhdSweepResult r = sweep(i, s.prefixEnd, s.suffixBegin,
-                                     stateAt(s.prefixEnd));
+            const WhdSweepResult &start = stateAt(s.prefixEnd);
+            WhdSweepResult r;
+            if (replay) {
+                fillWindowRows(t, i, j, stride, s.prefixEnd,
+                               s.suffixBegin, kernels);
+                r = replayRange(t.windowRows, s.prefixEnd,
+                                s.suffixBegin, s.prefixEnd, start);
+            } else {
+                r = sweep(i, s.prefixEnd, s.suffixBegin, start);
+            }
             if (s.suffixBegin < s.end) {
                 const WhdSweepResult &cut =
                     stateAt(s.suffixBegin + m0 - m);
@@ -209,6 +303,11 @@ sweepTarget(WhdTarget &t, bool prune, uint32_t pruneChunk,
                         r.bestK =
                             static_cast<uint32_t>(whole.bestK + m - m0);
                     }
+                } else if (replay) {
+                    // Consensus 0's windows at k + m_0 - m_i, against
+                    // this consensus's own minimum.
+                    r = replayRange(t.rows, s.suffixBegin, s.end,
+                                    s.suffixBegin + m0 - m, r);
                 } else {
                     r = sweep(i, s.suffixBegin, s.end, r);
                 }

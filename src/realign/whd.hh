@@ -25,7 +25,9 @@
  * with one indel applied, so a pruned sweep of consensus i repeats
  * consensus 0's wherever their bytes agree: it resumes from
  * consensus 0's state and sweeps only the offsets whose window
- * touches its indel (whd_simd.cc note 5).  The shared bytes are
+ * touches its indel (whd_simd.cc note 5).  At the datapath's width
+ * of 32 every sweep replays per-chunk sums, and consensus i sums
+ * only the chunks that touch its indel.  The shared bytes are
  * found by comparison, so grids and counters are those of the
  * per-pair loop, bit for bit, for any consensus set.
  */
@@ -91,10 +93,13 @@ struct WhdStats
     /**
      * Offsets the host actually swept: offsetsEvaluated minus those
      * a consensus took over from consensus 0's sweep
-     * (sweepTarget).  Host work, not modeled work -- the counters
-     * above and the datapath's cycles count every evaluated offset.
-     * A function of the target and `prune` alone, so identical
-     * under every kernel and prune granularity.
+     * (sweepTarget).  A re-swept shared suffix counts as swept,
+     * also at width 32, where it replays consensus 0's chunk sums
+     * and sums nothing itself.  Host work, not modeled work -- the
+     * counters above and the datapath's cycles count every
+     * evaluated offset.  A function of the target and `prune`
+     * alone, so identical under every kernel and prune
+     * granularity.
      */
     uint64_t offsetsSwept = 0;
 
@@ -194,6 +199,13 @@ struct WhdTarget
     std::vector<size_t> cuts;
     /** Consensus 0's sweep state at each cut. */
     std::vector<WhdSweepResult> states;
+    /**
+     * Width-32 chunk rows of one read: consensus 0's over every
+     * offset, and another consensus's over the windows it sweeps.
+     * ceil(n / 32) rows of (largest offset count + kWhdLanes) u16.
+     */
+    std::vector<uint16_t> rows;
+    std::vector<uint16_t> windowRows;
 
     /** Point the rows at @p input's consensuses and reads. */
     void load(const IrTargetInput &input);
@@ -215,7 +227,12 @@ struct WhdTargetSweep
  * to a loop of whole-pair whdSweep() calls over every feasible
  * pair; a pruned sweep of consensus i > 0 reuses consensus 0's
  * sweep of the same read wherever their bytes agree (whd_simd.cc
- * note 5).  Unpruned sweeps run whole, pair by pair.
+ * note 5).  At pruneChunk == kWhdPruneBlock a pruned sweep sums
+ * consensus 0's chunk rows once per read and replays every
+ * consensus from rows (WhdRowKernels); consensus i sums only the
+ * chunks of its windows that touch its indel.  Unpruned sweeps,
+ * reads longer than consensus 0, and reads the rows cannot hold
+ * (n == 0, n > kMaxReadLen) run whdSweep pair by pair.
  *
  * @param target     rows to sweep; its tables are scratch
  * @param prune      enable computation pruning

@@ -5,11 +5,13 @@
  * under the project's baseline flags; the dispatch layer routes here
  * only after CPUID reports AVX2.  The loop shapes (and the
  * correctness argument for bit-equal counters, whd_simd.cc notes
- * 1-4) mirror the generic sweeps in whd_simd.cc: the unpruned and
- * per-comparison pruned sweeps run sixteen offsets per vector of
- * u16 lanes, and the width-32 per-chunk sweep, which has no generic
- * counterpart of that shape, evaluates four offsets per step --
- * tests/whd_test.cc referees the equality.
+ * 1-5) mirror the generic sweeps in whd_simd.cc: the unpruned and
+ * per-comparison pruned sweeps and the width-32 row replay run
+ * sixteen offsets per vector of u16 lanes, the row builder sums a
+ * chunk at sixteen offsets per step, and the per-pair width-32
+ * per-chunk sweep, which has no generic counterpart of that shape,
+ * evaluates four offsets per step -- tests/whd_test.cc referees
+ * the equality.
  */
 
 #include "realign/whd_simd.hh"
@@ -480,7 +482,178 @@ sweepPrunedLanes(const uint8_t *cons, size_t m, const uint8_t *read,
     return r;
 }
 
+/**
+ * Sums of one 32-byte chunk at sixteen consecutive offsets, as u16
+ * lanes in offset order.  One SAD per offset gives four u64
+ * partials of eight bytes each (<= 2,040); two rounds of unsigned
+ * packs gather four offsets' partials into one vector of u16 lanes,
+ * partials 0-1 in the low 128-bit lane and 2-3 in the high one, and
+ * pairwise adds and a cross-lane add finish the sums.
+ */
+IRACC_AVX2 inline __m256i
+chunkSums16(const uint8_t *cons_k0, __m256i rv, __m256i qv)
+{
+    const __m256i zero = _mm256_setzero_si256();
+    auto sad = [&](size_t j) IRACC_AVX2 {
+        const __m256i cv = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(cons_k0 + j));
+        return _mm256_sad_epu8(
+            _mm256_andnot_si256(_mm256_cmpeq_epi8(cv, rv), qv), zero);
+    };
+    // x[g], per 128-bit lane: offsets 4g..4g+3, two partials each.
+    __m256i x[4];
+    for (size_t g = 0; g < 4; ++g) {
+        const size_t j = 4 * g;
+        x[g] = _mm256_packus_epi32(
+            _mm256_packus_epi32(sad(j), sad(j + 1)),
+            _mm256_packus_epi32(sad(j + 2), sad(j + 3)));
+    }
+    // Per 128-bit lane: offsets 0-7 (then 8-15), partials 0+1 in
+    // the low lane and 2+3 in the high one.
+    const __m256i h01 = _mm256_hadd_epi16(x[0], x[1]);
+    const __m256i h23 = _mm256_hadd_epi16(x[2], x[3]);
+    return _mm256_add_epi16(_mm256_permute2x128_si256(h01, h23, 0x20),
+                            _mm256_permute2x128_si256(h01, h23, 0x31));
+}
+
+/**
+ * The n % 32 tail chunk of a read at sixteen offsets, as u16 lanes
+ * one base at a time: for a short tail this costs less than a SAD
+ * per offset.  @p rw / @p qw hold each base and quality in both u16
+ * halves of a u32, as laneBlock's do.
+ */
+IRACC_AVX2 inline __m256i
+tailSums16(const uint8_t *cons_k0, const uint32_t *rw,
+           const uint32_t *qw, size_t len)
+{
+    __m256i acc = _mm256_setzero_si256();
+    for (size_t p = 0; p < len; ++p) {
+        const __m256i c = _mm256_cvtepu8_epi16(_mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(cons_k0 + p)));
+        const __m256i r = _mm256_set1_epi32(static_cast<int>(rw[p]));
+        const __m256i q = _mm256_set1_epi32(static_cast<int>(qw[p]));
+        acc = _mm256_add_epi16(
+            acc, _mm256_andnot_si256(_mm256_cmpeq_epi16(c, r), q));
+    }
+    return acc;
+}
+
 } // anonymous namespace
+
+IRACC_AVX2 void
+whdChunkRowAvx2(const uint8_t *cons, const uint8_t *read,
+                const uint8_t *qual, size_t len, size_t count,
+                uint16_t *row)
+{
+    const bool full = len == kWhdPruneBlock;
+    const __m256i rv =
+        full ? _mm256_loadu_si256(reinterpret_cast<const __m256i *>(read))
+             : _mm256_setzero_si256();
+    const __m256i qv =
+        full ? _mm256_loadu_si256(reinterpret_cast<const __m256i *>(qual))
+             : _mm256_setzero_si256();
+    uint32_t rw[kWhdPruneBlock];
+    uint32_t qw[kWhdPruneBlock];
+    if (!full) {
+        for (size_t p = 0; p < len; ++p) {
+            rw[p] = read[p] * 0x00010001u;
+            qw[p] = qual[p] * 0x00010001u;
+        }
+    }
+    auto block = [&](size_t k) IRACC_AVX2 {
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(row + k),
+                            full ? chunkSums16(cons + k, rv, qv)
+                                 : tailSums16(cons + k, rw, qw, len));
+    };
+    if (count < kWhdLanes) {
+        for (size_t k = 0; k < count; ++k) {
+            uint32_t sum = 0;
+            for (size_t p = 0; p < len; ++p)
+                sum += (cons[k + p] != read[p]) ? qual[p] : 0;
+            row[k] = static_cast<uint16_t>(sum);
+        }
+        return;
+    }
+    size_t k = 0;
+    for (; k + kWhdLanes <= count; k += kWhdLanes)
+        block(k);
+    // The last block ends at the last offset and rewrites equal
+    // sums over the offsets it shares with the one before.
+    if (k < count)
+        block(count - kWhdLanes);
+}
+
+IRACC_AVX2 WhdSweepResult
+whdReplayRowsAvx2(const uint16_t *rows, size_t stride, size_t n,
+                  size_t count, uint32_t startBest)
+{
+    const size_t numRows = (n + kWhdPruneBlock - 1) / kWhdPruneBlock;
+    const uint64_t tailShort = numRows * kWhdPruneBlock - n;
+    const __m256i lastRow =
+        _mm256_set1_epi16(static_cast<short>(numRows - 1));
+    uint32_t best = startBest;
+    uint32_t bestK = 0;
+    uint64_t chunks = 0;
+    uint64_t tails = 0;
+    uint64_t offsetsPruned = 0;
+    size_t k = 0;
+    while (k < count) {
+        const size_t lanes = std::min(kWhdLanes, count - k);
+        // Sums never exceed 65,280, so a minimum above 0xFFFF (none
+        // yet included) prunes exactly like 0xFFFF.
+        const __m256i bound = _mm256_set1_epi16(static_cast<short>(
+            std::min<uint32_t>(best, 0xFFFF) ^ 0x8000));
+        __m256i acc = _mm256_set1_epi16(static_cast<short>(0x8000));
+        __m256i cnt = _mm256_setzero_si256();
+        __m256i alive = _mm256_setzero_si256();
+        for (size_t c = 0; c < numRows; ++c) {
+            acc = _mm256_add_epi16(
+                acc, _mm256_loadu_si256(reinterpret_cast<const __m256i *>(
+                         rows + c * stride + k)));
+            alive = _mm256_cmpgt_epi16(bound, acc);
+            cnt = _mm256_sub_epi16(cnt, alive);
+        }
+        // Lanes before the first survivor aborted in chunk cnt, and
+        // those with cnt == numRows - 1 in the last one.
+        auto aborted = [&](size_t lanesBefore) IRACC_AVX2 {
+            const uint64_t before = (uint64_t{1} << (2 * lanesBefore)) - 1;
+            const uint32_t inLast = static_cast<uint32_t>(
+                static_cast<uint32_t>(_mm256_movemask_epi8(
+                    _mm256_cmpeq_epi16(cnt, lastRow))) &
+                before);
+            chunks += lanesBefore + laneSum(cnt, lanesBefore);
+            tails += static_cast<unsigned>(__builtin_popcount(inLast)) / 2;
+            offsetsPruned += lanesBefore;
+            k += lanesBefore;
+        };
+        const uint32_t live = static_cast<uint32_t>(_mm256_movemask_epi8(
+            _mm256_and_si256(alive, laneMask(lanes))));
+        if (live == 0) {
+            // No survivor, the common step: a predicted branch keeps
+            // the next step's loads off this one's compares.
+            aborted(lanes);
+            continue;
+        }
+        const size_t first = static_cast<size_t>(__builtin_ctz(live)) / 2;
+        aborted(first);
+        alignas(32) uint16_t sums[kWhdLanes];
+        _mm256_store_si256(reinterpret_cast<__m256i *>(sums), acc);
+        best = sums[first] ^ 0x8000u;
+        bestK = static_cast<uint32_t>(k);
+        chunks += numRows;
+        ++tails;
+        ++k;
+    }
+    WhdSweepResult r;
+    r.best = best;
+    r.bestK = bestK;
+    r.chunks = chunks;
+    // Every chunk runs 32 comparisons but a last one, which runs
+    // n % 32 of them when that is nonzero.
+    r.comparisons = chunks * kWhdPruneBlock - tails * tailShort;
+    r.offsetsPruned = offsetsPruned;
+    return r;
+}
 
 IRACC_AVX2 WhdSweepResult
 whdSweepUnprunedAvx2(const uint8_t *cons, size_t m,

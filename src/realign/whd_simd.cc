@@ -62,20 +62,21 @@ namespace {
  *      alone, and the last < kWhdLanes offsets run from a
  *      zero-padded copy of the consensus, so no load leaves it;
  *      the padding lanes are masked out of every decision.
- *    - Width-32 groups of four: each chunk's four cumulative sums
- *      are compared against B.  If all four abort in the full
- *      chunks the masks are final: each offset's abort chunk is
- *      where its bit cleared, and the chunk count is the sum of the
- *      per-step live-bit counts.  Otherwise the group is replayed
- *      in offset order from the stored cumulative sums, each
- *      member against the minimum the earlier members left: a
- *      lower minimum can only move an abort to an earlier chunk,
- *      and the sums already hold every chunk a member could abort
- *      at.  The n % 32 tail is summed only for members that clear
- *      every full chunk, over the window's last 32 bytes masked to
- *      the tail.  An offset with no minimum yet, the last
- *      < 4 offsets, and reads shorter than one chunk or longer
- *      than kMaxReadLen run one offset at a time.
+ *    - Width-32 groups of four (per-pair whdSweep only; the target
+ *      sweep replays chunk rows instead, note 5): each chunk's
+ *      four cumulative sums are compared against B.  If all four
+ *      abort in the full chunks the masks are final: each offset's
+ *      abort chunk is where its bit cleared, and the chunk count is
+ *      the sum of the per-step live-bit counts.  Otherwise the
+ *      group is replayed in offset order from the stored
+ *      cumulative sums, each member against the minimum the
+ *      earlier members left: a lower minimum can only move an abort
+ *      to an earlier chunk, and the sums already hold every chunk a
+ *      member could abort at.  The n % 32 tail is summed only for
+ *      members that clear every full chunk, over the window's last
+ *      32 bytes masked to the tail.  An offset with no minimum yet,
+ *      the last < 4 offsets, and reads shorter than one chunk or
+ *      longer than kMaxReadLen run one offset at a time.
  * 5. Offset ranges: a sweep's state before offset k -- the running
  *    minimum, its offset, and the comparisons, chunks and pruned
  *    offsets so far -- depends only on the windows at offsets
@@ -101,6 +102,35 @@ namespace {
  *    when it fell there.  Otherwise the shared suffix is swept.
  *    Only the offsets whose window touches the indel are always
  *    swept.
+ *    At pruneChunk 32 the target sweep replays chunk rows instead
+ *    of running whdSweep on each range.  For a read of length n,
+ *    1 <= n <= kMaxReadLen, no longer than consensus 0, row c at
+ *    offset k holds the mismatch-quality sum of chunk c (read bytes
+ *    [32c, min(n, 32c + 32))) at that offset.  Consensus 0's rows T
+ *    are summed once, over every offset.  Consensus i's window at
+ *    offset k takes chunk c from T[c][k] when the chunk's bytes lie
+ *    in the shared prefix (k + chunkEnd <= P) and consensus 0 has
+ *    offset k (k <= m_0 - n), and from T[c][k + d] when they lie in
+ *    the shared suffix (k + chunkStart >= m_i - S) and k + d >= 0;
+ *    only the other chunks are summed from consensus i's bytes.
+ *    Equal bytes give equal sums, so the rows are exactly the
+ *    window's chunk sums, and where prefix and suffix overlap (an
+ *    indel in a tandem repeat) either source holds the same value.
+ *    A re-swept suffix replays T at k + d and sums nothing.  The
+ *    replay decides kWhdLanes offsets per vector of biased u16
+ *    lanes (note 2: sums <= 65,280) against the running minimum B.
+ *    Running sums are monotone, so a lane's count a of rows whose
+ *    running sum stays below B is the chunk the scalar loop aborts
+ *    at, and a lane below B after the last row survives.  By note
+ *    4's lane argument every lane before the first survivor saw
+ *    only B: each is one pruned offset of a + 1 chunks and
+ *    min(n, 32 (a + 1)) comparisons, which is 32 (a + 1) less
+ *    32 - n % 32 when a is the last row and n % 32 != 0.  The first
+ *    survivor sets B, adds ceil(n / 32) chunks and n comparisons,
+ *    and the next step starts after it; lanes past the range's end
+ *    read row padding and are masked out.  Reads of length 0 or
+ *    above kMaxReadLen, and reads longer than consensus 0, run
+ *    whdSweep pair by pair.
  */
 
 /**
@@ -431,6 +461,169 @@ sweepPrunedPerChunk(const uint8_t *cons, size_t m,
     return r;
 }
 
+/** Plain loop of WhdRowKernels::chunkRow. */
+void
+chunkRowScalar(const uint8_t *cons, const uint8_t *read,
+               const uint8_t *qual, size_t len, size_t count,
+               uint16_t *row)
+{
+    for (size_t k = 0; k < count; ++k) {
+        uint32_t sum = 0;
+        for (size_t p = 0; p < len; ++p)
+            sum += (cons[k + p] != read[p]) ? qual[p] : 0;
+        row[k] = static_cast<uint16_t>(sum);
+    }
+}
+
+/**
+ * WhdRowKernels::chunkRow in kWhdLanes-offset blocks of u16 lanes (a
+ * chunk sum is at most 32 * 255 = 8,160).  The last block ends at
+ * the last offset, rewriting equal sums where it overlaps the one
+ * before, so no load leaves the windows; fewer than kWhdLanes
+ * offsets run the plain loop.
+ */
+void
+chunkRowGeneric(const uint8_t *cons, const uint8_t *read,
+                const uint8_t *qual, size_t len, size_t count,
+                uint16_t *row)
+{
+    if (count < kWhdLanes)
+        return chunkRowScalar(cons, read, qual, len, count, row);
+    auto block = [&](size_t k) {
+        uint16_t acc[kWhdLanes] = {};
+        for (size_t p = 0; p < len; ++p) {
+            const uint8_t rb = read[p];
+            const uint8_t q = qual[p];
+            const uint8_t *c = cons + k + p;
+            // A mask, not a ?: select, which GCC leaves scalar here.
+#pragma GCC unroll 1
+            for (size_t l = 0; l < kWhdLanes; ++l) {
+                const uint8_t ne = c[l] != rb;
+                acc[l] = static_cast<uint16_t>(
+                    acc[l] + (q & static_cast<uint8_t>(-ne)));
+            }
+        }
+        std::memcpy(row + k, acc, sizeof(acc));
+    };
+    size_t k = 0;
+    for (; k + kWhdLanes <= count; k += kWhdLanes)
+        block(k);
+    if (k < count)
+        block(count - kWhdLanes);
+}
+
+/** Chunk rows of a read of length n. */
+size_t
+chunkRows(size_t n)
+{
+    return (n + kWhdPruneBlock - 1) / kWhdPruneBlock;
+}
+
+/**
+ * Plain loop of WhdRowKernels::replayRows from minimum
+ * @p startBest: each offset adds its rows until the running sum
+ * reaches the minimum, exactly as sweepScalar adds its chunks.
+ * Sums are at most 65,280, below the kWhdInfinity sentinel.
+ */
+WhdSweepResult
+replayRowsScalar(const uint16_t *rows, size_t stride, size_t n,
+                 size_t count, uint32_t startBest)
+{
+    const size_t numRows = chunkRows(n);
+    WhdSweepResult r;
+    r.best = startBest;
+    for (size_t k = 0; k < count; ++k) {
+        uint32_t whd = 0;
+        size_t c = 0;
+        for (; c < numRows; ++c) {
+            whd += rows[c * stride + k];
+            if (whd >= r.best)
+                break;
+        }
+        if (c < numRows) {
+            r.chunks += c + 1;
+            r.comparisons +=
+                std::min<size_t>(n, (c + 1) * kWhdPruneBlock);
+            ++r.offsetsPruned;
+            continue;
+        }
+        r.chunks += numRows;
+        r.comparisons += n;
+        r.best = whd;
+        r.bestK = static_cast<uint32_t>(k);
+    }
+    return r;
+}
+
+/**
+ * WhdRowKernels::replayRows in kWhdLanes-offset blocks of biased u16
+ * lanes (note 5): a lane's count of rows whose running sum stays
+ * below the minimum is its abort chunk, and the block ends at its
+ * first surviving lane.
+ */
+WhdSweepResult
+replayRowsGeneric(const uint16_t *rows, size_t stride, size_t n,
+                  size_t count, uint32_t startBest)
+{
+    const size_t numRows = chunkRows(n);
+    const uint64_t tailShort = numRows * kWhdPruneBlock - n;
+    uint32_t best = startBest;
+    uint32_t bestK = 0;
+    uint64_t chunks = 0;
+    uint64_t tails = 0;
+    uint64_t offsetsPruned = 0;
+    size_t k = 0;
+    while (k < count) {
+        const size_t lanes = std::min(kWhdLanes, count - k);
+        // Sums never exceed 65,280, so a minimum above 0xFFFF
+        // (none yet included) prunes exactly like 0xFFFF.
+        const int16_t bound = static_cast<int16_t>(
+            std::min<uint32_t>(best, 0xFFFF) ^ 0x8000);
+        uint16_t acc[kWhdLanes];
+        uint16_t cnt[kWhdLanes];
+        uint16_t alive[kWhdLanes];
+        for (size_t l = 0; l < kWhdLanes; ++l) {
+            acc[l] = 0x8000;
+            cnt[l] = 0;
+            alive[l] = 0;
+        }
+        for (size_t c = 0; c < numRows; ++c) {
+            const uint16_t *row = rows + c * stride + k;
+#pragma GCC unroll 1
+            for (size_t l = 0; l < kWhdLanes; ++l) {
+                acc[l] = static_cast<uint16_t>(acc[l] + row[l]);
+                alive[l] = static_cast<int16_t>(acc[l]) < bound
+                               ? 0xFFFF
+                               : 0;
+                cnt[l] = static_cast<uint16_t>(cnt[l] - alive[l]);
+            }
+        }
+        size_t first = 0;
+        for (; first < lanes && alive[first] == 0; ++first) {
+            chunks += cnt[first] + 1u;
+            tails += cnt[first] + 1u == numRows;
+        }
+        offsetsPruned += first;
+        k += first;
+        if (first < lanes) {
+            best = acc[first] ^ 0x8000u;
+            bestK = static_cast<uint32_t>(k);
+            chunks += numRows;
+            ++tails;
+            ++k;
+        }
+    }
+    WhdSweepResult r;
+    r.best = best;
+    r.bestK = bestK;
+    r.chunks = chunks;
+    // Every chunk runs kWhdPruneBlock comparisons but a last one,
+    // which runs n % 32 of them when that is nonzero.
+    r.comparisons = chunks * kWhdPruneBlock - tails * tailShort;
+    r.offsetsPruned = offsetsPruned;
+    return r;
+}
+
 /** Unpruned counters are a pure function of the sweep shape. */
 void
 fillUnprunedCounters(WhdSweepResult &r, size_t m, size_t n,
@@ -443,6 +636,16 @@ fillUnprunedCounters(WhdSweepResult &r, size_t m, size_t n,
                       : offsets * ((n + pruneChunk - 1) / pruneChunk);
 }
 
+/** @p kernel, or generic where AVX2 is not supported. */
+SimdKernel
+resolveKernel(SimdKernel kernel)
+{
+    if (kernel == SimdKernel::Avx2 &&
+        !simdKernelSupported(SimdKernel::Avx2))
+        return SimdKernel::Generic;
+    return kernel;
+}
+
 /**
  * Sweep every offset of (cons, m) starting from minimum
  * @p startBest (kWhdInfinity = none yet); counters start at zero.
@@ -452,9 +655,7 @@ sweepFrom(const uint8_t *cons, size_t m, const uint8_t *read,
           const uint8_t *qual, size_t n, bool prune,
           uint32_t pruneChunk, SimdKernel kernel, uint32_t startBest)
 {
-    if (kernel == SimdKernel::Avx2 &&
-        !simdKernelSupported(SimdKernel::Avx2))
-        kernel = SimdKernel::Generic;
+    kernel = resolveKernel(kernel);
     // The lane sweeps keep a whole read's sums in u16 lanes (note
     // 2); other read lengths run the reference.
     if (prune && pruneChunk == 1 && (n == 0 || n > kMaxReadLen))
@@ -514,19 +715,26 @@ whdSweep(const uint8_t *cons, size_t m, const uint8_t *read,
 
     // The range is the whole sweep of the sub-row starting at
     // kBegin (note 5).  Unpruned sweeps ignore the starting
-    // minimum; the strict < below merges them the same way.
-    const WhdSweepResult r =
-        sweepFrom(cons + kBegin, kEnd - kBegin + n - 1, read, qual,
-                  n, prune, pruneChunk, kernel, from.best);
-    WhdSweepResult out = from;
-    out.comparisons += r.comparisons;
-    out.offsetsPruned += r.offsetsPruned;
-    out.chunks += r.chunks;
-    if (r.best < from.best) {
-        out.best = r.best;
-        out.bestK = static_cast<uint32_t>(kBegin + r.bestK);
+    // minimum; the strict < in whdContinue merges them the same
+    // way.
+    return whdContinue(
+        from, kBegin,
+        sweepFrom(cons + kBegin, kEnd - kBegin + n - 1, read, qual, n,
+                  prune, pruneChunk, kernel, from.best));
+}
+
+WhdRowKernels
+whdRowKernels(SimdKernel kernel)
+{
+    switch (resolveKernel(kernel)) {
+      case SimdKernel::Scalar:
+        return {chunkRowScalar, replayRowsScalar};
+      case SimdKernel::Generic:
+        return {chunkRowGeneric, replayRowsGeneric};
+      case SimdKernel::Avx2:
+        return {whdChunkRowAvx2, whdReplayRowsAvx2};
     }
-    return out;
+    fatal("whdRowKernels: unknown kernel %d", static_cast<int>(kernel));
 }
 
 #if !IRACC_HAVE_AVX2
@@ -542,6 +750,19 @@ whdSweepUnprunedAvx2(const uint8_t *, size_t, const uint8_t *,
 WhdSweepResult
 whdSweepPrunedAvx2(const uint8_t *, size_t, const uint8_t *,
                    const uint8_t *, size_t, uint32_t, uint32_t)
+{
+    fatal("AVX2 WHD kernel is not compiled into this binary");
+}
+
+void
+whdChunkRowAvx2(const uint8_t *, const uint8_t *, const uint8_t *,
+                size_t, size_t, uint16_t *)
+{
+    fatal("AVX2 WHD kernel is not compiled into this binary");
+}
+
+WhdSweepResult
+whdReplayRowsAvx2(const uint16_t *, size_t, size_t, size_t, uint32_t)
 {
     fatal("AVX2 WHD kernel is not compiled into this binary");
 }

@@ -12,11 +12,12 @@
  *            running-minimum check per comparison (software) or per
  *            chunk (hardware model).
  *   generic  portable fixed-width lanes written so any optimizing
- *            compiler can auto-vectorize: the unpruned sweep and the
- *            per-comparison pruned sweep run kWhdLanes offsets at
- *            once (for base n the consensus bytes needed across
- *            offset lanes are contiguous); the per-chunk pruned
- *            sweep evaluates one offset in SWAR blocks.
+ *            compiler can auto-vectorize: the unpruned sweep, the
+ *            per-comparison pruned sweep and the width-32 row
+ *            kernels run kWhdLanes offsets at once (for base n the
+ *            consensus bytes needed across offset lanes are
+ *            contiguous); the per-pair per-chunk pruned sweep
+ *            evaluates one offset in SWAR blocks.
  *   avx2     the same shapes hand-written with AVX2 intrinsics
  *            (compiled via function target attributes, selected at
  *            runtime only when CPUID reports AVX2).
@@ -31,6 +32,11 @@
  * stop at the chunk whose end-of-chunk sum crosses it.  The
  * differential harness (src/testing) and tests/whd_test.cc referee
  * the equality.
+ *
+ * The width-32 target sweep (sweepTarget, realign/whd.hh) has two
+ * primitives of its own in every implementation: a chunk row (one
+ * 32-base chunk's sums over a range of offsets) and a replay of the
+ * pruned sweep from such rows (WhdRowKernels).
  *
  * Dispatch: the sweep runs whichever SimdKernel the caller passes;
  * callers pass the process-wide activeSimdKernel() (util/
@@ -56,7 +62,8 @@ constexpr size_t kWhdLanes = 16;
 
 /**
  * Chunk width at which the AVX2 per-chunk pruned sweep sums a
- * chunk in one 32-byte vector and groups offsets.
+ * chunk in one 32-byte vector and groups offsets, and at which the
+ * target sweep replays chunk rows (WhdRowKernels).
  */
 constexpr size_t kWhdPruneBlock = 32;
 
@@ -120,9 +127,65 @@ WhdSweepResult whdSweep(const uint8_t *cons, size_t m,
                         const WhdSweepResult &from = WhdSweepResult());
 
 /**
+ * The two row kernels of the width-32 target sweep (whd_simd.cc
+ * note 5), resolved once per target: sweepTarget calls them many
+ * times per read, each over a few dozen offsets.
+ */
+struct WhdRowKernels
+{
+    /**
+     * One chunk row: row[k], for k in [0, count), is the
+     * mismatch-quality sum of the @p len bytes cons[k..k+len)
+     * against read[0..len), 1 <= len <= kWhdPruneBlock.  Bytes
+     * cons[0, count - 1 + len) are read.
+     */
+    void (*chunkRow)(const uint8_t *cons, const uint8_t *read,
+                     const uint8_t *qual, size_t len, size_t count,
+                     uint16_t *row);
+
+    /**
+     * Sweep offsets [0, count) of one pair at pruneChunk
+     * kWhdPruneBlock from chunk rows, starting from minimum
+     * @p startBest with zero counters: row c of offset k is
+     * rows[c * stride + k], for the ceil(n / 32) chunks of a read
+     * of length n, 1 <= n <= kMaxReadLen.  Each row must be readable
+     * for kWhdLanes - 1 entries past count; those lanes are masked
+     * out.  Bit-equal to whdSweep() over the windows the rows were
+     * summed from (continue a state with whdContinue()).
+     */
+    WhdSweepResult (*replayRows)(const uint16_t *rows, size_t stride,
+                                 size_t n, size_t count,
+                                 uint32_t startBest);
+};
+
+/** @p kernel's row kernels (generic where AVX2 is not supported). */
+WhdRowKernels whdRowKernels(SimdKernel kernel);
+
+/**
+ * @p from advanced by @p r, a sweep of the offsets from @p kBegin on
+ * that started at from's minimum with zero counters and numbers its
+ * offsets from 0 (whd_simd.cc note 5).
+ */
+inline WhdSweepResult
+whdContinue(const WhdSweepResult &from, size_t kBegin,
+            const WhdSweepResult &r)
+{
+    WhdSweepResult out = from;
+    out.comparisons += r.comparisons;
+    out.offsetsPruned += r.offsetsPruned;
+    out.chunks += r.chunks;
+    if (r.best < from.best) {
+        out.best = r.best;
+        out.bestK = static_cast<uint32_t>(kBegin + r.bestK);
+    }
+    return out;
+}
+
+/**
  * AVX2 entry points (defined in whd_avx2.cc, compiled with the avx2
  * function target; call only when simdKernelSupported(Avx2)).
- * Internal to the dispatch layer -- use whdSweep().
+ * Internal to the dispatch layer -- use whdSweep() and
+ * whdRowKernels().
  */
 WhdSweepResult whdSweepUnprunedAvx2(const uint8_t *cons, size_t m,
                                     const uint8_t *read,
@@ -132,6 +195,12 @@ WhdSweepResult whdSweepPrunedAvx2(const uint8_t *cons, size_t m,
                                   const uint8_t *qual, size_t n,
                                   uint32_t pruneChunk,
                                   uint32_t startBest);
+void whdChunkRowAvx2(const uint8_t *cons, const uint8_t *read,
+                     const uint8_t *qual, size_t len, size_t count,
+                     uint16_t *row);
+WhdSweepResult whdReplayRowsAvx2(const uint16_t *rows, size_t stride,
+                                 size_t n, size_t count,
+                                 uint32_t startBest);
 
 } // namespace iracc
 

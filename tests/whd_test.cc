@@ -1141,6 +1141,208 @@ TEST(TargetSweep, TandemRepeatOverlapWithChunkedReads)
     }
 }
 
+/**
+ * sweepTarget at width 32 under every kernel against the per-pair
+ * scalar loop: grid, every counter but offsetsSwept, chunks and
+ * pairs.  offsetsSwept must equal the width-1 scalar target
+ * sweep's, which replays no chunk rows.
+ */
+void
+expectWidth32Exact(const IrTargetInput &input, const std::string &where)
+{
+    const difftest::PairSweep want =
+        difftest::sweepPairsScalar(input, true, 32);
+    WhdTarget rows;
+    rows.load(input);
+    MinWhdGrid grid(0, 0);
+    WhdStats width1;
+    sweepTarget(rows, true, 1, SimdKernel::Scalar, grid, width1);
+    for (SimdKernel kernel : supportedSimdKernels()) {
+        const std::string ctx =
+            where + " kernel " + simdKernelName(kernel);
+        WhdStats st;
+        const WhdTargetSweep work =
+            sweepTarget(rows, true, 32, kernel, grid, st);
+        for (size_t i = 0; i < grid.numConsensuses(); ++i) {
+            for (size_t j = 0; j < grid.numReads(); ++j) {
+                if (grid.whd(i, j) != want.grid.whd(i, j) ||
+                    grid.idx(i, j) != want.grid.idx(i, j)) {
+                    ADD_FAILURE()
+                        << ctx << ": (cons " << i << ", read " << j
+                        << ") min " << grid.whd(i, j) << " at "
+                        << grid.idx(i, j) << ", per-pair "
+                        << want.grid.whd(i, j) << " at "
+                        << want.grid.idx(i, j);
+                    return;
+                }
+            }
+        }
+        EXPECT_EQ(st.comparisons, want.stats.comparisons) << ctx;
+        EXPECT_EQ(st.comparisonsUnpruned, want.stats.comparisonsUnpruned)
+            << ctx;
+        EXPECT_EQ(st.offsetsEvaluated, want.stats.offsetsEvaluated)
+            << ctx;
+        EXPECT_EQ(st.offsetsPruned, want.stats.offsetsPruned) << ctx;
+        EXPECT_EQ(st.offsetsSwept, width1.offsetsSwept) << ctx;
+        EXPECT_EQ(work.chunks, want.work.chunks) << ctx;
+        EXPECT_EQ(work.pairs, want.work.pairs) << ctx;
+        if (::testing::Test::HasFailure())
+            return;
+    }
+}
+
+/** Read lengths the width-32 rows treat differently. */
+constexpr size_t kChunkEdgeLens[] = {0, 1, 31, 32, 33, 100, 255, 256};
+
+/**
+ * @p len bases from a random consensus of @p cons with up to four
+ * point errors, or random bases when that consensus is shorter.
+ */
+BaseSeq
+sampledRead(Rng &rng, const std::vector<BaseSeq> &cons, size_t len)
+{
+    const BaseSeq &src = cons[rng.below(cons.size())];
+    if (len > src.size())
+        return randomSeq(rng, len);
+    BaseSeq read = src.substr(rng.below(src.size() - len + 1), len);
+    for (uint64_t e = len == 0 ? 0 : rng.below(5); e > 0; --e)
+        read[rng.below(len)] = kConcreteBases[rng.below(4)];
+    return read;
+}
+
+/**
+ * A random target: a reference of 20-420 bases, often with a tandem
+ * repeat of a 1-4 base unit, and up to seven alternatives deleting
+ * 1-40 bases or inserting 1-60 (random bases, or a copy of the
+ * bases before the site, which lengthens a repeat).  Reads come
+ * from kChunkEdgeLens or 1-256 bases; qualities are typical, all
+ * 0, all 255, or either extreme at random.
+ */
+IrTargetInput
+randomIndelTarget(Rng &rng)
+{
+    const size_t m0 = static_cast<size_t>(rng.range(20, 420));
+    BaseSeq ref = randomSeq(rng, m0);
+    if (rng.chance(0.5)) {
+        const BaseSeq unit = randomSeq(rng, 1 + rng.below(4));
+        const size_t at = rng.below(m0);
+        const size_t len = std::min<size_t>(m0 - at, 8 + rng.below(80));
+        for (size_t b = 0; b < len; ++b)
+            ref[at + b] = unit[b % unit.size()];
+    }
+    std::vector<BaseSeq> cons = {ref};
+    for (uint64_t a = rng.below(8); a > 0; --a) {
+        const size_t at = rng.below(m0 + 1);
+        if (at < m0 && rng.chance(0.5)) {
+            const size_t del =
+                1 + rng.below(std::min<size_t>(40, m0 - at));
+            cons.push_back(withIndel(ref, at, del, ""));
+        } else {
+            const size_t len = 1 + rng.below(60);
+            const BaseSeq ins = at >= len && rng.chance(0.5)
+                                    ? ref.substr(at - len, len)
+                                    : randomSeq(rng, len);
+            cons.push_back(withIndel(ref, at, 0, ins));
+        }
+    }
+    const int qualMode = static_cast<int>(rng.below(4));
+    std::vector<BaseSeq> reads;
+    std::vector<QualSeq> quals;
+    for (uint64_t r = 2 + rng.below(8); r > 0; --r) {
+        const size_t len =
+            rng.chance(0.5) ? kChunkEdgeLens[rng.below(8)]
+                            : static_cast<size_t>(rng.range(1, 256));
+        reads.push_back(sampledRead(rng, cons, len));
+        QualSeq q;
+        for (size_t b = 0; b < len; ++b) {
+            switch (qualMode) {
+              case 0: q.push_back(typicalQual(rng)); break;
+              case 1: q.push_back(0); break;
+              case 2: q.push_back(255); break;
+              default: q.push_back(rng.chance(0.5) ? 0 : 255); break;
+            }
+        }
+        quals.push_back(q);
+    }
+    return makeInput(std::move(cons), std::move(reads),
+                     std::move(quals));
+}
+
+TEST(TargetSweep, Width32RowsMatchPerPairOnRandomTargets)
+{
+    for (uint64_t seed = 0; seed < 1000; ++seed) {
+        Rng rng(0x3232 + seed);
+        expectWidth32Exact(randomIndelTarget(rng),
+                           "seed " + std::to_string(seed));
+        if (HasFailure())
+            return;
+    }
+}
+
+TEST(TargetSweep, Width32RowsOnNamedShapes)
+{
+    Rng rng(0x3233);
+    const BaseSeq ref = randomSeq(rng, 300);
+    auto readsOf = [&](const std::vector<BaseSeq> &cons, uint8_t lo,
+                       uint8_t hi) {
+        std::vector<BaseSeq> reads;
+        std::vector<QualSeq> quals;
+        for (size_t len : kChunkEdgeLens) {
+            for (int r = 0; r < 3; ++r) {
+                reads.push_back(sampledRead(rng, cons, len));
+                QualSeq q;
+                for (size_t b = 0; b < len; ++b)
+                    q.push_back(static_cast<uint8_t>(rng.range(lo, hi)));
+                quals.push_back(q);
+            }
+        }
+        return makeInput(cons, std::move(reads), std::move(quals));
+    };
+
+    // Insertions at and near consensus 0's end: the alternative is
+    // longer, so offsets past consensus 0's last one have chunks in
+    // the shared prefix with no row of consensus 0 to take them
+    // from.  Their reads come from the alternative.
+    for (size_t at : {300u, 299u, 280u}) {
+        const BaseSeq alt = withIndel(ref, at, 0, randomSeq(rng, 40));
+        IrTargetInput input = readsOf({ref, alt}, 2, 41);
+        for (size_t j = 0; j < input.numReads(); ++j) {
+            const size_t n = input.readBases[j].size();
+            if (n > 0 && n <= alt.size() && rng.chance(0.5)) {
+                const size_t slack = std::min<size_t>(8, alt.size() - n);
+                input.readBases[j] =
+                    alt.substr(alt.size() - n - rng.below(slack + 1), n);
+            }
+        }
+        expectWidth32Exact(input, "insertion at " + std::to_string(at));
+    }
+
+    // Insertions longer than one chunk, random and repeating.
+    for (size_t len : {33u, 48u, 60u}) {
+        expectWidth32Exact(
+            readsOf({ref, withIndel(ref, 150, 0, randomSeq(rng, len)),
+                     withIndel(ref, 150, 0, ref.substr(150 - len, len))},
+                    2, 41),
+            "insertion of " + std::to_string(len));
+    }
+
+    // Prefix and suffix overlapping inside a tandem repeat.
+    BaseSeq repeat = ref;
+    for (size_t b = 100; b < 190; ++b)
+        repeat[b] = "AC"[b % 2];
+    expectWidth32Exact(readsOf({repeat, withIndel(repeat, 120, 2, ""),
+                                withIndel(repeat, 130, 0, "ACAC"),
+                                withIndel(repeat, 101, 40, "")},
+                               2, 41),
+                       "tandem repeat");
+
+    // Qualities 0 and 255.
+    const std::vector<BaseSeq> cons = {ref, withIndel(ref, 140, 5, ""),
+                                       withIndel(ref, 60, 0, "GATTACA")};
+    expectWidth32Exact(readsOf(cons, 0, 0), "phred 0");
+    expectWidth32Exact(readsOf(cons, 255, 255), "phred 255");
+}
+
 /** The bytes of @p s as the sweep reads them. */
 const uint8_t *
 bytes(const BaseSeq &s)
