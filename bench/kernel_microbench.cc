@@ -237,7 +237,10 @@ registerDispatchBenchmarks()
                 BM_IrComputeWidth(st, kernel);
             })
             ->Arg(1)
+            ->Arg(2)
+            ->Arg(4)
             ->Arg(8)
+            ->Arg(16)
             ->Arg(32);
         name = "BM_IrComputeGenome/" + kname;
         benchmark::RegisterBenchmark(
@@ -301,10 +304,10 @@ measureMinWhdRate(SimdKernel kernel, bool prune,
 }
 
 /**
- * The width-32 per-chunk pruned sweep of each (consensus, read)
- * pair on its own.  irCompute runs sweepTarget, which replays chunk
- * rows shared across consensuses instead; this rates the per-pair
- * whdSweep kernels.
+ * The width-32 pruned sweep of each (consensus, read) pair on its
+ * own.  irCompute runs sweepTarget, which replays chunk rows shared
+ * across consensuses instead; this rates the per-pair whdSweep lane
+ * sweep at pruneChunk 32.
  */
 WhdSweepResult
 chunk32Sweep(SimdKernel kernel, const IrTargetInput &input)
@@ -330,7 +333,7 @@ chunk32Sweep(SimdKernel kernel, const IrTargetInput &input)
     return total;
 }
 
-/** comparisons/second of the width-32 per-chunk sweep. */
+/** comparisons/second of the width-32 per-pair pruned sweep. */
 double
 measureChunk32Rate(SimdKernel kernel, const IrTargetInput &input)
 {

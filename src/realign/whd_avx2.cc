@@ -5,13 +5,11 @@
  * under the project's baseline flags; the dispatch layer routes here
  * only after CPUID reports AVX2.  The loop shapes (and the
  * correctness argument for bit-equal counters, whd_simd.cc notes
- * 1-5) mirror the generic sweeps in whd_simd.cc: the unpruned and
- * per-comparison pruned sweeps and the width-32 row replay run
- * sixteen offsets per vector of u16 lanes, the row builder sums a
- * chunk at sixteen offsets per step, and the per-pair width-32
- * per-chunk sweep, which has no generic counterpart of that shape,
- * evaluates four offsets per step -- tests/whd_test.cc referees
- * the equality.
+ * 1-5) mirror the generic sweeps in whd_simd.cc: the unpruned
+ * sweep, the pruned sweep at every datapath width and the width-32
+ * row replay run sixteen offsets per vector of u16 lanes, and the
+ * row builder sums a chunk at sixteen offsets per step --
+ * tests/whd_test.cc referees the equality.
  */
 
 #include "realign/whd_simd.hh"
@@ -96,248 +94,8 @@ unprunedLanes16(const uint8_t *cons_k0, const uint8_t *read,
     }
 }
 
-/** Per-base mismatch qualities of one 32-byte block (0 on a match). */
-IRACC_AVX2 inline __m256i
-mismatchQual32(const uint8_t *c, const uint8_t *r, const uint8_t *q)
-{
-    const __m256i cv =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(c));
-    const __m256i rv =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(r));
-    const __m256i qv =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(q));
-    return _mm256_andnot_si256(_mm256_cmpeq_epi8(cv, rv), qv);
-}
-
-/** Horizontal sum of 32 unsigned bytes. */
-IRACC_AVX2 inline uint32_t
-byteSum32(__m256i v)
-{
-    // SAD against zero yields four 64-bit partials.
-    const __m256i sad = _mm256_sad_epu8(v, _mm256_setzero_si256());
-    const __m128i lo = _mm256_castsi256_si128(sad);
-    const __m128i hi = _mm256_extracti128_si256(sad, 1);
-    const __m128i s = _mm_add_epi64(lo, hi);
-    return static_cast<uint32_t>(_mm_cvtsi128_si64(s) +
-                                 _mm_extract_epi64(s, 1));
-}
-
-/** Mismatch-quality sum over an arbitrary-length range. */
-IRACC_AVX2 inline uint32_t
-rangeSum(const uint8_t *c, const uint8_t *r, const uint8_t *q,
-         size_t len)
-{
-    uint32_t sum = 0;
-    size_t i = 0;
-    for (; i + 32 <= len; i += 32)
-        sum += byteSum32(mismatchQual32(c + i, r + i, q + i));
-    for (; i < len; ++i)
-        sum += (c[i] != r[i]) ? q[i] : 0;
-    return sum;
-}
-
-/** Running-minimum sentinel of the per-chunk sweep: no minimum yet. */
+/** Running-minimum sentinel of the lane sweep: no minimum yet. */
 constexpr uint64_t kNoMinimum = ~static_cast<uint64_t>(0);
-
-/** Consecutive offsets the width-32 sweep evaluates per step. */
-constexpr size_t kOffsetGroup = 4;
-
-/**
- * Full 32-byte chunks whose cumulative sums an offset group keeps:
- * the accelerator's read-length limit.  Longer reads (reachable
- * only through direct whdSweep calls) run offset by offset.
- */
-constexpr size_t kGroupMaxChunks = kMaxReadLen / kWhdPruneBlock;
-
-/**
- * One 32-byte chunk of four consecutive offsets: lane j (u64) is
- * the mismatch-quality sum of consensus bytes cons_k0[j..j+31]
- * against the read/quality chunk @p rv / @p qv.
- */
-IRACC_AVX2 inline __m256i
-groupChunkSums(const uint8_t *cons_k0, __m256i rv, __m256i qv)
-{
-    const __m256i zero = _mm256_setzero_si256();
-    __m256i sad[kOffsetGroup];
-    for (size_t j = 0; j < kOffsetGroup; ++j) {
-        const __m256i cv = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(cons_k0 + j));
-        sad[j] = _mm256_sad_epu8(
-            _mm256_andnot_si256(_mm256_cmpeq_epi8(cv, rv), qv), zero);
-    }
-    // Per 128-bit lane: [offset 0's half sum, offset 1's half sum].
-    const __m256i s01 =
-        _mm256_add_epi64(_mm256_unpacklo_epi64(sad[0], sad[1]),
-                         _mm256_unpackhi_epi64(sad[0], sad[1]));
-    const __m256i s23 =
-        _mm256_add_epi64(_mm256_unpacklo_epi64(sad[2], sad[3]),
-                         _mm256_unpackhi_epi64(sad[2], sad[3]));
-    // [s01 high | s23 low] + [s01 low | s23 high] = [S0, S1, S2, S3].
-    return _mm256_add_epi64(
-        _mm256_permute2x128_si256(s01, s23, 0x21),
-        _mm256_blend_epi32(s01, s23, 0xF0));
-}
-
-/**
- * Pruned sweep, per-chunk (hardware datapath) semantics: the
- * minimum check and the counters tick at pruneChunk granularity.
- * The minimum lives in 64 bits with an all-ones "none yet" sentinel
- * (whd_simd.cc note 3), so each prune test is one exact compare;
- * counters stay in locals -- the uint8_t inputs may alias the
- * result -- and are derived from the exit point.  Width32 runs each
- * full chunk as one 32-byte block sum and, once a minimum exists,
- * evaluates four consecutive offsets per step (whd_simd.cc note 4);
- * otherwise chunks go through rangeSum.  The read's n % pruneChunk
- * tail is the last chunk; at width 32 after a full chunk it is
- * summed over the window's last 32 bytes masked to the tail, so no
- * load leaves the read or the window.
- */
-template <bool Width32>
-IRACC_AVX2 WhdSweepResult
-sweepPrunedPerChunk(const uint8_t *cons, size_t m,
-                    const uint8_t *read, const uint8_t *qual,
-                    size_t n, uint32_t pruneChunk, uint32_t startBest)
-{
-    const size_t w = Width32 ? kWhdPruneBlock : pruneChunk;
-    const size_t fullEnd = n - n % w;
-    const size_t full = fullEnd / w;
-    const size_t tail = n - fullEnd;
-    const uint64_t chunksPerOffset = full + (tail != 0);
-    const size_t offsets = m - n + 1;
-    const bool grouped =
-        Width32 && full != 0 && full <= kGroupMaxChunks;
-    uint64_t best = kNoMinimum;
-    if (startBest != kWhdInfinity)
-        best = startBest;
-    uint32_t bestK = 0;
-    uint64_t comparisons = 0;
-    uint64_t chunks = 0;
-    uint64_t offsetsPruned = 0;
-
-    // Bytes 32 - tail .. 31 of the window's last 32: its tail.
-    const __m256i tailMask = _mm256_cmpgt_epi8(
-        _mm256_setr_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13,
-                         14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24,
-                         25, 26, 27, 28, 29, 30, 31),
-        _mm256_set1_epi8(static_cast<char>(Width32 ? 31 - tail : 0)));
-
-    // An offset that aborted at full chunk c.
-    auto prunedAt = [&](size_t c) {
-        chunks += c + 1;
-        comparisons += (c + 1) * w;
-        ++offsetsPruned;
-    };
-    // An offset that cleared every full chunk with running sum whd:
-    // its tail is the last prune check, then the minimum update.
-    auto settle = [&](size_t k, uint64_t whd) IRACC_AVX2 {
-        chunks += chunksPerOffset;
-        comparisons += n;
-        if (tail != 0) {
-            if (Width32 && full != 0) {
-                const size_t q = n - kWhdPruneBlock;
-                whd += byteSum32(_mm256_and_si256(
-                    mismatchQual32(cons + k + q, read + q, qual + q),
-                    tailMask));
-            } else {
-                whd += rangeSum(cons + k + fullEnd, read + fullEnd,
-                                qual + fullEnd, tail);
-            }
-            if (whd >= best) {
-                ++offsetsPruned;
-                return;
-            }
-        }
-        const uint64_t v = std::min<uint64_t>(whd, kWhdMax);
-        if (v < best) {
-            best = v;
-            bestK = static_cast<uint32_t>(k);
-        }
-    };
-
-    // Cumulative chunk sums of the current group, one row per chunk;
-    // a group reads back only rows it wrote.
-    alignas(32) uint64_t cum[kGroupMaxChunks][kOffsetGroup];
-    size_t k = 0;
-    while (k < offsets) {
-        if (grouped && best != kNoMinimum &&
-            k + kOffsetGroup <= offsets) {
-            // best <= kWhdMax here, so the signed 64-bit compare is
-            // exact; lane j of `below` is set while offset k + j's
-            // running sum is under the group-start minimum.
-            const __m256i bv =
-                _mm256_set1_epi64x(static_cast<long long>(best));
-            __m256i acc = _mm256_setzero_si256();
-            unsigned below = (1u << kOffsetGroup) - 1;
-            uint64_t executed = 0; // chunks run by the group so far
-            for (size_t c = 0; c < full; ++c) {
-                const size_t p = c * kWhdPruneBlock;
-                const __m256i rv = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(read + p));
-                const __m256i qv = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(qual + p));
-                acc = _mm256_add_epi64(
-                    acc, groupChunkSums(cons + k + p, rv, qv));
-                _mm256_store_si256(
-                    reinterpret_cast<__m256i *>(cum[c]), acc);
-                executed += static_cast<unsigned>(
-                    __builtin_popcount(below));
-                below = static_cast<unsigned>(_mm256_movemask_pd(
-                    _mm256_castsi256_pd(_mm256_cmpgt_epi64(bv, acc))));
-                if (below == 0)
-                    break;
-            }
-            if (below == 0) {
-                // All four aborted in the full chunks against the
-                // group-start minimum, which nobody lowered.
-                chunks += executed;
-                comparisons += executed * kWhdPruneBlock;
-                offsetsPruned += kOffsetGroup;
-            } else {
-                // Offset by offset, each against the minimum as
-                // the earlier members left it.  Running sums are
-                // monotone, so the chunks still under it number
-                // the abort chunk.
-                for (size_t j = 0; j < kOffsetGroup; ++j) {
-                    size_t c = 0;
-                    for (size_t i = 0; i < full; ++i)
-                        c += cum[i][j] < best;
-                    if (c < full)
-                        prunedAt(c);
-                    else
-                        settle(k + j, cum[full - 1][j]);
-                }
-            }
-            k += kOffsetGroup;
-            continue;
-        }
-
-        const uint8_t *cons_k = cons + k;
-        uint64_t whd = 0;
-        size_t chunk = 0;
-        for (; chunk < fullEnd; chunk += w) {
-            whd += Width32 ? byteSum32(mismatchQual32(cons_k + chunk,
-                                                      read + chunk,
-                                                      qual + chunk))
-                           : rangeSum(cons_k + chunk, read + chunk,
-                                      qual + chunk, w);
-            if (whd >= best)
-                break;
-        }
-        if (chunk < fullEnd)
-            prunedAt(chunk / w);
-        else
-            settle(k, whd);
-        ++k;
-    }
-    WhdSweepResult r;
-    r.best = best == kNoMinimum ? kWhdInfinity
-                                : static_cast<uint32_t>(best);
-    r.bestK = bestK;
-    r.comparisons = comparisons;
-    r.chunks = chunks;
-    r.offsetsPruned = offsetsPruned;
-    return r;
-}
 
 /** A vector of kWhdLanes u16 lanes whose first @p lanes are set. */
 IRACC_AVX2 inline __m256i
@@ -350,7 +108,7 @@ laneMask(size_t lanes)
 }
 
 /**
- * One block of the per-comparison lane sweep: lane l runs offset
+ * One block of the pruned lane sweep: lane l runs offset
  * cons_k0 + l over the n bases (whd_simd.cc note 2).  @p rw / @p qw
  * hold each read base and quality in both u16 halves of a u32, so
  * one broadcast fills the sixteen lanes.  @p bound is the running
@@ -402,84 +160,6 @@ laneSum(__m256i v, size_t lanes)
     t = _mm_add_epi32(t, _mm_unpackhi_epi64(t, t));
     t = _mm_add_epi32(t, _mm_shuffle_epi32(t, 1));
     return static_cast<uint32_t>(_mm_cvtsi128_si32(t));
-}
-
-/**
- * Pruned sweep, per-comparison (software) semantics, for
- * 1 <= n <= kMaxReadLen: sixteen consecutive offsets per block
- * (whd_simd.cc notes 2 and 4).  A pruned lane ran cnt + 1
- * comparisons.  The block ends at its first surviving lane, which
- * sets the minimum; the next block starts one offset later.  An
- * offset with no minimum to prune against runs alone, and the last
- * < 16 offsets run from a zero-padded copy of the consensus.
- */
-IRACC_AVX2 WhdSweepResult
-sweepPrunedLanes(const uint8_t *cons, size_t m, const uint8_t *read,
-                 const uint8_t *qual, size_t n, uint32_t startBest)
-{
-    uint32_t rw[kMaxReadLen];
-    uint32_t qw[kMaxReadLen];
-    for (size_t p = 0; p < n; ++p) {
-        rw[p] = read[p] * 0x00010001u;
-        qw[p] = qual[p] * 0x00010001u;
-    }
-
-    alignas(16) uint8_t pad[kMaxReadLen + kWhdLanes];
-    const size_t offsets = m - n + 1;
-    uint64_t best = kNoMinimum;
-    if (startBest != kWhdInfinity)
-        best = startBest;
-    uint32_t bestK = 0;
-    uint64_t comparisons = 0;
-    uint64_t offsetsPruned = 0;
-    size_t k = 0;
-    while (k < offsets) {
-        if (best == kNoMinimum) {
-            best = offsetWhdTail(cons + k, read, qual, n);
-            bestK = static_cast<uint32_t>(k);
-            comparisons += n;
-            ++k;
-            continue;
-        }
-        const size_t lanes = std::min(kWhdLanes, offsets - k);
-        const uint8_t *src = cons + k;
-        if (lanes < kWhdLanes) {
-            const size_t len = n + lanes - 1;
-            std::memcpy(pad, src, len);
-            std::memset(pad + len, 0, kWhdLanes - lanes);
-            src = pad;
-        }
-        // Sums never exceed 65,280, so a minimum above 0xFFFF
-        // prunes exactly like 0xFFFF.
-        const __m256i bound = _mm256_set1_epi16(static_cast<short>(
-            std::min<uint64_t>(best, 0xFFFF) ^ 0x8000));
-        __m256i acc = _mm256_setzero_si256();
-        __m256i cnt = _mm256_setzero_si256();
-        const uint32_t live = laneBlock(src, rw, qw, n, bound,
-                                        laneMask(lanes), acc, cnt);
-        const size_t first =
-            live != 0 ? static_cast<size_t>(__builtin_ctz(live)) / 2
-                      : lanes;
-        comparisons += first + laneSum(cnt, first);
-        offsetsPruned += first;
-        k += first;
-        if (first < lanes) {
-            alignas(32) uint16_t sums[kWhdLanes];
-            _mm256_store_si256(reinterpret_cast<__m256i *>(sums), acc);
-            best = sums[first] ^ 0x8000u;
-            bestK = static_cast<uint32_t>(k);
-            comparisons += n;
-            ++k;
-        }
-    }
-    WhdSweepResult r;
-    r.best = best == kNoMinimum ? kWhdInfinity
-                                : static_cast<uint32_t>(best);
-    r.bestK = bestK;
-    r.comparisons = comparisons;
-    r.chunks = comparisons;
-    r.offsetsPruned = offsetsPruned;
-    return r;
 }
 
 /**
@@ -539,6 +219,107 @@ tailSums16(const uint8_t *cons_k0, const uint32_t *rw,
 }
 
 } // anonymous namespace
+
+/**
+ * Pruned sweep for 1 <= n <= kMaxReadLen at any pruneChunk @p w:
+ * sixteen consecutive offsets per block (whd_simd.cc notes 2 and 4).
+ * A pruned lane aborted on comparison cnt + 1, and WhdLaneChunks
+ * gives its chunks.  The block ends at its first surviving lane,
+ * which sets the minimum; the next block starts one offset later.
+ * An offset with no minimum to prune against runs alone, and the
+ * last < 16 offsets run from a zero-padded copy of the consensus.
+ */
+IRACC_AVX2 WhdSweepResult
+whdSweepPrunedAvx2(const uint8_t *cons, size_t m, const uint8_t *read,
+                   const uint8_t *qual, size_t n, uint32_t w,
+                   uint32_t startBest)
+{
+    uint32_t rw[kMaxReadLen];
+    uint32_t qw[kMaxReadLen];
+    for (size_t p = 0; p < n; ++p) {
+        rw[p] = read[p] * 0x00010001u;
+        qw[p] = qual[p] * 0x00010001u;
+    }
+
+    alignas(16) uint8_t pad[kMaxReadLen + kWhdLanes];
+    const size_t offsets = m - n + 1;
+    const WhdLaneChunks lw(w, n);
+    const uint64_t survivorChunks = (n + lw.width - 1) / lw.width;
+    uint64_t best = kNoMinimum;
+    if (startBest != kWhdInfinity)
+        best = startBest;
+    uint32_t bestK = 0;
+    uint64_t comparisons = 0;
+    uint64_t chunks = 0;
+    uint64_t offsetsPruned = 0;
+    size_t k = 0;
+    while (k < offsets) {
+        if (best == kNoMinimum) {
+            best = offsetWhdTail(cons + k, read, qual, n);
+            bestK = static_cast<uint32_t>(k);
+            comparisons += n;
+            chunks += survivorChunks;
+            ++k;
+            continue;
+        }
+        const size_t lanes = std::min(kWhdLanes, offsets - k);
+        const uint8_t *src = cons + k;
+        if (lanes < kWhdLanes) {
+            const size_t len = n + lanes - 1;
+            std::memcpy(pad, src, len);
+            std::memset(pad + len, 0, kWhdLanes - lanes);
+            src = pad;
+        }
+        // Sums never exceed 65,280, so a minimum above 0xFFFF
+        // prunes exactly like 0xFFFF.
+        const __m256i bound = _mm256_set1_epi16(static_cast<short>(
+            std::min<uint64_t>(best, 0xFFFF) ^ 0x8000));
+        __m256i acc = _mm256_setzero_si256();
+        __m256i cnt = _mm256_setzero_si256();
+        const uint32_t live = laneBlock(src, rw, qw, n, bound,
+                                        laneMask(lanes), acc, cnt);
+        const size_t first =
+            live != 0 ? static_cast<size_t>(__builtin_ctz(live)) / 2
+                      : lanes;
+        if (lw.width == 1) {
+            comparisons += first + laneSum(cnt, first);
+        } else {
+            // Per lane cnt / width + 1 chunks (WhdLaneChunks), the
+            // last ending at comparison min(n, chunks * width).
+            const __m256i c = _mm256_add_epi16(
+                _mm256_mulhi_epu16(
+                    cnt, _mm256_set1_epi16(static_cast<short>(lw.recip))),
+                _mm256_set1_epi16(1));
+            const __m256i end = _mm256_mullo_epi16(
+                c, _mm256_set1_epi16(static_cast<short>(lw.width)));
+            chunks += laneSum(c, first);
+            comparisons += laneSum(
+                _mm256_min_epu16(
+                    end, _mm256_set1_epi16(static_cast<short>(n))),
+                first);
+        }
+        offsetsPruned += first;
+        k += first;
+        if (first < lanes) {
+            alignas(32) uint16_t sums[kWhdLanes];
+            _mm256_store_si256(reinterpret_cast<__m256i *>(sums), acc);
+            best = sums[first] ^ 0x8000u;
+            bestK = static_cast<uint32_t>(k);
+            comparisons += n;
+            chunks += survivorChunks;
+            ++k;
+        }
+    }
+    WhdSweepResult r;
+    r.best = best == kNoMinimum ? kWhdInfinity
+                                : static_cast<uint32_t>(best);
+    r.bestK = bestK;
+    r.comparisons = comparisons;
+    // At width 1 every comparison is a chunk.
+    r.chunks = lw.width == 1 ? comparisons : chunks;
+    r.offsetsPruned = offsetsPruned;
+    return r;
+}
 
 IRACC_AVX2 void
 whdChunkRowAvx2(const uint8_t *cons, const uint8_t *read,
@@ -687,20 +468,6 @@ whdSweepUnprunedAvx2(const uint8_t *cons, size_t m,
         }
     }
     return r;
-}
-
-WhdSweepResult
-whdSweepPrunedAvx2(const uint8_t *cons, size_t m,
-                   const uint8_t *read, const uint8_t *qual,
-                   size_t n, uint32_t pruneChunk, uint32_t startBest)
-{
-    if (pruneChunk == 1)
-        return sweepPrunedLanes(cons, m, read, qual, n, startBest);
-    if (pruneChunk == kWhdPruneBlock)
-        return sweepPrunedPerChunk<true>(cons, m, read, qual, n,
-                                         pruneChunk, startBest);
-    return sweepPrunedPerChunk<false>(cons, m, read, qual, n,
-                                      pruneChunk, startBest);
 }
 
 } // namespace iracc

@@ -39,6 +39,17 @@ namespace {
  *    minimum by 0x8000 makes a signed 16-bit compare an exact
  *    unsigned one.  Reads of length 0 (no comparison to abort on)
  *    and longer than kMaxReadLen run the scalar reference.
+ *    The same lanes serve every pruneChunk W.  The check at the end
+ *    of a W-base chunk sees a running sum no smaller than any
+ *    inside the chunk, so an offset clears every chunk end exactly
+ *    when its full sum is below B, and it survives, or aborts, at
+ *    every W alike: the minima, bestK and offsetsPruned do not
+ *    depend on W.  An offset that aborts on comparison p at W = 1
+ *    has a sum below B at every chunk end before p and at or above
+ *    B at the end of the chunk holding p, so at width W it aborts
+ *    in chunk ceil(p / W) = cnt / W + 1 after min(n,
+ *    ceil(p / W) * W) comparisons.  A survivor runs ceil(n / W)
+ *    chunks and n comparisons.
  * 3. Plain-vs-saturated compares: for best <= kWhdMax,
  *    min(sum, kWhdMax) >= best iff sum >= best; for
  *    best == kWhdInfinity the saturated value (<= kWhdMax) never
@@ -48,35 +59,19 @@ namespace {
  *    (whd <= n * 255 < 2^64 - 1), so whd >= best is one exact
  *    compare and a found minimum (<= kWhdMax) narrows back to the
  *    32-bit result.
- * 4. Offset groups: the lane sweeps of note 2 and the AVX2 width-32
- *    per-chunk sweep decide several consecutive offsets against
- *    the minimum B at the group's start.  Within a group the
- *    minimum only falls, and only when a member survives (an
- *    aborted offset never touches it).  So every member before
- *    the first survivor saw nothing but B, and its abort point is
- *    final.
- *    - Lanes: the first surviving lane sets the new minimum and
- *      ends its block; the next block starts at the offset after
- *      it, against the lowered minimum.  An offset with no minimum
- *      yet (the first of a sweep that starts without one) runs
- *      alone, and the last < kWhdLanes offsets run from a
- *      zero-padded copy of the consensus, so no load leaves it;
- *      the padding lanes are masked out of every decision.
- *    - Width-32 groups of four (per-pair whdSweep only; the target
- *      sweep replays chunk rows instead, note 5): each chunk's
- *      four cumulative sums are compared against B.  If all four
- *      abort in the full chunks the masks are final: each offset's
- *      abort chunk is where its bit cleared, and the chunk count is
- *      the sum of the per-step live-bit counts.  Otherwise the
- *      group is replayed in offset order from the stored
- *      cumulative sums, each member against the minimum the
- *      earlier members left: a lower minimum can only move an abort
- *      to an earlier chunk, and the sums already hold every chunk a
- *      member could abort at.  The n % 32 tail is summed only for
- *      members that clear every full chunk, over the window's last
- *      32 bytes masked to the tail.  An offset with no minimum yet,
- *      the last < 4 offsets, and reads shorter than one chunk or
- *      longer than kMaxReadLen run one offset at a time.
+ * 4. Offset blocks: the lane sweeps of note 2 and the row replay
+ *    of note 5 decide kWhdLanes consecutive offsets against the
+ *    minimum B at the block's start.  Within a block the minimum
+ *    only falls, and only when a member survives (an aborted
+ *    offset never touches it).  So every member before the first
+ *    survivor saw nothing but B, and its abort point is final.
+ *    The first surviving lane sets the new minimum and ends its
+ *    block; the next block starts at the offset after it, against
+ *    the lowered minimum.  In the lane sweeps an offset with no
+ *    minimum yet (the first of a sweep that starts without one)
+ *    runs alone, and the last < kWhdLanes offsets run from a
+ *    zero-padded copy of the consensus, so no load leaves it; the
+ *    padding lanes are masked out of every decision.
  * 5. Offset ranges: a sweep's state before offset k -- the running
  *    minimum, its offset, and the comparisons, chunks and pruned
  *    offsets so far -- depends only on the windows at offsets
@@ -192,43 +187,6 @@ offsetWhd(const uint8_t *cons_k, const uint8_t *read,
 }
 
 /**
- * Branchless mismatch-quality sum over one block (<= a few KiB so
- * the 32-bit partial cannot overflow).  Eight bases per step in a
- * 64-bit word (SWAR): XOR the consensus and read words, turn each
- * nonzero byte into 0xFF, AND with the qualities, then add the
- * eight masked bytes with one multiply.
- */
-uint32_t
-blockSum(const uint8_t *cons_p, const uint8_t *read_p,
-         const uint8_t *qual_p, size_t len)
-{
-    constexpr uint64_t kLow7 = 0x7F7F7F7F7F7F7F7Full;
-    constexpr uint64_t kHigh = 0x8080808080808080ull;
-    constexpr uint64_t kEven = 0x00FF00FF00FF00FFull;
-    uint32_t sum = 0;
-    size_t i = 0;
-    for (; i + 8 <= len; i += 8) {
-        uint64_t c, r, q;
-        std::memcpy(&c, cons_p + i, 8);
-        std::memcpy(&r, read_p + i, 8);
-        std::memcpy(&q, qual_p + i, 8);
-        const uint64_t x = c ^ r;
-        // High bit of each byte set iff that byte of x is nonzero;
-        // the 7-bit add cannot carry across bytes.
-        const uint64_t ne = (((x & kLow7) + kLow7) | x) & kHigh;
-        const uint64_t v = q & ((ne >> 7) * 0xFF);
-        // Pairwise into four 16-bit lanes (each <= 510), then the
-        // multiply sums the lanes into the top 16 bits (<= 2040).
-        const uint64_t pairs = (v & kEven) + ((v >> 8) & kEven);
-        sum += static_cast<uint32_t>(
-            (pairs * 0x0001000100010001ull) >> 48);
-    }
-    for (; i < len; ++i)
-        sum += (cons_p[i] != read_p[i]) ? qual_p[i] : 0;
-    return sum;
-}
-
-/**
  * Unpruned generic sweep: kWhdLanes offsets advance
  * together.  For base p the consensus bytes the lanes need --
  * cons[k0+l+p] for l in [0, L) -- are contiguous, so the inner loop
@@ -303,28 +261,32 @@ sweepUnprunedGeneric(const uint8_t *cons, size_t m,
 }
 
 /**
- * Pruned sweep with per-comparison (software) semantics, for
- * 1 <= n <= kMaxReadLen: kWhdLanes consecutive offsets per block in
- * biased u16 lanes (notes 2 and 4).  The lane loops run over local
- * arrays, like unprunedLanesGeneric, so the compiler vectorizes
- * them.  A pruned lane ran cnt + 1 comparisons; the block ends at
- * its first surviving lane, which sets the minimum.  An offset with
- * no minimum to prune against runs alone, and the last < kWhdLanes
- * offsets run from a zero-padded copy of the consensus.
+ * Pruned sweep for 1 <= n <= kMaxReadLen at any pruneChunk @p w:
+ * kWhdLanes consecutive offsets per block in biased u16 lanes
+ * (notes 2 and 4).  The lane loops run over local arrays, like
+ * unprunedLanesGeneric, so the compiler vectorizes them.  A pruned
+ * lane aborted on comparison cnt + 1, and WhdLaneChunks gives its
+ * chunks; the block ends at its first surviving lane, which sets
+ * the minimum.  An offset with no minimum to prune against runs
+ * alone, and the last < kWhdLanes offsets run from a zero-padded
+ * copy of the consensus.
  */
 WhdSweepResult
 sweepPrunedLanesGeneric(const uint8_t *cons, size_t m,
                         const uint8_t *read, const uint8_t *qual,
-                        size_t n, uint32_t startBest)
+                        size_t n, uint32_t w, uint32_t startBest)
 {
     constexpr uint64_t kNoMinimum = ~static_cast<uint64_t>(0);
     uint8_t pad[kMaxReadLen + kWhdLanes];
     const size_t offsets = m - n + 1;
+    const WhdLaneChunks lw(w, n);
+    const uint64_t survivorChunks = (n + lw.width - 1) / lw.width;
     uint64_t best = kNoMinimum;
     if (startBest != kWhdInfinity)
         best = startBest;
     uint32_t bestK = 0;
     uint64_t comparisons = 0;
+    uint64_t chunks = 0;
     uint64_t offsetsPruned = 0;
     size_t k = 0;
     while (k < offsets) {
@@ -332,6 +294,7 @@ sweepPrunedLanesGeneric(const uint8_t *cons, size_t m,
             best = offsetWhd(cons + k, read, qual, n);
             bestK = static_cast<uint32_t>(k);
             comparisons += n;
+            chunks += survivorChunks;
             ++k;
             continue;
         }
@@ -382,14 +345,23 @@ sweepPrunedLanesGeneric(const uint8_t *cons, size_t m,
             dead = any == 0;
         }
         size_t first = 0;
-        for (; first < lanes && alive[first] == 0; ++first)
-            comparisons += cnt[first] + 1u;
+        if (lw.width == 1) {
+            for (; first < lanes && alive[first] == 0; ++first)
+                comparisons += cnt[first] + 1u;
+        } else {
+            for (; first < lanes && alive[first] == 0; ++first) {
+                const uint32_t c = lw.chunksOf(cnt[first]);
+                chunks += c;
+                comparisons += std::min<size_t>(n, c * lw.width);
+            }
+        }
         offsetsPruned += first;
         k += first;
         if (first < lanes) {
             best = acc[first] ^ 0x8000u;
             bestK = static_cast<uint32_t>(k);
             comparisons += n;
+            chunks += survivorChunks;
             ++k;
         }
     }
@@ -398,65 +370,8 @@ sweepPrunedLanesGeneric(const uint8_t *cons, size_t m,
                                 : static_cast<uint32_t>(best);
     r.bestK = bestK;
     r.comparisons = comparisons;
-    r.chunks = comparisons;
-    r.offsetsPruned = offsetsPruned;
-    return r;
-}
-
-/**
- * Pruned sweep with per-chunk (hardware datapath) semantics: the
- * running minimum is checked at pruneChunk-base granularity, and a
- * pruned offset charges the whole chunk that crossed -- the block
- * sum IS the datapath's per-cycle work, no rescan needed.  The
- * minimum is held in 64 bits with an all-ones "none yet" sentinel
- * (note 3) and the counters in locals, written to the result once
- * per call.
- */
-template <uint32_t (*BlockSumFn)(const uint8_t *, const uint8_t *,
-                                 const uint8_t *, size_t)>
-WhdSweepResult
-sweepPrunedPerChunk(const uint8_t *cons, size_t m,
-                    const uint8_t *read, const uint8_t *qual,
-                    size_t n, uint32_t pruneChunk, uint32_t startBest)
-{
-    constexpr uint64_t kNoMinimum = ~static_cast<uint64_t>(0);
-    uint64_t best = kNoMinimum;
-    if (startBest != kWhdInfinity)
-        best = startBest;
-    uint32_t bestK = 0;
-    uint64_t comparisons = 0;
-    uint64_t chunks = 0;
-    uint64_t offsetsPruned = 0;
-    for (size_t k = 0; k + n <= m; ++k) {
-        uint64_t whd = 0;
-        size_t chunk = 0;
-        bool pruned = false;
-        while (chunk < n && !pruned) {
-            const size_t lanes =
-                std::min<size_t>(pruneChunk, n - chunk);
-            whd += BlockSumFn(cons + k + chunk, read + chunk,
-                              qual + chunk, lanes);
-            ++chunks;
-            chunk += lanes;
-            pruned = whd >= best;
-        }
-        comparisons += chunk;
-        if (pruned) {
-            ++offsetsPruned;
-            continue;
-        }
-        const uint64_t v = std::min<uint64_t>(whd, kWhdMax);
-        if (v < best) {
-            best = v;
-            bestK = static_cast<uint32_t>(k);
-        }
-    }
-    WhdSweepResult r;
-    r.best = best == kNoMinimum ? kWhdInfinity
-                                : static_cast<uint32_t>(best);
-    r.bestK = bestK;
-    r.comparisons = comparisons;
-    r.chunks = chunks;
+    // At width 1 every comparison is a chunk.
+    r.chunks = lw.width == 1 ? comparisons : chunks;
     r.offsetsPruned = offsetsPruned;
     return r;
 }
@@ -657,8 +572,8 @@ sweepFrom(const uint8_t *cons, size_t m, const uint8_t *read,
 {
     kernel = resolveKernel(kernel);
     // The lane sweeps keep a whole read's sums in u16 lanes (note
-    // 2); other read lengths run the reference.
-    if (prune && pruneChunk == 1 && (n == 0 || n > kMaxReadLen))
+    // 2); other read lengths run the reference at every width.
+    if (prune && (n == 0 || n > kMaxReadLen))
         kernel = SimdKernel::Scalar;
 
     switch (kernel) {
@@ -673,11 +588,8 @@ sweepFrom(const uint8_t *cons, size_t m, const uint8_t *read,
             fillUnprunedCounters(r, m, n, pruneChunk);
             return r;
         }
-        if (pruneChunk == 1)
-            return sweepPrunedLanesGeneric(cons, m, read, qual, n,
-                                           startBest);
-        return sweepPrunedPerChunk<blockSum>(cons, m, read, qual, n,
-                                             pruneChunk, startBest);
+        return sweepPrunedLanesGeneric(cons, m, read, qual, n,
+                                       pruneChunk, startBest);
 
       case SimdKernel::Avx2: {
         if (!prune) {

@@ -13,11 +13,10 @@
  *            chunk (hardware model).
  *   generic  portable fixed-width lanes written so any optimizing
  *            compiler can auto-vectorize: the unpruned sweep, the
- *            per-comparison pruned sweep and the width-32 row
- *            kernels run kWhdLanes offsets at once (for base n the
- *            consensus bytes needed across offset lanes are
- *            contiguous); the per-pair per-chunk pruned sweep
- *            evaluates one offset in SWAR blocks.
+ *            pruned sweep at every datapath width and the width-32
+ *            row kernels run kWhdLanes offsets at once (for base n
+ *            the consensus bytes needed across offset lanes are
+ *            contiguous).
  *   avx2     the same shapes hand-written with AVX2 intrinsics
  *            (compiled via function target attributes, selected at
  *            runtime only when CPUID reports AVX2).
@@ -25,13 +24,12 @@
  * Every implementation is bit-equal to scalar: identical min-WHD
  * grids and offsets, identical WhdStats work counters, identical
  * datapath chunk counts.  The unpruned sweep derives its counters
- * in closed form.  The per-comparison pruned sweep counts each
- * offset lane's comparisons while its running sum is below the
- * minimum (quality accumulation is monotone, so the abort is the
- * comparison after the last one counted); the per-chunk sweeps
- * stop at the chunk whose end-of-chunk sum crosses it.  The
- * differential harness (src/testing) and tests/whd_test.cc referee
- * the equality.
+ * in closed form.  The pruned sweep counts each offset lane's
+ * comparisons while its running sum is below the minimum (quality
+ * accumulation is monotone, so the abort is the comparison after
+ * the last one counted) and derives the chunk of that abort at any
+ * datapath width.  The differential harness (src/testing) and
+ * tests/whd_test.cc referee the equality.
  *
  * The width-32 target sweep (sweepTarget, realign/whd.hh) has two
  * primitives of its own in every implementation: a chunk row (one
@@ -55,15 +53,14 @@ namespace iracc {
 
 /**
  * Consecutive offsets per block of the lane sweeps: the generic
- * unpruned sweep and both kernels' per-comparison pruned sweeps
- * (one __m256i of u16 lanes on AVX2).
+ * unpruned sweep and both kernels' pruned sweeps (one __m256i of
+ * u16 lanes on AVX2).
  */
 constexpr size_t kWhdLanes = 16;
 
 /**
- * Chunk width at which the AVX2 per-chunk pruned sweep sums a
- * chunk in one 32-byte vector and groups offsets, and at which the
- * target sweep replays chunk rows (WhdRowKernels).
+ * Chunk width at which the target sweep replays chunk rows
+ * (WhdRowKernels): one 32-byte vector per chunk on AVX2.
  */
 constexpr size_t kWhdPruneBlock = 32;
 
@@ -180,6 +177,32 @@ whdContinue(const WhdSweepResult &from, size_t kBegin,
     }
     return out;
 }
+
+/**
+ * Chunk arithmetic of the lane sweeps for a read of length n,
+ * 1 <= n <= kMaxReadLen (whd_simd.cc note 2).  A pruned lane that
+ * aborted on comparison cnt + 1 <= n ran cnt / width + 1 chunks,
+ * the last ending at comparison min(n, chunks * width).  A width
+ * above n chunks like n (one chunk per offset), so width <= 256,
+ * and with cnt < n that makes cnt * recip >> 16, recip =
+ * ceil(2^16 / width), exactly cnt / width (cnt * width < 2^16): a
+ * multiply, also in u16 lanes.  At width 1 every comparison is a
+ * chunk, and the sweeps skip this.  Internal to the lane sweeps.
+ */
+struct WhdLaneChunks
+{
+    WhdLaneChunks(uint32_t pruneChunk, size_t n)
+        : width(pruneChunk < n ? pruneChunk : static_cast<uint32_t>(n)),
+          recip((0xFFFFu + width) / width)
+    {
+    }
+
+    /** Chunks run by a lane that aborted on comparison cnt + 1. */
+    uint32_t chunksOf(uint32_t cnt) const { return (cnt * recip >> 16) + 1; }
+
+    uint32_t width;
+    uint32_t recip;
+};
 
 /**
  * AVX2 entry points (defined in whd_avx2.cc, compiled with the avx2

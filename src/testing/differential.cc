@@ -295,7 +295,9 @@ diffTargetSweep(const IrTargetInput &input)
     // share; it must instead agree across every kernel and width.
     uint64_t swept = 0;
     bool have_swept = false;
-    for (uint32_t chunk : {1u, 8u, 32u}) {
+    // Width 7 is not a power of two: the lane sweeps' chunk
+    // derivation divides by it.
+    for (uint32_t chunk : {1u, 7u, 8u, 32u}) {
         const PairSweep want = sweepPairsScalar(input, true, chunk);
         for (SimdKernel kernel : supportedSimdKernels()) {
             const std::string label =

@@ -16,7 +16,7 @@
  *   - at scalar width the datapath's WhdStats equal the software
  *     kernel's bit for bit;
  *   - the pruned target sweep (sweepTarget) under every kernel at
- *     pruneChunk {1, 8, 32} equals the per-pair scalar loop: grid,
+ *     pruneChunk {1, 7, 8, 32} equals the per-pair scalar loop: grid,
  *     WhdStats, chunks, pairs, and irCompute's cycles;
  *   - inputs that violate the architectural limits are rejected
  *     with a clean limitViolation() diagnostic (never marshalled).
@@ -105,7 +105,7 @@ PairSweep sweepPairsScalar(const IrTargetInput &input, bool prune,
 
 /**
  * Pruned sweepTarget() under every supported kernel at pruneChunk
- * {1, 8, 32} against sweepPairsScalar: grid,
+ * {1, 7, 8, 32} against sweepPairsScalar: grid,
  * every WhdStats counter but offsetsSwept (which must agree across
  * kernels and widths instead), chunks and pairs.  Within the
  * architectural limits, irCompute's hdcCycles at each width must

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "accel/ir_compute.hh"
 #include "realign/marshal.hh"
 #include "realign/whd.hh"
@@ -319,13 +322,13 @@ expectSweepBitEqual(const uint8_t *cons, size_t m,
 TEST(DispatchSweep, BitEqualOnLaneBoundaryShapes)
 {
     // Offset counts straddle the 16-lane blocks of the unpruned
-    // and per-comparison pruned sweeps (full blocks, scalar or
-    // padded tails, tail-only); read lengths straddle the lane
-    // sweeps' 8-base exit checks and the datapath chunk widths, including the one-vector width-32
-    // chunk of the AVX2 per-chunk sweep and its neighbours.  Offset
-    // counts 1-9 put every remainder after the AVX2 width-32 sweep's
-    // four-offset groups; 96 and 256 are whole-chunk reads, and 288
-    // is one chunk past the reads a group covers.
+    // and pruned sweeps (full blocks, scalar or padded tails,
+    // tail-only); read lengths straddle the lane sweeps' 8-base
+    // exit checks and the datapath chunk widths, among them fig8's
+    // widths 2-32, 300 (one chunk wider than any lane read) and
+    // their neighbours.  96 and 256 are whole-chunk reads at width
+    // 32, and 288 is past the lane sweeps' read length, so it runs
+    // the scalar reference under every kernel.
     const size_t offset_counts[] = {1, 2,  3,  4,  5,  6,  7, 8,
                                     9, 15, 16, 17, 32, 33, 40};
     const size_t read_lens[] = {1,  7,  8,  9,  16,  31,  32, 33,
@@ -355,7 +358,8 @@ TEST(DispatchSweep, BitEqualOnLaneBoundaryShapes)
                                       std::to_string(offsets) +
                                       " n=" + std::to_string(n);
             for (bool prune : {false, true})
-                for (uint32_t chunk : {1u, 8u, 31u, 32u, 33u, 64u})
+                for (uint32_t chunk :
+                     {1u, 2u, 4u, 8u, 16u, 31u, 32u, 33u, 64u, 300u})
                     expectSweepBitEqual(cp, m, rp, qual.data(), n,
                                         prune, chunk, where);
         }
@@ -393,10 +397,12 @@ chunk32Abort(const uint8_t *cons_k, const uint8_t *read,
 
 TEST(DispatchSweep, OffsetGroupResolution)
 {
-    // The AVX2 width-32 sweep decides four consecutive offsets per
-    // step against the minimum at the group's start, then resolves
-    // any group with a survivor offset by offset.  These shapes pin
-    // the cases where that minimum is not final.
+    // The pruned sweeps decide consecutive offsets together
+    // against the minimum at the block's start, and a survivor
+    // lowers it for the offsets after it (whd_simd.cc note 4).
+    // These shapes pin the cases where that minimum is not final:
+    // a new minimum at every offset, and a survivor that moves the
+    // next offset's abort to an earlier chunk.
     const uint32_t chunks[] = {1u, 8u, 32u};
     for (size_t n : {31u, 32u, 33u, 64u, 96u, 100u, 256u}) {
         const std::string len = "n=" + std::to_string(n);
@@ -425,11 +431,11 @@ TEST(DispatchSweep, OffsetGroupResolution)
                                     true, chunk, "all survive " + len);
         }
 
-        // A survivor at offset s, for s covering every position of
-        // a four-offset group whichever offset the groups start at.
-        // Its new minimum moves offset s + 1's abort to an earlier
-        // chunk.  Exact: the survivor matches (minimum 0), so every
-        // later offset aborts at chunk 0.  Chunk0: the first chunk
+        // A survivor at offset s, for s in 1-8: lanes 0-7 of the
+        // block after the first offset, which runs alone.  Its new
+        // minimum moves offset s + 1's abort to an earlier chunk.
+        // Exact: the survivor matches (minimum 0), so every later
+        // offset aborts at chunk 0.  Chunk0: the first chunk
         // has quality 1 and holds the survivor's 30 mismatches, so
         // random later offsets clear chunk 0 and abort at chunk 1,
         // where against the older minimum they ran on.  A move
@@ -678,10 +684,10 @@ TEST(DispatchSweep, RangeResumesExactly)
     // Sweep [0, k), then [k, end) from the returned state: every
     // split k of every shape must equal the one-shot sweep, under
     // every kernel and width.  Offset counts 1-13 put splits at
-    // every position of the AVX2 width-32 sweep's four-offset
-    // groups, at a pair's last offset (k = offsets - 1) and at both
-    // ends; "survive" makes every offset a new minimum, so the
-    // state carried across a split is one the range must beat.
+    // the start, middle and end of a lane block, at a pair's last
+    // offset (k = offsets - 1) and at both ends; "survive" makes
+    // every offset a new minimum, so the state carried across a
+    // split is one the range must beat.
     Rng rng(0x5E5A);
     for (size_t offsets : {1u, 2u, 4u, 5u, 8u, 9u, 13u}) {
         for (size_t n : {1u, 7u, 32u, 33u, 64u, 100u}) {
@@ -1359,16 +1365,28 @@ minimumOf(uint32_t best)
     return r;
 }
 
-/** Per-comparison pruned sweep from @p from, every kernel vs scalar. */
+/**
+ * Datapath widths of the lane-sweep tests: per comparison, the
+ * smallest chunk, one that is not a power of two, the row-replay
+ * width, and one wider than any lane read.
+ */
+const std::vector<uint32_t> kLaneWidths = {1, 2, 7, 32, 300};
+
+/**
+ * Pruned sweep from @p from at every width of @p widths, every
+ * kernel vs scalar.
+ */
 void
 expectLanesBitEqual(const BaseSeq &cons, const BaseSeq &read,
                     const QualSeq &qual, const std::string &where,
                     const WhdSweepResult &from = WhdSweepResult(),
-                    size_t kBegin = 0, size_t kEnd = kWhdSweepEnd)
+                    size_t kBegin = 0, size_t kEnd = kWhdSweepEnd,
+                    const std::vector<uint32_t> &widths = kLaneWidths)
 {
-    expectSweepBitEqual(bytes(cons), cons.size(), bytes(read),
-                        qual.data(), read.size(), true, 1, where,
-                        kBegin, kEnd, from);
+    for (uint32_t w : widths)
+        expectSweepBitEqual(bytes(cons), cons.size(), bytes(read),
+                            qual.data(), read.size(), true, w, where,
+                            kBegin, kEnd, from);
 }
 
 /** Scalar per-comparison pruned sweep of every offset from @p from. */
@@ -1417,31 +1435,56 @@ TEST(LaneSweep, EveryOffsetCount)
 TEST(LaneSweep, SurvivorAtEveryLane)
 {
     // From a carried minimum of 40 the first block starts at
-    // offset 0.  Consensus bases are G/T and read bases A/C, so a
-    // window matches only where the read is planted: that offset,
-    // lane s, survives with WHD 0, and every other window holds a
-    // background base at quality 40 and aborts.  19 offsets put a
-    // padded block after the full one.
+    // offset 0.  Qualities are 0 before comparison `abort` and 40
+    // from it on.  Consensus bases are G/T and read bases A/C, and
+    // the read's bases from comparison `abort` on are planted at
+    // offset s: lane s survives with WHD 0, and every lane before
+    // it mismatches on comparison `abort`, where its sum reaches
+    // 40, and aborts there.  Against s's minimum of 0 every later
+    // lane aborts on comparison 1.  The abort points put lanes on the
+    // last comparison of a chunk (jW), on the first of the next
+    // (jW + 1) and inside a last partial chunk, at every width of
+    // kLaneWidths.  19 offsets put a padded block after the full
+    // one.
     const size_t offsets = 19;
     for (size_t n : {2u, 8u, 33u, 100u, 256u}) {
+        std::set<size_t> aborts = {1, n - 1, n};
+        for (uint32_t w : kLaneWidths) {
+            for (size_t j : {size_t{1}, size_t{2}, n / w}) {
+                aborts.insert(j * w);
+                aborts.insert(j * w + 1);
+            }
+        }
         for (size_t s = 0; s < kWhdLanes; ++s) {
             Rng rng(0x5A11 + 17 * n + s);
             BaseSeq read;
             for (size_t p = 0; p < n; ++p)
                 read.push_back(rng.chance(0.5) ? 'A' : 'C');
-            BaseSeq cons;
+            BaseSeq background;
             for (size_t b = 0; b < n + offsets - 1; ++b)
-                cons.push_back(rng.chance(0.5) ? 'G' : 'T');
-            std::copy(read.begin(), read.end(), cons.begin() + s);
-            const QualSeq qual(n, 40);
-            const std::string where =
-                "n=" + std::to_string(n) + " s=" + std::to_string(s);
-            const WhdSweepResult ref =
-                scalarLanes(cons, read, qual, minimumOf(40));
-            ASSERT_EQ(ref.best, 0u) << where;
-            ASSERT_EQ(ref.bestK, s) << where;
-            ASSERT_EQ(ref.offsetsPruned, offsets - 1) << where;
-            expectLanesBitEqual(cons, read, qual, where, minimumOf(40));
+                background.push_back(rng.chance(0.5) ? 'G' : 'T');
+            for (size_t abort : aborts) {
+                if (abort < 1 || abort > n)
+                    continue;
+                BaseSeq cons = background;
+                std::copy(read.begin() + (abort - 1), read.end(),
+                          cons.begin() + (s + abort - 1));
+                QualSeq qual(n, 40);
+                std::fill_n(qual.begin(), abort - 1, 0);
+                const std::string where =
+                    "n=" + std::to_string(n) + " s=" +
+                    std::to_string(s) + " abort=" + std::to_string(abort);
+                const WhdSweepResult ref =
+                    scalarLanes(cons, read, qual, minimumOf(40));
+                ASSERT_EQ(ref.best, 0u) << where;
+                ASSERT_EQ(ref.bestK, s) << where;
+                ASSERT_EQ(ref.offsetsPruned, offsets - 1) << where;
+                ASSERT_EQ(ref.comparisons,
+                          s * abort + n + (offsets - 1 - s))
+                    << where;
+                expectLanesBitEqual(cons, read, qual, where,
+                                    minimumOf(40));
+            }
         }
     }
 }
@@ -1537,9 +1580,12 @@ TEST(LaneSweep, MinimaAtTheLaneLimits)
 TEST(LaneSweep, ReadLengthFallbacks)
 {
     // n = 0 has no comparison to abort on and n > kMaxReadLen
-    // overflows a u16 lane: both run the scalar reference, which
-    // every kernel must still equal.  n = 256 is the longest lane
-    // read.
+    // overflows a u16 lane: both run the scalar reference at every
+    // width, which every kernel must still equal.  n = 256 is the
+    // longest lane read.  Width 8 joins the lane widths, so the
+    // fallback also runs at a power of two between 2 and 32.
+    std::vector<uint32_t> widths = kLaneWidths;
+    widths.push_back(8);
     Rng rng(0xFA11);
     for (size_t n : {0u, 255u, 256u, 257u, 300u}) {
         for (size_t offsets : {1u, 17u, 40u}) {
@@ -1553,11 +1599,13 @@ TEST(LaneSweep, ReadLengthFallbacks)
             const std::string where = "n=" + std::to_string(n) +
                                       " offsets=" +
                                       std::to_string(offsets);
-            expectLanesBitEqual(cons, read, qual, where);
+            expectLanesBitEqual(cons, read, qual, where, {}, 0,
+                                kWhdSweepEnd, widths);
             expectLanesBitEqual(cons, read, qual, where + " from 500",
-                                minimumOf(500));
+                                minimumOf(500), 0, kWhdSweepEnd,
+                                widths);
             expectLanesBitEqual(cons, read, qual, where + " from 0",
-                                minimumOf(0));
+                                minimumOf(0), 0, kWhdSweepEnd, widths);
         }
     }
 }
