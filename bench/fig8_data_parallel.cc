@@ -11,6 +11,7 @@
  */
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "accel/ir_compute.hh"
@@ -53,6 +54,7 @@ main(int argc, char **argv)
 
     uint64_t scalar_cycles = 0, wide_cycles = 0;
     for (uint32_t width : {1u, 2u, 4u, 8u, 16u, 32u}) {
+        const std::string w = "w" + std::to_string(width);
         for (bool prune : {true}) {
             uint64_t hdc = 0, sel = 0, cmps = 0;
             for (const auto &t : targets) {
@@ -72,6 +74,10 @@ main(int argc, char **argv)
                               static_cast<double>(scalar_cycles) /
                               static_cast<double>(hdc)),
                           std::to_string(cmps)});
+            // Every width's counts are gated exactly: widths 2-16
+            // derive their chunks from the lane sweeps' abort points.
+            report.addCount(w + ".hdcCycles", hdc);
+            report.addCount(w + ".comparisons", cmps);
         }
     }
     table.print();

@@ -23,7 +23,7 @@ ReadAligner::ReadAligner(const ReferenceGenome &r, AlignerParams p)
 bool
 ReadAligner::alignRead(Read &read)
 {
-    const size_t rlen = read.bases.size();
+    const size_t rlen = read.length();
     if (rlen < params.seedLength)
         return false;
 
@@ -41,7 +41,7 @@ ReadAligner::alignRead(Read &read)
         for (size_t off = 0; off + params.seedLength <= rlen;
              off += params.seedStride) {
             SaRange range;
-            int64_t len = indexes[c]->longestPrefixMatch(read.bases,
+            int64_t len = indexes[c]->longestPrefixMatch(read.bases(),
                                                          off, range);
             if (len >= static_cast<int64_t>(params.seedLength) &&
                 !range.empty() &&
@@ -95,7 +95,7 @@ ReadAligner::alignRead(Read &read)
         return false;
     }
     BaseSeq window = ref.slice(best_contig, win_lo, win_hi);
-    SwAlignment aln = smithWaterman(window, read.bases,
+    SwAlignment aln = smithWaterman(window, read.bases(),
                                     params.swParams);
     times.extendSeconds += t.seconds();
 

@@ -92,7 +92,7 @@ FmIndex::lf(int64_t i) const
 }
 
 SaRange
-FmIndex::find(const BaseSeq &pattern) const
+FmIndex::find(std::string_view pattern) const
 {
     panic_if(pattern.empty(), "empty pattern");
     int64_t lo = 0;
@@ -121,7 +121,7 @@ FmIndex::locate(int64_t r) const
 }
 
 int64_t
-FmIndex::longestPrefixMatch(const BaseSeq &pattern, size_t offset,
+FmIndex::longestPrefixMatch(std::string_view pattern, size_t offset,
                             SaRange &range) const
 {
     panic_if(offset >= pattern.size(), "offset beyond pattern");

@@ -41,7 +41,7 @@ class FmIndex
      * @return half-open suffix-rank range (in this index's own
      * rank space, usable with locate())
      */
-    SaRange find(const BaseSeq &pattern) const;
+    SaRange find(std::string_view pattern) const;
 
     /** Text position of the suffix with rank @p r. */
     int64_t locate(int64_t r) const;
@@ -52,7 +52,7 @@ class FmIndex
      * the pattern slice starting at @p offset, returning the
      * longest prefix of pattern[offset..] found in the text.
      */
-    int64_t longestPrefixMatch(const BaseSeq &pattern, size_t offset,
+    int64_t longestPrefixMatch(std::string_view pattern, size_t offset,
                                SaRange &range) const;
 
   private:

@@ -10,7 +10,7 @@ class SuffixArrayIndex : public SeedIndex
     explicit SuffixArrayIndex(const BaseSeq &text) : sa(text) {}
 
     SaRange
-    find(const BaseSeq &pattern) const override
+    find(std::string_view pattern) const override
     {
         return sa.find(pattern);
     }
@@ -22,7 +22,7 @@ class SuffixArrayIndex : public SeedIndex
     }
 
     int64_t
-    longestPrefixMatch(const BaseSeq &pattern, size_t offset,
+    longestPrefixMatch(std::string_view pattern, size_t offset,
                        SaRange &range) const override
     {
         return sa.longestPrefixMatch(pattern, offset, range);
@@ -38,7 +38,7 @@ class FmSeedIndex : public SeedIndex
     explicit FmSeedIndex(const BaseSeq &text) : fm(text) {}
 
     SaRange
-    find(const BaseSeq &pattern) const override
+    find(std::string_view pattern) const override
     {
         return fm.find(pattern);
     }
@@ -50,7 +50,7 @@ class FmSeedIndex : public SeedIndex
     }
 
     int64_t
-    longestPrefixMatch(const BaseSeq &pattern, size_t offset,
+    longestPrefixMatch(std::string_view pattern, size_t offset,
                        SaRange &range) const override
     {
         return fm.longestPrefixMatch(pattern, offset, range);

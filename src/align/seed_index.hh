@@ -29,13 +29,13 @@ class SeedIndex
     virtual ~SeedIndex() = default;
 
     /** All exact occurrences of a pattern. */
-    virtual SaRange find(const BaseSeq &pattern) const = 0;
+    virtual SaRange find(std::string_view pattern) const = 0;
 
     /** Text position of the suffix with the given rank. */
     virtual int64_t position(int64_t rank) const = 0;
 
     /** Longest matching prefix of pattern[offset..]. */
-    virtual int64_t longestPrefixMatch(const BaseSeq &pattern,
+    virtual int64_t longestPrefixMatch(std::string_view pattern,
                                        size_t offset,
                                        SaRange &range) const = 0;
 };

@@ -19,7 +19,7 @@ enum class Dir : uint8_t { None, Diag, Up, Left };
 } // anonymous namespace
 
 SwAlignment
-smithWaterman(const BaseSeq &window, const BaseSeq &read,
+smithWaterman(std::string_view window, std::string_view read,
               const SwParams &p)
 {
     const int64_t m = static_cast<int64_t>(window.size());

@@ -14,6 +14,7 @@
 #define IRACC_ALIGN_SMITH_WATERMAN_HH
 
 #include <cstdint>
+#include <string_view>
 
 #include "genomics/base.hh"
 #include "genomics/cigar.hh"
@@ -45,7 +46,8 @@ struct SwAlignment
  * free).  @return the best-scoring alignment; score can be negative
  * for a hopeless window.
  */
-SwAlignment smithWaterman(const BaseSeq &window, const BaseSeq &read,
+SwAlignment smithWaterman(std::string_view window,
+                          std::string_view read,
                           const SwParams &params = {});
 
 } // namespace iracc

@@ -54,7 +54,7 @@ SuffixArray::SuffixArray(const BaseSeq &t) : text(t)
 }
 
 int
-SuffixArray::comparePattern(const BaseSeq &pattern, size_t plen,
+SuffixArray::comparePattern(std::string_view pattern, size_t plen,
                             int64_t r) const
 {
     size_t pos = static_cast<size_t>(sa[static_cast<size_t>(r)]);
@@ -69,7 +69,7 @@ SuffixArray::comparePattern(const BaseSeq &pattern, size_t plen,
 }
 
 SaRange
-SuffixArray::find(const BaseSeq &pattern) const
+SuffixArray::find(std::string_view pattern) const
 {
     panic_if(pattern.empty(), "empty pattern");
     SaRange range;
@@ -108,7 +108,7 @@ SuffixArray::find(const BaseSeq &pattern) const
 }
 
 int64_t
-SuffixArray::longestPrefixMatch(const BaseSeq &pattern, size_t offset,
+SuffixArray::longestPrefixMatch(std::string_view pattern, size_t offset,
                                 SaRange &range) const
 {
     panic_if(offset >= pattern.size(), "offset beyond pattern");

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "genomics/base.hh"
@@ -49,14 +50,14 @@ class SuffixArray
      * Find all exact occurrences of @p pattern.
      * @return the suffix-rank range (possibly empty)
      */
-    SaRange find(const BaseSeq &pattern) const;
+    SaRange find(std::string_view pattern) const;
 
     /**
      * Length of the longest prefix of @p pattern (starting at
      * @p offset) that occurs in the text, and its match range --
      * the SMEM-style maximal-exact-match primitive.
      */
-    int64_t longestPrefixMatch(const BaseSeq &pattern, size_t offset,
+    int64_t longestPrefixMatch(std::string_view pattern, size_t offset,
                                SaRange &range) const;
 
   private:
@@ -64,7 +65,7 @@ class SuffixArray
     std::vector<int64_t> sa;
 
     /** Lexicographic compare of pattern against suffix sa[r]. */
-    int comparePattern(const BaseSeq &pattern, size_t plen,
+    int comparePattern(std::string_view pattern, size_t plen,
                        int64_t r) const;
 };
 

@@ -32,19 +32,104 @@ charToCigarOp(char c)
     }
 }
 
-Cigar::Cigar(std::vector<CigarElem> raw) : elems(std::move(raw))
+Cigar::Cigar(std::span<const CigarElem> elems)
 {
-    // Merge in place: kept runs only ever move toward the front.
-    size_t kept = 0;
-    for (const CigarElem &e : elems) {
-        if (e.length == 0)
-            continue;
-        if (kept > 0 && elems[kept - 1].op == e.op)
-            elems[kept - 1].length += e.length;
-        else
-            elems[kept++] = e;
+    reserve(elems.size());
+    for (const CigarElem &e : elems)
+        append(e);
+}
+
+Cigar::Cigar(const Cigar &o)
+{
+    reserve(o.count);
+    std::copy_n(o.data(), o.count, data());
+    count = o.count;
+}
+
+Cigar::Cigar(Cigar &&o) noexcept
+{
+    *this = std::move(o);
+}
+
+Cigar &
+Cigar::operator=(const Cigar &o)
+{
+    if (this != &o) {
+        count = 0;
+        reserve(o.count);
+        std::copy_n(o.data(), o.count, data());
+        count = o.count;
     }
-    elems.resize(kept);
+    return *this;
+}
+
+Cigar &
+Cigar::operator=(Cigar &&o) noexcept
+{
+    if (this == &o)
+        return *this;
+    release();
+    if (o.onHeap()) {
+        heap = o.heap;
+        cap = o.cap;
+        o.cap = kInline;
+    } else {
+        std::copy_n(o.inl, o.count, inl);
+    }
+    count = o.count;
+    o.count = 0;
+    return *this;
+}
+
+void
+Cigar::release()
+{
+    if (onHeap())
+        delete[] heap;
+    cap = kInline;
+    count = 0;
+}
+
+void
+Cigar::reserve(size_t n)
+{
+    if (n <= cap)
+        return;
+    panic_if(n > std::numeric_limits<uint32_t>::max(),
+             "CIGAR of %zu elements", n);
+    CigarElem *grown = new CigarElem[n];
+    std::copy_n(data(), count, grown);
+    if (onHeap())
+        delete[] heap;
+    heap = grown;
+    cap = static_cast<uint32_t>(n);
+}
+
+void
+Cigar::append(CigarElem e)
+{
+    if (e.length == 0)
+        return;
+    if (count > 0 && data()[count - 1].op == e.op) {
+        data()[count - 1].length += e.length;
+        return;
+    }
+    if (count == cap)
+        reserve(2 * static_cast<size_t>(cap));
+    data()[count++] = e;
+}
+
+const CigarElem &
+Cigar::operator[](size_t i) const
+{
+    panic_if(i >= count, "CIGAR element %zu of %u", i, count);
+    return data()[i];
+}
+
+bool
+Cigar::operator==(const Cigar &o) const
+{
+    return std::ranges::equal(elements(), o.elements());
 }
 
 Cigar
@@ -64,8 +149,8 @@ Cigar::tryFromString(std::string_view s, Cigar *out)
         return true;
     }
     constexpr uint64_t kMax = std::numeric_limits<uint32_t>::max();
-    std::vector<CigarElem> elems;
-    elems.reserve(static_cast<size_t>(std::count_if(
+    Cigar parsed;
+    parsed.reserve(static_cast<size_t>(std::count_if(
         s.begin(), s.end(), [](char c) { return c < '0' || c > '9'; })));
     // Every op consumes read or reference bases, so bounding both
     // totals also bounds every merged run.
@@ -98,29 +183,29 @@ Cigar::tryFromString(std::string_view s, Cigar *out)
             refLen += len;
         if (readLen > kMax || refLen > kMax)
             return false;
-        elems.push_back({static_cast<uint32_t>(len), op});
+        parsed.append({static_cast<uint32_t>(len), op});
         len = 0;
         have_len = false;
     }
     if (have_len)
         return false;
-    *out = Cigar(std::move(elems));
+    *out = std::move(parsed);
     return true;
 }
 
 Cigar
 Cigar::simpleMatch(uint32_t read_length)
 {
-    return Cigar({{read_length, CigarOp::Match}});
+    return Cigar{{read_length, CigarOp::Match}};
 }
 
 std::string
 Cigar::toString() const
 {
-    if (elems.empty())
+    if (empty())
         return "*";
     std::string out;
-    for (const auto &e : elems) {
+    for (const auto &e : elements()) {
         out += std::to_string(e.length);
         out.push_back(cigarOpChar(e.op));
     }
@@ -131,7 +216,7 @@ uint32_t
 Cigar::referenceLength() const
 {
     uint32_t len = 0;
-    for (const auto &e : elems)
+    for (const auto &e : elements())
         if (e.op == CigarOp::Match || e.op == CigarOp::Delete)
             len += e.length;
     return len;
@@ -141,7 +226,7 @@ uint32_t
 Cigar::readLength() const
 {
     uint32_t len = 0;
-    for (const auto &e : elems)
+    for (const auto &e : elements())
         if (e.op != CigarOp::Delete)
             len += e.length;
     return len;
@@ -151,7 +236,7 @@ uint32_t
 Cigar::alignedLength() const
 {
     uint32_t len = 0;
-    for (const auto &e : elems)
+    for (const auto &e : elements())
         if (e.op == CigarOp::Match)
             len += e.length;
     return len;
@@ -160,7 +245,7 @@ Cigar::alignedLength() const
 bool
 Cigar::hasIndel() const
 {
-    for (const auto &e : elems)
+    for (const auto &e : elements())
         if (e.op == CigarOp::Insert || e.op == CigarOp::Delete)
             return true;
     return false;
@@ -170,7 +255,7 @@ uint32_t
 Cigar::indelBases() const
 {
     uint32_t len = 0;
-    for (const auto &e : elems)
+    for (const auto &e : elements())
         if (e.op == CigarOp::Insert || e.op == CigarOp::Delete)
             len += e.length;
     return len;

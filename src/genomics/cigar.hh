@@ -12,9 +12,10 @@
 #define IRACC_GENOMICS_CIGAR_HH
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace iracc {
 
@@ -48,15 +49,32 @@ struct CigarElem
 /**
  * A full CIGAR string with the derived quantities the pipeline
  * needs.  Adjacent same-op elements are merged on construction.
+ *
+ * Up to kInline elements are stored in the object itself, so the
+ * CIGARs of almost every read (one run of M, or M/indel/M) make no
+ * heap allocation; longer ones move to the heap.
  */
 class Cigar
 {
   public:
+    /** Elements held without a heap allocation. */
+    static constexpr uint32_t kInline = 3;
+
     Cigar() = default;
 
-    /** Build from elements; merges adjacent same-op runs in place
-     *  and drops zero-length ones. */
-    explicit Cigar(std::vector<CigarElem> elems);
+    /** Build from elements; merges adjacent same-op runs and drops
+     *  zero-length ones. */
+    explicit Cigar(std::span<const CigarElem> elems);
+    explicit Cigar(std::initializer_list<CigarElem> elems)
+        : Cigar(std::span<const CigarElem>(elems.begin(), elems.size()))
+    {
+    }
+
+    Cigar(const Cigar &o);
+    Cigar(Cigar &&o) noexcept;
+    Cigar &operator=(const Cigar &o);
+    Cigar &operator=(Cigar &&o) noexcept;
+    ~Cigar() { release(); }
 
     /** Parse a SAM CIGAR string like "45M2I53M"; panics on
      *  malformed input (internal callers with trusted data). */
@@ -68,7 +86,8 @@ class Cigar
      * trailing length, and any element length, merged run, read
      * consumption or reference consumption that overflows uint32 --
      * an unchecked accumulator would wrap silently on inputs like
-     * "4294967296M" or "4294967295M2M".  Makes one allocation.
+     * "4294967296M" or "4294967295M2M".  Allocates only for more
+     * than kInline elements.
      * @return false without touching @p out on malformed input.
      */
     static bool tryFromString(std::string_view s, Cigar *out);
@@ -94,16 +113,42 @@ class Cigar
     /** @return total inserted plus deleted base count. */
     uint32_t indelBases() const;
 
-    bool empty() const { return elems.empty(); }
-    size_t size() const { return elems.size(); }
-    const CigarElem &operator[](size_t i) const { return elems.at(i); }
+    bool empty() const { return count == 0; }
+    size_t size() const { return count; }
+    /** Panics when @p i is out of range. */
+    const CigarElem &operator[](size_t i) const;
 
-    const std::vector<CigarElem> &elements() const { return elems; }
+    std::span<const CigarElem>
+    elements() const
+    {
+        return {data(), count};
+    }
 
-    bool operator==(const Cigar &o) const { return elems == o.elems; }
+    bool operator==(const Cigar &o) const;
 
   private:
-    std::vector<CigarElem> elems;
+    bool onHeap() const { return cap > kInline; }
+    const CigarElem *data() const { return onHeap() ? heap : inl; }
+    CigarElem *data() { return onHeap() ? heap : inl; }
+
+    /** Make room for @p n elements, keeping the current ones. */
+    void reserve(size_t n);
+
+    /** Append one element, merging it into a same-op last run and
+     *  dropping it when its length is zero. */
+    void append(CigarElem e);
+
+    /** Free the heap storage, if any, and empty the CIGAR. */
+    void release();
+
+    uint32_t count = 0;
+    /** Element capacity; above kInline the elements are on the
+     *  heap. */
+    uint32_t cap = kInline;
+    union {
+        CigarElem inl[kInline] = {};
+        CigarElem *heap;
+    };
 };
 
 } // namespace iracc

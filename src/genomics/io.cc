@@ -59,9 +59,9 @@ writeFastq(std::ostream &os, const std::vector<Read> &reads)
 {
     for (const Read &r : reads) {
         os << '@' << r.name << '\n'
-           << r.bases << '\n'
+           << r.bases() << '\n'
            << "+\n"
-           << qualsToAscii(r.quals) << '\n';
+           << qualsToAscii(r.quals()) << '\n';
     }
 }
 
@@ -124,7 +124,7 @@ writeSamLite(std::ostream &os, const ReferenceGenome &ref,
         // Upper bound of the line: the strings, POS, MAPQ, FLAG, each
         // CIGAR element (or '*'), seven tabs and the newline.
         const size_t need = r.name.size() + contigName.size() +
-                            r.bases.size() + r.quals.size() +
+                            2 * r.length() +
                             3 * kMaxIntChars +
                             (r.cigar.size() + 1) * (kMaxIntChars + 1) +
                             8;
@@ -158,10 +158,10 @@ writeSamLite(std::ostream &os, const ReferenceGenome &ref,
         *p++ = '\t';
         p = putInt(p, flags);
         *p++ = '\t';
-        p = put(p, r.bases);
+        p = put(p, r.bases());
         *p++ = '\t';
-        encodeQuals(r.quals.data(), r.quals.size(), p);
-        p += r.quals.size();
+        encodeQuals(r.quals().data(), r.length(), p);
+        p += r.length();
         *p++ = '\n';
         used = static_cast<size_t>(p - buf.get());
         if (used >= kFlushBytes)
@@ -212,7 +212,7 @@ samLiteRecordsIn(uint64_t bytes, const Read &sample,
     // more, so an eighth is added for lines longer than the sample.
     const size_t line = sample.name.size() +
                         ref.contig(sample.contig).name.size() +
-                        2 * sample.bases.size() +
+                        2 * sample.length() +
                         2 * sample.cigar.elements().size() + 11;
     const size_t records = static_cast<size_t>(bytes / line) + 1;
     return records + records / 8;

@@ -57,7 +57,7 @@ encodeQuals(const uint8_t *quals, size_t n, char *out)
 }
 
 std::string
-qualsToAscii(const QualSeq &quals)
+qualsToAscii(std::span<const uint8_t> quals)
 {
     std::string out(quals.size(), '\0');
     encodeQuals(quals.data(), quals.size(), out.data());

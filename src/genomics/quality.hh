@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,7 +49,7 @@ uint8_t asciiToPhred(char c);
 void encodeQuals(const uint8_t *quals, size_t n, char *out);
 
 /** Encode a raw score vector as a FASTQ quality string. */
-std::string qualsToAscii(const QualSeq &quals);
+std::string qualsToAscii(std::span<const uint8_t> quals);
 
 /** Decode a FASTQ quality string into raw scores. */
 QualSeq asciiToQuals(const std::string &s);

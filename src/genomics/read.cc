@@ -22,16 +22,15 @@ Read::overlaps(int32_t c, int64_t start, int64_t end) const
 void
 Read::assertValid() const
 {
-    panic_if(bases.size() != quals.size(),
-             "read %s: %zu bases but %zu quals", name.c_str(),
-             bases.size(), quals.size());
-    panic_if(!isValidSequence(bases),
+    // Bases and qualities have one length by construction
+    // (SeqSlice).
+    panic_if(!isValidSequence(bases()),
              "read %s: invalid base characters", name.c_str());
     if (!cigar.empty()) {
-        panic_if(cigar.readLength() != bases.size(),
+        panic_if(cigar.readLength() != length(),
                  "read %s: CIGAR %s consumes %u read bases, have %zu",
                  name.c_str(), cigar.toString().c_str(),
-                 cigar.readLength(), bases.size());
+                 cigar.readLength(), length());
     }
     panic_if(pos < 0, "read %s: negative position %lld", name.c_str(),
              static_cast<long long>(pos));

@@ -7,17 +7,27 @@
  * record additionally keeps the ground-truth sampling position from
  * the read simulator so tests and the variant-caller evaluation can
  * measure how much INDEL realignment improves alignment consistency.
+ *
+ * Bases and qualities are read-only views of a shared block
+ * (genomics/seq_block.hh): copying a Read shares the block, and new
+ * bytes come in only through setSequence.  With a short name (the
+ * string's inline buffer) and a CIGAR of at most Cigar::kInline
+ * elements, a read parsed by SamLiteStreamReader makes no heap
+ * allocation of its own.
  */
 
 #ifndef IRACC_GENOMICS_READ_HH
 #define IRACC_GENOMICS_READ_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "genomics/base.hh"
 #include "genomics/cigar.hh"
 #include "genomics/quality.hh"
+#include "genomics/seq_block.hh"
 
 namespace iracc {
 
@@ -46,12 +56,6 @@ struct Read
 {
     /** Query template name. */
     std::string name;
-
-    /** Base sequence, one byte per base. */
-    BaseSeq bases;
-
-    /** Raw Phred scores, parallel to bases. */
-    QualSeq quals;
 
     /** Alignment contig index into the reference genome. */
     int32_t contig = 0;
@@ -84,8 +88,25 @@ struct Read
     /** Ground truth: position the simulator sampled the read from. */
     int64_t truePos = -1;
 
+    /** Base sequence, one byte per base. */
+    std::string_view bases() const { return seq.bases(); }
+
+    /** Raw Phred scores, parallel to bases. */
+    std::span<const uint8_t> quals() const { return seq.quals(); }
+
+    /**
+     * Replace bases and qualities: both are copied into a block of
+     * this read's own (the views may point into the old one).
+     * Panics when their lengths differ.
+     */
+    void
+    setSequence(std::string_view b, std::span<const uint8_t> q)
+    {
+        seq = SeqSlice::copyOf(b, q);
+    }
+
     /** @return length of the read in bases. */
-    size_t length() const { return bases.size(); }
+    size_t length() const { return seq.size(); }
 
     /** @return 0-based exclusive end position on the reference. */
     int64_t
@@ -107,6 +128,12 @@ struct Read
 
     /** Internal-consistency check; panics on violation. */
     void assertValid() const;
+
+  private:
+    /** SamLiteStreamReader carves records from its arena. */
+    friend class SamLiteStreamReader;
+
+    SeqSlice seq;
 };
 
 } // namespace iracc

@@ -80,7 +80,7 @@ shiftIndelCigar(const Cigar &ideal, int32_t max_shift, Rng &rng,
         uint32_t s = 1 + static_cast<uint32_t>(rng.below(
             std::min<uint32_t>(room,
                                static_cast<uint32_t>(max_shift))));
-        std::vector<CigarElem> shifted(elems);
+        std::vector<CigarElem> shifted(elems.begin(), elems.end());
         if (left) {
             shifted[i - 1].length = pre - s;
             shifted[i + 1].length = post + s;
@@ -161,7 +161,8 @@ ReadSimulator::simulateContig(const ReferenceGenome &ref,
         read.reverse = reverse;
         read.mapq = rng.chance(0.95)
             ? 60 : static_cast<uint8_t>(rng.range(20, 59));
-        read.quals = sampleQuals();
+        QualSeq quals = sampleQuals();
+        BaseSeq bases;
 
         if (carrier) {
             int64_t donor_start = donor.refToDonor(start);
@@ -170,7 +171,7 @@ ReadSimulator::simulateContig(const ReferenceGenome &ref,
                 donor_start =
                     static_cast<int64_t>(donor.seq().size()) - rlen;
             }
-            read.bases = donor.seq().substr(
+            bases = donor.seq().substr(
                 static_cast<size_t>(donor_start),
                 static_cast<size_t>(rlen));
 
@@ -202,15 +203,16 @@ ReadSimulator::simulateContig(const ReferenceGenome &ref,
                 }
             }
         } else {
-            read.bases = ctg.seq.substr(static_cast<size_t>(start),
-                                        static_cast<size_t>(rlen));
+            bases = ctg.seq.substr(static_cast<size_t>(start),
+                                   static_cast<size_t>(rlen));
             read.truePos = start;
             read.pos = start;
             read.cigar = Cigar::simpleMatch(
                 static_cast<uint32_t>(rlen));
         }
 
-        injectErrors(read.bases, read.quals);
+        injectErrors(bases, quals);
+        read.setSequence(bases, quals);
         read.assertValid();
         out.reads.push_back(std::move(read));
         return &out.reads.back();

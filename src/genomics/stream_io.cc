@@ -209,8 +209,7 @@ FastqStreamReader::next(Read *out, ParseError *err)
 
     Read r;
     r.name = header.substr(1);
-    r.bases = bases;
-    r.quals = std::move(qualSeq);
+    r.setSequence(bases, qualSeq);
     r.cigar = Cigar();
     *out = std::move(r);
     ++count;
@@ -403,12 +402,14 @@ SamLiteStreamReader::next(Read *out, ParseError *err)
     }
 
     // Every invariant Read::assertValid checks holds now, so the
-    // record is written into *out in place, reusing its buffers.
+    // record is written into *out in place; its bases and qualities
+    // go to the arena's current block (fields are never empty).
     out->name.assign(f[0]);
-    out->bases.assign(bases);
-    out->quals.resize(qualText.size());
+    uint8_t *bytes = nullptr;
+    out->seq = arena.carve(bases.size(), &bytes);
+    std::memcpy(bytes, bases.data(), bases.size());
     decodeQualityChars(qualText.data(), qualText.size(),
-                       out->quals.data(), kernel);
+                       bytes + bases.size(), kernel);
     out->contig = contig;
     out->pos = pos1 - 1;
     out->cigar = std::move(cigar);

@@ -192,9 +192,11 @@ class SamLiteStreamReader
 
     /**
      * Pull one read.  @p out is only written on Record: every field
-     * is checked first, then parsed into *out in place, reusing its
-     * buffers (matePos and truePos, which SAM-lite does not carry,
-     * are reset to -1).
+     * is checked first, then parsed into *out in place (matePos and
+     * truePos, which SAM-lite does not carry, are reset to -1).  The
+     * bases and decoded qualities are appended to the reader's
+     * current SeqArena block, which the read then shares; reads
+     * outlive the reader.
      */
     StreamStatus next(Read *out, ParseError *err);
 
@@ -203,6 +205,7 @@ class SamLiteStreamReader
 
   private:
     LineScanner scanner;
+    SeqArena arena;
     const ReferenceGenome &genome;
     uint64_t count = 0;
     /** Contig of the previous record (input is contig-grouped). */

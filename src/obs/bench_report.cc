@@ -6,6 +6,7 @@
 #include <cstring>
 #include <fstream>
 #include <ostream>
+#include <sstream>
 
 #include "obs/metrics.hh"
 #include "util/argparse.hh"
@@ -29,7 +30,18 @@ BenchReport::BenchReport(std::string bench_name,
 void
 BenchReport::addValue(const std::string &key, double value)
 {
-    values.emplace_back(key, value);
+    std::ostringstream text;
+    if (std::isfinite(value))
+        text << value;
+    else
+        text << "null";
+    values.emplace_back(key, text.str());
+}
+
+void
+BenchReport::addCount(const std::string &key, uint64_t count)
+{
+    values.emplace_back(key, std::to_string(count));
 }
 
 void
@@ -54,11 +66,8 @@ BenchReport::write(std::ostream &os) const
     os << "],\"git\":" << jsonQuote(IRACC_GIT_DESCRIBE)
        << ",\"wallSeconds\":" << wall.seconds() << ",\"values\":{";
     for (size_t i = 0; i < values.size(); ++i) {
-        os << (i ? "," : "") << jsonQuote(values[i].first) << ":";
-        if (std::isfinite(values[i].second))
-            os << values[i].second;
-        else
-            os << "null";
+        os << (i ? "," : "") << jsonQuote(values[i].first) << ":"
+           << values[i].second;
     }
     os << "},\"tables\":[";
     for (size_t i = 0; i < tables.size(); ++i) {

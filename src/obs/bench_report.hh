@@ -76,8 +76,13 @@ class BenchReport
      *  time (pointer must outlive the report). */
     void setMetrics(const MetricsRegistry *reg) { metrics = reg; }
 
-    /** Record one headline scalar, e.g. {"speedup", 81.3}. */
+    /** Record one headline scalar, e.g. {"speedup", 81.3}; written
+     *  with six significant digits. */
     void addValue(const std::string &key, double value);
+
+    /** Record a count, written with every digit (an Exact gate
+     *  rule then sees a drift of one). */
+    void addCount(const std::string &key, uint64_t count);
 
     /** Export a rendered table under @p name. */
     void addTable(const std::string &name, const Table &table);
@@ -113,7 +118,8 @@ class BenchReport
     std::string paperRef;
     int64_t scaleDiv = 0;
     std::vector<int> chromosomes;
-    std::vector<std::pair<std::string, double>> values;
+    /** Keys and their JSON number text. */
+    std::vector<std::pair<std::string, std::string>> values;
     std::vector<BenchTable> tables;
     const MetricsRegistry *metrics = nullptr;
     std::string outputPath;

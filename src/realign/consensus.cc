@@ -88,7 +88,7 @@ extractIndelEvents(const Read &read)
             IndelEvent ev;
             ev.anchor = ref - 1;
             ev.isInsertion = true;
-            ev.insertedBases = read.bases.substr(read_off, e.length);
+            ev.insertedBases = read.bases().substr(read_off, e.length);
             ev.support = 1;
             if (ev.anchor >= 0)
                 out.push_back(std::move(ev));
@@ -249,8 +249,9 @@ buildTargetInput(const ReferenceGenome &ref,
         if (read.length() > window.size())
             continue;
         input.readIndices.push_back(idx);
-        input.readBases.push_back(read.bases);
-        input.readQuals.push_back(read.quals);
+        input.readBases.emplace_back(read.bases());
+        input.readQuals.emplace_back(read.quals().begin(),
+                                     read.quals().end());
     }
 
     input.assertWithinLimits();

@@ -46,7 +46,7 @@ BqsrTable::index(uint8_t q, uint32_t bucket, uint32_t context) const
 }
 
 uint32_t
-BqsrTable::contextOf(const BaseSeq &bases, size_t read_pos)
+BqsrTable::contextOf(std::string_view bases, size_t read_pos)
 {
     if (read_pos == 0)
         return kContexts - 1;
@@ -78,6 +78,7 @@ BqsrTable::observe(const ReferenceGenome &ref,
         if (read.duplicate || read.cigar.empty())
             continue;
         const Contig &ctg = ref.contig(read.contig);
+        const std::string_view bases = read.bases();
         int64_t ref_pos = read.pos;
         size_t read_off = 0;
         for (const auto &e : read.cigar.elements()) {
@@ -93,12 +94,12 @@ BqsrTable::observe(const ReferenceGenome &ref,
                     if (skip.count(key))
                         continue;
                     size_t ro = read_off + x;
-                    uint8_t q = read.quals[ro];
+                    uint8_t q = read.quals()[ro];
                     BqsrCell &c = cells[index(
                         q, bucketOf(ro, read.length()),
-                        contextOf(read.bases, ro))];
+                        contextOf(bases, ro))];
                     ++c.observations;
-                    if (read.bases[ro] !=
+                    if (bases[ro] !=
                         ctg.seq[static_cast<size_t>(rp)]) {
                         ++c.mismatches;
                     }
@@ -121,14 +122,18 @@ BqsrTable::observe(const ReferenceGenome &ref,
 void
 BqsrTable::recalibrate(std::vector<Read> &reads) const
 {
+    QualSeq quals;
     for (Read &read : reads) {
-        for (size_t i = 0; i < read.quals.size(); ++i) {
+        const std::span<const uint8_t> old = read.quals();
+        quals.assign(old.begin(), old.end());
+        for (size_t i = 0; i < quals.size(); ++i) {
             const BqsrCell &c = cells[index(
-                read.quals[i], bucketOf(i, read.length()),
-                contextOf(read.bases, i))];
+                old[i], bucketOf(i, read.length()),
+                contextOf(read.bases(), i))];
             if (c.observations >= 16)
-                read.quals[i] = c.empiricalQuality();
+                quals[i] = c.empiricalQuality();
         }
+        read.setSequence(read.bases(), quals);
     }
 }
 

@@ -18,6 +18,7 @@
 #define IRACC_REFINE_BQSR_HH
 
 #include <cstdint>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -71,7 +72,7 @@ class BqsrTable
 
     /** Context id for the base at read_pos (0..3 = preceding
      *  concrete base, 4 = none/first). */
-    static uint32_t contextOf(const BaseSeq &bases, size_t read_pos);
+    static uint32_t contextOf(std::string_view bases, size_t read_pos);
 
   private:
     uint32_t buckets;

@@ -14,7 +14,7 @@ uint64_t
 totalQuality(const Read &read)
 {
     uint64_t sum = 0;
-    for (uint8_t q : read.quals)
+    for (uint8_t q : read.quals())
         sum += q;
     return sum;
 }

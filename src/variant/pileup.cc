@@ -25,6 +25,8 @@ buildPileup(const std::vector<Read> &reads, int32_t contig,
         if (read.endPos() <= start || read.pos >= end)
             continue;
 
+        const std::string_view bases = read.bases();
+        const std::span<const uint8_t> quals = read.quals();
         int64_t ref_pos = read.pos;
         size_t read_off = 0;
         for (const auto &e : read.cigar.elements()) {
@@ -34,16 +36,16 @@ buildPileup(const std::vector<Read> &reads, int32_t contig,
                     PileupColumn *col = col_at(ref_pos + x);
                     if (!col)
                         continue;
-                    char b = read.bases[read_off + x];
+                    char b = bases[read_off + x];
                     if (b == 'N')
                         continue;
                     int idx = baseIndex(b);
                     col->baseQualSum[static_cast<size_t>(idx)] +=
-                        read.quals[read_off + x];
+                        quals[read_off + x];
                     ++col->baseCount[static_cast<size_t>(idx)];
                     col->observations.push_back(
                         {static_cast<uint8_t>(idx),
-                         read.quals[read_off + x]});
+                         quals[read_off + x]});
                     ++col->depth;
                 }
                 ref_pos += e.length;

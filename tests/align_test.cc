@@ -164,8 +164,8 @@ TEST(ReadAligner, PlacesCleanReadsAtTruePositions)
         int64_t pos = static_cast<int64_t>(rng.below(20000 - 100));
         Read read;
         read.name = "r" + std::to_string(i);
-        read.bases = ref.slice(contig, pos, pos + 100);
-        read.quals.assign(100, 30);
+        read.setSequence(ref.slice(contig, pos, pos + 100),
+                         QualSeq(100, 30));
         read.truePos = pos;
         ASSERT_TRUE(aligner.alignRead(read));
         if (read.pos == pos &&
@@ -191,8 +191,7 @@ TEST(ReadAligner, RecoversIndelReads)
                        ref.slice(contig, pos + 54, pos + 104);
     Read read;
     read.name = "indel";
-    read.bases = read_seq;
-    read.quals.assign(read_seq.size(), 30);
+    read.setSequence(read_seq, QualSeq(read_seq.size(), 30));
     ASSERT_TRUE(aligner.alignRead(read));
     EXPECT_EQ(read.pos, pos);
     EXPECT_TRUE(read.cigar.hasIndel());
@@ -211,8 +210,7 @@ TEST(ReadAligner, StageTimesAccumulate)
         int64_t pos = static_cast<int64_t>(rng.below(8000 - 100));
         Read r;
         r.name = "r" + std::to_string(i);
-        r.bases = ref.slice(0, pos, pos + 100);
-        r.quals.assign(100, 30);
+        r.setSequence(ref.slice(0, pos, pos + 100), QualSeq(100, 30));
         reads.push_back(r);
     }
     uint32_t aligned = aligner.alignAll(reads);

@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "obs/bench_gate.hh"
+#include "obs/bench_report.hh"
 
 namespace iracc {
 namespace {
@@ -174,6 +177,37 @@ TEST(BenchGate, Fig8RulesCatchCycleDriftAndSpeedupFloor)
     EXPECT_TRUE(
         checkBenchGate(baseline, {baseline}, obs::fig8GateRules())
             .ok);
+}
+
+TEST(BenchGate, Fig8WidthCountsKeepEveryDigitThroughTheReport)
+{
+    // addValue writes six significant digits, which hide a drift of
+    // one in an eight-digit cycle count; addCount writes them all,
+    // so the Exact rule sees it after the report's text round trip.
+    auto roundTrip = [](uint64_t cycles) {
+        obs::BenchReport rep("fig8_data_parallel", "Figure 8");
+        rep.addCount("w2.hdcCycles", cycles);
+        rep.addValue("scalarHdcCycles", static_cast<double>(cycles));
+        std::ostringstream os;
+        rep.write(os);
+        ValueMap values;
+        std::string error;
+        EXPECT_TRUE(obs::parseBenchValues(
+            os.str(), "fig8_data_parallel", &values, &error))
+            << error;
+        return values;
+    };
+    const ValueMap base = roundTrip(22232904);
+    EXPECT_EQ(base.at("w2.hdcCycles"), 22232904.0);
+    GateResult r = checkBenchGate(base, {roundTrip(22232905)},
+                                  obs::fig8GateRules());
+    EXPECT_FALSE(r.ok);
+    const GateFinding *count = findKey(r, "w2.hdcCycles");
+    ASSERT_NE(count, nullptr);
+    EXPECT_FALSE(count->ok);
+    const GateFinding *rounded = findKey(r, "scalarHdcCycles");
+    ASSERT_NE(rounded, nullptr);
+    EXPECT_TRUE(rounded->ok);
 }
 
 TEST(BenchGate, LowerBetterGatesSecondsUpward)

@@ -37,8 +37,8 @@ TEST(Workload, DeterministicForSameParams)
         ASSERT_EQ(a.chromosomes[c].truth.size(),
                   b.chromosomes[c].truth.size());
         for (size_t i = 0; i < a.chromosomes[c].reads.size(); ++i) {
-            ASSERT_EQ(a.chromosomes[c].reads[i].bases,
-                      b.chromosomes[c].reads[i].bases);
+            ASSERT_EQ(a.chromosomes[c].reads[i].bases(),
+                      b.chromosomes[c].reads[i].bases());
         }
     }
 }
@@ -56,7 +56,7 @@ TEST(Workload, ChromosomeSubsetsAreConsistent)
     const auto &cb = b.chromosome(22);
     ASSERT_EQ(ca.reads.size(), cb.reads.size());
     for (size_t i = 0; i < ca.reads.size(); ++i)
-        ASSERT_EQ(ca.reads[i].bases, cb.reads[i].bases);
+        ASSERT_EQ(ca.reads[i].bases(), cb.reads[i].bases());
 }
 
 TEST(Workload, LookupByNumber)

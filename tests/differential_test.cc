@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "realign/whd_simd.hh"
@@ -72,7 +73,7 @@ TEST(Differential, ScenarioNamesRoundTrip)
         ASSERT_EQ(a.reads.size(), b.reads.size());
         for (size_t i = 0; i < a.reads.size(); ++i) {
             EXPECT_EQ(a.reads[i].name, b.reads[i].name);
-            EXPECT_EQ(a.reads[i].bases, b.reads[i].bases);
+            EXPECT_EQ(a.reads[i].bases(), b.reads[i].bases());
             EXPECT_EQ(a.reads[i].pos, b.reads[i].pos);
         }
     }
@@ -146,8 +147,7 @@ TEST(Differential, ReproCasePipelineRoundTrip)
     r.name = "r1";
     r.contig = 0;
     r.pos = 4;
-    r.bases = "ACGTAC";
-    r.quals = {30, 31, 32, 33, 34, 35};
+    r.setSequence("ACGTAC", QualSeq{30, 31, 32, 33, 34, 35});
     r.cigar = Cigar::simpleMatch(6);
     repro.reads = {r};
 
@@ -161,8 +161,8 @@ TEST(Differential, ReproCasePipelineRoundTrip)
     ASSERT_EQ(back.reads.size(), 1u);
     EXPECT_EQ(back.reads[0].name, "r1");
     EXPECT_EQ(back.reads[0].pos, 4);
-    EXPECT_EQ(back.reads[0].bases, "ACGTAC");
-    EXPECT_EQ(back.reads[0].quals, r.quals);
+    EXPECT_EQ(back.reads[0].bases(), "ACGTAC");
+    EXPECT_TRUE(std::ranges::equal(back.reads[0].quals(), r.quals()));
 }
 
 TEST(Differential, MinimizerShrinksToTheCulpritReads)
@@ -180,8 +180,7 @@ TEST(Differential, MinimizerShrinksToTheCulpritReads)
                      : "ok" + std::to_string(i);
         r.contig = 0;
         r.pos = i;
-        r.bases = "ACGT";
-        r.quals = {30, 30, 30, 30};
+        r.setSequence("ACGT", QualSeq{30, 30, 30, 30});
         r.cigar = Cigar::simpleMatch(4);
         reads.push_back(r);
     }

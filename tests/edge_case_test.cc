@@ -260,8 +260,7 @@ TEST(TargetEdge, TargetAtContigStartAndEnd)
         r.name = "e" + std::to_string(pos);
         r.pos = pos;
         r.cigar = Cigar::fromString("20M2D30M");
-        r.bases = BaseSeq(50, 'A');
-        r.quals.assign(50, 30);
+        r.setSequence(BaseSeq(50, 'A'), QualSeq(50, 30));
         reads.push_back(r);
     }
     auto targets = createTargets(reads, 0, 3000, {});
@@ -303,8 +302,7 @@ TEST(PileupEdge, NBasesAreSkipped)
 {
     Read r;
     r.name = "n";
-    r.bases = "ANA";
-    r.quals = {30, 30, 30};
+    r.setSequence("ANA", QualSeq{30, 30, 30});
     r.pos = 10;
     r.cigar = Cigar::simpleMatch(3);
     auto cols = buildPileup({r}, 0, 10, 13);
@@ -346,10 +344,9 @@ TEST(RealignerEdge, ContigWithoutIndelsIsANoOp)
         r.name = "r" + std::to_string(i);
         int64_t pos = static_cast<int64_t>(rng.below(4900));
         r.pos = pos;
-        r.bases = ref.slice(0, pos, pos + 60);
-        r.quals.assign(r.bases.size(), 30);
+        r.setSequence(ref.slice(0, pos, pos + 60), QualSeq(60, 30));
         r.cigar = Cigar::simpleMatch(
-            static_cast<uint32_t>(r.bases.size()));
+            static_cast<uint32_t>(r.length()));
         reads.push_back(r);
     }
     auto before = reads;

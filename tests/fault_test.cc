@@ -94,7 +94,7 @@ expectReadsEqual(const std::vector<Read> &got,
         EXPECT_EQ(got[i].pos, want[i].pos) << "read " << i;
         EXPECT_EQ(got[i].cigar.toString(), want[i].cigar.toString())
             << "read " << i;
-        EXPECT_EQ(got[i].bases, want[i].bases) << "read " << i;
+        EXPECT_EQ(got[i].bases(), want[i].bases()) << "read " << i;
     }
 }
 
@@ -437,8 +437,7 @@ TEST(FaultCorpus, FaultReproCaseRoundTrip)
     r.name = "r1";
     r.contig = 0;
     r.pos = 4;
-    r.bases = "ACGTAC";
-    r.quals = {30, 31, 32, 33, 34, 35};
+    r.setSequence("ACGTAC", QualSeq{30, 31, 32, 33, 34, 35});
     r.cigar = Cigar::simpleMatch(6);
     repro.reads = {r};
 
@@ -450,7 +449,7 @@ TEST(FaultCorpus, FaultReproCaseRoundTrip)
     EXPECT_EQ(back.faultPlan, repro.faultPlan);
     EXPECT_EQ(back.variant, repro.variant);
     ASSERT_EQ(back.reads.size(), 1u);
-    EXPECT_EQ(back.reads[0].bases, "ACGTAC");
+    EXPECT_EQ(back.reads[0].bases(), "ACGTAC");
     // The parsed plan is usable as-is.
     EXPECT_EQ(FaultPlan::parse(back.faultPlan).specs.size(), 2u);
 }

@@ -119,11 +119,10 @@ TEST(Aligner, FmIndexBackendAlignsIdentically)
 
     for (int i = 0; i < 25; ++i) {
         int64_t pos = static_cast<int64_t>(rng.below(12000 - 100));
-        Read a, b;
-        a.name = b.name = "r" + std::to_string(i);
-        a.bases = b.bases = ref.slice(0, pos, pos + 100);
-        a.quals.assign(100, 30);
-        b.quals = a.quals;
+        Read a;
+        a.name = "r" + std::to_string(i);
+        a.setSequence(ref.slice(0, pos, pos + 100), QualSeq(100, 30));
+        Read b = a;
         ASSERT_TRUE(sa_aligner.alignRead(a));
         ASSERT_TRUE(fm_aligner.alignRead(b));
         ASSERT_EQ(a.pos, b.pos);

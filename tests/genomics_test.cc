@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "genomics/base.hh"
@@ -141,6 +143,71 @@ TEST(Cigar, TryFromStringRejectsUint32Overflow)
     EXPECT_EQ(c.readLength(), 4294967295u);
 }
 
+/** A CIGAR of @p n alternating M/I elements of lengths 1, 2, ... */
+std::vector<CigarElem>
+alternatingElems(size_t n)
+{
+    std::vector<CigarElem> elems;
+    for (size_t i = 0; i < n; ++i)
+        elems.push_back({static_cast<uint32_t>(i + 1),
+                         i % 2 ? CigarOp::Insert : CigarOp::Match});
+    return elems;
+}
+
+TEST(Cigar, ValueSemanticsAcrossTheInlineBoundary)
+{
+    // 0-3 elements are stored inline, 4 and 40 on the heap.
+    for (size_t n : {0, 1, 3, 4, 40}) {
+        const std::vector<CigarElem> elems = alternatingElems(n);
+        Cigar c(elems);
+        ASSERT_EQ(c.size(), n);
+        EXPECT_TRUE(std::ranges::equal(c.elements(), elems)) << n;
+        Cigar parsed;
+        ASSERT_TRUE(Cigar::tryFromString(c.toString(), &parsed)) << n;
+        EXPECT_EQ(parsed, c) << n;
+
+        Cigar copy = c;
+        EXPECT_EQ(copy, c) << n;
+        Cigar moved = std::move(copy);
+        EXPECT_EQ(moved, c) << n;
+        EXPECT_TRUE(copy.empty()) << n; // a moved-from CIGAR is empty
+
+        // Assignment in every direction between inline and heap.
+        for (size_t m : {0, 1, 3, 4, 40}) {
+            const Cigar other(alternatingElems(m));
+            Cigar target = other;
+            target = c;
+            EXPECT_EQ(target, c) << n << " over " << m;
+            Cigar source = c;
+            target = other;
+            target = std::move(source);
+            EXPECT_EQ(target, c) << n << " over " << m;
+            EXPECT_EQ(target.toString(), c.toString());
+            if (n != m) {
+                EXPECT_FALSE(target == other) << n << " vs " << m;
+            }
+        }
+    }
+    // Equality compares every element, not only a common prefix.
+    EXPECT_FALSE(Cigar(alternatingElems(3)) ==
+                 Cigar(alternatingElems(4)));
+}
+
+TEST(Cigar, TryFromStringOverflowOnTheHeapPath)
+{
+    // Five elements go to the heap; the overflow checks still hold
+    // and a rejected parse leaves *out untouched.
+    Cigar c(alternatingElems(40));
+    for (const char *s : {"1M1I1M1I4294967295M", "1D1M1D1M4294967295D",
+                          "1M1I1M1I4294967296M"}) {
+        EXPECT_FALSE(Cigar::tryFromString(s, &c)) << s;
+        EXPECT_EQ(c, Cigar(alternatingElems(40))) << s;
+    }
+    ASSERT_TRUE(Cigar::tryFromString("1M1I1M1I4294967291M", &c));
+    EXPECT_EQ(c.readLength(), 4294967295u);
+    EXPECT_EQ(c.size(), 5u);
+}
+
 TEST(Cigar, EmptyIsStar)
 {
     EXPECT_EQ(Cigar().toString(), "*");
@@ -172,8 +239,7 @@ TEST(Read, EndPosAndOverlap)
 {
     Read r;
     r.name = "r1";
-    r.bases = BaseSeq(100, 'A');
-    r.quals.assign(100, 30);
+    r.setSequence(BaseSeq(100, 'A'), QualSeq(100, 30));
     r.contig = 2;
     r.pos = 1000;
     r.cigar = Cigar::simpleMatch(100);
@@ -191,8 +257,7 @@ TEST(Read, ValidityChecks)
 {
     Read r;
     r.name = "ok";
-    r.bases = "ACGT";
-    r.quals = {30, 30, 30, 30};
+    r.setSequence("ACGT", QualSeq{30, 30, 30, 30});
     r.cigar = Cigar::simpleMatch(4);
     r.pos = 0;
     EXPECT_NO_FATAL_FAILURE(r.assertValid());
@@ -200,6 +265,43 @@ TEST(Read, ValidityChecks)
     Read bad = r;
     bad.cigar = Cigar::simpleMatch(5);
     EXPECT_DEATH(bad.assertValid(), "CIGAR");
+}
+
+TEST(Read, CopiesShareBytesAndSetSequenceCopies)
+{
+    Read r;
+    r.setSequence("ACGTN", QualSeq{10, 20, 30, 40, 0});
+    Read copy = r;
+    EXPECT_EQ(copy.bases().data(), r.bases().data()); // one block
+
+    // Replacing the copy's qualities leaves the original as it was.
+    QualSeq quals(copy.quals().begin(), copy.quals().end());
+    quals[2] = 2;
+    copy.setSequence(copy.bases(), quals);
+    EXPECT_EQ(copy.quals()[2], 2);
+    EXPECT_EQ(r.quals()[2], 30);
+    EXPECT_EQ(copy.bases(), "ACGTN");
+    EXPECT_NE(copy.bases().data(), r.bases().data());
+
+    // The original outlives a moved-from and a destroyed copy.
+    {
+        Read other = r;
+        Read taken = std::move(other);
+        EXPECT_EQ(taken.bases(), "ACGTN");
+    }
+    EXPECT_EQ(r.bases(), "ACGTN");
+    EXPECT_TRUE(std::ranges::equal(r.quals(), QualSeq{10, 20, 30, 40, 0}));
+
+    // Setting a read's sequence from its own views is safe.
+    r.setSequence(r.bases().substr(1, 3), r.quals().subspan(1, 3));
+    EXPECT_EQ(r.bases(), "CGT");
+    EXPECT_TRUE(std::ranges::equal(r.quals(), QualSeq{20, 30, 40}));
+
+    r.setSequence("", QualSeq{});
+    EXPECT_EQ(r.length(), 0u);
+    EXPECT_TRUE(r.quals().empty());
+    EXPECT_DEATH(r.setSequence("ACGT", QualSeq(3, 30)),
+                 "4 bases but 3 qualities");
 }
 
 /**

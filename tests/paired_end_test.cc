@@ -112,8 +112,7 @@ pairedRead(int64_t pos, int64_t mate_pos, bool first, uint8_t qual)
     Read r;
     static int counter = 0;
     r.name = "p" + std::to_string(counter++);
-    r.bases = BaseSeq(50, 'A');
-    r.quals.assign(50, qual);
+    r.setSequence(BaseSeq(50, 'A'), QualSeq(50, qual));
     r.pos = pos;
     r.cigar = Cigar::simpleMatch(50);
     r.paired = true;
@@ -146,8 +145,7 @@ TEST(PairedDuplicates, PairedAndUnpairedNeverCollide)
     };
     Read solo;
     solo.name = "solo";
-    solo.bases = BaseSeq(50, 'A');
-    solo.quals.assign(50, 30);
+    solo.setSequence(BaseSeq(50, 'A'), QualSeq(50, 30));
     solo.pos = 100;
     solo.cigar = Cigar::simpleMatch(50);
     reads.push_back(solo);

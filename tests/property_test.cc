@@ -259,11 +259,10 @@ TEST_P(BqsrErrorSweep, RecalibratedQualityTracksTrueErrorRate)
         int64_t pos = static_cast<int64_t>(rng.below(30000 - 100));
         Read r;
         r.name = "r" + std::to_string(i);
-        r.bases = ref.slice(0, pos, pos + 100);
-        r.quals.assign(100, 30); // mis-reported
+        BaseSeq bases = ref.slice(0, pos, pos + 100);
         r.pos = pos;
         r.cigar = Cigar::simpleMatch(100);
-        for (auto &b : r.bases) {
+        for (auto &b : bases) {
             if (rng.chance(true_error)) {
                 char wrong;
                 do {
@@ -272,6 +271,7 @@ TEST_P(BqsrErrorSweep, RecalibratedQualityTracksTrueErrorRate)
                 b = wrong;
             }
         }
+        r.setSequence(bases, QualSeq(100, 30)); // mis-reported
         reads.push_back(r);
     }
 
@@ -282,7 +282,7 @@ TEST_P(BqsrErrorSweep, RecalibratedQualityTracksTrueErrorRate)
     double sum = 0;
     uint64_t count = 0;
     for (const Read &r : reads)
-        for (uint8_t q : r.quals) {
+        for (uint8_t q : r.quals()) {
             sum += q;
             ++count;
         }

@@ -40,7 +40,7 @@ TEST(ReadSimulator, DeterministicForSameSeed)
     auto b = sim_b.simulateContig(fx.ref, fx.contig, fx.variants);
     ASSERT_EQ(a.reads.size(), b.reads.size());
     for (size_t i = 0; i < a.reads.size(); ++i) {
-        EXPECT_EQ(a.reads[i].bases, b.reads[i].bases);
+        EXPECT_EQ(a.reads[i].bases(), b.reads[i].bases());
         EXPECT_EQ(a.reads[i].pos, b.reads[i].pos);
         EXPECT_EQ(a.reads[i].cigar.toString(),
                   b.reads[i].cigar.toString());
@@ -107,7 +107,7 @@ TEST(ReadSimulator, QualityModelWithinPhredRange)
     double sum = 0;
     uint64_t n = 0;
     for (const Read &r : out.reads) {
-        for (uint8_t q : r.quals) {
+        for (uint8_t q : r.quals()) {
             ASSERT_GE(q, 2);
             ASSERT_LE(q, kMaxPhred);
             sum += q;
@@ -139,7 +139,7 @@ TEST(ReadSimulator, ErrorFreeReadsMatchReferenceHaplotype)
             r.truePos == r.pos) {
             BaseSeq want = fx.ref.slice(fx.contig, r.pos,
                                         r.pos + params.readLength);
-            if (want == r.bases)
+            if (want == r.bases())
                 ++checked;
         }
     }

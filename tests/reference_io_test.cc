@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "genomics/io.hh"
@@ -105,8 +106,8 @@ sampleReads()
 {
     Read a;
     a.name = "r1";
-    a.bases = "ACGTACGTAC";
-    a.quals = {30, 31, 32, 33, 34, 35, 36, 37, 38, 39};
+    a.setSequence("ACGTACGTAC",
+                  QualSeq{30, 31, 32, 33, 34, 35, 36, 37, 38, 39});
     a.contig = 0;
     a.pos = 5;
     a.cigar = Cigar::fromString("4M2I4M");
@@ -114,8 +115,7 @@ sampleReads()
 
     Read b;
     b.name = "r2";
-    b.bases = "TTTTT";
-    b.quals = {20, 20, 20, 20, 20};
+    b.setSequence("TTTTT", QualSeq{20, 20, 20, 20, 20});
     b.contig = 0;
     b.pos = 42;
     b.cigar = Cigar::simpleMatch(5);
@@ -131,8 +131,8 @@ TEST(Fastq, RoundTrip)
     auto back = readFastq(ss);
     ASSERT_EQ(back.size(), 2u);
     EXPECT_EQ(back[0].name, "r1");
-    EXPECT_EQ(back[0].bases, reads[0].bases);
-    EXPECT_EQ(back[0].quals, reads[0].quals);
+    EXPECT_EQ(back[0].bases(), reads[0].bases());
+    EXPECT_TRUE(std::ranges::equal(back[0].quals(), reads[0].quals()));
     EXPECT_TRUE(back[0].cigar.empty()); // alignment dropped
 }
 
@@ -150,7 +150,7 @@ TEST(SamLite, RoundTripPreservesAlignment)
     EXPECT_TRUE(back[0].reverse);
     EXPECT_FALSE(back[0].duplicate);
     EXPECT_TRUE(back[1].duplicate);
-    EXPECT_EQ(back[1].quals, reads[1].quals);
+    EXPECT_TRUE(std::ranges::equal(back[1].quals(), reads[1].quals()));
 }
 
 } // namespace

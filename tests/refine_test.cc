@@ -24,8 +24,7 @@ makeRead(int32_t contig, int64_t pos, const std::string &name,
 {
     Read r;
     r.name = name;
-    r.bases = BaseSeq(50, 'A');
-    r.quals.assign(50, qual);
+    r.setSequence(BaseSeq(50, 'A'), QualSeq(50, qual));
     r.contig = contig;
     r.pos = pos;
     r.cigar = Cigar::simpleMatch(50);
@@ -99,20 +98,20 @@ TEST(Bqsr, LearnsMiscalibration)
         int64_t pos = static_cast<int64_t>(rng.below(20000 - 100));
         Read r;
         r.name = "r" + std::to_string(i);
-        r.bases = ref.slice(0, pos, pos + 100);
-        r.quals.assign(100, 30);
+        BaseSeq bases = ref.slice(0, pos, pos + 100);
         r.pos = pos;
         r.contig = 0;
         r.cigar = Cigar::simpleMatch(100);
-        for (size_t b = 0; b < r.bases.size(); ++b) {
+        for (size_t b = 0; b < bases.size(); ++b) {
             if (rng.chance(0.03)) {
                 char wrong;
                 do {
                     wrong = kConcreteBases[rng.below(4)];
-                } while (wrong == r.bases[b]);
-                r.bases[b] = wrong;
+                } while (wrong == bases[b]);
+                bases[b] = wrong;
             }
         }
+        r.setSequence(bases, QualSeq(100, 30));
         reads.push_back(r);
     }
 
@@ -126,7 +125,7 @@ TEST(Bqsr, LearnsMiscalibration)
     double sum = 0;
     uint64_t n = 0;
     for (const Read &r : reads)
-        for (uint8_t q : r.quals) {
+        for (uint8_t q : r.quals()) {
             sum += q;
             ++n;
         }
@@ -142,7 +141,9 @@ TEST(Bqsr, SkipsKnownSitesAndDuplicates)
     // One read with a real variant at position 100 (all mismatches
     // there) plus a duplicate copy.
     Read r = makeRead(0, 90, "r", 30);
-    r.bases[10] = 'T'; // lands on reference position 100
+    BaseSeq bases(r.bases());
+    bases[10] = 'T'; // lands on reference position 100
+    r.setSequence(bases, r.quals());
     Read dup = r;
     dup.name = "dup";
     dup.duplicate = true;
@@ -178,19 +179,19 @@ TEST(Bqsr, DinucleotideContextSeparatesErrorRates)
         int64_t pos = static_cast<int64_t>(rng.below(20000 - 100));
         Read r;
         r.name = "r" + std::to_string(i);
-        r.bases = ref.slice(0, pos, pos + 100);
-        r.quals.assign(100, 30);
+        BaseSeq bases = ref.slice(0, pos, pos + 100);
         r.pos = pos;
         r.cigar = Cigar::simpleMatch(100);
-        for (size_t b = 1; b < r.bases.size(); ++b) {
-            if (r.bases[b - 1] == 'G' && rng.chance(0.2)) {
+        for (size_t b = 1; b < bases.size(); ++b) {
+            if (bases[b - 1] == 'G' && rng.chance(0.2)) {
                 char wrong;
                 do {
                     wrong = kConcreteBases[rng.below(4)];
-                } while (wrong == r.bases[b]);
-                r.bases[b] = wrong;
+                } while (wrong == bases[b]);
+                bases[b] = wrong;
             }
         }
+        r.setSequence(bases, QualSeq(100, 30));
         reads.push_back(r);
     }
 

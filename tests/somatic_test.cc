@@ -23,8 +23,7 @@ readAt(int64_t pos, BaseSeq bases, const std::string &cigar,
     static int counter = 0;
     r.name = "s" + std::to_string(counter++);
     r.cigar = Cigar::fromString(cigar);
-    r.bases = std::move(bases);
-    r.quals.assign(r.bases.size(), qual);
+    r.setSequence(bases, QualSeq(bases.size(), qual));
     r.pos = pos;
     return r;
 }
@@ -48,10 +47,10 @@ TEST(SomaticCaller, AcceptsTumorOnlyVariant)
 {
     Toy toy;
     for (int i = 0; i < 20; ++i) {
-        Read r = readAt(90, BaseSeq(20, 'A'), "20M");
+        BaseSeq bases(20, 'A');
         if (i < 8)
-            r.bases[10] = 'G'; // somatic SNV at 100, AF 0.4
-        toy.tumor.push_back(r);
+            bases[10] = 'G'; // somatic SNV at 100, AF 0.4
+        toy.tumor.push_back(readAt(90, bases, "20M"));
     }
     auto calls = callSomaticVariants(toy.ref, toy.tumor, toy.normal,
                                      0, 0, 200);
@@ -67,14 +66,13 @@ TEST(SomaticCaller, RejectsGermlineVariant)
     Toy toy;
     // Heterozygous germline SNV: in both samples at ~50 %.
     for (int i = 0; i < 20; ++i) {
-        Read t = readAt(90, BaseSeq(20, 'A'), "20M");
+        BaseSeq bases(20, 'A');
         if (i % 2)
-            t.bases[10] = 'G';
-        toy.tumor.push_back(t);
-    }
-    for (int i = 0; i < 20; ++i) {
+            bases[10] = 'G';
+        toy.tumor.push_back(readAt(90, bases, "20M"));
+        Read &normal = toy.normal[static_cast<size_t>(i)];
         if (i % 2)
-            toy.normal[static_cast<size_t>(i)].bases[10] = 'G';
+            normal.setSequence(bases, normal.quals());
     }
     auto calls = callSomaticVariants(toy.ref, toy.tumor, toy.normal,
                                      0, 0, 200);
@@ -86,10 +84,10 @@ TEST(SomaticCaller, RejectsWhenNormalHasNoCoverage)
     Toy toy;
     toy.normal.clear(); // no normal evidence at all
     for (int i = 0; i < 20; ++i) {
-        Read r = readAt(90, BaseSeq(20, 'A'), "20M");
+        BaseSeq bases(20, 'A');
         if (i < 10)
-            r.bases[10] = 'G';
-        toy.tumor.push_back(r);
+            bases[10] = 'G';
+        toy.tumor.push_back(readAt(90, bases, "20M"));
     }
     auto calls = callSomaticVariants(toy.ref, toy.tumor, toy.normal,
                                      0, 0, 200);

@@ -76,8 +76,9 @@ dumpRead(const Read &r)
     std::string out = r.name + "|" + std::to_string(r.contig) + "|" +
                       std::to_string(r.pos) + "|" +
                       std::to_string(r.mapq) + "|" +
-                      r.cigar.toString() + "|" + r.bases + "|";
-    for (uint8_t q : r.quals)
+                      r.cigar.toString() + "|" + std::string(r.bases()) +
+                      "|";
+    for (uint8_t q : r.quals())
         out += std::to_string(q) + ",";
     out += "|" + std::to_string(r.reverse) +
            std::to_string(r.duplicate) + std::to_string(r.paired) +
@@ -141,8 +142,8 @@ fastqTranscript(std::istream &in, StreamLimits limits = {})
     ParseError err;
     StreamStatus st;
     while ((st = reader.next(&r, &err)) == StreamStatus::Record)
-        out.push_back(r.name + "|" + r.bases + "|" +
-                      qualsToAscii(r.quals));
+        out.push_back(r.name + "|" + std::string(r.bases()) + "|" +
+                      qualsToAscii(r.quals()));
     out.push_back(std::to_string(static_cast<int>(st)) + " " +
                   err.describe());
     return out;
@@ -207,9 +208,9 @@ TEST(SamLiteStream, AcceptsValidRecordAndDecodesFlags)
     EXPECT_TRUE(r.reverse);
     EXPECT_TRUE(r.firstOfPair);
     EXPECT_TRUE(r.duplicate);
-    EXPECT_EQ(r.bases, "ACGTACGTAC");
-    ASSERT_EQ(r.quals.size(), 10u);
-    EXPECT_EQ(r.quals[0], 'I' - 33);
+    EXPECT_EQ(r.bases(), "ACGTACGTAC");
+    ASSERT_EQ(r.quals().size(), 10u);
+    EXPECT_EQ(r.quals()[0], 'I' - 33);
     EXPECT_EQ(reader.next(&r, &err), StreamStatus::End);
     EXPECT_EQ(reader.records(), 1u);
     expectSameWhenTrickled(in.str(), false);
@@ -226,7 +227,7 @@ TEST(SamLiteStream, SkipsCommentsBlanksAndCrlf)
     Read r;
     ParseError err;
     ASSERT_EQ(reader.next(&r, &err), StreamStatus::Record);
-    EXPECT_EQ(r.bases, "ACGT"); // no trailing '\r' smuggled in
+    EXPECT_EQ(r.bases(), "ACGT"); // no trailing '\r' smuggled in
     EXPECT_EQ(r.pos, 0);
     EXPECT_EQ(reader.next(&r, &err), StreamStatus::End);
     expectSameWhenTrickled(in.str(), false);
@@ -370,8 +371,7 @@ TEST(SamLiteStream, ParsesInPlaceAndLeavesReadUntouchedOnError)
     SamLiteStreamReader reader(in, ref);
     Read r;
     r.name = "a-much-longer-stale-name-from-an-earlier-record";
-    r.bases = BaseSeq(80, 'G');
-    r.quals = QualSeq(80, 7);
+    r.setSequence(BaseSeq(80, 'G'), QualSeq(80, 7));
     r.cigar = Cigar::fromString("40M2I38M");
     r.matePos = 1234;
     r.truePos = 5678;
@@ -514,12 +514,12 @@ TEST(FastqStream, RoundTripAndCrlf)
     ParseError err;
     ASSERT_EQ(reader.next(&r, &err), StreamStatus::Record);
     EXPECT_EQ(r.name, "r1");
-    EXPECT_EQ(r.bases, "ACGTN");
-    ASSERT_EQ(r.quals.size(), 5u);
-    EXPECT_EQ(r.quals[0], 'I' - 33);
+    EXPECT_EQ(r.bases(), "ACGTN");
+    ASSERT_EQ(r.quals().size(), 5u);
+    EXPECT_EQ(r.quals()[0], 'I' - 33);
     ASSERT_EQ(reader.next(&r, &err), StreamStatus::Record);
     EXPECT_EQ(r.name, "r2 with description");
-    EXPECT_EQ(r.quals[0], 0);
+    EXPECT_EQ(r.quals()[0], 0);
     EXPECT_EQ(reader.next(&r, &err), StreamStatus::End);
     EXPECT_EQ(reader.records(), 2u);
     expectSameWhenTrickled(in.str(), true);
@@ -656,6 +656,64 @@ TEST(BatchSource, EmptyStreamEndsCleanly)
 }
 
 /**
+ * Reads share their reader's sequence blocks, so they must stay
+ * whole after the reader, the batch vector and the stream are gone
+ * (ASan in CI checks the frees).  The records fill several 64 KiB
+ * blocks, and one 40,000-base record needs a block of its own.
+ */
+TEST(StreamLifetime, ReadsOutliveTheirReaderAndBatch)
+{
+    ReferenceGenome ref;
+    ref.addContig("Ch9", BaseSeq(1000, 'A'));
+    ref.addContig("Ch10", BaseSeq(1000, 'C'));
+    std::string text;
+    std::vector<std::string> want;
+    for (size_t i = 0; i < 600; ++i) {
+        const size_t len = i == 300 ? 40000 : 200;
+        std::string bases, quals;
+        for (size_t b = 0; b < len; ++b) {
+            bases += "ACGTN"[(i + b) % 5];
+            quals += static_cast<char>('!' + (i * 3 + b) % 94);
+        }
+        want.push_back(bases + "|" + quals);
+        text += "r" + std::to_string(i) + (i < 400 ? "\tCh9\t" : "\tCh10\t") +
+                std::to_string(1 + i) + "\t60\t" + std::to_string(len) +
+                "M\t0\t" + bases + "\t" + quals + "\n";
+    }
+    auto seen = [](const Read &r) {
+        return std::string(r.bases()) + "|" + qualsToAscii(r.quals());
+    };
+
+    std::vector<Read> batched;
+    {
+        std::istringstream in(text);
+        SamLiteBatchSource source(in, ref);
+        int32_t contig = -1;
+        std::vector<Read> batch;
+        ParseError err;
+        while (source.nextBatch(&contig, &batch, &err) ==
+               StreamStatus::Record)
+            batched.insert(batched.end(), batch.begin(), batch.end());
+        EXPECT_TRUE(err.ok()) << err.describe();
+    }
+    std::vector<Read> pulled;
+    {
+        std::istringstream in(text);
+        SamLiteStreamReader reader(in, ref);
+        Read r;
+        ParseError err;
+        while (reader.next(&r, &err) == StreamStatus::Record)
+            pulled.push_back(r);
+    }
+    ASSERT_EQ(batched.size(), want.size());
+    ASSERT_EQ(pulled.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(seen(batched[i]), want[i]) << i;
+        EXPECT_EQ(seen(pulled[i]), want[i]) << i;
+    }
+}
+
+/**
  * Seeded fuzz loop: mutate a valid SAM-lite serialization with
  * random byte edits (overwrite / insert / delete / truncate) and
  * drain the streaming reader.  The property under test is "no
@@ -678,8 +736,7 @@ TEST(StreamFuzz, RandomMutationsNeverCrashSamReader)
             r.name = "r" + std::to_string(i);
             r.contig = static_cast<int32_t>(i % 2);
             r.pos = static_cast<int64_t>(seedRng.below(60));
-            r.bases = BaseSeq(len, "ACGT"[i % 4]);
-            r.quals = QualSeq(len, 30);
+            r.setSequence(BaseSeq(len, "ACGT"[i % 4]), QualSeq(len, 30));
             r.cigar = Cigar::simpleMatch(static_cast<uint32_t>(len));
             reads.push_back(std::move(r));
         }
@@ -939,10 +996,12 @@ goldenReads()
         r.firstOfPair = sh.first;
         r.reverse = sh.reverse;
         r.duplicate = sh.duplicate;
-        r.bases = sh.bases;
-        for (size_t b = 0; b < r.bases.size(); ++b)
-            r.quals.push_back(
+        const std::string_view bases = sh.bases;
+        QualSeq quals;
+        for (size_t b = 0; b < bases.size(); ++b)
+            quals.push_back(
                 static_cast<uint8_t>((i * 17 + b * 31) % 94));
+        r.setSequence(bases, quals);
         r.assertValid();
         reads.push_back(std::move(r));
     }
@@ -1012,11 +1071,11 @@ TEST(SamLiteWriterDeathTest, PhredAboveMaxNamesTheFirstBadScore)
                     continue;
                 Read r;
                 r.name = "bad";
-                r.bases = BaseSeq(len, 'A');
-                r.quals = QualSeq(len, 30);
-                r.quals[k] = 94;
+                QualSeq quals(len, 30);
+                quals[k] = 94;
                 if (k + 1 < len)
-                    r.quals[len - 1] = 200;
+                    quals[len - 1] = 200;
+                r.setSequence(BaseSeq(len, 'A'), quals);
                 std::ostringstream os;
                 EXPECT_DEATH(writeSamLite(os, ref, {r}),
                              "Phred score 94 exceeds max 93")
@@ -1042,11 +1101,14 @@ TEST(SamLiteWriter, RoundTripIsByteIdenticalUnderEveryKernel)
         r.contig = static_cast<int32_t>(len % 2);
         r.pos = static_cast<int64_t>(rng.below(40));
         r.cigar = Cigar::simpleMatch(static_cast<uint32_t>(len));
+        BaseSeq bases;
+        QualSeq quals;
         for (size_t i = 0; i < len; ++i) {
-            r.bases += "ACGTNacgtn"[rng.below(10)];
-            r.quals.push_back(
+            bases += "ACGTNacgtn"[rng.below(10)];
+            quals.push_back(
                 static_cast<uint8_t>(rng.below(kMaxPhred + 1)));
         }
+        r.setSequence(bases, quals);
         reads.push_back(std::move(r));
     }
     std::string want;

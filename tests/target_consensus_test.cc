@@ -24,9 +24,9 @@ makeRead(int64_t pos, const std::string &cigar, int32_t contig = 0,
 {
     Read r;
     r.cigar = Cigar::fromString(cigar);
-    r.bases = BaseSeq(r.cigar.readLength(), 'A');
-    r.quals.assign(r.cigar.readLength(),
-                   static_cast<uint8_t>(qual));
+    r.setSequence(BaseSeq(r.cigar.readLength(), 'A'),
+                  QualSeq(r.cigar.readLength(),
+                          static_cast<uint8_t>(qual)));
     r.pos = pos;
     r.contig = contig;
     static int counter = 0;
@@ -223,7 +223,8 @@ TEST(ExtractIndelEvents, PositionsAreAnchored)
 {
     // 10M3I20M at pos 500: insertion after reference base 509.
     Read read = makeRead(500, "10M3I20M");
-    read.bases = BaseSeq(10, 'A') + BaseSeq("CGT") + BaseSeq(20, 'A');
+    read.setSequence(BaseSeq(10, 'A') + BaseSeq("CGT") + BaseSeq(20, 'A'),
+                     read.quals());
     auto events = extractIndelEvents(read);
     ASSERT_EQ(events.size(), 1u);
     EXPECT_TRUE(events[0].isInsertion);
@@ -255,20 +256,20 @@ struct InputFixture
         // with an insertion, plus pure-match reads.
         for (int i = 0; i < 3; ++i) {
             Read r = makeRead(1950, "50M3D50M");
-            r.bases = ref.slice(0, 1950, 2000) +
-                      ref.slice(0, 2003, 2053);
-            r.quals.assign(100, 30);
+            r.setSequence(ref.slice(0, 1950, 2000) +
+                              ref.slice(0, 2003, 2053),
+                          QualSeq(100, 30));
             reads.push_back(r);
         }
         Read ins = makeRead(1960, "40M2I58M");
-        ins.bases = ref.slice(0, 1960, 2000) + BaseSeq("GG") +
-                    ref.slice(0, 2000, 2058);
-        ins.quals.assign(100, 30);
+        ins.setSequence(ref.slice(0, 1960, 2000) + BaseSeq("GG") +
+                            ref.slice(0, 2000, 2058),
+                        QualSeq(100, 30));
         reads.push_back(ins);
         for (int i = 0; i < 4; ++i) {
             Read m = makeRead(1900 + i * 30, "100M");
-            m.bases = ref.slice(0, m.pos, m.pos + 100);
-            m.quals.assign(100, 30);
+            m.setSequence(ref.slice(0, m.pos, m.pos + 100),
+                          QualSeq(100, 30));
             reads.push_back(m);
         }
         target = {0, 1975, 2028};
@@ -333,8 +334,7 @@ TEST(BuildTargetInput, CapsConsensusCount)
     // 40 distinct insertion events at slightly different anchors.
     for (int i = 0; i < 40; ++i) {
         Read r = makeRead(1900 + i, "40M2I58M");
-        r.bases = BaseSeq(100, 'C');
-        r.quals.assign(100, 30);
+        r.setSequence(BaseSeq(100, 'C'), QualSeq(100, 30));
         reads.push_back(r);
     }
     std::vector<uint32_t> idx;

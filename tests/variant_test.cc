@@ -23,8 +23,7 @@ readAt(int64_t pos, BaseSeq bases, const std::string &cigar,
     static int counter = 0;
     r.name = "v" + std::to_string(counter++);
     r.cigar = Cigar::fromString(cigar);
-    r.bases = std::move(bases);
-    r.quals.assign(r.bases.size(), qual);
+    r.setSequence(bases, QualSeq(bases.size(), qual));
     r.pos = pos;
     return r;
 }
@@ -52,7 +51,7 @@ TEST(Pileup, CountsIndelStarts)
         readAt(10, "AAAACCGG", "4M2I2M"),
         readAt(10, "AAAAGG", "4M2D2M"),
     };
-    reads[0].bases = "AAAAGGGG";
+    reads[0].setSequence("AAAAGGGG", reads[0].quals());
     auto cols = buildPileup(reads, 0, 10, 20);
     // Both indels anchor after reference position 13.
     EXPECT_EQ(cols[3].insStarts, 1u);
@@ -76,8 +75,9 @@ TEST(Caller, FindsObviousSnv)
     ref.addContig("c", BaseSeq(200, 'A'));
     std::vector<Read> reads;
     for (int i = 0; i < 20; ++i) {
-        Read r = readAt(90, BaseSeq(20, 'A'), "20M");
-        r.bases[10] = 'G'; // reference position 100
+        BaseSeq bases(20, 'A');
+        bases[10] = 'G'; // reference position 100
+        Read r = readAt(90, bases, "20M");
         reads.push_back(r);
     }
     auto calls = callVariants(ref, reads, 0, 0, 200);
@@ -113,7 +113,9 @@ TEST(Caller, ThresholdsSuppressNoise)
     // One stray mismatching read among 20: below allele fraction.
     for (int i = 0; i < 20; ++i)
         reads.push_back(readAt(90, BaseSeq(20, 'A'), "20M"));
-    reads[0].bases[10] = 'C';
+    BaseSeq stray(20, 'A');
+    stray[10] = 'C';
+    reads[0].setSequence(stray, reads[0].quals());
     auto calls = callVariants(ref, reads, 0, 0, 200);
     EXPECT_TRUE(calls.empty());
 }
