@@ -181,10 +181,8 @@ main(int argc, char **argv)
                 "6.2x across the full workload.\n");
 
     report.addValue("asyncGain", gain);
-    report.addValue("syncMakespanCycles",
-                    static_cast<double>(sync_res.makespan));
-    report.addValue("asyncMakespanCycles",
-                    static_cast<double>(async_res.makespan));
+    report.addCount("syncMakespanCycles", sync_res.makespan);
+    report.addCount("asyncMakespanCycles", async_res.makespan);
     report.addValue("syncUnitUtilization",
                     sync_res.fpga.meanUnitUtilization);
     report.addValue("asyncUnitUtilization",
@@ -193,18 +191,14 @@ main(int argc, char **argv)
     // recorder path (obs/latency_histogram.hh).  Cycle-domain, so
     // the fig7 catch-all Exact rule gates them bit-for-bit; async
     // scheduling shows up as a much shorter tail than sync.
-    report.addValue("syncTargetLatencyP50Cycles",
-                    static_cast<double>(
-                        sync_res.targetLatencyCycles.quantile(0.50)));
-    report.addValue("syncTargetLatencyP99Cycles",
-                    static_cast<double>(
-                        sync_res.targetLatencyCycles.quantile(0.99)));
-    report.addValue("asyncTargetLatencyP50Cycles",
-                    static_cast<double>(
-                        async_res.targetLatencyCycles.quantile(0.50)));
-    report.addValue("asyncTargetLatencyP99Cycles",
-                    static_cast<double>(
-                        async_res.targetLatencyCycles.quantile(0.99)));
+    report.addCount("syncTargetLatencyP50Cycles",
+                    sync_res.targetLatencyCycles.quantile(0.50));
+    report.addCount("syncTargetLatencyP99Cycles",
+                    sync_res.targetLatencyCycles.quantile(0.99));
+    report.addCount("asyncTargetLatencyP50Cycles",
+                    async_res.targetLatencyCycles.quantile(0.50));
+    report.addCount("asyncTargetLatencyP99Cycles",
+                    async_res.targetLatencyCycles.quantile(0.99));
 
     // --- Multi-card fleet scaling (Section VI deployment view) ---
     // 32 targets (four fresh draws of the Figure 7 generator, so
@@ -253,9 +247,9 @@ main(int argc, char **argv)
                             Table::speedup(speedup),
                             std::to_string(res.fleet.steals()),
                             busy});
-        report.addValue("fleetMakespan" + std::to_string(cards) +
+        report.addCount("fleetMakespan" + std::to_string(cards) +
                             "Cycles",
-                        static_cast<double>(res.makespan));
+                        res.makespan);
         if (cards > 1) {
             report.addValue("fleetSpeedup" + std::to_string(cards),
                             speedup);

@@ -125,20 +125,21 @@ BM_IrComputeWidth(benchmark::State &state, SimdKernel kernel)
 }
 
 /**
- * Every target of a fixed-seed genome (chr21-22 at scale 1000, 30x),
- * marshalled once.  Its reads come from the simulator, indels and
- * sequencing errors included, so offsets abort in every chunk, not
- * nearly all in the first as with benchInput's three-error reads.
+ * Every target of a fixed-seed genome (chr21-22 at scale 1000, 30x)
+ * within the architectural limits, built once.  Its reads come from
+ * the simulator, indels and sequencing errors included, so offsets
+ * abort in every chunk, not nearly all in the first as with
+ * benchInput's three-error reads.
  */
-const std::vector<MarshalledTarget> &
-genomeTargets()
+const std::vector<IrTargetInput> &
+genomeInputs()
 {
-    static const std::vector<MarshalledTarget> targets = [] {
+    static const std::vector<IrTargetInput> inputs = [] {
         WorkloadParams params;
         params.seed = 0x6E0E;
         params.chromosomes = {21, 22};
         GenomeWorkload wl = buildWorkload(params);
-        std::vector<MarshalledTarget> out;
+        std::vector<IrTargetInput> out;
         for (const ChromosomeWorkload &chr : wl.chromosomes) {
             ContigPlan plan =
                 planStage(wl.reference, chr.contig, chr.reads);
@@ -149,12 +150,48 @@ genomeTargets()
                     wl.reference, chr.reads, plan.targets[t],
                     plan.readsPerTarget[t]);
                 if (input.limitViolation().empty())
-                    out.push_back(marshalTarget(input));
+                    out.push_back(std::move(input));
             }
         }
         return out;
     }();
+    return inputs;
+}
+
+/** genomeInputs(), marshalled once. */
+const std::vector<MarshalledTarget> &
+genomeTargets()
+{
+    static const std::vector<MarshalledTarget> targets = [] {
+        std::vector<MarshalledTarget> out;
+        for (const IrTargetInput &input : genomeInputs())
+            out.push_back(marshalTarget(input));
+        return out;
+    }();
     return targets;
+}
+
+/**
+ * Pruned minWhd over every target of genomeInputs(): the software
+ * kernel's per-comparison target sweep at genome shape.
+ */
+void
+BM_MinWhdGenome(benchmark::State &state, SimdKernel kernel)
+{
+    ScopedSimdKernel scope(kernel);
+    const std::vector<IrTargetInput> &inputs = genomeInputs();
+    MinWhdGrid grid(0, 0);
+    uint64_t comparisons = 0;
+    for (auto _ : state) {
+        WhdStats stats;
+        for (const IrTargetInput &input : inputs) {
+            minWhdInto(input, true, &stats, grid);
+            benchmark::DoNotOptimize(grid);
+        }
+        comparisons = stats.comparisons;
+    }
+    state.counters["targets"] = static_cast<double>(inputs.size());
+    state.counters["comparisons"] = static_cast<double>(comparisons);
 }
 
 /** irCompute at width 32 over every target of genomeTargets(). */
@@ -242,6 +279,13 @@ registerDispatchBenchmarks()
             ->Arg(8)
             ->Arg(16)
             ->Arg(32);
+        name = "BM_MinWhdGenome/" + kname;
+        benchmark::RegisterBenchmark(
+            name.c_str(),
+            [kernel](benchmark::State &st) {
+                BM_MinWhdGenome(st, kernel);
+            })
+            ->Unit(benchmark::kMillisecond);
         name = "BM_IrComputeGenome/" + kname;
         benchmark::RegisterBenchmark(
             name.c_str(),
@@ -354,30 +398,25 @@ emitBenchJson(const std::string &path)
         WhdStats full, pruned;
         minWhd(input, false, &full);
         minWhd(input, true, &pruned);
-        report.addValue("n_minwhd_full_comparisons",
-                        static_cast<double>(full.comparisons));
-        report.addValue("n_minwhd_pruned_comparisons",
-                        static_cast<double>(pruned.comparisons));
-        report.addValue("n_minwhd_offsets",
-                        static_cast<double>(full.offsetsEvaluated));
-        report.addValue(
-            "n_minwhd_pruned_offsets_pruned",
-            static_cast<double>(pruned.offsetsPruned));
+        report.addCount("n_minwhd_full_comparisons", full.comparisons);
+        report.addCount("n_minwhd_pruned_comparisons",
+                        pruned.comparisons);
+        report.addCount("n_minwhd_offsets", full.offsetsEvaluated);
+        report.addCount("n_minwhd_pruned_offsets_pruned",
+                        pruned.offsetsPruned);
         const WhdSweepResult chunk32 =
             chunk32Sweep(SimdKernel::Scalar, input);
-        report.addValue("n_minwhd_chunk32_comparisons",
-                        static_cast<double>(chunk32.comparisons));
-        report.addValue("n_minwhd_chunk32_chunks",
-                        static_cast<double>(chunk32.chunks));
-        report.addValue(
-            "n_minwhd_chunk32_offsets_pruned",
-            static_cast<double>(chunk32.offsetsPruned));
+        report.addCount("n_minwhd_chunk32_comparisons",
+                        chunk32.comparisons);
+        report.addCount("n_minwhd_chunk32_chunks", chunk32.chunks);
+        report.addCount("n_minwhd_chunk32_offsets_pruned",
+                        chunk32.offsetsPruned);
         MarshalledTarget target = marshalTarget(input);
         for (uint32_t width : {1u, 8u, 32u}) {
             IrComputeResult res = irCompute(target, width, true);
-            report.addValue("n_ircompute_w" +
-                                std::to_string(width) + "_cycles",
-                            static_cast<double>(res.totalCycles()));
+            report.addCount("n_ircompute_w" + std::to_string(width) +
+                                "_cycles",
+                            res.totalCycles());
         }
     }
 

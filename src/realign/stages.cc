@@ -1,6 +1,7 @@
 #include "realign/stages.hh"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "realign/limits.hh"
@@ -9,6 +10,40 @@
 #include "util/thread_pool.hh"
 
 namespace iracc {
+
+namespace {
+
+/**
+ * Sort @p keys with a stable LSD radix sort over their eight bytes.
+ * A byte equal in every key takes no pass, nor do the low four when
+ * @p byLow says the keys arrive ascending in them.  @p scratch is
+ * the second buffer.
+ */
+void
+radixSort(std::vector<uint64_t> &keys, std::vector<uint64_t> &scratch,
+          bool byLow)
+{
+    const size_t n = keys.size();
+    uint32_t counts[8 * 256] = {};
+    for (uint64_t key : keys) {
+        for (size_t d = 0; d < 8; ++d)
+            ++counts[d * 256 + (key >> (8 * d) & 0xFF)];
+    }
+    scratch.resize(n);
+    for (size_t d = byLow ? 4 : 0; d < 8 && n > 1; ++d) {
+        uint32_t *count = counts + d * 256;
+        if (count[keys[0] >> (8 * d) & 0xFF] == n)
+            continue;
+        uint32_t at = 0;
+        for (size_t b = 0; b < 256; ++b)
+            at += std::exchange(count[b], at);
+        for (uint64_t key : keys)
+            scratch[count[key >> (8 * d) & 0xFF]++] = key;
+        keys.swap(scratch);
+    }
+}
+
+} // anonymous namespace
 
 ContigPlan
 planStage(const ReferenceGenome &ref, int32_t contig,
@@ -22,18 +57,25 @@ planStage(const ReferenceGenome &ref, int32_t contig,
                                  ref.contig(contig).length(), params,
                                  candidates);
 
-    // (pos, index) keys of the claimable reads -- on this contig,
-    // not duplicates -- sorted for range queries.  Other reads are
+    // The claimable reads -- on this contig, not duplicates -- in
+    // (position, index) order for range queries.  Other reads are
     // never claimed, so a pre-partitioned per-contig candidate list
     // yields the same plan as scanning the whole read set.  The
     // widest reference span among them bounds how far before a
-    // target a read that overlaps it can start.
-    std::vector<std::pair<int64_t, uint32_t>> keys;
+    // target a read that overlaps it can start.  A key holds the
+    // read index in its low half.
+    std::vector<uint64_t> keys;
     int64_t max_span = 0;
+    int64_t lo = std::numeric_limits<int64_t>::max();
+    int64_t hi = std::numeric_limits<int64_t>::min();
+    bool byIndex = true;
     auto add = [&](uint32_t i) {
         const Read &read = reads[i];
         if (read.contig == contig && !read.duplicate) {
-            keys.emplace_back(read.pos, i);
+            byIndex = byIndex && (keys.empty() || keys.back() < i);
+            keys.push_back(i);
+            lo = std::min(lo, read.pos);
+            hi = std::max(hi, read.pos);
             max_span = std::max(max_span, read.endPos() - read.pos);
         }
     };
@@ -45,7 +87,26 @@ planStage(const ReferenceGenome &ref, int32_t contig,
         for (uint32_t i = 0; i < reads.size(); ++i)
             add(i);
     }
-    std::sort(keys.begin(), keys.end());
+    auto readOf = [&reads](uint64_t key) -> const Read & {
+        return reads[static_cast<uint32_t>(key)];
+    };
+    if (!keys.empty() && (static_cast<uint64_t>(hi) -
+                          static_cast<uint64_t>(lo)) >> 32 == 0) {
+        // Positions fit in 32 bits above the lowest: stored above the
+        // index, they make integer order (position, index) order.
+        // The keys and the radix sort's second buffer take the 16
+        // bytes per read one (position, index) pair took; a buffer
+        // kept per thread would outlive the call.
+        for (uint64_t &key : keys)
+            key |= static_cast<uint64_t>(readOf(key).pos - lo) << 32;
+        std::vector<uint64_t> scratch;
+        radixSort(keys, scratch, byIndex);
+    } else {
+        std::sort(keys.begin(), keys.end(), [&](uint64_t a, uint64_t b) {
+            return std::make_pair(readOf(a).pos, a) <
+                   std::make_pair(readOf(b).pos, b);
+        });
+    }
 
     // A read may straddle two targets; the first target claims it so
     // targets never share (and never race on) a read.
@@ -54,22 +115,21 @@ planStage(const ReferenceGenome &ref, int32_t contig,
     plan.readsPerTarget.reserve(plan.targets.size());
     for (const IrTarget &target : plan.targets) {
         std::vector<uint32_t> assigned;
-        const auto first = std::lower_bound(
+        const int64_t from = target.start - max_span;
+        const auto first = std::partition_point(
             keys.begin(), keys.end(),
-            std::make_pair(target.start - max_span, uint32_t{0}));
+            [&](uint64_t key) { return readOf(key).pos < from; });
         for (auto it = first; it != keys.end(); ++it) {
-            if (it->first >= target.end)
+            const Read &read = readOf(*it);
+            if (read.pos >= target.end)
                 break;
             char &taken = claimed[static_cast<size_t>(it - keys.begin())];
-            if (taken ||
-                !reads[it->second].overlaps(contig, target.start,
-                                            target.end)) {
+            if (taken || !read.overlaps(contig, target.start, target.end))
                 continue;
-            }
             if (assigned.size() >= kMaxReads)
                 break;
             taken = 1;
-            assigned.push_back(it->second);
+            assigned.push_back(static_cast<uint32_t>(*it));
         }
         plan.readsPerTarget.push_back(std::move(assigned));
     }

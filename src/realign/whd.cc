@@ -169,12 +169,13 @@ sweepTarget(WhdTarget &t, bool prune, uint32_t pruneChunk,
     WhdStats local;
     for (size_t j = 0; j < num_reads; ++j) {
         const size_t n = t.readLen[j];
+        // Pair (i, j) over offsets [begin, end) from @p from.
         auto sweep = [&](size_t i, size_t begin, size_t end,
-                         const WhdSweepResult &from) {
-            local.offsetsSwept += end - begin;
+                         const WhdSweepResult &from,
+                         WhdSweepMarks *marks) {
             return whdSweep(t.cons[i], t.consLen[i], t.read[j],
                             t.qual[j], n, prune, pruneChunk, kernel,
-                            begin, end, from);
+                            begin, end, from, marks);
         };
         auto record = [&](size_t i, const WhdSweepResult &r) {
             grid.set(i, j, r.best, r.bestK);
@@ -193,8 +194,10 @@ sweepTarget(WhdTarget &t, bool prune, uint32_t pruneChunk,
         // on it: its grid entry stays at infinity.
         if (!prune || n > m0) {
             for (size_t i = 0; i < num_cons; ++i) {
-                if (n <= t.consLen[i])
-                    record(i, sweep(i, 0, t.consLen[i] - n + 1, {}));
+                if (n > t.consLen[i])
+                    continue;
+                local.offsetsSwept += t.consLen[i] - n + 1;
+                record(i, sweep(i, 0, kWhdSweepEnd, {}, nullptr));
             }
             continue;
         }
@@ -207,6 +210,7 @@ sweepTarget(WhdTarget &t, bool prune, uint32_t pruneChunk,
         const bool replay = pruneChunk == kWhdPruneBlock && n != 0 &&
                             n <= kMaxReadLen;
         const size_t stride = maxLen - n + 1 + kWhdLanes;
+        const size_t offsets0 = m0 - n + 1;
         if (replay) {
             const size_t rowsLen =
                 (n + kWhdPruneBlock - 1) / kWhdPruneBlock * stride;
@@ -219,7 +223,7 @@ sweepTarget(WhdTarget &t, bool prune, uint32_t pruneChunk,
                 kernels.chunkRow(cons0 + cs, t.read[j] + cs,
                                  t.qual[j] + cs,
                                  std::min(n - cs, kWhdPruneBlock),
-                                 m0 - n + 1, t.rows.data() + c * stride);
+                                 offsets0, t.rows.data() + c * stride);
         }
         // Offsets [begin, end) replayed from @p rows, whose entry
         // @p at holds offset begin.
@@ -232,11 +236,11 @@ sweepTarget(WhdTarget &t, bool prune, uint32_t pruneChunk,
             return whdContinue(from, begin,
                                kernels.replayRows(rows.data() + at,
                                                   stride, n, end - begin,
-                                                  from.best));
+                                                  from.best, nullptr));
         };
 
-        // Consensus 0, cut at every offset another consensus
-        // resumes from.
+        // Consensus 0 in one call, which writes its state at every
+        // offset another consensus resumes from.
         t.cuts.clear();
         for (size_t i = 1; i < num_cons; ++i) {
             const size_t m = t.consLen[i];
@@ -252,19 +256,15 @@ sweepTarget(WhdTarget &t, bool prune, uint32_t pruneChunk,
         t.cuts.erase(std::unique(t.cuts.begin(), t.cuts.end()),
                      t.cuts.end());
         t.states.resize(t.cuts.size());
-        auto sweep0 = [&](size_t begin, size_t end,
-                          const WhdSweepResult &from) {
-            return replay ? replayRange(t.rows, begin, end, begin, from)
-                          : sweep(0, begin, end, from);
-        };
-        WhdSweepResult state;
-        size_t at = 0;
-        for (size_t c = 0; c < t.cuts.size(); ++c) {
-            state = sweep0(at, t.cuts[c], state);
-            t.states[c] = state;
-            at = t.cuts[c];
-        }
-        const WhdSweepResult whole = sweep0(at, m0 - n + 1, state);
+        WhdSweepMarks cuts0;
+        cuts0.cuts = t.cuts.data();
+        cuts0.numCuts = t.cuts.size();
+        cuts0.states = t.states.data();
+        local.offsetsSwept += offsets0;
+        const WhdSweepResult whole =
+            replay ? kernels.replayRows(t.rows.data(), stride, n,
+                                        offsets0, kWhdInfinity, &cuts0)
+                   : sweep(0, 0, offsets0, {}, &cuts0);
         record(0, whole);
         auto stateAt = [&t](size_t k) -> const WhdSweepResult & {
             return t.states[static_cast<size_t>(
@@ -279,37 +279,46 @@ sweepTarget(WhdTarget &t, bool prune, uint32_t pruneChunk,
             const SharedOffsets s =
                 sharedOffsets(t.prefix[i], t.suffix[i], m, n);
             const WhdSweepResult &start = stateAt(s.prefixEnd);
+            // Consensus 0's state where the shared suffix starts.
+            const WhdSweepResult *cut =
+                s.suffixBegin < s.end ? &stateAt(s.suffixBegin + m0 - m)
+                                      : nullptr;
+            // Whether the shared suffix repeats consensus 0's: same
+            // windows from the same minimum on.
+            bool repeats;
             WhdSweepResult r;
             if (replay) {
                 fillWindowRows(t, i, j, stride, s.prefixEnd,
                                s.suffixBegin, kernels);
                 r = replayRange(t.windowRows, s.prefixEnd,
                                 s.suffixBegin, s.prefixEnd, start);
-            } else {
-                r = sweep(i, s.prefixEnd, s.suffixBegin, start);
-            }
-            if (s.suffixBegin < s.end) {
-                const WhdSweepResult &cut =
-                    stateAt(s.suffixBegin + m0 - m);
-                if (r.best == cut.best) {
-                    // Same windows from the same minimum on: the
-                    // suffix repeats consensus 0's.
-                    r.comparisons += whole.comparisons - cut.comparisons;
-                    r.offsetsPruned +=
-                        whole.offsetsPruned - cut.offsetsPruned;
-                    r.chunks += whole.chunks - cut.chunks;
-                    if (whole.best < cut.best) {
-                        r.best = whole.best;
-                        r.bestK =
-                            static_cast<uint32_t>(whole.bestK + m - m0);
-                    }
-                } else if (replay) {
-                    // Consensus 0's windows at k + m_0 - m_i, against
-                    // this consensus's own minimum.
+                repeats = cut && r.best == cut->best;
+                // Otherwise consensus 0's windows at k + m_0 - m_i,
+                // against this consensus's own minimum.
+                if (cut && !repeats)
                     r = replayRange(t.rows, s.suffixBegin, s.end,
                                     s.suffixBegin + m0 - m, r);
-                } else {
-                    r = sweep(i, s.suffixBegin, s.end, r);
+            } else {
+                // One call to the last offset, which stops at the
+                // suffix if it repeats.
+                WhdSweepMarks stop;
+                if (cut) {
+                    stop.stop = s.suffixBegin - s.prefixEnd;
+                    stop.stopBest = cut->best;
+                }
+                r = sweep(i, s.prefixEnd, s.end, start, &stop);
+                repeats = stop.stopped;
+                local.offsetsSwept +=
+                    (repeats ? s.suffixBegin : s.end) - s.prefixEnd;
+            }
+            if (repeats) {
+                r.comparisons += whole.comparisons - cut->comparisons;
+                r.offsetsPruned +=
+                    whole.offsetsPruned - cut->offsetsPruned;
+                r.chunks += whole.chunks - cut->chunks;
+                if (whole.best < cut->best) {
+                    r.best = whole.best;
+                    r.bestK = static_cast<uint32_t>(whole.bestK + m - m0);
                 }
             }
             record(i, r);

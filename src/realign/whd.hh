@@ -25,11 +25,15 @@
  * with one indel applied, so a pruned sweep of consensus i repeats
  * consensus 0's wherever their bytes agree: it resumes from
  * consensus 0's state and sweeps only the offsets whose window
- * touches its indel (whd_simd.cc note 5).  At the datapath's width
- * of 32 every sweep replays per-chunk sums, and consensus i sums
- * only the chunks that touch its indel.  The shared bytes are
- * found by comparison, so grids and counters are those of the
- * per-pair loop, bit for bit, for any consensus set.
+ * touches its indel (whd_simd.cc note 5).  Each (consensus, read)
+ * pair is one kernel call: consensus 0's writes its state at every
+ * offset another consensus resumes from, and consensus i's stops
+ * at its shared suffix when the minima there agree
+ * (WhdSweepMarks).  At the datapath's width of 32 every sweep
+ * replays per-chunk sums, and consensus i sums only the chunks that
+ * touch its indel.  The shared bytes are found by comparison, so
+ * grids and counters are those of the per-pair loop, bit for bit,
+ * for any consensus set.
  */
 
 #ifndef IRACC_REALIGN_WHD_HH
@@ -195,7 +199,7 @@ struct WhdTarget
     std::vector<uint32_t> prefix;
     /** Bytes consensus i shares with consensus 0 at its end. */
     std::vector<uint32_t> suffix;
-    /** Offsets where consensus 0's sweep of one read is cut. */
+    /** Offsets where consensus 0's sweep of one read writes its state. */
     std::vector<size_t> cuts;
     /** Consensus 0's sweep state at each cut. */
     std::vector<WhdSweepResult> states;
@@ -227,12 +231,17 @@ struct WhdTargetSweep
  * to a loop of whole-pair whdSweep() calls over every feasible
  * pair; a pruned sweep of consensus i > 0 reuses consensus 0's
  * sweep of the same read wherever their bytes agree (whd_simd.cc
- * note 5).  At pruneChunk == kWhdPruneBlock a pruned sweep sums
- * consensus 0's chunk rows once per read and replays every
- * consensus from rows (WhdRowKernels); consensus i sums only the
- * chunks of its windows that touch its indel.  Unpruned sweeps,
- * reads longer than consensus 0, and reads the rows cannot hold
- * (n == 0, n > kMaxReadLen) run whdSweep pair by pair.
+ * note 5).  A pruned pair is one kernel call: consensus 0's covers
+ * every offset and writes its state at the cuts, and consensus i's
+ * runs from its resume offset to its last and stops at its shared
+ * suffix if that repeats consensus 0's.  At pruneChunk ==
+ * kWhdPruneBlock a pruned sweep sums consensus 0's chunk rows once
+ * per read and replays every consensus from rows (WhdRowKernels);
+ * consensus i sums only the chunks of its windows that touch its
+ * indel, and a re-swept suffix is a second replay of consensus 0's
+ * rows.  Unpruned sweeps, reads longer than consensus 0, and reads
+ * the rows cannot hold (n == 0, n > kMaxReadLen) run whdSweep pair
+ * by pair.
  *
  * @param target     rows to sweep; its tables are scratch
  * @param prune      enable computation pruning

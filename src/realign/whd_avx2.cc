@@ -228,11 +228,13 @@ tailSums16(const uint8_t *cons_k0, const uint32_t *rw,
  * which sets the minimum; the next block starts one offset later.
  * An offset with no minimum to prune against runs alone, and the
  * last < 16 offsets run from a zero-padded copy of the consensus.
+ * Marks up to the first survivor are settled from the lanes before
+ * them.
  */
 IRACC_AVX2 WhdSweepResult
 whdSweepPrunedAvx2(const uint8_t *cons, size_t m, const uint8_t *read,
                    const uint8_t *qual, size_t n, uint32_t w,
-                   uint32_t startBest)
+                   uint32_t startBest, WhdSweepMarks *marks)
 {
     uint32_t rw[kMaxReadLen];
     uint32_t qw[kMaxReadLen];
@@ -252,9 +254,30 @@ whdSweepPrunedAvx2(const uint8_t *cons, size_t m, const uint8_t *read,
     uint64_t comparisons = 0;
     uint64_t chunks = 0;
     uint64_t offsetsPruned = 0;
+    WhdMarkCursor marked(marks);
+    auto minimum = [&best] {
+        return best == kNoMinimum ? kWhdInfinity
+                                  : static_cast<uint32_t>(best);
+    };
+    // The state after the offsets before k and @p lanes pruned lanes
+    // of the block at k, which gave them @p cmp comparisons and
+    // @p chk chunks.
+    auto state = [&](size_t lanes, uint64_t cmp, uint64_t chk) {
+        WhdSweepResult r;
+        r.best = minimum();
+        r.bestK = bestK;
+        r.comparisons = comparisons + cmp;
+        // At width 1 every comparison is a chunk.
+        r.chunks = lw.width == 1 ? r.comparisons : chunks + chk;
+        r.offsetsPruned = offsetsPruned + lanes;
+        return r;
+    };
+    auto here = [&](size_t) { return state(0, 0, 0); };
     size_t k = 0;
     while (k < offsets) {
         if (best == kNoMinimum) {
+            if (k >= marked.next() && marked.settle(k, minimum(), here))
+                return here(k);
             best = offsetWhdTail(cons + k, read, qual, n);
             bestK = static_cast<uint32_t>(k);
             comparisons += n;
@@ -281,9 +304,10 @@ whdSweepPrunedAvx2(const uint8_t *cons, size_t m, const uint8_t *read,
         const size_t first =
             live != 0 ? static_cast<size_t>(__builtin_ctz(live)) / 2
                       : lanes;
-        if (lw.width == 1) {
-            comparisons += first + laneSum(cnt, first);
-        } else {
+        // Lanes [0, x) of the block, all pruned.
+        auto lanesState = [&](size_t x) IRACC_AVX2 {
+            if (lw.width == 1)
+                return state(x, x + laneSum(cnt, x), 0);
             // Per lane cnt / width + 1 chunks (WhdLaneChunks), the
             // last ending at comparison min(n, chunks * width).
             const __m256i c = _mm256_add_epi16(
@@ -292,13 +316,23 @@ whdSweepPrunedAvx2(const uint8_t *cons, size_t m, const uint8_t *read,
                 _mm256_set1_epi16(1));
             const __m256i end = _mm256_mullo_epi16(
                 c, _mm256_set1_epi16(static_cast<short>(lw.width)));
-            chunks += laneSum(c, first);
-            comparisons += laneSum(
-                _mm256_min_epu16(
-                    end, _mm256_set1_epi16(static_cast<short>(n))),
-                first);
-        }
-        offsetsPruned += first;
+            return state(
+                x,
+                laneSum(_mm256_min_epu16(
+                            end, _mm256_set1_epi16(static_cast<short>(n))),
+                        x),
+                laneSum(c, x));
+        };
+        if (k + first >= marked.next() &&
+            marked.settle(k + first, minimum(),
+                          [&](size_t at) IRACC_AVX2 {
+                              return lanesState(at - k);
+                          }))
+            return lanesState(marked.stopAt() - k);
+        const WhdSweepResult pruned = lanesState(first);
+        comparisons = pruned.comparisons;
+        chunks = pruned.chunks;
+        offsetsPruned = pruned.offsetsPruned;
         k += first;
         if (first < lanes) {
             alignas(32) uint16_t sums[kWhdLanes];
@@ -310,15 +344,9 @@ whdSweepPrunedAvx2(const uint8_t *cons, size_t m, const uint8_t *read,
             ++k;
         }
     }
-    WhdSweepResult r;
-    r.best = best == kNoMinimum ? kWhdInfinity
-                                : static_cast<uint32_t>(best);
-    r.bestK = bestK;
-    r.comparisons = comparisons;
-    // At width 1 every comparison is a chunk.
-    r.chunks = lw.width == 1 ? comparisons : chunks;
-    r.offsetsPruned = offsetsPruned;
-    return r;
+    if (offsets >= marked.next())
+        marked.settle(offsets, minimum(), here);
+    return here(offsets);
 }
 
 IRACC_AVX2 void
@@ -366,7 +394,7 @@ whdChunkRowAvx2(const uint8_t *cons, const uint8_t *read,
 
 IRACC_AVX2 WhdSweepResult
 whdReplayRowsAvx2(const uint16_t *rows, size_t stride, size_t n,
-                  size_t count, uint32_t startBest)
+                  size_t count, uint32_t startBest, WhdSweepMarks *marks)
 {
     const size_t numRows = (n + kWhdPruneBlock - 1) / kWhdPruneBlock;
     const uint64_t tailShort = numRows * kWhdPruneBlock - n;
@@ -377,6 +405,23 @@ whdReplayRowsAvx2(const uint16_t *rows, size_t stride, size_t n,
     uint64_t chunks = 0;
     uint64_t tails = 0;
     uint64_t offsetsPruned = 0;
+    WhdMarkCursor marked(marks);
+    // The state after the offsets before k and @p lanes pruned lanes
+    // of the block at k, which gave them @p chk chunks, @p tl of them
+    // last ones.
+    auto state = [&](size_t lanes, uint64_t chk, uint64_t tl) {
+        WhdSweepResult r;
+        r.best = best;
+        r.bestK = bestK;
+        r.chunks = chunks + chk;
+        // Every chunk runs 32 comparisons but a last one, which runs
+        // n % 32 of them when that is nonzero.
+        r.comparisons =
+            r.chunks * kWhdPruneBlock - (tails + tl) * tailShort;
+        r.offsetsPruned = offsetsPruned + lanes;
+        return r;
+    };
+    auto here = [&](size_t) { return state(0, 0, 0); };
     size_t k = 0;
     while (k < count) {
         const size_t lanes = std::min(kWhdLanes, count - k);
@@ -396,27 +441,46 @@ whdReplayRowsAvx2(const uint16_t *rows, size_t stride, size_t n,
         }
         // Lanes before the first survivor aborted in chunk cnt, and
         // those with cnt == numRows - 1 in the last one.
-        auto aborted = [&](size_t lanesBefore) IRACC_AVX2 {
+        auto lastChunks = [&](size_t lanesBefore) IRACC_AVX2 {
             const uint64_t before = (uint64_t{1} << (2 * lanesBefore)) - 1;
             const uint32_t inLast = static_cast<uint32_t>(
                 static_cast<uint32_t>(_mm256_movemask_epi8(
                     _mm256_cmpeq_epi16(cnt, lastRow))) &
                 before);
+            return static_cast<unsigned>(__builtin_popcount(inLast)) / 2;
+        };
+        auto lanesState = [&](size_t lanesBefore) IRACC_AVX2 {
+            return state(lanesBefore,
+                         lanesBefore + laneSum(cnt, lanesBefore),
+                         lastChunks(lanesBefore));
+        };
+        // Settles the marks up to the lanes before the first survivor
+        // and adds those lanes; true when the sweep stops.
+        auto aborted = [&](size_t lanesBefore) IRACC_AVX2 {
+            if (k + lanesBefore >= marked.next() &&
+                marked.settle(k + lanesBefore, best,
+                              [&](size_t at) IRACC_AVX2 {
+                                  return lanesState(at - k);
+                              }))
+                return true;
             chunks += lanesBefore + laneSum(cnt, lanesBefore);
-            tails += static_cast<unsigned>(__builtin_popcount(inLast)) / 2;
+            tails += lastChunks(lanesBefore);
             offsetsPruned += lanesBefore;
             k += lanesBefore;
+            return false;
         };
         const uint32_t live = static_cast<uint32_t>(_mm256_movemask_epi8(
             _mm256_and_si256(alive, laneMask(lanes))));
         if (live == 0) {
             // No survivor, the common step: a predicted branch keeps
             // the next step's loads off this one's compares.
-            aborted(lanes);
+            if (aborted(lanes))
+                return lanesState(marked.stopAt() - k);
             continue;
         }
         const size_t first = static_cast<size_t>(__builtin_ctz(live)) / 2;
-        aborted(first);
+        if (aborted(first))
+            return lanesState(marked.stopAt() - k);
         alignas(32) uint16_t sums[kWhdLanes];
         _mm256_store_si256(reinterpret_cast<__m256i *>(sums), acc);
         best = sums[first] ^ 0x8000u;
@@ -425,15 +489,9 @@ whdReplayRowsAvx2(const uint16_t *rows, size_t stride, size_t n,
         ++tails;
         ++k;
     }
-    WhdSweepResult r;
-    r.best = best;
-    r.bestK = bestK;
-    r.chunks = chunks;
-    // Every chunk runs 32 comparisons but a last one, which runs
-    // n % 32 of them when that is nonzero.
-    r.comparisons = chunks * kWhdPruneBlock - tails * tailShort;
-    r.offsetsPruned = offsetsPruned;
-    return r;
+    if (count >= marked.next())
+        marked.settle(count, best, here);
+    return here(count);
 }
 
 IRACC_AVX2 WhdSweepResult

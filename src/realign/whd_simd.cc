@@ -97,6 +97,23 @@ namespace {
  *    when it fell there.  Otherwise the shared suffix is swept.
  *    Only the offsets whose window touches the indel are always
  *    swept.
+ *    Marks (WhdSweepMarks) keep that sharing to one kernel call
+ *    per pair.  A cut at offset c writes the state before c, and a
+ *    stop at s ends the call with the state before s when the
+ *    running minimum there is the given one.  The scalar loops
+ *    settle a mark before the offset it names.  A lane block at k
+ *    settles the marks in [k, k + f], f its first surviving lane
+ *    (or its lane count), from the lanes before each: by note 4
+ *    they aborted against the block's starting minimum, so the
+ *    state before offset k + x is the state before k plus the
+ *    counters of lanes [0, x), with the minimum unchanged.  Marks
+ *    past the survivor fall in a later block, and marks at the
+ *    last offset's end are settled after the last block.  So
+ *    consensus 0 runs one call per read that writes its state at
+ *    every offset an alternative resumes from or whose suffix
+ *    starts at, and an alternative runs one call from its resume
+ *    offset to its last that stops at its shared suffix when its
+ *    running minimum equals consensus 0's there.
  *    At pruneChunk 32 the target sweep replays chunk rows instead
  *    of running whdSweep on each range.  For a read of length n,
  *    1 <= n <= kMaxReadLen, no longer than consensus 0, row c at
@@ -123,9 +140,13 @@ namespace {
  *    32 - n % 32 when a is the last row and n % 32 != 0.  The first
  *    survivor sets B, adds ceil(n / 32) chunks and n comparisons,
  *    and the next step starts after it; lanes past the range's end
- *    read row padding and are masked out.  Reads of length 0 or
- *    above kMaxReadLen, and reads longer than consensus 0, run
- *    whdSweep pair by pair.
+ *    read row padding and are masked out.  The replay settles marks
+ *    like the lane sweeps, so consensus 0's rows are replayed in
+ *    one call per read that writes every cut; an alternative's
+ *    re-swept suffix replays consensus 0's rows at k + d, so it
+ *    stays a second call.  Reads of length 0 or above kMaxReadLen,
+ *    and reads longer than consensus 0, run whdSweep pair by
+ *    pair.
  */
 
 /**
@@ -138,11 +159,17 @@ namespace {
 WhdSweepResult
 sweepScalar(const uint8_t *cons, size_t m, const uint8_t *read,
             const uint8_t *qual, size_t n, bool prune,
-            uint32_t pruneChunk, uint32_t startBest)
+            uint32_t pruneChunk, uint32_t startBest,
+            WhdSweepMarks *marks)
 {
     WhdSweepResult r;
     r.best = startBest;
-    for (size_t k = 0; k + n <= m; ++k) {
+    WhdMarkCursor marked(marks);
+    auto here = [&r](size_t) { return r; };
+    const size_t offsets = m - n + 1;
+    for (size_t k = 0; k < offsets; ++k) {
+        if (k >= marked.next() && marked.settle(k, r.best, here))
+            return r;
         uint32_t whd = 0;
         bool pruned = false;
         for (size_t chunk = 0; chunk < n; chunk += pruneChunk) {
@@ -172,6 +199,8 @@ sweepScalar(const uint8_t *cons, size_t m, const uint8_t *read,
             r.bestK = static_cast<uint32_t>(k);
         }
     }
+    if (offsets >= marked.next())
+        marked.settle(offsets, r.best, here);
     return r;
 }
 
@@ -269,12 +298,14 @@ sweepUnprunedGeneric(const uint8_t *cons, size_t m,
  * chunks; the block ends at its first surviving lane, which sets
  * the minimum.  An offset with no minimum to prune against runs
  * alone, and the last < kWhdLanes offsets run from a zero-padded
- * copy of the consensus.
+ * copy of the consensus.  Marks up to the first survivor are
+ * settled from the lanes before them.
  */
 WhdSweepResult
 sweepPrunedLanesGeneric(const uint8_t *cons, size_t m,
                         const uint8_t *read, const uint8_t *qual,
-                        size_t n, uint32_t w, uint32_t startBest)
+                        size_t n, uint32_t w, uint32_t startBest,
+                        WhdSweepMarks *marks)
 {
     constexpr uint64_t kNoMinimum = ~static_cast<uint64_t>(0);
     uint8_t pad[kMaxReadLen + kWhdLanes];
@@ -288,9 +319,30 @@ sweepPrunedLanesGeneric(const uint8_t *cons, size_t m,
     uint64_t comparisons = 0;
     uint64_t chunks = 0;
     uint64_t offsetsPruned = 0;
+    WhdMarkCursor marked(marks);
+    auto minimum = [&best] {
+        return best == kNoMinimum ? kWhdInfinity
+                                  : static_cast<uint32_t>(best);
+    };
+    // The state after the offsets before k and @p lanes pruned lanes
+    // of the block at k, which gave them @p cmp comparisons and
+    // @p chk chunks.
+    auto state = [&](size_t lanes, uint64_t cmp, uint64_t chk) {
+        WhdSweepResult r;
+        r.best = minimum();
+        r.bestK = bestK;
+        r.comparisons = comparisons + cmp;
+        // At width 1 every comparison is a chunk.
+        r.chunks = lw.width == 1 ? r.comparisons : chunks + chk;
+        r.offsetsPruned = offsetsPruned + lanes;
+        return r;
+    };
+    auto here = [&](size_t) { return state(0, 0, 0); };
     size_t k = 0;
     while (k < offsets) {
         if (best == kNoMinimum) {
+            if (k >= marked.next() && marked.settle(k, minimum(), here))
+                return here(k);
             best = offsetWhd(cons + k, read, qual, n);
             bestK = static_cast<uint32_t>(k);
             comparisons += n;
@@ -345,16 +397,34 @@ sweepPrunedLanesGeneric(const uint8_t *cons, size_t m,
             dead = any == 0;
         }
         size_t first = 0;
-        if (lw.width == 1) {
-            for (; first < lanes && alive[first] == 0; ++first)
-                comparisons += cnt[first] + 1u;
-        } else {
-            for (; first < lanes && alive[first] == 0; ++first) {
-                const uint32_t c = lw.chunksOf(cnt[first]);
-                chunks += c;
-                comparisons += std::min<size_t>(n, c * lw.width);
+        while (first < lanes && alive[first] == 0)
+            ++first;
+        // Adds the comparisons and chunks of lanes [0, x) of the
+        // block, all pruned, to @p cmp and @p chk.  One loop per
+        // case, so that each vectorizes.
+        auto addLanes = [&](size_t x, uint64_t &cmp, uint64_t &chk) {
+            if (lw.width == 1) {
+                for (size_t l = 0; l < x; ++l)
+                    cmp += cnt[l] + 1u;
+                return;
             }
-        }
+            for (size_t l = 0; l < x; ++l) {
+                const uint32_t c = lw.chunksOf(cnt[l]);
+                chk += c;
+                cmp += std::min<size_t>(n, c * lw.width);
+            }
+        };
+        auto lanesState = [&](size_t x) {
+            uint64_t cmp = 0;
+            uint64_t chk = 0;
+            addLanes(x, cmp, chk);
+            return state(x, cmp, chk);
+        };
+        if (k + first >= marked.next() &&
+            marked.settle(k + first, minimum(),
+                          [&](size_t at) { return lanesState(at - k); }))
+            return lanesState(marked.stopAt() - k);
+        addLanes(first, comparisons, chunks);
         offsetsPruned += first;
         k += first;
         if (first < lanes) {
@@ -365,15 +435,9 @@ sweepPrunedLanesGeneric(const uint8_t *cons, size_t m,
             ++k;
         }
     }
-    WhdSweepResult r;
-    r.best = best == kNoMinimum ? kWhdInfinity
-                                : static_cast<uint32_t>(best);
-    r.bestK = bestK;
-    r.comparisons = comparisons;
-    // At width 1 every comparison is a chunk.
-    r.chunks = lw.width == 1 ? comparisons : chunks;
-    r.offsetsPruned = offsetsPruned;
-    return r;
+    if (offsets >= marked.next())
+        marked.settle(offsets, minimum(), here);
+    return here(offsets);
 }
 
 /** Plain loop of WhdRowKernels::chunkRow. */
@@ -442,12 +506,16 @@ chunkRows(size_t n)
  */
 WhdSweepResult
 replayRowsScalar(const uint16_t *rows, size_t stride, size_t n,
-                 size_t count, uint32_t startBest)
+                 size_t count, uint32_t startBest, WhdSweepMarks *marks)
 {
     const size_t numRows = chunkRows(n);
     WhdSweepResult r;
     r.best = startBest;
+    WhdMarkCursor marked(marks);
+    auto here = [&r](size_t) { return r; };
     for (size_t k = 0; k < count; ++k) {
+        if (k >= marked.next() && marked.settle(k, r.best, here))
+            return r;
         uint32_t whd = 0;
         size_t c = 0;
         for (; c < numRows; ++c) {
@@ -467,6 +535,8 @@ replayRowsScalar(const uint16_t *rows, size_t stride, size_t n,
         r.best = whd;
         r.bestK = static_cast<uint32_t>(k);
     }
+    if (count >= marked.next())
+        marked.settle(count, r.best, here);
     return r;
 }
 
@@ -474,11 +544,12 @@ replayRowsScalar(const uint16_t *rows, size_t stride, size_t n,
  * WhdRowKernels::replayRows in kWhdLanes-offset blocks of biased u16
  * lanes (note 5): a lane's count of rows whose running sum stays
  * below the minimum is its abort chunk, and the block ends at its
- * first surviving lane.
+ * first surviving lane.  Marks up to the first survivor are settled
+ * from the lanes before them.
  */
 WhdSweepResult
 replayRowsGeneric(const uint16_t *rows, size_t stride, size_t n,
-                  size_t count, uint32_t startBest)
+                  size_t count, uint32_t startBest, WhdSweepMarks *marks)
 {
     const size_t numRows = chunkRows(n);
     const uint64_t tailShort = numRows * kWhdPruneBlock - n;
@@ -487,6 +558,23 @@ replayRowsGeneric(const uint16_t *rows, size_t stride, size_t n,
     uint64_t chunks = 0;
     uint64_t tails = 0;
     uint64_t offsetsPruned = 0;
+    WhdMarkCursor marked(marks);
+    // The state after the offsets before k and @p lanes pruned lanes
+    // of the block at k, which gave them @p chk chunks, @p tl of them
+    // last ones.
+    auto state = [&](size_t lanes, uint64_t chk, uint64_t tl) {
+        WhdSweepResult r;
+        r.best = best;
+        r.bestK = bestK;
+        r.chunks = chunks + chk;
+        // Every chunk runs kWhdPruneBlock comparisons but a last one,
+        // which runs n % 32 of them when that is nonzero.
+        r.comparisons =
+            r.chunks * kWhdPruneBlock - (tails + tl) * tailShort;
+        r.offsetsPruned = offsetsPruned + lanes;
+        return r;
+    };
+    auto here = [&](size_t) { return state(0, 0, 0); };
     size_t k = 0;
     while (k < count) {
         const size_t lanes = std::min(kWhdLanes, count - k);
@@ -514,10 +602,27 @@ replayRowsGeneric(const uint16_t *rows, size_t stride, size_t n,
             }
         }
         size_t first = 0;
-        for (; first < lanes && alive[first] == 0; ++first) {
-            chunks += cnt[first] + 1u;
-            tails += cnt[first] + 1u == numRows;
-        }
+        while (first < lanes && alive[first] == 0)
+            ++first;
+        // Adds the chunks of lanes [0, x) of the block, all pruned,
+        // to @p chk, and those that are last ones to @p tl.
+        auto addLanes = [&](size_t x, uint64_t &chk, uint64_t &tl) {
+            for (size_t l = 0; l < x; ++l) {
+                chk += cnt[l] + 1u;
+                tl += cnt[l] + 1u == numRows;
+            }
+        };
+        auto lanesState = [&](size_t x) {
+            uint64_t chk = 0;
+            uint64_t tl = 0;
+            addLanes(x, chk, tl);
+            return state(x, chk, tl);
+        };
+        if (k + first >= marked.next() &&
+            marked.settle(k + first, best,
+                          [&](size_t at) { return lanesState(at - k); }))
+            return lanesState(marked.stopAt() - k);
+        addLanes(first, chunks, tails);
         offsetsPruned += first;
         k += first;
         if (first < lanes) {
@@ -528,15 +633,9 @@ replayRowsGeneric(const uint16_t *rows, size_t stride, size_t n,
             ++k;
         }
     }
-    WhdSweepResult r;
-    r.best = best;
-    r.bestK = bestK;
-    r.chunks = chunks;
-    // Every chunk runs kWhdPruneBlock comparisons but a last one,
-    // which runs n % 32 of them when that is nonzero.
-    r.comparisons = chunks * kWhdPruneBlock - tails * tailShort;
-    r.offsetsPruned = offsetsPruned;
-    return r;
+    if (count >= marked.next())
+        marked.settle(count, best, here);
+    return here(count);
 }
 
 /** Unpruned counters are a pure function of the sweep shape. */
@@ -568,7 +667,8 @@ resolveKernel(SimdKernel kernel)
 WhdSweepResult
 sweepFrom(const uint8_t *cons, size_t m, const uint8_t *read,
           const uint8_t *qual, size_t n, bool prune,
-          uint32_t pruneChunk, SimdKernel kernel, uint32_t startBest)
+          uint32_t pruneChunk, SimdKernel kernel, uint32_t startBest,
+          WhdSweepMarks *marks)
 {
     kernel = resolveKernel(kernel);
     // The lane sweeps keep a whole read's sums in u16 lanes (note
@@ -579,7 +679,7 @@ sweepFrom(const uint8_t *cons, size_t m, const uint8_t *read,
     switch (kernel) {
       case SimdKernel::Scalar:
         return sweepScalar(cons, m, read, qual, n, prune,
-                           pruneChunk, startBest);
+                           pruneChunk, startBest, marks);
 
       case SimdKernel::Generic:
         if (!prune) {
@@ -589,7 +689,7 @@ sweepFrom(const uint8_t *cons, size_t m, const uint8_t *read,
             return r;
         }
         return sweepPrunedLanesGeneric(cons, m, read, qual, n,
-                                       pruneChunk, startBest);
+                                       pruneChunk, startBest, marks);
 
       case SimdKernel::Avx2: {
         if (!prune) {
@@ -599,7 +699,7 @@ sweepFrom(const uint8_t *cons, size_t m, const uint8_t *read,
             return r;
         }
         return whdSweepPrunedAvx2(cons, m, read, qual, n,
-                                  pruneChunk, startBest);
+                                  pruneChunk, startBest, marks);
       }
     }
     fatal("whdSweep: unknown kernel %d", static_cast<int>(kernel));
@@ -611,7 +711,7 @@ WhdSweepResult
 whdSweep(const uint8_t *cons, size_t m, const uint8_t *read,
          const uint8_t *qual, size_t n, bool prune,
          uint32_t pruneChunk, SimdKernel kernel, size_t kBegin,
-         size_t kEnd, const WhdSweepResult &from)
+         size_t kEnd, const WhdSweepResult &from, WhdSweepMarks *marks)
 {
     panic_if(n > m, "whdSweep: read length %zu overruns consensus "
              "length %zu", n, m);
@@ -622,17 +722,37 @@ whdSweep(const uint8_t *cons, size_t m, const uint8_t *read,
     panic_if(kBegin > kEnd || kEnd > offsets,
              "whdSweep: offset range [%zu, %zu) outside [0, %zu)",
              kBegin, kEnd, offsets);
-    if (kBegin == kEnd)
-        return from;
+    if (marks) {
+        const size_t count = kEnd - kBegin;
+        panic_if(!prune, "whdSweep: marks need a pruned sweep");
+        panic_if((marks->numCuts && marks->cuts[marks->numCuts - 1] >
+                                        count) ||
+                     (marks->stop != kWhdSweepEnd && marks->stop > count),
+                 "whdSweep: marks past the range's %zu offsets", count);
+    }
 
     // The range is the whole sweep of the sub-row starting at
     // kBegin (note 5).  Unpruned sweeps ignore the starting
     // minimum; the strict < in whdContinue merges them the same
     // way.
-    return whdContinue(
-        from, kBegin,
-        sweepFrom(cons + kBegin, kEnd - kBegin + n - 1, read, qual, n,
-                  prune, pruneChunk, kernel, from.best));
+    WhdSweepResult r;
+    r.best = from.best;
+    if (kBegin < kEnd) {
+        r = sweepFrom(cons + kBegin, kEnd - kBegin + n - 1, read, qual,
+                      n, prune, pruneChunk, kernel, from.best, marks);
+    } else if (marks) {
+        WhdMarkCursor(marks).settle(0, r.best,
+                                    [&r](size_t) { return r; });
+    }
+    if (marks) {
+        for (size_t c = 0; c < marks->numCuts; ++c) {
+            if (marks->stopped && marks->cuts[c] > marks->stop)
+                break;
+            marks->states[c] =
+                whdContinue(from, kBegin, marks->states[c]);
+        }
+    }
+    return whdContinue(from, kBegin, r);
 }
 
 WhdRowKernels
@@ -661,7 +781,8 @@ whdSweepUnprunedAvx2(const uint8_t *, size_t, const uint8_t *,
 
 WhdSweepResult
 whdSweepPrunedAvx2(const uint8_t *, size_t, const uint8_t *,
-                   const uint8_t *, size_t, uint32_t, uint32_t)
+                   const uint8_t *, size_t, uint32_t, uint32_t,
+                   WhdSweepMarks *)
 {
     fatal("AVX2 WHD kernel is not compiled into this binary");
 }
@@ -674,7 +795,8 @@ whdChunkRowAvx2(const uint8_t *, const uint8_t *, const uint8_t *,
 }
 
 WhdSweepResult
-whdReplayRowsAvx2(const uint16_t *, size_t, size_t, size_t, uint32_t)
+whdReplayRowsAvx2(const uint16_t *, size_t, size_t, size_t, uint32_t,
+                  WhdSweepMarks *)
 {
     fatal("AVX2 WHD kernel is not compiled into this binary");
 }

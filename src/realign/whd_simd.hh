@@ -88,6 +88,37 @@ struct WhdSweepResult
 constexpr size_t kWhdSweepEnd = ~static_cast<size_t>(0);
 
 /**
+ * Marks inside one pruned sweep call (whd_simd.cc note 5): cut
+ * offsets at which the call writes its state, and an offset at which
+ * it stops if its running minimum there is a given one.  Offsets
+ * count from the call's first offset (kBegin of whdSweep, 0 of
+ * WhdRowKernels::replayRows) and lie in [0, offset count].
+ */
+struct WhdSweepMarks
+{
+    /** Ascending cut offsets, @p numCuts of them. */
+    const size_t *cuts = nullptr;
+    size_t numCuts = 0;
+
+    /**
+     * states[c] receives the state after the call's offsets
+     * [0, cuts[c]), in the form of the call's result.
+     */
+    WhdSweepResult *states = nullptr;
+
+    /**
+     * The call stops at offset @p stop if its running minimum there
+     * is @p stopBest, and returns the state after offsets
+     * [0, stop); cuts past it are not written.  kWhdSweepEnd: never.
+     */
+    size_t stop = kWhdSweepEnd;
+    uint32_t stopBest = 0;
+
+    /** Set by the call: whether it stopped. */
+    bool stopped = false;
+};
+
+/**
  * Sweep offsets k in [kBegin, kEnd) of one (consensus, read) pair
  * with the requested kernel implementation, continuing from the
  * state @p from.  The defaults sweep every offset [0, m - n] from
@@ -109,24 +140,30 @@ constexpr size_t kWhdSweepEnd = ~static_cast<size_t>(0);
  * @param from       state after offsets [0, kBegin): the running
  *                   minimum and its offset (kWhdInfinity = none
  *                   yet) and the counters so far
+ * @param marks      optional cuts and stop of a pruned sweep,
+ *                   counted from kBegin; each cut state is continued
+ *                   from @p from, like the result
  *
  * A pruned sweep's state after offset k depends only on the
  * windows at offsets <= k, so sweeping [0, k) and then [k, end)
- * from the returned state equals one sweep of [0, end)
+ * from the returned state equals one sweep of [0, end), and the
+ * state a call writes at cut k is that of a sweep of [0, k)
  * (whd_simd.cc note 5).  Results (best/bestK and all counters) are
- * bit-equal across every kernel for any (prune, pruneChunk, range).
+ * bit-equal across every kernel for any (prune, pruneChunk, range,
+ * marks).
  */
 WhdSweepResult whdSweep(const uint8_t *cons, size_t m,
                         const uint8_t *read, const uint8_t *qual,
                         size_t n, bool prune, uint32_t pruneChunk,
                         SimdKernel kernel, size_t kBegin = 0,
                         size_t kEnd = kWhdSweepEnd,
-                        const WhdSweepResult &from = WhdSweepResult());
+                        const WhdSweepResult &from = WhdSweepResult(),
+                        WhdSweepMarks *marks = nullptr);
 
 /**
  * The two row kernels of the width-32 target sweep (whd_simd.cc
- * note 5), resolved once per target: sweepTarget calls them many
- * times per read, each over a few dozen offsets.
+ * note 5), resolved once per target: sweepTarget calls them a few
+ * times per read.
  */
 struct WhdRowKernels
 {
@@ -148,11 +185,13 @@ struct WhdRowKernels
      * of length n, 1 <= n <= kMaxReadLen.  Each row must be readable
      * for kWhdLanes - 1 entries past count; those lanes are masked
      * out.  Bit-equal to whdSweep() over the windows the rows were
-     * summed from (continue a state with whdContinue()).
+     * summed from (continue a state with whdContinue()), and so are
+     * the states it writes at the cuts of @p marks (may be null).
      */
     WhdSweepResult (*replayRows)(const uint16_t *rows, size_t stride,
                                  size_t n, size_t count,
-                                 uint32_t startBest);
+                                 uint32_t startBest,
+                                 WhdSweepMarks *marks);
 };
 
 /** @p kernel's row kernels (generic where AVX2 is not supported). */
@@ -205,6 +244,73 @@ struct WhdLaneChunks
 };
 
 /**
+ * A kernel's walk over the marks of one call (whd_simd.cc note 5).
+ * The kernel asks for next(), the first offset with a mark still to
+ * settle, after each offset block, and settles the marks up to the
+ * block's first survivor from the lanes before them.  Internal to
+ * the kernels.
+ */
+class WhdMarkCursor
+{
+  public:
+    explicit WhdMarkCursor(WhdSweepMarks *marks) : marks(marks)
+    {
+        if (marks) {
+            marks->stopped = false;
+            stop = marks->stop;
+            advance();
+        }
+    }
+
+    /** First offset with a mark to settle; kWhdSweepEnd if none. */
+    size_t next() const { return nextAt; }
+
+    /** Offset of the stop: the call's result when settle() stops. */
+    size_t stopAt() const { return stop; }
+
+    /**
+     * Settle the marks at offsets <= @p last, over which the running
+     * minimum is @p best (kWhdInfinity = none yet) and the state
+     * after offsets [0, k) is stateAt(k).  Returns whether the call
+     * stops; its result is then stateAt(stopAt()).  Always inlined:
+     * a stateAt that captures the kernel's lanes by reference would
+     * otherwise take their address and keep them out of registers
+     * in the kernel's hot loop.
+     */
+    template <typename StateAt>
+    [[gnu::always_inline]] bool
+    settle(size_t last, uint32_t best, StateAt &&stateAt)
+    {
+        const bool stops = stop <= last && best == marks->stopBest;
+        const size_t upTo = stops ? stop : last;
+        for (; cut < marks->numCuts && marks->cuts[cut] <= upTo; ++cut)
+            marks->states[cut] = stateAt(marks->cuts[cut]);
+        if (stops) {
+            marks->stopped = true;
+            return true;
+        }
+        if (stop <= last)
+            stop = kWhdSweepEnd;
+        advance();
+        return false;
+    }
+
+  private:
+    void
+    advance()
+    {
+        nextAt = cut < marks->numCuts && marks->cuts[cut] < stop
+                     ? marks->cuts[cut]
+                     : stop;
+    }
+
+    WhdSweepMarks *marks;
+    size_t cut = 0;
+    size_t stop = kWhdSweepEnd;
+    size_t nextAt = kWhdSweepEnd;
+};
+
+/**
  * AVX2 entry points (defined in whd_avx2.cc, compiled with the avx2
  * function target; call only when simdKernelSupported(Avx2)).
  * Internal to the dispatch layer -- use whdSweep() and
@@ -217,13 +323,15 @@ WhdSweepResult whdSweepPrunedAvx2(const uint8_t *cons, size_t m,
                                   const uint8_t *read,
                                   const uint8_t *qual, size_t n,
                                   uint32_t pruneChunk,
-                                  uint32_t startBest);
+                                  uint32_t startBest,
+                                  WhdSweepMarks *marks);
 void whdChunkRowAvx2(const uint8_t *cons, const uint8_t *read,
                      const uint8_t *qual, size_t len, size_t count,
                      uint16_t *row);
 WhdSweepResult whdReplayRowsAvx2(const uint16_t *rows, size_t stride,
                                  size_t n, size_t count,
-                                 uint32_t startBest);
+                                 uint32_t startBest,
+                                 WhdSweepMarks *marks);
 
 } // namespace iracc
 

@@ -9,6 +9,7 @@
 #include "accel/ir_compute.hh"
 #include "core/realign_job.hh"
 #include "genomics/io.hh"
+#include "realign/limits.hh"
 #include "realign/marshal.hh"
 #include "realign/score.hh"
 #include "realign/whd.hh"
@@ -371,12 +372,177 @@ diffTargetSweep(const IrTargetInput &input)
     return {};
 }
 
+namespace {
+
+bool
+sameState(const WhdSweepResult &a, const WhdSweepResult &b)
+{
+    return a.best == b.best && a.bestK == b.bestK &&
+           a.comparisons == b.comparisons &&
+           a.offsetsPruned == b.offsetsPruned && a.chunks == b.chunks;
+}
+
+std::string
+stateString(const WhdSweepResult &r)
+{
+    return fmt("min %u at %u, comparisons=%llu pruned=%llu chunks=%llu",
+               r.best, r.bestK,
+               static_cast<unsigned long long>(r.comparisons),
+               static_cast<unsigned long long>(r.offsetsPruned),
+               static_cast<unsigned long long>(r.chunks));
+}
+
+} // anonymous namespace
+
+DiffResult
+diffSweepMarks(const IrTargetInput &input)
+{
+    for (uint32_t chunk : {1u, 7u, 32u}) {
+        for (size_t i = 0; i < input.numConsensuses(); ++i) {
+            const BaseSeq &consSeq = input.consensuses[i];
+            const uint8_t *cons =
+                reinterpret_cast<const uint8_t *>(consSeq.data());
+            const size_t m = consSeq.size();
+            for (size_t j = 0; j < input.numReads(); ++j) {
+                const uint8_t *read = reinterpret_cast<const uint8_t *>(
+                    input.readBases[j].data());
+                const uint8_t *qual = input.readQuals[j].data();
+                const size_t n = input.readBases[j].size();
+                if (n > m)
+                    continue;
+                auto scalar = [&](size_t kBegin, size_t kEnd,
+                                  const WhdSweepResult &from) {
+                    return whdSweep(cons, m, read, qual, n, true, chunk,
+                                    SimdKernel::Scalar, kBegin, kEnd,
+                                    from);
+                };
+                // Cuts at both ends, on the first offset, and several
+                // within one sixteen-lane block.
+                const size_t offsets = m - n + 1;
+                const size_t resume = offsets / 4;
+                const size_t stop = offsets / 2;
+                std::vector<size_t> cuts = {0,          1,
+                                            resume,     resume + 1,
+                                            stop,       stop + 1,
+                                            stop + 3,   stop + 15,
+                                            offsets - 1, offsets};
+                cuts.erase(std::remove_if(cuts.begin(), cuts.end(),
+                                          [&](size_t k) {
+                                              return k > offsets;
+                                          }),
+                           cuts.end());
+                std::sort(cuts.begin(), cuts.end());
+                cuts.erase(std::unique(cuts.begin(), cuts.end()),
+                           cuts.end());
+                // The segmented scalar loop: one call per segment.
+                std::vector<WhdSweepResult> want(cuts.size());
+                WhdSweepResult state;
+                size_t at = 0;
+                for (size_t c = 0; c < cuts.size(); ++c) {
+                    state = scalar(at, cuts[c], state);
+                    want[c] = state;
+                    at = cuts[c];
+                }
+                const WhdSweepResult whole = scalar(at, offsets, state);
+                auto wantAt = [&](size_t k) -> const WhdSweepResult & {
+                    return want[static_cast<size_t>(
+                        std::lower_bound(cuts.begin(), cuts.end(), k) -
+                        cuts.begin())];
+                };
+                const WhdSweepResult &head = wantAt(resume);
+                const WhdSweepResult &atStop = wantAt(stop);
+
+                for (SimdKernel kernel : supportedSimdKernels()) {
+                    const std::string label =
+                        fmt("sweep-marks/kernel=%s/chunk=%u",
+                            simdKernelName(kernel), chunk);
+                    auto check = [&](const std::string &call,
+                                     const WhdSweepResult &got,
+                                     const WhdSweepResult &expect) {
+                        if (sameState(got, expect))
+                            return DiffResult();
+                        return DiffResult::fail(
+                            label, fmt("(cons %zu, read %zu) ", i, j) +
+                                       call + ": " + stateString(got) +
+                                       ", segmented scalar loop " +
+                                       stateString(expect));
+                    };
+                    std::vector<WhdSweepResult> got(cuts.size());
+                    WhdSweepMarks marks;
+                    marks.cuts = cuts.data();
+                    marks.numCuts = cuts.size();
+                    marks.states = got.data();
+                    auto checkCuts = [&](const char *call,
+                                         const WhdSweepResult &r) {
+                        DiffResult d = check(call, r, whole);
+                        for (size_t c = 0; d.ok && c < cuts.size(); ++c)
+                            d = check(fmt("%s cut %zu", call, cuts[c]),
+                                      got[c], want[c]);
+                        return d;
+                    };
+                    DiffResult d = checkCuts(
+                        "one call",
+                        whdSweep(cons, m, read, qual, n, true, chunk,
+                                 kernel, 0, kWhdSweepEnd, {}, &marks));
+                    if (!d.ok)
+                        return d;
+                    // A call resumed from a cut that stops where its
+                    // minimum matches, or runs on to the end.
+                    for (bool fires : {true, false}) {
+                        WhdSweepMarks stopAt;
+                        stopAt.stop = stop - resume;
+                        stopAt.stopBest =
+                            fires ? atStop.best : atStop.best ^ 1;
+                        const WhdSweepResult r =
+                            whdSweep(cons, m, read, qual, n, true,
+                                     chunk, kernel, resume,
+                                     kWhdSweepEnd, head, &stopAt);
+                        d = check(fires ? "stopped call" : "unstopped call",
+                                  r, fires ? atStop : whole);
+                        if (d.ok && stopAt.stopped != fires)
+                            d = DiffResult::fail(
+                                label, fmt("(cons %zu, read %zu) stop at "
+                                           "%zu %s",
+                                           i, j, stop,
+                                           fires ? "missed" : "taken"));
+                        if (!d.ok)
+                            return d;
+                    }
+                    if (chunk != kWhdPruneBlock || n == 0 ||
+                        n > kMaxReadLen)
+                        continue;
+                    // The width-32 row replay, cut like consensus 0's.
+                    const WhdRowKernels kernels = whdRowKernels(kernel);
+                    const size_t stride = offsets + kWhdLanes;
+                    std::vector<uint16_t> rows(
+                        (n + kWhdPruneBlock - 1) / kWhdPruneBlock * stride);
+                    for (size_t cs = 0, c = 0; cs < n;
+                         cs += kWhdPruneBlock, ++c)
+                        kernels.chunkRow(cons + cs, read + cs, qual + cs,
+                                         std::min(n - cs, kWhdPruneBlock),
+                                         offsets, rows.data() + c * stride);
+                    d = checkCuts("row replay",
+                                  kernels.replayRows(rows.data(), stride, n,
+                                                     offsets, kWhdInfinity,
+                                                     &marks));
+                    if (!d.ok)
+                        return d;
+                }
+            }
+        }
+    }
+    return {};
+}
+
 DiffResult
 diffKernelInput(const IrTargetInput &input)
 {
     DiffResult shared = diffTargetSweep(input);
     if (!shared.ok)
         return shared;
+    DiffResult marked = diffSweepMarks(input);
+    if (!marked.ok)
+        return marked;
 
     // Software kernel: pruning must not change the grid.
     WhdStats stats_noprune, stats_prune;

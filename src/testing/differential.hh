@@ -18,6 +18,9 @@
  *   - the pruned target sweep (sweepTarget) under every kernel at
  *     pruneChunk {1, 7, 8, 32} equals the per-pair scalar loop: grid,
  *     WhdStats, chunks, pairs, and irCompute's cycles;
+ *   - one pruned sweep call with cuts and a stop (WhdSweepMarks)
+ *     under every kernel equals the segmented scalar loop, one call
+ *     per segment, at every cut;
  *   - inputs that violate the architectural limits are rejected
  *     with a clean limitViolation() diagnostic (never marshalled).
  *
@@ -112,6 +115,17 @@ PairSweep sweepPairsScalar(const IrTargetInput &input, bool prune,
  * also equal the cycle formula over the per-pair loop.
  */
 DiffResult diffTargetSweep(const IrTargetInput &input);
+
+/**
+ * Every feasible pair of @p input at pruneChunk {1, 7, 32}: one
+ * whdSweep() call under every supported kernel, with cuts at both
+ * ends, on the first offset and several within one lane block, must
+ * return the whole sweep and write at each cut the state of the
+ * segmented scalar loop (one call per segment).  A call resumed from
+ * a cut must stop where its stop minimum matches and run on where it
+ * does not; at width 32 the row replay must write the same cuts.
+ */
+DiffResult diffSweepMarks(const IrTargetInput &input);
 
 /**
  * Kernel-level differential over every generated input of a seed.

@@ -157,6 +157,96 @@ TEST(PlanStage, CandidateListGivesTheFullScanPlan)
     }
 }
 
+/**
+ * The claims planStage must make: each target, in order, takes the
+ * unclaimed reads that overlap it, in std::sort's (position, index)
+ * order of the contig's non-duplicate reads, up to kMaxReads.
+ */
+std::vector<std::vector<uint32_t>>
+sortedClaims(const std::vector<Read> &reads, const ContigPlan &plan)
+{
+    std::vector<std::pair<int64_t, uint32_t>> keys;
+    for (uint32_t i = 0; i < reads.size(); ++i) {
+        if (reads[i].contig == plan.contig && !reads[i].duplicate)
+            keys.emplace_back(reads[i].pos, i);
+    }
+    std::sort(keys.begin(), keys.end());
+    std::vector<char> taken(reads.size(), 0);
+    std::vector<std::vector<uint32_t>> claims;
+    for (const IrTarget &target : plan.targets) {
+        std::vector<uint32_t> want;
+        for (const auto &key : keys) {
+            const uint32_t i = key.second;
+            if (taken[i] ||
+                !reads[i].overlaps(plan.contig, target.start, target.end))
+                continue;
+            if (want.size() >= kMaxReads)
+                break;
+            taken[i] = 1;
+            want.push_back(i);
+        }
+        claims.push_back(std::move(want));
+    }
+    return claims;
+}
+
+TEST(PlanStage, ClaimOrderEqualsStdSortOfKeys)
+{
+    // Plan orders its (position, index) keys with a radix sort over
+    // their bytes.  Positions span three bytes, indices two, and
+    // piles of reads share a start position (the index breaks the
+    // tie); candidate lists arrive in index order and shuffled, and
+    // one read lies past 2^32.
+    Rng rng(0x50A7);
+    ReferenceGenome ref;
+    for (const char *name : {"c0", "c1"})
+        ref.addContig(name,
+                      ReferenceGenome::randomSequence(300000, rng));
+    const char *cigars[] = {"70M", "40M2D30M", "30M3I37M"};
+    std::vector<Read> reads;
+    for (int i = 0; i < 4000; ++i) {
+        const int32_t contig = static_cast<int32_t>(rng.below(2));
+        const int64_t pos = i % 4 == 0
+                                ? 70000 + 10 * rng.range(0, 5)
+                                : rng.range(0, 299000);
+        Read r = makeRead(pos, cigars[rng.below(3)], contig);
+        r.duplicate = rng.chance(0.05);
+        reads.push_back(r);
+    }
+    rng.shuffle(reads);
+
+    for (int32_t contig = 0; contig < 2; ++contig) {
+        const ContigPlan full = planStage(ref, contig, reads);
+        ASSERT_FALSE(full.targets.empty()) << contig;
+        EXPECT_EQ(full.readsPerTarget, sortedClaims(reads, full))
+            << contig;
+        std::vector<uint32_t> candidates;
+        for (uint32_t i = 0; i < reads.size(); ++i) {
+            if (reads[i].contig == contig)
+                candidates.push_back(i);
+        }
+        rng.shuffle(candidates);
+        const ContigPlan part =
+            planStage(ref, contig, reads, {}, &candidates);
+        EXPECT_EQ(part.targets, full.targets) << contig;
+        EXPECT_EQ(part.readsPerTarget, sortedClaims(reads, part))
+            << contig;
+    }
+
+    // Positions more than 2^32 apart do not fit the radix sort's
+    // keys; Plan sorts them by comparison instead.
+    reads.push_back(makeRead(int64_t{1} << 33, "70M"));
+    const ContigPlan far = planStage(ref, 0, reads);
+    EXPECT_EQ(far.readsPerTarget, sortedClaims(reads, far));
+
+    // A single read: one key, nothing to order.
+    const std::vector<Read> one = {makeRead(5000, "20M2D30M")};
+    const ContigPlan single = planStage(ref, 0, one);
+    ASSERT_EQ(single.targets.size(), 1u);
+    EXPECT_EQ(single.readsPerTarget, sortedClaims(one, single));
+    EXPECT_EQ(single.readsPerTarget[0], std::vector<uint32_t>{0});
+}
+
 TEST(PlanStage, ClaimsFollowOverlapPastLongSpans)
 {
     // Reads spanning more than kMaxReadLen + 4096 reference bases:

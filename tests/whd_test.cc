@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
 #include "accel/ir_compute.hh"
+#include "realign/limits.hh"
 #include "realign/marshal.hh"
 #include "realign/whd.hh"
 #include "realign/whd_simd.hh"
@@ -1641,6 +1643,296 @@ TEST(LaneSweep, RangesFromCarriedStateAtEveryPhase)
                             " range=[" + std::to_string(kBegin) + "," +
                             std::to_string(kEnd) + ")",
                         head, kBegin, kEnd);
+                }
+            }
+        }
+    }
+}
+
+/** Every field of two sweep states. */
+void
+expectSameState(const WhdSweepResult &got, const WhdSweepResult &want,
+                const std::string &ctx)
+{
+    EXPECT_EQ(got.best, want.best) << ctx;
+    EXPECT_EQ(got.bestK, want.bestK) << ctx;
+    EXPECT_EQ(got.comparisons, want.comparisons) << ctx;
+    EXPECT_EQ(got.offsetsPruned, want.offsetsPruned) << ctx;
+    EXPECT_EQ(got.chunks, want.chunks) << ctx;
+}
+
+/** One (consensus, read) pair of the mark tests. */
+struct MarkedPair
+{
+    BaseSeq cons;
+    BaseSeq read;
+    QualSeq qual;
+
+    size_t n() const { return read.size(); }
+    size_t offsets() const { return cons.size() - n() + 1; }
+
+    /** Scalar pruned sweep at width @p w of offsets [kBegin, kEnd). */
+    WhdSweepResult
+    scalar(uint32_t w, size_t kBegin, size_t kEnd,
+           const WhdSweepResult &from = WhdSweepResult()) const
+    {
+        return whdSweep(bytes(cons), cons.size(), bytes(read),
+                        qual.data(), n(), true, w, SimdKernel::Scalar,
+                        kBegin, kEnd, from);
+    }
+
+    /** The state after offsets [0, k). */
+    WhdSweepResult
+    prefix(uint32_t w, size_t k) const
+    {
+        return scalar(w, 0, k);
+    }
+
+    /** Offsets that set a new running minimum: the survivors. */
+    std::vector<size_t>
+    survivors() const
+    {
+        std::vector<size_t> out;
+        WhdSweepResult state;
+        for (size_t k = 0; k < offsets(); ++k) {
+            const WhdSweepResult next = scalar(1, k, k + 1, state);
+            if (next.best < state.best)
+                out.push_back(k);
+            state = next;
+        }
+        return out;
+    }
+
+    /** Width-32 chunk rows of every offset, @p stride apart. */
+    std::vector<uint16_t>
+    rows(const WhdRowKernels &kernels, size_t stride) const
+    {
+        std::vector<uint16_t> out(
+            (n() + kWhdPruneBlock - 1) / kWhdPruneBlock * stride);
+        for (size_t cs = 0, c = 0; cs < n(); cs += kWhdPruneBlock, ++c)
+            kernels.chunkRow(bytes(cons) + cs, bytes(read) + cs,
+                             qual.data() + cs,
+                             std::min(n() - cs, kWhdPruneBlock),
+                             offsets(), out.data() + c * stride);
+        return out;
+    }
+};
+
+/**
+ * A random pair of read length @p n with @p offsets offsets: the
+ * read is planted (one deep minimum, a survivor inside a block) or
+ * random (the minimum falls block after block).
+ */
+MarkedPair
+randomMarkedPair(Rng &rng, size_t n, size_t offsets, bool planted)
+{
+    MarkedPair p;
+    p.cons = randomSeq(rng, n + offsets - 1);
+    p.read = planted ? p.cons.substr(rng.below(offsets), n)
+                     : randomSeq(rng, n);
+    if (planted && rng.chance(0.5))
+        p.read[rng.below(n)] = kConcreteBases[rng.below(4)];
+    for (size_t b = 0; b < n; ++b)
+        p.qual.push_back(static_cast<uint8_t>(
+            rng.chance(0.15) ? 0 : rng.range(0, 60)));
+    return p;
+}
+
+/** The read lengths of the mark tests: 300 runs the scalar fallback. */
+const std::vector<size_t> kMarkReadLens = {1, 9, 40, 100, 256, 300};
+
+/** Whether @p p's width-32 sweeps also run as row replays. */
+bool
+replays(const MarkedPair &p, uint32_t w)
+{
+    return w == kWhdPruneBlock && p.n() >= 1 && p.n() <= kMaxReadLen;
+}
+
+/**
+ * One call over every offset of @p p at width @p w writes @p cuts:
+ * under every kernel, the lane sweep (and at width 32 the row replay)
+ * returns the whole sweep and writes at each cut the state after the
+ * offsets before it.
+ */
+void
+expectCutsExact(const MarkedPair &p, uint32_t w, std::vector<size_t> cuts,
+                const std::string &where)
+{
+    std::sort(cuts.begin(), cuts.end());
+    cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+    const WhdSweepResult whole = p.prefix(w, p.offsets());
+    for (SimdKernel kernel : supportedSimdKernels()) {
+        const std::string ctx = where + " w=" + std::to_string(w) +
+                                " kernel=" + simdKernelName(kernel);
+        std::vector<WhdSweepResult> states(cuts.size());
+        WhdSweepMarks marks;
+        marks.cuts = cuts.data();
+        marks.numCuts = cuts.size();
+        marks.states = states.data();
+        auto expectStates = [&](const std::string &call) {
+            EXPECT_FALSE(marks.stopped) << call;
+            for (size_t c = 0; c < cuts.size(); ++c)
+                expectSameState(states[c], p.prefix(w, cuts[c]),
+                                call + " cut=" + std::to_string(cuts[c]));
+        };
+        expectSameState(whdSweep(bytes(p.cons), p.cons.size(),
+                                 bytes(p.read), p.qual.data(), p.n(),
+                                 true, w, kernel, 0, kWhdSweepEnd, {},
+                                 &marks),
+                        whole, ctx);
+        expectStates(ctx);
+        if (!replays(p, w))
+            continue;
+        const WhdRowKernels kernels = whdRowKernels(kernel);
+        const size_t stride = p.offsets() + kWhdLanes;
+        const std::vector<uint16_t> rows = p.rows(kernels, stride);
+        std::fill(states.begin(), states.end(), WhdSweepResult());
+        expectSameState(kernels.replayRows(rows.data(), stride, p.n(),
+                                           p.offsets(), kWhdInfinity,
+                                           &marks),
+                        whole, ctx + " replay");
+        expectStates(ctx + " replay");
+    }
+}
+
+/**
+ * One call over offsets [kBegin, end) of @p p at width @p w, from the
+ * state after [0, kBegin), with a stop at offset @p stop and cuts at
+ * it and one past it.  Under every kernel, a call whose stop minimum
+ * is the running minimum there returns the sweep of [0, stop) and
+ * leaves the later cut unwritten; any other returns the whole sweep.
+ */
+void
+expectStopExact(const MarkedPair &p, uint32_t w, size_t kBegin,
+                size_t stop, const std::string &where)
+{
+    const WhdSweepResult head = p.prefix(w, kBegin);
+    const WhdSweepResult at = p.prefix(w, stop);
+    const WhdSweepResult whole = p.prefix(w, p.offsets());
+    std::vector<size_t> cuts = {stop - kBegin};
+    if (stop < p.offsets())
+        cuts.push_back(stop + 1 - kBegin);
+    WhdSweepResult unwritten;
+    unwritten.comparisons = 12345;
+    for (SimdKernel kernel : supportedSimdKernels()) {
+        for (bool fires : {true, false}) {
+            const std::string ctx =
+                where + " w=" + std::to_string(w) +
+                " kernel=" + simdKernelName(kernel) +
+                " from=" + std::to_string(kBegin) +
+                " stop=" + std::to_string(stop) +
+                (fires ? " fires" : " runs on");
+            std::vector<WhdSweepResult> states(cuts.size(), unwritten);
+            WhdSweepMarks marks;
+            marks.cuts = cuts.data();
+            marks.numCuts = cuts.size();
+            marks.states = states.data();
+            marks.stop = stop - kBegin;
+            marks.stopBest = fires ? at.best : at.best ^ 1;
+            auto expectCall = [&](const WhdSweepResult &r,
+                                  const std::string &call) {
+                EXPECT_EQ(marks.stopped, fires) << call;
+                expectSameState(r, fires ? at : whole, call);
+                expectSameState(states[0], at, call + " cut at stop");
+                if (cuts.size() > 1)
+                    expectSameState(states[1],
+                                    fires ? unwritten
+                                          : p.prefix(w, stop + 1),
+                                    call + " cut past stop");
+            };
+            expectCall(whdSweep(bytes(p.cons), p.cons.size(),
+                                bytes(p.read), p.qual.data(), p.n(),
+                                true, w, kernel, kBegin, kWhdSweepEnd,
+                                head, &marks),
+                       ctx);
+            if (!replays(p, w))
+                continue;
+            // The replay starts from head's minimum with zero
+            // counters, and so do the states it writes.
+            const WhdRowKernels kernels = whdRowKernels(kernel);
+            const size_t stride = p.offsets() + kWhdLanes;
+            const std::vector<uint16_t> rows = p.rows(kernels, stride);
+            std::fill(states.begin(), states.end(), unwritten);
+            const WhdSweepResult r = kernels.replayRows(
+                rows.data() + kBegin, stride, p.n(),
+                p.offsets() - kBegin, head.best, &marks);
+            states[0] = whdContinue(head, kBegin, states[0]);
+            if (cuts.size() > 1 && !fires)
+                states[1] = whdContinue(head, kBegin, states[1]);
+            expectCall(whdContinue(head, kBegin, r), ctx + " replay");
+        }
+    }
+}
+
+TEST(SweepMarks, CutStatesEqualPrefixSweeps)
+{
+    // Cuts at 0 and at the last offset's end, on the lone first
+    // offset (the sweep starts with no minimum), on a survivor lane
+    // and one offset past it, and several in one sixteen-lane block.
+    Rng rng(0xC075);
+    for (size_t n : kMarkReadLens) {
+        for (size_t offsets : {1u, 2u, 17u, 45u}) {
+            for (bool planted : {false, true}) {
+                const MarkedPair p =
+                    randomMarkedPair(rng, n, offsets, planted);
+                std::vector<size_t> cuts = {0, 1, offsets};
+                for (size_t s : p.survivors()) {
+                    cuts.push_back(s);
+                    cuts.push_back(s + 1);
+                }
+                for (size_t k : {18u, 19u, 22u, 30u})
+                    cuts.push_back(k);
+                cuts.erase(std::remove_if(cuts.begin(), cuts.end(),
+                                          [&](size_t k) {
+                                              return k > offsets;
+                                          }),
+                           cuts.end());
+                const std::string where =
+                    "n=" + std::to_string(n) + " offsets=" +
+                    std::to_string(offsets) +
+                    (planted ? " planted" : " random");
+                for (uint32_t w : kLaneWidths)
+                    expectCutsExact(p, w, cuts, where);
+            }
+        }
+    }
+}
+
+TEST(SweepMarks, StopsBeforeAtAndAfterASurvivor)
+{
+    // A stop one offset before a survivor, on it and one past it,
+    // from the start and from a carried state, at the start of the
+    // call and at its end.
+    Rng rng(0x5709);
+    for (size_t n : kMarkReadLens) {
+        for (size_t offsets : {1u, 17u, 45u}) {
+            for (bool planted : {false, true}) {
+                const MarkedPair p =
+                    randomMarkedPair(rng, n, offsets, planted);
+                const std::vector<size_t> survivors = p.survivors();
+                std::vector<size_t> picked = {survivors.front(),
+                                              survivors.back()};
+                if (survivors.size() > 2)
+                    picked.push_back(survivors[survivors.size() / 2]);
+                const std::string where =
+                    "n=" + std::to_string(n) + " offsets=" +
+                    std::to_string(offsets) +
+                    (planted ? " planted" : " random");
+                for (uint32_t w : kLaneWidths) {
+                    for (size_t kBegin : {size_t{0}, offsets / 3}) {
+                        std::set<size_t> stops = {kBegin, offsets};
+                        for (size_t s : picked) {
+                            for (size_t stop : {s - 1, s, s + 1}) {
+                                if (s >= 1 || stop == s)
+                                    stops.insert(stop);
+                            }
+                        }
+                        for (size_t stop : stops) {
+                            if (stop >= kBegin && stop <= offsets)
+                                expectStopExact(p, w, kBegin, stop,
+                                                where);
+                        }
+                    }
                 }
             }
         }
