@@ -80,18 +80,12 @@ main(int argc, char **argv)
         // an exact function of the simulated workload, so the gate
         // holds them to the committed baseline bit-for-bit.
         std::string key = "ch" + std::to_string(chr.number) + ".";
-        report.addValue(key + "unprunedComparisons",
-                        static_cast<double>(unpruned));
-        report.addValue(key + "prunedComparisons",
-                        static_cast<double>(pruned));
-        report.addValue(key + "cyclesW1Unpruned",
-                        static_cast<double>(cyc_w1_np));
-        report.addValue(key + "cyclesW1Pruned",
-                        static_cast<double>(cyc_w1_p));
-        report.addValue(key + "cyclesW32Unpruned",
-                        static_cast<double>(cyc_w32_np));
-        report.addValue(key + "cyclesW32Pruned",
-                        static_cast<double>(cyc_w32_p));
+        report.addCount(key + "unprunedComparisons", unpruned);
+        report.addCount(key + "prunedComparisons", pruned);
+        report.addCount(key + "cyclesW1Unpruned", cyc_w1_np);
+        report.addCount(key + "cyclesW1Pruned", cyc_w1_p);
+        report.addCount(key + "cyclesW32Unpruned", cyc_w32_np);
+        report.addCount(key + "cyclesW32Pruned", cyc_w32_p);
     }
     // Summed in chromosome order, as the committed baseline was.
     const double mean =

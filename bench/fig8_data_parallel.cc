@@ -120,10 +120,8 @@ main(int argc, char **argv)
                 "shifts from compute-bound toward load-bound -- "
                 "the saturation\nFigure 8 shows.\n");
 
-    report.addValue("scalarHdcCycles",
-                    static_cast<double>(scalar_cycles));
-    report.addValue("wide32HdcCycles",
-                    static_cast<double>(wide_cycles));
+    report.addCount("scalarHdcCycles", scalar_cycles);
+    report.addCount("wide32HdcCycles", wide_cycles);
     report.addValue("width32Speedup",
                     wide_cycles
                         ? static_cast<double>(scalar_cycles) /

@@ -79,7 +79,7 @@ main(int argc, char **argv)
                          chr.reads.end());
         }
         double seconds =
-            session.run(wl.reference, reads).seconds;
+            machineBoundSeconds(session.run(wl.reference, reads));
         double full_seconds = seconds * scale;
         double full_cost = runCostUsd(full_seconds, row.instance);
         costs[idx++] = full_cost;

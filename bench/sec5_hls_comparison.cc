@@ -48,8 +48,8 @@ main(int argc, char **argv)
     for (const auto &chr : wl.chromosomes) {
         auto seconds = [&](const RealignSession &s) {
             std::vector<Read> reads = chr.reads;
-            return s.runContig(wl.reference, chr.contig, reads)
-                .seconds;
+            return machineBoundSeconds(
+                s.runContig(wl.reference, chr.contig, reads));
         };
         double g = seconds(gatk3);
         double h = seconds(hls);

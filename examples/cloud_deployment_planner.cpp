@@ -77,7 +77,7 @@ main(int argc, char **argv)
                          chr.reads.end());
         }
         double sample_seconds =
-            session.run(wl.reference, reads).seconds;
+            machineBoundSeconds(session.run(wl.reference, reads));
         // Extrapolate: sample bp -> whole genome, then x scale.
         double genome_seconds = sample_seconds *
             (genome_bp / static_cast<double>(scale)) / sample_bp;

@@ -57,7 +57,7 @@ runPipeline(const GenomeWorkload &wl, const ChromosomeWorkload &chr,
             RealignSession session = makeSession(backend_name);
             RealignJobResult job =
                 session.runContig(ref, contig, rs);
-            out.realignSeconds += job.seconds;
+            out.realignSeconds += machineBoundSeconds(job);
             out.readsRealigned += job.stats.readsRealigned;
             return job.stats;
         };

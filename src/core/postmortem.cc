@@ -40,7 +40,6 @@ summaryJson(const RealignJobResult &job,
     std::ostringstream os;
     os << "{\"version\":1";
     os << ",\"backend\":" << jsonQuote(opt.backend);
-    os << ",\"seed\":" << opt.seed;
     os << ",\"cards\":" << opt.cards;
     os << ",\"stealing\":" << (opt.stealing ? "true" : "false");
     os << ",\"status\":" << jsonQuote(runStatusName(job.status));

@@ -8,7 +8,7 @@
  *
  *   events.log      canonically ordered flight-recorder event log
  *                   (obs/flight_recorder.hh formatText lines) --
- *                   byte-identical for a given (workload, seed,
+ *                   byte-identical for a given (workload,
  *                   fault plan, cards, stealing) regardless of
  *                   thread count or wall-clock jitter
  *   events.json     the same events, one JSON object per line
@@ -47,9 +47,6 @@ struct PostmortemOptions
 
     /** Backend registry name (summary.json provenance). */
     std::string backend;
-
-    /** Job RNG seed. */
-    uint64_t seed = 0;
 
     /** Provisioned fleet shape. */
     uint32_t cards = 1;

@@ -164,7 +164,7 @@ RealignSession::run(const ReferenceGenome &ref,
         auto exec = be->makeExecuteStage(width);
         slots[i].run = runContigPipeline(
             ref, contig, reads, be->targetParams(), *exec,
-            be->hostThreads(), &byContig[contig], cfg.seed, obsv);
+            be->hostThreads(), &byContig[contig], obsv);
         obs::frEmit(obs::FrSeverity::Info, obs::FrCategory::Job,
                     obs::FrCode::ContigDone, 0, -1,
                     static_cast<uint64_t>(slots[i].run.status),
@@ -204,10 +204,9 @@ RealignSession::run(const ReferenceGenome &ref,
     }
     for (const ContigJobResult &c : job.contigs) {
         job.stats.merge(c.run.stats);
-        job.seconds += c.run.seconds;
-        job.criticalPathSeconds =
-            std::max(job.criticalPathSeconds, c.run.seconds);
         job.fpgaSeconds += c.run.fpgaSeconds;
+        job.criticalPathSeconds =
+            std::max(job.criticalPathSeconds, c.run.fpgaSeconds);
         job.execHost.merge(c.run.execHost);
         job.simulated = job.simulated || c.run.simulated;
         // Fleet runs already span one pid per card; stride the
@@ -265,7 +264,6 @@ RealignSession::run(const ReferenceGenome &ref,
         PostmortemOptions opt;
         opt.dir = cfg.postmortemDir;
         opt.backend = be->name();
-        opt.seed = cfg.seed;
         if (shape != nullptr) {
             opt.cards = shape->cards;
             opt.stealing = shape->stealing;
@@ -278,6 +276,12 @@ RealignSession::run(const ReferenceGenome &ref,
 
     job.wallSeconds = wall.seconds();
     return job;
+}
+
+double
+machineBoundSeconds(const RealignJobResult &job)
+{
+    return job.simulated ? job.fpgaSeconds : job.wallSeconds;
 }
 
 RealignJobResult
@@ -302,11 +306,9 @@ mergeJobResult(RealignJobResult *agg, RealignJobResult &&part)
     for (ContigJobResult &c : part.contigs)
         agg->contigs.push_back(std::move(c));
     agg->stats.merge(part.stats);
-    agg->seconds += part.seconds;
-    agg->wallSeconds += part.wallSeconds;
+    agg->fpgaSeconds += part.fpgaSeconds;
     agg->criticalPathSeconds =
         std::max(agg->criticalPathSeconds, part.criticalPathSeconds);
-    agg->fpgaSeconds += part.fpgaSeconds;
     agg->execHost.merge(part.execHost);
     agg->simulated = agg->simulated || part.simulated;
     // trace_pid 0 with stride 1 appends part's trace events with

@@ -80,13 +80,6 @@ struct RealignJobConfig
     uint32_t threads = 1;
 
     /**
-     * Base seed of the job's deterministic RNG streams.  Every
-     * contig derives its stream from (seed, contig), so results
-     * are identical for any `threads` value.
-     */
-    uint64_t seed = kRealignStreamSeed;
-
-    /**
      * Optional host observability (null = uninstrumented): one
      * "contig N" span per contig with a
      * `realign.job.contig_ns` histogram, a "job barrier"
@@ -149,25 +142,23 @@ struct RealignJobResult
     /** Statistics merged over all contigs (contig order). */
     RealignStats stats;
 
-    /**
-     * Modeled end-to-end seconds: sum of the per-contig
-     * BackendRunResult::seconds, i.e. what a serial one-card
-     * deployment would report (the paper's Figure 9 metric).
-     */
-    double seconds = 0.0;
-
     /** Measured host wall-clock of the whole job. */
     double wallSeconds = 0.0;
 
     /**
-     * Slowest single contig's modeled seconds: the lower bound of
-     * a fleet deployment with one card per contig (the Section VI
-     * fleet-sizing view).
+     * Accelerated backends: modeled FPGA seconds summed over
+     * contigs, i.e. what a serial one-card deployment takes; 0 for
+     * software backends.
+     */
+    double fpgaSeconds = 0.0;
+
+    /**
+     * Accelerated backends: the slowest contig's modeled FPGA
+     * seconds, the lower bound of a fleet deployment with one card
+     * per contig (the Section VI fleet-sizing view); 0 for software
+     * backends.
      */
     double criticalPathSeconds = 0.0;
-
-    /** Accelerated backends: summed simulated-FPGA seconds. */
-    double fpgaSeconds = 0.0;
 
     /**
      * Accelerated backends: Execute host time by phase and
@@ -229,6 +220,18 @@ struct RealignJobResult
 };
 
 /**
+ * The job's runtime on the clock its backend reports:
+ * `fpgaSeconds` (modeled, cycles / clock) for a simulated job and
+ * `wallSeconds` (measured on this host) otherwise.  This is the one
+ * place that picks a clock per backend; every comparison across
+ * backends (Figure 9's speedups, the cost tables) reads it.  A
+ * ratio of two backends built from it divides modeled time by host
+ * wall-clock, so it is machine-bound: it moves with the host that
+ * ran the software side and is never gated as portable.
+ */
+double machineBoundSeconds(const RealignJobResult &job);
+
+/**
  * Result of a streaming realignment run: the aggregate job result
  * plus the ingest outcome.  A parse error does not abort the
  * process -- groups realigned before the error are merged into
@@ -286,7 +289,7 @@ class RealignSession
      * instead of the session-bound config, sharing the session's
      * backend (and hence its CardFleet).  This is what makes the
      * session a scheduler substrate -- the server runs many
-     * tenants' jobs, each with its own thread count, seed,
+     * tenants' jobs, each with its own thread count,
      * cancellation token, and progress sink, through one session
      * (src/server/job_scheduler.hh).
      */
@@ -317,7 +320,7 @@ class RealignSession
      * and docs/TESTING.md): for contig-grouped input, concatenating
      * the sink payloads reproduces the in-memory run's realigned
      * read sequence byte for byte, and the merged RealignStats are
-     * identical -- per-contig results depend only on (seed, contig)
+     * identical -- per-contig results depend only on the contig
      * and the stats reduction is purely additive, so the grouping
      * is unobservable in the output.
      *

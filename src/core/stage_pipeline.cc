@@ -5,7 +5,6 @@
 #include "obs/flight_recorder.hh"
 #include "obs/obs.hh"
 #include "util/logging.hh"
-#include "util/timer.hh"
 
 namespace iracc {
 
@@ -14,14 +13,9 @@ SoftwareExecuteStage::execute(const PreparedContig &prepared,
                               uint64_t rng_seed)
 {
     ExecuteOutcome out;
-    Timer t;
-
     SoftwareRealignerConfig params = cfg;
     params.rngSeed = rng_seed;
-
     out.decisions = executeStageSoftware(prepared, params, &out.whd);
-    out.seconds = t.seconds();
-    out.simulated = false;
     return out;
 }
 
@@ -37,10 +31,8 @@ AcceleratedExecuteStage::execute(const PreparedContig &prepared,
     FleetScheduleResult run = scheduleFleetTargets(
         lease, prepared.marshalled, policy, harden);
 
-    // Translate raw accelerator outputs into decisions (host work,
-    // measured separately from the simulated FPGA time).
+    // Translate raw accelerator outputs into decisions.
     ExecuteOutcome out;
-    Timer host;
     out.decisions.reserve(prepared.inputs.size());
     for (size_t t = 0; t < prepared.inputs.size(); ++t) {
         const IrComputeResult &res = run.results[t];
@@ -48,9 +40,7 @@ AcceleratedExecuteStage::execute(const PreparedContig &prepared,
             prepared.inputs[t], res.bestConsensus, res.output));
     }
     out.fpgaSeconds = lease.card(0).cyclesToSeconds(run.makespan);
-    out.seconds = out.fpgaSeconds + host.seconds();
     out.whd = run.fpga.whd;
-    out.simulated = true;
     out.unitUtilization = run.fpga.meanUnitUtilization;
     if (run.makespan > 0) {
         out.dmaFraction =
@@ -73,7 +63,7 @@ runContigPipeline(const ReferenceGenome &ref, int32_t contig,
                   const TargetCreationParams &targets,
                   ExecuteStage &exec, uint32_t prepare_threads,
                   const std::vector<uint32_t> *candidates,
-                  uint64_t rng_seed, obs::Observability *obsv)
+                  obs::Observability *obsv)
 {
     BackendRunResult out;
 
@@ -98,14 +88,13 @@ runContigPipeline(const ReferenceGenome &ref, int32_t contig,
                 obs::FrCode::StagePrepare, 0, -1,
                 prepared.inputs.size());
 
-    // Execute: the backend-specific kernel.  The span records host
-    // wall-clock of the call (for accelerated backends that is the
-    // simulation run); the histogram below records the modeled
-    // stage seconds that StageTimes reports.
-    obs::ScopedSpan exec_span(obsv, "execute", "realign");
-    ExecuteOutcome outcome = exec.execute(prepared, rng_seed);
-    exec_span.close();
-    out.stageTimes.executeSeconds = outcome.seconds;
+    // Execute: the backend-specific kernel.  Host wall-clock of the
+    // call (for accelerated backends that is the simulation run);
+    // the modeled FPGA time is outcome.fpgaSeconds.
+    obs::ScopedSpan exec_span(obsv, "execute", "realign",
+                              "realign.stage.execute_ns");
+    ExecuteOutcome outcome = exec.execute(prepared, kRealignStreamSeed);
+    out.stageTimes.executeSeconds = exec_span.close();
     out.execHost = outcome.execHost;
     obs::frEmit(obs::FrSeverity::Debug, obs::FrCategory::Stage,
                 obs::FrCode::StageExecute, 0, -1,
@@ -125,8 +114,6 @@ runContigPipeline(const ReferenceGenome &ref, int32_t contig,
 
     if (obsv && obsv->metrics) {
         obs::MetricsRegistry &reg = *obsv->metrics;
-        reg.histogram("realign.stage.execute_ns")
-            .record(obs::nanos(out.stageTimes.executeSeconds));
         reg.counter("realign.targets").add(out.stats.targets);
         reg.counter("realign.reads_considered")
             .add(out.stats.readsConsidered);
@@ -190,8 +177,7 @@ runContigPipeline(const ReferenceGenome &ref, int32_t contig,
             }
         }
     }
-    out.seconds = out.stageTimes.hostSeconds() + outcome.seconds;
-    out.simulated = outcome.simulated;
+    out.simulated = exec.needsMarshalledTargets();
     out.fpgaSeconds = outcome.fpgaSeconds;
     out.dmaFraction = outcome.dmaFraction;
     out.unitUtilization = outcome.unitUtilization;

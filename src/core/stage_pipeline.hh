@@ -39,12 +39,6 @@ struct StageTimes
     double prepareSeconds = 0.0;
     double executeSeconds = 0.0;
     double applySeconds = 0.0;
-
-    double
-    hostSeconds() const
-    {
-        return planSeconds + prepareSeconds + applySeconds;
-    }
 };
 
 /** Result of one backend run over a contig. */
@@ -52,19 +46,13 @@ struct BackendRunResult
 {
     RealignStats stats;
 
-    /**
-     * End-to-end runtime in seconds.  For software backends this
-     * is measured host wall-clock; for accelerated backends it is
-     * the simulated FPGA time (cycles / clock) plus measured host
-     * pre/post-processing, matching the paper's end-to-end
-     * measurement (Section V-A).
-     */
-    double seconds = 0.0;
-
-    /** True when `seconds` came from the cycle-level simulator. */
+    /** True when the Execute stage ran on the cycle-level
+     *  simulator, so `fpgaSeconds` holds modeled time. */
     bool simulated = false;
 
-    /** Accelerated backends: simulated-FPGA seconds only. */
+    /** Accelerated backends: modeled FPGA seconds (cycles /
+     *  clock); 0 for software backends.  Host time is in
+     *  `stageTimes`. */
     double fpgaSeconds = 0.0;
 
     /** Accelerated backends: DMA share of total cycles. */
@@ -119,16 +107,8 @@ struct ExecuteOutcome
     /** Kernel work counters of the stage. */
     WhdStats whd;
 
-    /**
-     * Execute-stage seconds: measured wall-clock for software,
-     * simulated FPGA time plus output-conversion host time for
-     * accelerated backends.
-     */
-    double seconds = 0.0;
-
-    /** True when `seconds` came from the cycle-level simulator. */
-    bool simulated = false;
-
+    /** Accelerated backends: modeled FPGA seconds (cycles /
+     *  clock). */
     double fpgaSeconds = 0.0;
     double dmaFraction = 0.0;
     double unitUtilization = 0.0;
@@ -233,7 +213,6 @@ class AcceleratedExecuteStage : public ExecuteStage
  * @param prepare_threads width of the Prepare stage's fork-join
  * @param candidates      optional pre-partitioned read-index
  *                        subset for the Plan stage (see planStage)
- * @param rng_seed        base seed for deterministic RNG streams
  * @param obs             optional host observability: one trace
  *                        span per stage, per-stage
  *                        `realign.stage.<stage>_ns`
@@ -245,7 +224,6 @@ BackendRunResult runContigPipeline(
     std::vector<Read> &reads, const TargetCreationParams &targets,
     ExecuteStage &exec, uint32_t prepare_threads = 1,
     const std::vector<uint32_t> *candidates = nullptr,
-    uint64_t rng_seed = kRealignStreamSeed,
     obs::Observability *obs = nullptr);
 
 } // namespace iracc

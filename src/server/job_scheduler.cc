@@ -67,7 +67,7 @@ struct JobScheduler::JobRecord
     uint64_t targets = 0;
     uint64_t readsConsidered = 0;
     uint64_t readsRealigned = 0;
-    double seconds = 0.0;
+    double fpgaSeconds = 0.0;
     double wallSeconds = 0.0;
     std::string outPath;
     std::string postmortemPath;
@@ -82,7 +82,7 @@ JobScheduler::JobScheduler(JobSchedulerConfig config)
     fatal_if(cfg.workers == 0, "job scheduler needs >= 1 worker");
     // One backend -- and for accelerated backends one CardFleet --
     // shared by every tenant's jobs.  The per-job knobs (threads,
-    // seed, cancel token, progress sink) ride in the per-run
+    // cancel token, progress sink) ride in the per-run
     // RealignJobConfig override.
     session = std::make_unique<RealignSession>(
         makeBackend(cfg.backend, false, false, cfg.cards,
@@ -292,8 +292,6 @@ JobScheduler::runJob(JobRecord *job)
 
     RealignJobConfig run_cfg;
     run_cfg.threads = spec.jobThreads;
-    if (spec.seed != 0)
-        run_cfg.seed = spec.seed;
     run_cfg.cancel = &job->cancelRequested;
     run_cfg.postmortemDir = cfg.postmortemDir;
     obs::Observability ob;
@@ -378,7 +376,7 @@ JobScheduler::runJob(JobRecord *job)
     job->targets = result.stats.targets;
     job->readsConsidered = result.stats.readsConsidered;
     job->readsRealigned = result.stats.readsRealigned;
-    job->seconds = result.seconds;
+    job->fpgaSeconds = result.fpgaSeconds;
     job->wallSeconds = result.wallSeconds;
     job->postmortemPath = result.postmortemPath;
     job->cancelled = result.cancelled;
@@ -470,7 +468,7 @@ JobScheduler::viewLocked(const JobRecord &job,
     v.targets = job.targets;
     v.readsConsidered = job.readsConsidered;
     v.readsRealigned = job.readsRealigned;
-    v.seconds = job.seconds;
+    v.fpgaSeconds = job.fpgaSeconds;
     v.wallSeconds = job.wallSeconds;
     v.outPath = job.outPath;
     v.postmortemPath = job.postmortemPath;

@@ -254,8 +254,6 @@ encodeRequest(const Request &req)
             }
         }
         field("\"job_threads\":" + std::to_string(s.jobThreads));
-        if (s.seed != 0)
-            field("\"seed\":" + std::to_string(s.seed));
         out += "}";
         break;
     }
@@ -359,7 +357,6 @@ decodeRequest(const std::string &payload, Request *req,
             numField(s, "job_threads", 1));
         if (spec.jobThreads == 0)
             spec.jobThreads = 1;
-        spec.seed = numField(s, "seed");
         if (spec.synthScale <= 0 &&
             (spec.refPath.empty() || spec.readsPath.empty())) {
             *error = "submit spec needs ref+reads paths or a "
@@ -400,7 +397,7 @@ encodeJob(std::string *out, const JobView &j)
             std::to_string(j.readsConsidered);
     *out += ",\"reads_realigned\":" +
             std::to_string(j.readsRealigned);
-    *out += ",\"seconds\":" + dbl(j.seconds);
+    *out += ",\"fpga_seconds\":" + dbl(j.fpgaSeconds);
     *out += ",\"wall_seconds\":" + dbl(j.wallSeconds);
     if (!j.outPath.empty())
         *out += ",\"out\":" + jsonQuote(j.outPath);
@@ -446,7 +443,7 @@ decodeJob(const JsonValue &obj, JobView *j)
     j->targets = numField(obj, "targets");
     j->readsConsidered = numField(obj, "reads_considered");
     j->readsRealigned = numField(obj, "reads_realigned");
-    j->seconds = dblField(obj, "seconds");
+    j->fpgaSeconds = dblField(obj, "fpga_seconds");
     j->wallSeconds = dblField(obj, "wall_seconds");
     j->outPath = strField(obj, "out");
     j->postmortemPath = strField(obj, "postmortem");

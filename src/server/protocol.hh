@@ -100,9 +100,6 @@ struct JobSpec
 
     /** Contig-level worker threads inside the job. */
     uint32_t jobThreads = 1;
-
-    /** Deterministic RNG stream seed (kRealignStreamSeed). */
-    uint64_t seed = 0;
 };
 
 struct Request
@@ -180,7 +177,7 @@ struct JobView
     uint64_t targets = 0;
     uint64_t readsConsidered = 0;
     uint64_t readsRealigned = 0;
-    double seconds = 0.0;     ///< modeled end-to-end seconds
+    double fpgaSeconds = 0.0; ///< modeled FPGA; 0 for software
     double wallSeconds = 0.0; ///< measured host wall-clock
     std::string outPath;
     std::string postmortemPath;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -1169,6 +1170,31 @@ diffStreamingVariant(const BackendVariant &variant,
                     m.consensusesEvaluated),
                 statsString(s.whd).c_str(),
                 statsString(m.whd).c_str()));
+    }
+    // Modeled time depends on the contig alone, so each contig's
+    // and the slowest contig's are bit-identical however the stream
+    // was grouped.  (The job's fpgaSeconds is a float sum in group
+    // order and may differ in the last bit.)
+    std::map<int32_t, double> mem_fpga;
+    for (const ContigJobResult &c : mem_result.contigs)
+        mem_fpga[c.contig] = c.run.fpgaSeconds;
+    for (const ContigJobResult &c : stream_result.job.contigs) {
+        auto it = mem_fpga.find(c.contig);
+        if (it == mem_fpga.end() || it->second != c.run.fpgaSeconds) {
+            return DiffResult::fail(
+                label, fmt("contig %d modeled FPGA seconds %.17g "
+                           "streamed vs %.17g in memory",
+                           c.contig, c.run.fpgaSeconds,
+                           it == mem_fpga.end() ? -1.0 : it->second));
+        }
+    }
+    if (stream_result.job.criticalPathSeconds !=
+        mem_result.criticalPathSeconds) {
+        return DiffResult::fail(
+            label, fmt("critical path %.17g s streamed vs %.17g s "
+                       "in memory",
+                       stream_result.job.criticalPathSeconds,
+                       mem_result.criticalPathSeconds));
     }
     return {};
 }

@@ -110,11 +110,12 @@ TEST(Backends, AllBackendsAgreeOnRealignment)
                       want[i].cigar.toString())
                 << name << " read " << i;
         }
-        EXPECT_GT(run.seconds, 0.0) << name;
-        if (name.rfind("iracc", 0) == 0 || name == "hls")
-            EXPECT_TRUE(run.simulated) << name;
-        else
-            EXPECT_FALSE(run.simulated) << name;
+        const bool simulated =
+            name.rfind("iracc", 0) == 0 || name == "hls";
+        EXPECT_EQ(run.simulated, simulated) << name;
+        EXPECT_EQ(run.fpgaSeconds > 0.0, simulated) << name;
+        EXPECT_LE(run.criticalPathSeconds, run.fpgaSeconds) << name;
+        EXPECT_GT(run.wallSeconds, 0.0) << name;
     }
 }
 

@@ -98,7 +98,7 @@ TEST(Postmortem, BundleEventLogMatchesGoldenFixture)
     }
 
     // Byte-for-byte: the canonical log is a pure function of
-    // (workload, seed, fault plan, cards, stealing), so any drift
+    // (workload, fault plan, cards, stealing), so any drift
     // is a real behaviour or schema change, never noise.
     std::string want = slurp(kGolden);
     ASSERT_FALSE(want.empty())

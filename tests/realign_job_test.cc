@@ -122,10 +122,16 @@ TEST(RealignJob, GenomeWideBitEqualityAcrossBackendsAndThreads)
             EXPECT_EQ(fingerprint(reads), want_fp) << what;
             expectStatsEqual(job.stats, ref_job.stats, what);
             EXPECT_EQ(job.contigs.size(), 3u) << what;
-            EXPECT_GT(job.seconds, 0.0) << what;
+            // Modeled time exists exactly for the simulated
+            // backend; host wall-clock for every backend.
+            const bool simulated = std::string(name) == "iracc";
+            EXPECT_EQ(job.simulated, simulated) << what;
+            EXPECT_EQ(job.fpgaSeconds > 0.0, simulated) << what;
+            EXPECT_EQ(job.criticalPathSeconds > 0.0, simulated)
+                << what;
+            EXPECT_LE(job.criticalPathSeconds, job.fpgaSeconds)
+                << what;
             EXPECT_GT(job.wallSeconds, 0.0) << what;
-            EXPECT_GT(job.criticalPathSeconds, 0.0) << what;
-            EXPECT_LE(job.criticalPathSeconds, job.seconds) << what;
 
             // Within one backend, the full statistics -- kernel
             // work counters included -- must be identical for any
@@ -225,21 +231,41 @@ TEST(RealignJob, ModeledSecondsInvariantUnderThreads)
     setQuiet(true);
     GenomeWorkload wl = buildWorkload(multiContigWorkload());
 
-    // The accelerated backend's per-contig seconds are simulated
-    // FPGA cycles plus host time; the cycle part must be exactly
-    // reproducible, so compare fpgaSeconds across thread counts.
-    double fpga[2] = {0.0, 0.0};
-    int idx = 0;
-    for (uint32_t threads : {1u, 4u}) {
-        RealignJobConfig cfg;
-        cfg.threads = threads;
-        std::vector<Read> reads = allReads(wl);
-        RealignJobResult job =
-            makeSession("iracc", cfg).run(wl.reference, reads);
-        EXPECT_TRUE(job.simulated);
-        fpga[idx++] = job.fpgaSeconds;
+    // Modeled time is cycles / clock: a function of the workload
+    // alone, bit-identical for any job-thread count and any host
+    // WHD kernel.
+    bool have_want = false;
+    RealignJobResult want;
+    for (SimdKernel kernel : supportedSimdKernels()) {
+        ScopedSimdKernel pin(kernel);
+        for (uint32_t threads : {1u, 2u, 4u, 8u}) {
+            RealignJobConfig cfg;
+            cfg.threads = threads;
+            std::vector<Read> reads = allReads(wl);
+            RealignJobResult job =
+                makeSession("iracc", cfg).run(wl.reference, reads);
+            const std::string what =
+                std::string(simdKernelName(kernel)) +
+                " threads=" + std::to_string(threads);
+            EXPECT_TRUE(job.simulated) << what;
+            EXPECT_GT(job.fpgaSeconds, 0.0) << what;
+            if (!have_want) {
+                want = std::move(job);
+                have_want = true;
+                continue;
+            }
+            EXPECT_EQ(job.fpgaSeconds, want.fpgaSeconds) << what;
+            EXPECT_EQ(job.criticalPathSeconds,
+                      want.criticalPathSeconds)
+                << what;
+            ASSERT_EQ(job.contigs.size(), want.contigs.size()) << what;
+            for (size_t c = 0; c < job.contigs.size(); ++c) {
+                EXPECT_EQ(job.contigs[c].run.fpgaSeconds,
+                          want.contigs[c].run.fpgaSeconds)
+                    << what << " contig " << job.contigs[c].contig;
+            }
+        }
     }
-    EXPECT_DOUBLE_EQ(fpga[0], fpga[1]);
 }
 
 TEST(RealignJob, MergesPerfCountersAcrossContigs)
@@ -399,10 +425,11 @@ TEST(RealignJob, OneMeasurementOneNumber)
 
     // The stage seconds a caller reads and the stage histograms
     // the registry exports are one measurement each.
-    uint64_t plan = 0, prepare = 0, apply = 0;
+    uint64_t plan = 0, prepare = 0, execute = 0, apply = 0;
     for (const ContigJobResult &c : job.contigs) {
         plan += obs::nanos(c.run.stageTimes.planSeconds);
         prepare += obs::nanos(c.run.stageTimes.prepareSeconds);
+        execute += obs::nanos(c.run.stageTimes.executeSeconds);
         apply += obs::nanos(c.run.stageTimes.applySeconds);
     }
     EXPECT_EQ(registry.histogramSnapshot("realign.stage.plan_ns").total(),
@@ -410,6 +437,9 @@ TEST(RealignJob, OneMeasurementOneNumber)
     EXPECT_EQ(
         registry.histogramSnapshot("realign.stage.prepare_ns").total(),
         prepare);
+    EXPECT_EQ(
+        registry.histogramSnapshot("realign.stage.execute_ns").total(),
+        execute);
     EXPECT_EQ(registry.histogramSnapshot("realign.stage.apply_ns").total(),
               apply);
 

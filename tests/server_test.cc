@@ -111,7 +111,6 @@ TEST(Protocol, RequestSurvivesEncodeDecode)
     req.spec.synthCoverage = 7.5;
     req.spec.synthChromosomes = {1, 21, 22};
     req.spec.jobThreads = 3;
-    req.spec.seed = 99;
 
     Request back;
     std::string error;
@@ -128,7 +127,6 @@ TEST(Protocol, RequestSurvivesEncodeDecode)
     EXPECT_EQ(back.spec.synthChromosomes,
               (std::vector<int>{1, 21, 22}));
     EXPECT_EQ(back.spec.jobThreads, 3u);
-    EXPECT_EQ(back.spec.seed, 99u);
 
     Request cancel;
     cancel.type = RequestType::Cancel;
@@ -172,7 +170,7 @@ TEST(Protocol, ResponseSurvivesEncodeDecode)
     resp.job.targets = 24;
     resp.job.readsConsidered = 1000;
     resp.job.readsRealigned = 31;
-    resp.job.seconds = 1.5;
+    resp.job.fpgaSeconds = 1.5;
     resp.job.wallSeconds = 0.25;
     resp.job.outPath = "/tmp/x.sam";
     ProgressEvent ev;
@@ -203,6 +201,13 @@ TEST(Protocol, ResponseSurvivesEncodeDecode)
     EXPECT_EQ(back.job.status, "degraded");
     EXPECT_EQ(back.job.targets, 24u);
     EXPECT_EQ(back.job.readsRealigned, 31u);
+    EXPECT_EQ(back.job.fpgaSeconds, 1.5);
+    EXPECT_EQ(back.job.wallSeconds, 0.25);
+    const std::string wire = encodeResponse(resp);
+    EXPECT_NE(wire.find("\"fpga_seconds\":1.5"), std::string::npos)
+        << wire;
+    EXPECT_NE(wire.find("\"wall_seconds\":0.25"), std::string::npos)
+        << wire;
     ASSERT_EQ(back.job.progress.size(), 1u);
     EXPECT_EQ(back.job.progress[0].contig, 21);
     EXPECT_EQ(back.job.progress[0].vtime, 123456u);

@@ -7,8 +7,7 @@
  *   iracc_client submit   --port N --tenant T (--ref F --reads F |
  *                         --synth-scale N [--synth-seed S]
  *                         [--synth-coverage C] [--chromosomes 1,2])
- *                         [--out F] [--job-threads N] [--seed S]
- *                         [--wait]
+ *                         [--out F] [--job-threads N] [--wait]
  *   iracc_client status   --port N --job ID [--since SEQ]
  *   iracc_client cancel   --port N --job ID
  *   iracc_client result   --port N --job ID   (blocks)
@@ -49,7 +48,7 @@ usage()
         "--synth-scale N [--synth-seed S]\n"
         "          [--synth-coverage C] [--chromosomes 1,2,...], "
         "[--out F],\n"
-        "          [--job-threads N], [--seed S], [--wait]\n"
+        "          [--job-threads N], [--wait]\n"
         "  status: --job ID [--since SEQ]\n"
         "  cancel/result: --job ID\n"
         "  metrics: [--format json|prometheus]\n"
@@ -94,13 +93,13 @@ printJob(const JobView &job)
     if (job.state == JobState::Done ||
         job.state == JobState::Cancelled) {
         std::printf(" targets=%llu realigned=%llu/%llu "
-                    "seconds=%.6f wall=%.3f",
+                    "fpga=%.6f wall=%.3f",
                     static_cast<unsigned long long>(job.targets),
                     static_cast<unsigned long long>(
                         job.readsRealigned),
                     static_cast<unsigned long long>(
                         job.readsConsidered),
-                    job.seconds, job.wallSeconds);
+                    job.fpgaSeconds, job.wallSeconds);
     }
     if (!job.outPath.empty())
         std::printf(" out=%s", job.outPath.c_str());
@@ -181,7 +180,6 @@ main(int argc, char **argv)
         }
         spec.jobThreads = static_cast<uint32_t>(
             args.getInt("--job-threads", 1, 1, 1024));
-        spec.seed = args.getUint("--seed", 0);
         wait_for_result = args.getFlag("--wait", false);
         req.tenant = args.get("--tenant", "");
         if (req.tenant.empty())

@@ -117,9 +117,6 @@ main(int argc, char **argv)
     std::printf("== iracc incident report: %s ==\n", dir.c_str());
     std::printf("backend:  %s\n",
                 summary.at("backend").asString().c_str());
-    std::printf("seed:     %llu\n",
-                static_cast<unsigned long long>(
-                    num(summary, "seed")));
     std::printf("fleet:    %llu card(s), stealing %s\n",
                 static_cast<unsigned long long>(
                     num(summary, "cards")),
