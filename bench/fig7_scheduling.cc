@@ -69,8 +69,7 @@ figure7Targets(Rng &rng)
                 size_t off = rng.below(cons_len - read_len);
                 r = ref.substr(off, read_len);
             }
-            input.readBases.push_back(r);
-            input.readQuals.push_back(QualSeq(read_len, 30));
+            input.addRead(r, QualSeq(read_len, 30));
             input.readIndices.push_back(static_cast<uint32_t>(j));
         }
         out.push_back(marshalTarget(input));

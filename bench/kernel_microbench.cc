@@ -69,8 +69,7 @@ benchInput(size_t num_cons = 4, size_t num_reads = 48,
         QualSeq q;
         for (size_t b = 0; b < read_len; ++b)
             q.push_back(static_cast<uint8_t>(rng.range(10, 40)));
-        input.readBases.push_back(r);
-        input.readQuals.push_back(q);
+        input.addRead(r, q);
         input.readIndices.push_back(static_cast<uint32_t>(j));
     }
     return input;
@@ -81,8 +80,8 @@ BM_CalcWhd(benchmark::State &state)
 {
     IrTargetInput input = benchInput();
     const BaseSeq &cons = input.consensuses[0];
-    const BaseSeq &read = input.readBases[0];
-    const QualSeq &quals = input.readQuals[0];
+    const std::string_view read = input.readSeqs[0].bases();
+    const std::span<const uint8_t> quals = input.readSeqs[0].quals();
     size_t k = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(calcWhd(cons, read, quals, k));
@@ -358,15 +357,15 @@ chunk32Sweep(SimdKernel kernel, const IrTargetInput &input)
 {
     WhdSweepResult total;
     for (const BaseSeq &cons : input.consensuses) {
-        for (size_t j = 0; j < input.readBases.size(); ++j) {
-            const BaseSeq &read = input.readBases[j];
+        for (size_t j = 0; j < input.numReads(); ++j) {
+            const std::string_view read = input.readSeqs[j].bases();
             if (read.size() > cons.size())
                 continue;
             const WhdSweepResult r = whdSweep(
                 reinterpret_cast<const uint8_t *>(cons.data()),
                 cons.size(),
                 reinterpret_cast<const uint8_t *>(read.data()),
-                input.readQuals[j].data(), read.size(), true,
+                input.readSeqs[j].quals().data(), read.size(), true,
                 /*pruneChunk=*/32, kernel);
             benchmark::DoNotOptimize(r.best);
             total.comparisons += r.comparisons;

@@ -42,8 +42,8 @@ main()
                          "ACCTGAA",  // consensus 1
                          "TCTGCCT"}; // consensus 2
     input.events.resize(3);
-    input.readBases = {"TGAA", "CCTC"};
-    input.readQuals = {{10, 20, 45, 10}, {10, 60, 30, 20}};
+    input.addRead("TGAA", QualSeq{10, 20, 45, 10});
+    input.addRead("CCTC", QualSeq{10, 60, 30, 20});
     input.readIndices = {0, 1};
 
     // Algorithm 1: the min-WHD grid.

@@ -84,6 +84,24 @@ DeviceMemory::readVec(uint64_t addr, uint64_t len) const
     return out;
 }
 
+uint32_t
+DeviceMemory::checksum(uint64_t addr, uint64_t len, uint32_t seed) const
+{
+    panic_if(addr + len > size, "device memory read past capacity");
+    // An untouched page reads as zeros.
+    static const uint8_t kZeroPage[kPageSize] = {};
+    uint32_t crc = seed;
+    while (len > 0) {
+        uint64_t off = addr & (kPageSize - 1);
+        uint64_t chunk = std::min(len, kPageSize - off);
+        const Page *page = pageForRead(addr);
+        crc = crc32(page ? page->data() + off : kZeroPage, chunk, crc);
+        addr += chunk;
+        len -= chunk;
+    }
+    return crc;
+}
+
 uint64_t
 DeviceMemory::allocate(uint64_t len)
 {

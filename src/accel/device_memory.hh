@@ -39,6 +39,14 @@ class DeviceMemory
     /** Convenience: read into a fresh vector. */
     std::vector<uint8_t> readVec(uint64_t addr, uint64_t len) const;
 
+    /**
+     * CRC-32 (fault/fault.hh) of the bytes read() would copy out,
+     * computed page by page in place; @p seed chains it after an
+     * earlier checksum like crc32's.
+     */
+    uint32_t checksum(uint64_t addr, uint64_t len,
+                      uint32_t seed = 0) const;
+
     /** Bump-allocate a region (64-byte aligned). */
     uint64_t allocate(uint64_t len);
 

@@ -1,7 +1,7 @@
 #include "core/realign_job.hh"
 
 #include <algorithm>
-#include <map>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -78,22 +78,46 @@ RealignSession::run(const ReferenceGenome &ref,
         return job;
     }
 
-    // Partition the read set by contig once; each contig's worker
-    // only ever touches its own (disjoint) read indices, so the
-    // shared read vector can be mutated concurrently.
-    std::map<int32_t, std::vector<uint32_t>> byContig;
-    for (int32_t c : contigs)
-        byContig[c]; // realign requested contigs even if empty
-    for (uint32_t i = 0; i < reads.size(); ++i) {
-        auto it = byContig.find(reads[i].contig);
-        if (it != byContig.end())
-            it->second.push_back(i);
+    // The requested contigs in ascending order, each once; a
+    // requested contig with no reads is realigned too.
+    std::vector<int32_t> order(contigs);
+    std::sort(order.begin(), order.end());
+    order.erase(std::unique(order.begin(), order.end()), order.end());
+    for (int32_t c : order) {
+        panic_if(c < 0 || static_cast<size_t>(c) >= ref.numContigs(),
+                 "contig index %d out of range (%zu contigs)", c,
+                 ref.numContigs());
     }
 
-    std::vector<int32_t> order;
-    order.reserve(byContig.size());
-    for (const auto &kv : byContig)
-        order.push_back(kv.first);
+    // Partition the read set by contig once: one pass over the reads
+    // looks up each read's slot in a table indexed by contig id and
+    // counts it, then the compact slot list fills vectors of exact
+    // size.  Reads on contigs not requested, or outside the genome,
+    // are left alone.  Each contig's worker only ever touches its
+    // own (disjoint) read indices, so the shared read vector can be
+    // mutated concurrently.
+    constexpr uint32_t kNoSlot = std::numeric_limits<uint32_t>::max();
+    std::vector<uint32_t> slotOf(ref.numContigs(), kNoSlot);
+    for (size_t i = 0; i < order.size(); ++i)
+        slotOf[static_cast<size_t>(order[i])] = static_cast<uint32_t>(i);
+    std::vector<std::vector<uint32_t>> byContig(order.size());
+    {
+        std::vector<uint32_t> slotOfRead(reads.size(), kNoSlot);
+        std::vector<size_t> counts(order.size(), 0);
+        for (size_t i = 0; i < reads.size(); ++i) {
+            const auto c = static_cast<uint32_t>(reads[i].contig);
+            if (c < slotOf.size() && slotOf[c] != kNoSlot) {
+                slotOfRead[i] = slotOf[c];
+                ++counts[slotOf[c]];
+            }
+        }
+        for (size_t s = 0; s < order.size(); ++s)
+            byContig[s].reserve(counts[s]);
+        for (uint32_t i = 0; i < slotOfRead.size(); ++i) {
+            if (slotOfRead[i] != kNoSlot)
+                byContig[slotOfRead[i]].push_back(i);
+        }
+    }
 
     const FleetConfig *shape = be->fleetShape();
     obs::frEmit(obs::FrSeverity::Info, obs::FrCategory::Job,
@@ -148,13 +172,13 @@ RealignSession::run(const ReferenceGenome &ref,
             slots[i].run.status = RunStatus::Failed;
             obs::frEmit(obs::FrSeverity::Warn, obs::FrCategory::Job,
                         obs::FrCode::ContigSkipped, 0, -1,
-                        byContig[contig].size());
+                        byContig[i].size());
             notifyProgress(i, true);
             return;
         }
         obs::frEmit(obs::FrSeverity::Info, obs::FrCategory::Job,
                     obs::FrCode::ContigStart, 0, -1,
-                    byContig[contig].size());
+                    byContig[i].size());
         obs::ScopedSpan span(obsv,
                              obsv && obsv->on()
                                  ? "contig " + std::to_string(contig)
@@ -164,7 +188,7 @@ RealignSession::run(const ReferenceGenome &ref,
         auto exec = be->makeExecuteStage(width);
         slots[i].run = runContigPipeline(
             ref, contig, reads, be->targetParams(), *exec,
-            be->hostThreads(), &byContig[contig], obsv);
+            be->hostThreads(), &byContig[i], obsv);
         obs::frEmit(obs::FrSeverity::Info, obs::FrCategory::Job,
                     obs::FrCode::ContigDone, 0, -1,
                     static_cast<uint64_t>(slots[i].run.status),

@@ -337,23 +337,62 @@ runStatusName(RunStatus status)
     panic("invalid RunStatus");
 }
 
+namespace {
+
+/**
+ * Slice-by-8 tables for the reflected polynomial 0xEDB88320:
+ * table 0 is the byte-at-a-time table, and table k maps a byte to
+ * its CRC contribution followed by k zero bytes, so eight lookups
+ * fold eight bytes at once.
+ */
+constexpr std::array<std::array<uint32_t, 256>, 8>
+makeCrcTables()
+{
+    std::array<std::array<uint32_t, 256>, 8> t{};
+    for (uint32_t b = 0; b < 256; ++b) {
+        uint32_t c = b;
+        for (int i = 0; i < 8; ++i)
+            c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+        t[0][b] = c;
+    }
+    for (size_t k = 1; k < 8; ++k) {
+        for (uint32_t b = 0; b < 256; ++b)
+            t[k][b] = (t[k - 1][b] >> 8) ^ t[0][t[k - 1][b] & 0xFF];
+    }
+    return t;
+}
+
+constexpr std::array<std::array<uint32_t, 256>, 8> kCrcTables =
+    makeCrcTables();
+
+/** Four bytes as a little-endian word, on any host. */
+inline uint32_t
+le32(const uint8_t *p)
+{
+    return static_cast<uint32_t>(p[0]) |
+           static_cast<uint32_t>(p[1]) << 8 |
+           static_cast<uint32_t>(p[2]) << 16 |
+           static_cast<uint32_t>(p[3]) << 24;
+}
+
+} // anonymous namespace
+
 uint32_t
 crc32(const void *data, size_t len, uint32_t seed)
 {
-    // Nibble-driven CRC-32 (polynomial 0xEDB88320): small table,
-    // identical stream on every platform.
-    static constexpr uint32_t kTable[16] = {
-        0x00000000, 0x1DB71064, 0x3B6E20C8, 0x26D930AC,
-        0x76DC4190, 0x6B6B51F4, 0x4DB26158, 0x5005713C,
-        0xEDB88320, 0xF00F9344, 0xD6D6A3E8, 0xCB61B38C,
-        0x9B64C2B0, 0x86D3D2D4, 0xA00AE278, 0xBDBDF21C};
+    const auto &t = kCrcTables;
     uint32_t crc = ~seed;
     const uint8_t *p = static_cast<const uint8_t *>(data);
-    for (size_t i = 0; i < len; ++i) {
-        crc ^= p[i];
-        crc = (crc >> 4) ^ kTable[crc & 0xF];
-        crc = (crc >> 4) ^ kTable[crc & 0xF];
+    for (; len >= 8; p += 8, len -= 8) {
+        const uint32_t lo = crc ^ le32(p);
+        const uint32_t hi = le32(p + 4);
+        crc = t[7][lo & 0xFF] ^ t[6][lo >> 8 & 0xFF] ^
+              t[5][lo >> 16 & 0xFF] ^ t[4][lo >> 24] ^
+              t[3][hi & 0xFF] ^ t[2][hi >> 8 & 0xFF] ^
+              t[1][hi >> 16 & 0xFF] ^ t[0][hi >> 24];
     }
+    for (; len > 0; ++p, --len)
+        crc = (crc >> 8) ^ t[0][(crc ^ *p) & 0xFF];
     return ~crc;
 }
 

@@ -105,6 +105,13 @@ struct Read
         seq = SeqSlice::copyOf(b, q);
     }
 
+    /**
+     * The shared slice behind bases() and quals(): a copy of it keeps
+     * the bytes alive after this Read is gone (IrTargetInput holds
+     * one per read instead of copying the bytes).
+     */
+    const SeqSlice &sequence() const { return seq; }
+
     /** @return length of the read in bases. */
     size_t length() const { return seq.size(); }
 

@@ -514,20 +514,16 @@ class CardDispatch
     {
         const MarshalledTarget &mt = marshalled(slot);
         const TargetDescriptor &desc = slots[slot].desc;
-        DeviceMemory &mem = sys.memory();
-        std::vector<uint8_t> buf = mem.readVec(
-            desc.bufferAddr[static_cast<size_t>(
-                IrBuffer::ConsensusBases)],
-            mt.consensusData.size());
-        uint32_t crc = crc32(buf.data(), buf.size());
-        buf = mem.readVec(
-            desc.bufferAddr[static_cast<size_t>(IrBuffer::ReadBases)],
-            mt.readData.size());
-        crc = crc32(buf.data(), buf.size(), crc);
-        buf = mem.readVec(
-            desc.bufferAddr[static_cast<size_t>(IrBuffer::ReadQuals)],
-            mt.qualData.size());
-        return crc32(buf.data(), buf.size(), crc);
+        const DeviceMemory &mem = sys.memory();
+        auto addr = [&desc](IrBuffer b) {
+            return desc.bufferAddr[static_cast<size_t>(b)];
+        };
+        uint32_t crc = mem.checksum(addr(IrBuffer::ConsensusBases),
+                                    mt.consensusData.size());
+        crc = mem.checksum(addr(IrBuffer::ReadBases),
+                           mt.readData.size(), crc);
+        return mem.checksum(addr(IrBuffer::ReadQuals),
+                            mt.qualData.size(), crc);
     }
 
     /** CRC the device copy of a slot's two output buffers. */
@@ -535,16 +531,13 @@ class CardDispatch
     deviceOutputChecksum(size_t slot) const
     {
         const TargetDescriptor &desc = slots[slot].desc;
-        DeviceMemory &mem = sys.memory();
-        std::vector<uint8_t> buf = mem.readVec(
+        const DeviceMemory &mem = sys.memory();
+        uint32_t crc = mem.checksum(
             desc.bufferAddr[static_cast<size_t>(IrBuffer::OutFlags)],
             desc.numReads);
-        uint32_t crc = crc32(buf.data(), buf.size());
-        buf = mem.readVec(
-            desc.bufferAddr[static_cast<size_t>(
-                IrBuffer::OutPositions)],
-            static_cast<uint64_t>(desc.numReads) * 4);
-        return crc32(buf.data(), buf.size(), crc);
+        return mem.checksum(
+            desc.bufferAddr[static_cast<size_t>(IrBuffer::OutPositions)],
+            static_cast<uint64_t>(desc.numReads) * 4, crc);
     }
 
     const RunContext &ctx;

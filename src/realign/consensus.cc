@@ -14,7 +14,7 @@ IrTargetInput::worstCaseComparisons() const
 {
     uint64_t total = 0;
     for (const auto &cons : consensuses) {
-        for (const auto &read : readBases) {
+        for (const SeqSlice &read : readSeqs) {
             if (read.size() > cons.size())
                 continue;
             uint64_t offsets = cons.size() - read.size() + 1;
@@ -38,28 +38,25 @@ IrTargetInput::limitViolation() const
         return fmt("%zu consensuses exceeds limit %u",
                    consensuses.size(), kMaxConsensuses);
     }
-    if (readBases.size() > kMaxReads) {
-        return fmt("%zu reads exceeds limit %u", readBases.size(),
+    if (readSeqs.size() > kMaxReads) {
+        return fmt("%zu reads exceeds limit %u", readSeqs.size(),
                    kMaxReads);
     }
-    if (readBases.size() != readQuals.size() ||
-        readBases.size() != readIndices.size()) {
+    if (readSeqs.size() != readIndices.size())
         return "read array size mismatch";
-    }
     for (const auto &cons : consensuses) {
         if (cons.size() > kMaxConsensusLen) {
             return fmt("consensus length %zu exceeds limit %u",
                        cons.size(), kMaxConsensusLen);
         }
     }
-    for (size_t j = 0; j < readBases.size(); ++j) {
-        if (readBases[j].size() > kMaxReadLen) {
+    // A slice holds as many qualities as bases by construction.
+    for (const SeqSlice &read : readSeqs) {
+        if (read.size() > kMaxReadLen) {
             return fmt("read length %zu exceeds limit %u",
-                       readBases[j].size(), kMaxReadLen);
+                       read.size(), kMaxReadLen);
         }
-        if (readBases[j].size() != readQuals[j].size())
-            return fmt("read %zu base/qual length mismatch", j);
-        if (readBases[j].empty())
+        if (read.size() == 0)
             return "empty read in target";
     }
     return "";
@@ -242,16 +239,17 @@ buildTargetInput(const ReferenceGenome &ref,
         input.events.push_back(ev);
     }
 
-    // Attach read data; reads longer than the window cannot slide
-    // and are skipped (can only happen for pathological windows).
+    // Attach read data by reference to the reads' blocks; reads
+    // longer than the window cannot slide and are skipped (can only
+    // happen for pathological windows).
+    input.readIndices.reserve(indices.size());
+    input.readSeqs.reserve(indices.size());
     for (uint32_t idx : indices) {
         const Read &read = reads[idx];
         if (read.length() > window.size())
             continue;
         input.readIndices.push_back(idx);
-        input.readBases.emplace_back(read.bases());
-        input.readQuals.emplace_back(read.quals().begin(),
-                                     read.quals().end());
+        input.readSeqs.push_back(read.sequence());
     }
 
     input.assertWithinLimits();

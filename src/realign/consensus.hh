@@ -15,7 +15,9 @@
 #define IRACC_REALIGN_CONSENSUS_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "genomics/read.hh"
@@ -86,14 +88,27 @@ struct IrTargetInput
     /** Indices of the target's reads into the caller's read set. */
     std::vector<uint32_t> readIndices;
 
-    /** Read bases, parallel to readIndices. */
-    std::vector<BaseSeq> readBases;
-
-    /** Read qualities, parallel to readIndices. */
-    std::vector<QualSeq> readQuals;
+    /**
+     * Bases and qualities of each read, parallel to readIndices:
+     * the reads' own slices (genomics/seq_block.hh), so the input
+     * shares their blocks instead of copying the bytes, and stays
+     * valid after the Reads themselves are gone.
+     */
+    std::vector<SeqSlice> readSeqs;
 
     size_t numConsensuses() const { return consensuses.size(); }
-    size_t numReads() const { return readBases.size(); }
+    size_t numReads() const { return readSeqs.size(); }
+
+    /**
+     * Append a read holding its own copy of @p bases and @p quals,
+     * for inputs built without a read set (tests, generators,
+     * benches); the index goes into readIndices separately.
+     */
+    void
+    addRead(std::string_view bases, std::span<const uint8_t> quals)
+    {
+        readSeqs.push_back(SeqSlice::copyOf(bases, quals));
+    }
 
     /** Worst-case base comparisons (Section II-C formula). */
     uint64_t worstCaseComparisons() const;

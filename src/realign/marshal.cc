@@ -95,7 +95,7 @@ marshalTargetInto(const IrTargetInput &input, MarshalledTarget &m)
     m.numReads = static_cast<uint32_t>(input.numReads());
     m.targetStart = static_cast<uint32_t>(input.windowStart);
 
-    // clear()/assign() keep the existing capacity: a reused
+    // clear() keeps the existing capacity: a reused
     // MarshalledTarget marshals without touching the heap.
     m.consensusLengths.clear();
     m.consensusData.clear();
@@ -106,19 +106,22 @@ marshalTargetInto(const IrTargetInput &input, MarshalledTarget &m)
                                cons.end());
     }
 
-    m.readData.assign(static_cast<size_t>(m.numReads) * kMaxReadLen,
-                      0);
-    m.qualData.assign(static_cast<size_t>(m.numReads) * kMaxReadLen,
-                      0);
-    for (uint32_t j = 0; j < m.numReads; ++j) {
-        const BaseSeq &bases = input.readBases[j];
-        const QualSeq &quals = input.readQuals[j];
-        size_t off = static_cast<size_t>(j) * kMaxReadLen;
-        for (size_t n = 0; n < bases.size(); ++n) {
-            m.readData[off + n] = static_cast<uint8_t>(bases[n]);
-            m.qualData[off + n] = quals[n];
-        }
-        // Remaining slot bytes stay 0x00: the end-of-read sentinel.
+    // One copy per slot from the read's block, then the slot's
+    // tail of 0x00 bytes: the end-of-read sentinel.
+    const size_t slots = static_cast<size_t>(m.numReads) * kMaxReadLen;
+    m.readData.clear();
+    m.qualData.clear();
+    m.readData.reserve(slots);
+    m.qualData.reserve(slots);
+    for (const SeqSlice &read : input.readSeqs) {
+        const size_t n = read.size();
+        const auto *bases =
+            reinterpret_cast<const uint8_t *>(read.bases().data());
+        const uint8_t *quals = read.quals().data();
+        m.readData.insert(m.readData.end(), bases, bases + n);
+        m.readData.insert(m.readData.end(), kMaxReadLen - n, 0);
+        m.qualData.insert(m.qualData.end(), quals, quals + n);
+        m.qualData.insert(m.qualData.end(), kMaxReadLen - n, 0);
     }
 }
 

@@ -330,7 +330,8 @@ applyDecision(const IrTargetInput &input,
         Cigar new_cigar;
         mapOffsetToAlignment(input, decision.bestConsensus,
                              decision.newOffset[j],
-                             static_cast<uint32_t>(read.length()),
+                             static_cast<uint32_t>(
+                                 input.readSeqs[j].size()),
                              new_pos, new_cigar);
         read.pos = new_pos;
         read.cigar = new_cigar;

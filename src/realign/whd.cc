@@ -31,8 +31,8 @@ MinWhdGrid::operator==(const MinWhdGrid &o) const
 }
 
 uint32_t
-calcWhd(const BaseSeq &cons, const BaseSeq &read, const QualSeq &quals,
-        size_t k)
+calcWhd(std::string_view cons, std::string_view read,
+        std::span<const uint8_t> quals, size_t k)
 {
     panic_if(k + read.size() > cons.size(),
              "calcWhd offset %zu overruns consensus", k);
@@ -60,10 +60,18 @@ WhdTarget::load(const IrTargetInput &input)
     qual.resize(num_reads);
     readLen.resize(num_reads);
     for (size_t j = 0; j < num_reads; ++j) {
-        read[j] = reinterpret_cast<const uint8_t *>(
-            input.readBases[j].data());
-        qual[j] = input.readQuals[j].data();
-        readLen[j] = static_cast<uint32_t>(input.readBases[j].size());
+        const SeqSlice &r = input.readSeqs[j];
+        read[j] = reinterpret_cast<const uint8_t *>(r.bases().data());
+        qual[j] = r.quals().data();
+        readLen[j] = static_cast<uint32_t>(r.size());
+        // The sweep reads each read's bytes (bases, then qualities)
+        // in place in its block, usually cold: request every line
+        // of the target's reads at once rather than miss on each
+        // read in turn.
+        const auto from = reinterpret_cast<uintptr_t>(read[j]);
+        for (uintptr_t line = from & ~uintptr_t{63};
+             line < from + 2 * r.size(); line += 64)
+            __builtin_prefetch(reinterpret_cast<const void *>(line));
     }
 }
 

@@ -41,6 +41,8 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "realign/consensus.hh"
@@ -178,8 +180,8 @@ class MinWhdGrid
  * against @p cons starting at offset @p k.  The read must fit:
  * k + read.size() <= cons.size().
  */
-uint32_t calcWhd(const BaseSeq &cons, const BaseSeq &read,
-                 const QualSeq &quals, size_t k);
+uint32_t calcWhd(std::string_view cons, std::string_view read,
+                 std::span<const uint8_t> quals, size_t k);
 
 /**
  * One target as sweepTarget() reads it: consensus rows and read

@@ -26,7 +26,7 @@ oneLine(const std::string &s)
 }
 
 std::string
-qualsToDecimal(const QualSeq &quals)
+qualsToDecimal(std::span<const uint8_t> quals)
 {
     std::ostringstream os;
     for (size_t i = 0; i < quals.size(); ++i) {
@@ -104,10 +104,8 @@ writeReproCase(std::ostream &os, const ReproCase &repro)
         os << cons << '\n';
     os << "end consensuses\n";
     os << "begin reads\n";
-    for (size_t j = 0; j < repro.target.numReads(); ++j) {
-        os << repro.target.readBases[j] << ' '
-           << qualsToDecimal(repro.target.readQuals[j]) << '\n';
-    }
+    for (const SeqSlice &read : repro.target.readSeqs)
+        os << read.bases() << ' ' << qualsToDecimal(read.quals()) << '\n';
     os << "end reads\n";
 }
 
@@ -169,12 +167,15 @@ readReproCase(std::istream &is)
                     fatal_if(!(pair >> bases >> quals),
                              "malformed kernel read line '%s'",
                              entry.c_str());
+                    const QualSeq q = decimalToQuals(quals);
+                    fatal_if(q.size() != bases.size(),
+                             "kernel read line '%s': %zu bases, %zu "
+                             "qualities",
+                             entry.c_str(), bases.size(), q.size());
                     repro.target.readIndices.push_back(
                         static_cast<uint32_t>(
                             repro.target.readIndices.size()));
-                    repro.target.readBases.push_back(bases);
-                    repro.target.readQuals.push_back(
-                        decimalToQuals(quals));
+                    repro.target.addRead(bases, q);
                 }
             } else {
                 fatal("corpus case: unknown section '%s'",

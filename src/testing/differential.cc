@@ -257,15 +257,15 @@ sweepPairsScalar(const IrTargetInput &input, bool prune,
     for (size_t i = 0; i < input.numConsensuses(); ++i) {
         const BaseSeq &cons = input.consensuses[i];
         for (size_t j = 0; j < input.numReads(); ++j) {
-            const size_t n = input.readBases[j].size();
+            const size_t n = input.readSeqs[j].size();
             if (n > cons.size())
                 continue;
             const WhdSweepResult r = whdSweep(
                 reinterpret_cast<const uint8_t *>(cons.data()),
                 cons.size(),
                 reinterpret_cast<const uint8_t *>(
-                    input.readBases[j].data()),
-                input.readQuals[j].data(), n, prune, pruneChunk,
+                    input.readSeqs[j].bases().data()),
+                input.readSeqs[j].quals().data(), n, prune, pruneChunk,
                 SimdKernel::Scalar);
             out.grid.set(i, j, r.best, r.bestK);
             const uint64_t offsets = cons.size() - n + 1;
@@ -406,9 +406,9 @@ diffSweepMarks(const IrTargetInput &input)
             const size_t m = consSeq.size();
             for (size_t j = 0; j < input.numReads(); ++j) {
                 const uint8_t *read = reinterpret_cast<const uint8_t *>(
-                    input.readBases[j].data());
-                const uint8_t *qual = input.readQuals[j].data();
-                const size_t n = input.readBases[j].size();
+                    input.readSeqs[j].bases().data());
+                const uint8_t *qual = input.readSeqs[j].quals().data();
+                const size_t n = input.readSeqs[j].size();
                 if (n > m)
                     continue;
                 auto scalar = [&](size_t kBegin, size_t kEnd,
@@ -602,7 +602,7 @@ diffKernelInput(const IrTargetInput &input)
     // sentinel (WHD accumulation saturates at kWhdMax instead).
     for (size_t i = 0; i < input.numConsensuses(); ++i) {
         for (size_t j = 0; j < input.numReads(); ++j) {
-            bool feasible = input.readBases[j].size() <=
+            bool feasible = input.readSeqs[j].size() <=
                             input.consensuses[i].size();
             if (feasible && grid.whd(i, j) == kWhdInfinity) {
                 return DiffResult::fail(
@@ -634,8 +634,9 @@ diffKernelInput(const IrTargetInput &input)
                                "mismatch", i));
     }
     for (uint32_t j = 0; j < marshalled.numReads; ++j) {
-        if (marshalled.readAt(j) != input.readBases[j] ||
-            marshalled.qualsAt(j) != input.readQuals[j])
+        if (marshalled.readAt(j) != input.readSeqs[j].bases() ||
+            !std::ranges::equal(marshalled.qualsAt(j),
+                                input.readSeqs[j].quals()))
             return DiffResult::fail(
                 "marshal",
                 fmt("read %u image round-trip mismatch", j));
@@ -1322,8 +1323,7 @@ minimizeKernelInput(
         shrunk = false;
         for (size_t j = 0; j < input.numReads();) {
             IrTargetInput candidate = input;
-            candidate.readBases.erase(candidate.readBases.begin() + j);
-            candidate.readQuals.erase(candidate.readQuals.begin() + j);
+            candidate.readSeqs.erase(candidate.readSeqs.begin() + j);
             candidate.readIndices.erase(
                 candidate.readIndices.begin() + j);
             if (fails(candidate)) {

@@ -121,8 +121,7 @@ addRead(IrTargetInput &input, Rng &rng, size_t len)
         bases = randomBases(rng, len);
     input.readIndices.push_back(
         static_cast<uint32_t>(input.readIndices.size()));
-    input.readQuals.push_back(randomQuals(rng, len));
-    input.readBases.push_back(std::move(bases));
+    input.addRead(bases, randomQuals(rng, len));
 }
 
 /**
@@ -158,8 +157,7 @@ enforceBudget(IrTargetInput &input)
 {
     while (input.numReads() > 0 &&
            input.worstCaseComparisons() > kComparisonBudget) {
-        input.readBases.pop_back();
-        input.readQuals.pop_back();
+        input.readSeqs.pop_back();
         input.readIndices.pop_back();
     }
 }
@@ -224,8 +222,8 @@ boundaryLibrary(Rng &rng)
             size_t k = rng.below(alt.size() - len + 1);
             t.readIndices.push_back(
                 static_cast<uint32_t>(t.readIndices.size()));
-            t.readBases.push_back(alt.substr(k, len));
-            t.readQuals.push_back(randomQuals(rng, len));
+            t.addRead(std::string_view(alt).substr(k, len),
+                      randomQuals(rng, len));
         }
         out.push_back(std::move(t));
     }
@@ -263,8 +261,7 @@ boundaryLibrary(Rng &rng)
             size_t len = 100 + rng.below(100);
             t.readIndices.push_back(
                 static_cast<uint32_t>(t.readIndices.size()));
-            t.readBases.push_back(BaseSeq(len, 'C'));
-            t.readQuals.push_back(QualSeq(len, 255));
+            t.addRead(BaseSeq(len, 'C'), QualSeq(len, 255));
         }
         out.push_back(std::move(t));
     }

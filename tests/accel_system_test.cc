@@ -30,8 +30,7 @@ tinyTarget(Rng &rng)
     input.events.resize(2);
     for (int j = 0; j < 4; ++j) {
         size_t off = rng.below(60);
-        input.readBases.push_back(ref.substr(off, 30));
-        input.readQuals.push_back(QualSeq(30, 25));
+        input.addRead(ref.substr(off, 30), QualSeq(30, 25));
         input.readIndices.push_back(static_cast<uint32_t>(j));
     }
     return marshalTarget(input);

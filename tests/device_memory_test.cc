@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "accel/device_memory.hh"
+#include "fault/fault.hh"
 #include "util/rng.hh"
 
 namespace iracc {
@@ -103,6 +104,26 @@ TEST(DeviceMemory, RandomizedSparseAccess)
         // overlapping writes share the prefix of the last write.
         EXPECT_EQ(got, *block);
     }
+}
+
+TEST(DeviceMemory, ChecksumInPlaceMatchesReadBack)
+{
+    // A range that starts mid-page, crosses a written page into an
+    // untouched one and ends in a third: the in-place checksum must
+    // equal the CRC of what read() copies out, and chain like it.
+    DeviceMemory mem(1 << 20);
+    Rng rng(12);
+    std::vector<uint8_t> block(70000);
+    for (auto &b : block)
+        b = static_cast<uint8_t>(rng.next());
+    mem.write(60000, block.data(), block.size());
+    const uint64_t addr = 50001;
+    const uint64_t len = 3 * 65536 - 7;
+    std::vector<uint8_t> copy = mem.readVec(addr, len);
+    EXPECT_EQ(mem.checksum(addr, len), crc32(copy.data(), len));
+    EXPECT_EQ(mem.checksum(addr + 100, 200, mem.checksum(addr, 100)),
+              crc32(copy.data(), 300));
+    EXPECT_EQ(mem.checksum(addr, 0, 77u), 77u);
 }
 
 } // namespace

@@ -14,6 +14,8 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "realign/whd_simd.hh"
 #include "testing/corpus.hh"
@@ -25,6 +27,19 @@ namespace {
 
 using difftest::DiffResult;
 using difftest::ReproCase;
+
+/** Every read's bases and qualities, to compare two inputs. */
+std::vector<std::pair<BaseSeq, QualSeq>>
+readData(const IrTargetInput &t)
+{
+    std::vector<std::pair<BaseSeq, QualSeq>> out;
+    for (size_t j = 0; j < t.numReads(); ++j) {
+        const std::span<const uint8_t> q = t.readSeqs[j].quals();
+        out.emplace_back(BaseSeq(t.readSeqs[j].bases()),
+                         QualSeq(q.begin(), q.end()));
+    }
+    return out;
+}
 
 TEST(Differential, KernelSeedSweep)
 {
@@ -94,8 +109,7 @@ TEST(Differential, GeneratorIsDeterministic)
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].consensuses, b[i].consensuses) << i;
-        EXPECT_EQ(a[i].readBases, b[i].readBases) << i;
-        EXPECT_EQ(a[i].readQuals, b[i].readQuals) << i;
+        EXPECT_EQ(readData(a[i]), readData(b[i])) << i;
     }
     // The generated set must cover the degenerate corners.
     bool zero_cons = false, zero_reads = false;
@@ -118,8 +132,8 @@ TEST(Differential, ReproCaseKernelRoundTrip)
     repro.target.windowEnd = 128;
     repro.target.consensuses = {"ACGTACGT", "ACGACGT"};
     repro.target.events.resize(2);
-    repro.target.readBases = {"CGTA", "ACG"};
-    repro.target.readQuals = {{0, 17, 255, 3}, {30, 30, 1}};
+    repro.target.addRead("CGTA", QualSeq{0, 17, 255, 3});
+    repro.target.addRead("ACG", QualSeq{30, 30, 1});
     repro.target.readIndices = {0, 1};
 
     std::stringstream ss;
@@ -133,8 +147,7 @@ TEST(Differential, ReproCaseKernelRoundTrip)
     EXPECT_EQ(back.target.windowStart, 120);
     EXPECT_EQ(back.target.windowEnd, 128);
     EXPECT_EQ(back.target.consensuses, repro.target.consensuses);
-    EXPECT_EQ(back.target.readBases, repro.target.readBases);
-    EXPECT_EQ(back.target.readQuals, repro.target.readQuals);
+    EXPECT_EQ(readData(back.target), readData(repro.target));
 }
 
 TEST(Differential, ReproCasePipelineRoundTrip)
@@ -209,15 +222,14 @@ TEST(Differential, KernelMinimizerDropsIrrelevantPieces)
     input.consensuses = {"ACGTACGT", "GGGGGGGG", "CCCCCCCC"};
     input.events.resize(3);
     for (const char *bases : {"ACGT", "TTTT", "CACA"}) {
-        input.readBases.push_back(bases);
-        input.readQuals.push_back(QualSeq(4, 30));
+        input.addRead(bases, QualSeq(4, 30));
         input.readIndices.push_back(
             static_cast<uint32_t>(input.readIndices.size()));
     }
     auto check = [](const IrTargetInput &t) {
         bool read = false, cons = false;
-        for (const BaseSeq &b : t.readBases)
-            read |= b == "TTTT";
+        for (size_t j = 0; j < t.numReads(); ++j)
+            read |= t.readSeqs[j].bases() == "TTTT";
         for (const BaseSeq &c : t.consensuses)
             cons |= c == "GGGGGGGG";
         return read && cons
@@ -227,7 +239,7 @@ TEST(Differential, KernelMinimizerDropsIrrelevantPieces)
     IrTargetInput minimized =
         difftest::minimizeKernelInput(input, check);
     ASSERT_EQ(minimized.numReads(), 1u);
-    EXPECT_EQ(minimized.readBases[0], "TTTT");
+    EXPECT_EQ(minimized.readSeqs[0].bases(), "TTTT");
     // Consensus 0 (the reference window) is structural and kept.
     ASSERT_EQ(minimized.numConsensuses(), 2u);
     EXPECT_EQ(minimized.consensuses[1], "GGGGGGGG");

@@ -29,8 +29,7 @@ TEST(WhdEdge, ReadEqualsConsensusLength)
     input.windowEnd = 4;
     input.consensuses = {"ACGT"};
     input.events.resize(1);
-    input.readBases = {"ACGA"};
-    input.readQuals = {{10, 10, 10, 7}};
+    input.addRead("ACGA", QualSeq{10, 10, 10, 7});
     input.readIndices = {0};
     MinWhdGrid grid = minWhd(input, true);
     EXPECT_EQ(grid.whd(0, 0), 7u); // single offset, one mismatch
@@ -44,8 +43,7 @@ TEST(WhdEdge, SingleBaseRead)
     input.windowEnd = 5;
     input.consensuses = {"AAAAC"};
     input.events.resize(1);
-    input.readBases = {"C"};
-    input.readQuals = {{42}};
+    input.addRead("C", QualSeq{42});
     input.readIndices = {0};
     MinWhdGrid grid = minWhd(input, false);
     EXPECT_EQ(grid.whd(0, 0), 0u);
@@ -59,8 +57,7 @@ TEST(WhdEdge, AllQualityZeroMeansAllOffsetsTie)
     input.windowEnd = 8;
     input.consensuses = {"ACGTACGT"};
     input.events.resize(1);
-    input.readBases = {"TTTT"};
-    input.readQuals = {{0, 0, 0, 0}};
+    input.addRead("TTTT", QualSeq{0, 0, 0, 0});
     input.readIndices = {0};
     MinWhdGrid grid = minWhd(input, true);
     // Zero weights: every offset scores 0; first one wins.
@@ -74,8 +71,8 @@ TEST(WhdEdge, NBasesAlwaysMismatchConcrete)
     // its quality wherever it lands -- the hardware's byte
     // comparator semantics.
     BaseSeq cons = "AAAA";
-    EXPECT_EQ(calcWhd(cons, "NA", {9, 9}, 0), 9u);
-    EXPECT_EQ(calcWhd(cons, "NN", {9, 9}, 0), 18u);
+    EXPECT_EQ(calcWhd(cons, "NA", QualSeq{9, 9}, 0), 9u);
+    EXPECT_EQ(calcWhd(cons, "NN", QualSeq{9, 9}, 0), 18u);
 }
 
 // ----- Marshalling boundaries --------------------------------------
@@ -87,8 +84,7 @@ TEST(MarshalEdge, SingleReadSingleConsensus)
     input.windowEnd = 77 + 10;
     input.consensuses = {"ACGTACGTAC"};
     input.events.resize(1);
-    input.readBases = {"GTAC"};
-    input.readQuals = {{1, 2, 3, 4}};
+    input.addRead("GTAC", QualSeq{1, 2, 3, 4});
     input.readIndices = {0};
     MarshalledTarget m = marshalTarget(input);
     EXPECT_EQ(m.numConsensuses, 1u);
@@ -112,8 +108,8 @@ TEST(MarshalEdge, MaxLengthReadFillsSlotExactly)
         cons.push_back(kConcreteBases[rng.below(4)]);
     input.consensuses = {cons};
     input.events.resize(1);
-    input.readBases = {cons.substr(100, kMaxReadLen)};
-    input.readQuals = {QualSeq(kMaxReadLen, 30)};
+    input.addRead(cons.substr(100, kMaxReadLen),
+                  QualSeq(kMaxReadLen, 30));
     input.readIndices = {0};
     MarshalledTarget m = marshalTarget(input);
     EXPECT_EQ(m.readAt(0).size(), kMaxReadLen);
@@ -195,8 +191,7 @@ TEST(DegenerateTarget, AllReadsLongerThanEveryConsensusIsANoOp)
         BaseSeq s;
         for (size_t b = 0; b < len; ++b)
             s.push_back(kConcreteBases[rng.below(4)]);
-        input.readBases.push_back(s);
-        input.readQuals.push_back(QualSeq(len, 30));
+        input.addRead(s, QualSeq(len, 30));
         input.readIndices.push_back(static_cast<uint32_t>(j));
     }
     // No feasible placement exists anywhere: picking consensus 1
@@ -224,8 +219,7 @@ TEST(DegenerateTarget, InfeasibleConsensusCannotWin)
     for (int j = 0; j < 5; ++j) {
         size_t off = 30 + rng.below(15);
         size_t len = 30 + rng.below(10);
-        input.readBases.push_back(alt.substr(off, len));
-        input.readQuals.push_back(QualSeq(len, 40));
+        input.addRead(alt.substr(off, len), QualSeq(len, 40));
         input.readIndices.push_back(static_cast<uint32_t>(j));
     }
     // Consensus 1 has no feasible placement; its vacuous zero score
@@ -238,8 +232,7 @@ TEST(DegenerateTarget, ZeroConsensusesRejectedCleanly)
     IrTargetInput input;
     input.windowStart = 0;
     input.windowEnd = 0;
-    input.readBases = {"ACGT"};
-    input.readQuals = {{30, 30, 30, 30}};
+    input.addRead("ACGT", QualSeq{30, 30, 30, 30});
     input.readIndices = {0};
     EXPECT_NE(input.limitViolation().find("no consensuses"),
               std::string::npos);

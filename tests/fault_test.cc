@@ -32,6 +32,7 @@
 #include "testing/corpus.hh"
 #include "testing/differential.hh"
 #include "testing/workload_gen.hh"
+#include "util/rng.hh"
 
 namespace iracc {
 namespace {
@@ -482,6 +483,35 @@ TEST(FaultChecksum, Crc32ChainsOverConcatenation)
     cat[6] ^= 0x40;
     EXPECT_NE(crc32(cat, sizeof(cat)),
               crc32(b, sizeof(b), crc32(a, sizeof(a))));
+}
+
+TEST(FaultChecksum, Crc32MatchesBitwiseReference)
+{
+    // The standard CRC-32 check value.
+    const char check[] = "123456789";
+    EXPECT_EQ(crc32(check, 9), 0xCBF43926u);
+    // A bit-at-a-time reference over every length up to three
+    // eight-byte strides plus a tail, and chained seeds.
+    auto reference = [](const uint8_t *p, size_t n, uint32_t seed) {
+        uint32_t crc = ~seed;
+        for (size_t i = 0; i < n; ++i) {
+            crc ^= p[i];
+            for (int b = 0; b < 8; ++b)
+                crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+        }
+        return ~crc;
+    };
+    Rng rng(17);
+    std::vector<uint8_t> bytes(40);
+    for (uint8_t &b : bytes)
+        b = static_cast<uint8_t>(rng.below(256));
+    for (size_t n = 0; n <= bytes.size(); ++n) {
+        for (uint32_t seed : {0u, 0xDEADBEEFu}) {
+            EXPECT_EQ(crc32(bytes.data(), n, seed),
+                      reference(bytes.data(), n, seed))
+                << n << " bytes, seed " << seed;
+        }
+    }
 }
 
 } // namespace

@@ -46,8 +46,7 @@ randomInput(Rng &rng, size_t num_cons, size_t num_reads,
             q.push_back(static_cast<uint8_t>(rng.range(2, 60)));
         for (int e = 0; e < 2; ++e)
             r[rng.below(r.size())] = kConcreteBases[rng.below(4)];
-        input.readBases.push_back(r);
-        input.readQuals.push_back(q);
+        input.addRead(r, q);
         input.readIndices.push_back(static_cast<uint32_t>(j));
     }
     return input;

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "realign/limits.hh"
 #include "realign/marshal.hh"
 #include "util/rng.hh"
@@ -37,8 +39,7 @@ sampleInput(Rng &rng, size_t num_cons = 3, size_t num_reads = 5)
             s.push_back(kConcreteBases[rng.below(4)]);
             q.push_back(static_cast<uint8_t>(rng.range(0, 60)));
         }
-        input.readBases.push_back(s);
-        input.readQuals.push_back(q);
+        input.addRead(s, q);
         input.readIndices.push_back(static_cast<uint32_t>(j));
     }
     return input;
@@ -66,8 +67,9 @@ TEST(Marshal, RoundTripReadsAndQuals)
 
     ASSERT_EQ(m.numReads, input.numReads());
     for (uint32_t j = 0; j < m.numReads; ++j) {
-        EXPECT_EQ(m.readAt(j), input.readBases[j]);
-        EXPECT_EQ(m.qualsAt(j), input.readQuals[j]);
+        EXPECT_EQ(m.readAt(j), input.readSeqs[j].bases());
+        EXPECT_TRUE(
+            std::ranges::equal(m.qualsAt(j), input.readSeqs[j].quals()));
     }
 }
 
@@ -83,7 +85,7 @@ TEST(Marshal, FixedStrideSlots)
               static_cast<size_t>(m.numReads) * kMaxReadLen);
     EXPECT_EQ(m.qualData.size(), m.readData.size());
     // First byte after a read is the 0x00 end-of-read sentinel.
-    size_t len0 = input.readBases[0].size();
+    size_t len0 = input.readSeqs[0].size();
     EXPECT_EQ(m.readData[len0], 0u);
 }
 
@@ -123,8 +125,7 @@ TEST(Marshal, FullSizeTargetWithinLimits)
             s.push_back(kConcreteBases[rng.below(4)]);
             q.push_back(30);
         }
-        input.readBases.push_back(s);
-        input.readQuals.push_back(q);
+        input.addRead(s, q);
         input.readIndices.push_back(j);
     }
     MarshalledTarget m = marshalTarget(input);
@@ -136,6 +137,47 @@ TEST(Marshal, FullSizeTargetWithinLimits)
     EXPECT_EQ(m.readAt(0).size(), kMaxReadLen);
 }
 
+TEST(Marshal, SlotImagesEqualThePerByteFill)
+{
+    // The image of reads of every boundary length, marshalled into
+    // a target that last held longer reads of other bytes, equals a
+    // per-byte fill of zeroed slots: zero tails included.
+    Rng rng(10);
+    IrTargetInput input = sampleInput(rng, 2, 0);
+    for (size_t len : {1u, 31u, 32u, 100u, 256u}) {
+        BaseSeq s;
+        QualSeq q;
+        for (size_t b = 0; b < len; ++b) {
+            s.push_back(kConcreteBases[rng.below(4)]);
+            q.push_back(static_cast<uint8_t>(rng.range(1, 60)));
+        }
+        input.addRead(s, q);
+        input.readIndices.push_back(
+            static_cast<uint32_t>(input.readIndices.size()));
+    }
+    std::vector<uint8_t> reads(input.numReads() * kMaxReadLen, 0);
+    std::vector<uint8_t> quals(reads.size(), 0);
+    for (size_t j = 0; j < input.numReads(); ++j) {
+        for (size_t n = 0; n < input.readSeqs[j].size(); ++n) {
+            reads[j * kMaxReadLen + n] =
+                static_cast<uint8_t>(input.readSeqs[j].bases()[n]);
+            quals[j * kMaxReadLen + n] = input.readSeqs[j].quals()[n];
+        }
+    }
+
+    IrTargetInput stale = sampleInput(rng, 1, 0);
+    for (uint32_t j = 0; j < 8; ++j) {
+        stale.addRead(BaseSeq(kMaxReadLen, 'G'),
+                      QualSeq(kMaxReadLen, 77));
+        stale.readIndices.push_back(j);
+    }
+    MarshalledTarget m;
+    marshalTargetInto(stale, m);
+    marshalTargetInto(input, m);
+    EXPECT_EQ(m.readData, reads);
+    EXPECT_EQ(m.qualData, quals);
+}
+
 /** A minimal valid input to mutate one dimension past its limit. */
 IrTargetInput
 limitProbe()
@@ -145,8 +187,7 @@ limitProbe()
     input.windowEnd = 64;
     input.consensuses = {BaseSeq(64, 'A')};
     input.events.resize(1);
-    input.readBases = {BaseSeq(16, 'C')};
-    input.readQuals = {QualSeq(16, 30)};
+    input.addRead(BaseSeq(16, 'C'), QualSeq(16, 30));
     input.readIndices = {0};
     return input;
 }
@@ -174,8 +215,7 @@ TEST(Marshal, GoldenVectorsAtExactLimits)
             s.push_back(kConcreteBases[rng.below(4)]);
             q.push_back(static_cast<uint8_t>(rng.range(0, 255)));
         }
-        input.readBases.push_back(s);
-        input.readQuals.push_back(q);
+        input.addRead(s, q);
         input.readIndices.push_back(j);
     }
     EXPECT_TRUE(input.limitViolation().empty());
@@ -185,8 +225,10 @@ TEST(Marshal, GoldenVectorsAtExactLimits)
     for (uint32_t i = 0; i < kMaxConsensuses; ++i)
         ASSERT_EQ(m.consensusAt(i), input.consensuses[i]) << i;
     for (uint32_t j = 0; j < kMaxReads; ++j) {
-        ASSERT_EQ(m.readAt(j), input.readBases[j]) << j;
-        ASSERT_EQ(m.qualsAt(j), input.readQuals[j]) << j;
+        ASSERT_EQ(m.readAt(j), input.readSeqs[j].bases()) << j;
+        ASSERT_TRUE(
+            std::ranges::equal(m.qualsAt(j), input.readSeqs[j].quals()))
+            << j;
     }
 }
 
@@ -205,9 +247,8 @@ TEST(MarshalLimits, TooManyConsensusesRejectedCleanly)
 TEST(MarshalLimits, TooManyReadsRejectedCleanly)
 {
     IrTargetInput input = limitProbe();
-    while (input.readBases.size() <= kMaxReads) {
-        input.readBases.push_back(BaseSeq(16, 'C'));
-        input.readQuals.push_back(QualSeq(16, 30));
+    while (input.numReads() <= kMaxReads) {
+        input.addRead(BaseSeq(16, 'C'), QualSeq(16, 30));
         input.readIndices.push_back(
             static_cast<uint32_t>(input.readIndices.size()));
     }
@@ -228,8 +269,8 @@ TEST(MarshalLimits, OverlongConsensusRejectedCleanly)
 TEST(MarshalLimits, OverlongReadRejectedCleanly)
 {
     IrTargetInput input = limitProbe();
-    input.readBases[0] = BaseSeq(kMaxReadLen + 1, 'C');
-    input.readQuals[0] = QualSeq(kMaxReadLen + 1, 30);
+    input.readSeqs[0] = SeqSlice::copyOf(BaseSeq(kMaxReadLen + 1, 'C'),
+                                         QualSeq(kMaxReadLen + 1, 30));
     EXPECT_NE(input.limitViolation().find("read length"),
               std::string::npos);
     EXPECT_DEATH(marshalTarget(input), "read length");
@@ -237,14 +278,13 @@ TEST(MarshalLimits, OverlongReadRejectedCleanly)
 
 TEST(MarshalLimits, MalformedReadsRejectedCleanly)
 {
-    IrTargetInput mismatch = limitProbe();
-    mismatch.readQuals[0].pop_back();
-    EXPECT_NE(mismatch.limitViolation().find("length mismatch"),
-              std::string::npos);
+    // A read's slice holds as many qualities as bases: a mismatch
+    // cannot reach a target input.
+    EXPECT_DEATH(SeqSlice::copyOf(BaseSeq(16, 'C'), QualSeq(15, 30)),
+                 "16 bases but 15 qualities");
 
     IrTargetInput empty = limitProbe();
-    empty.readBases[0].clear();
-    empty.readQuals[0].clear();
+    empty.readSeqs[0] = SeqSlice();
     EXPECT_NE(empty.limitViolation().find("empty read"),
               std::string::npos);
 

@@ -41,8 +41,8 @@ syntheticTarget(Rng &rng, size_t num_reads, size_t cons_len,
     input.events.resize(input.consensuses.size());
     for (size_t j = 0; j < num_reads; ++j) {
         size_t off = rng.below(cons_len - read_len + 1);
-        input.readBases.push_back(ref.substr(off, read_len));
-        input.readQuals.push_back(QualSeq(read_len, 30));
+        input.addRead(ref.substr(off, read_len),
+                      QualSeq(read_len, 30));
         input.readIndices.push_back(static_cast<uint32_t>(j));
     }
     return marshalTarget(input);

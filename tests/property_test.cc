@@ -54,8 +54,7 @@ TEST_P(WhdSizeSweep, KernelMatchesBruteForceAndPruneAgrees)
             s.push_back(kConcreteBases[rng.below(4)]);
             q.push_back(static_cast<uint8_t>(rng.range(1, 60)));
         }
-        input.readBases.push_back(s);
-        input.readQuals.push_back(q);
+        input.addRead(s, q);
         input.readIndices.push_back(static_cast<uint32_t>(j));
     }
 
@@ -74,8 +73,8 @@ TEST_P(WhdSizeSweep, KernelMatchesBruteForceAndPruneAgrees)
             uint32_t best_k = 0;
             for (size_t k = 0; k + read_len <= cons_len; ++k) {
                 uint32_t whd = calcWhd(input.consensuses[i],
-                                       input.readBases[j],
-                                       input.readQuals[j], k);
+                                       input.readSeqs[j].bases(),
+                                       input.readSeqs[j].quals(), k);
                 if (whd < best) {
                     best = whd;
                     best_k = static_cast<uint32_t>(k);
@@ -125,8 +124,7 @@ TEST_P(WidthSweep, EveryWidthIsFunctionallyIdentical)
         BaseSeq r = (j % 2 ? alt : ref).substr(
             off, std::min(n, alt.size() - off));
         QualSeq q(r.size(), 20);
-        input.readBases.push_back(r);
-        input.readQuals.push_back(q);
+        input.addRead(r, q);
         input.readIndices.push_back(static_cast<uint32_t>(j));
     }
     MarshalledTarget m = marshalTarget(input);

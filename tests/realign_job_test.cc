@@ -13,6 +13,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -21,11 +23,14 @@
 #include <vector>
 
 #include "core/realign_job.hh"
+#include "core/realigner_api.hh"
+#include "core/stage_pipeline.hh"
 #include "core/workload.hh"
 #include "obs/obs.hh"
 #include "realign/whd_simd.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
+#include "util/rng.hh"
 
 namespace iracc {
 namespace {
@@ -490,6 +495,80 @@ TEST(RealignJob, EmptyAndSingleContigEdgeCases)
     EXPECT_EQ(fingerprint(a), fingerprint(b));
     expectStatsEqual(ja.stats, jb.stats, "runContig vs run");
     expectWhdEqual(ja.stats.whd, jb.stats.whd, "runContig vs run");
+}
+
+TEST(RealignJob, PartitionMatchesAMapOverMessyContigLists)
+{
+    // Requested contigs unsorted and repeated, one of them (a
+    // contig added to the genome) without reads; contig 1 has reads
+    // but is not requested, and some reads name contigs outside the
+    // genome.  The job must run what a std::map partition runs: the
+    // requested contigs ascending and once each, every contig on
+    // the reads the map gives it.
+    setQuiet(true);
+    GenomeWorkload wl = buildWorkload(multiContigWorkload());
+    Rng rng(5);
+    wl.reference.addContig(
+        "empty", ReferenceGenome::randomSequence(30000, rng));
+    const auto empty =
+        static_cast<int32_t>(wl.reference.numContigs()) - 1;
+    std::vector<Read> reads;
+    for (const Read &r : allReads(wl)) {
+        reads.push_back(r);
+        if (reads.size() % 97 == 0) {
+            Read stray = r;
+            stray.contig = reads.size() % 2 ? -1 : empty + 5;
+            reads.push_back(stray);
+        }
+    }
+    const std::vector<int32_t> contigs = {2, empty, 0, 2, 0};
+
+    std::map<int32_t, std::vector<uint32_t>> byContig;
+    for (int32_t c : contigs)
+        byContig[c];
+    for (uint32_t i = 0; i < reads.size(); ++i) {
+        auto it = byContig.find(reads[i].contig);
+        if (it != byContig.end())
+            it->second.push_back(i);
+    }
+    std::vector<Read> want = reads;
+    std::unique_ptr<RealignerBackend> be = makeBackend("native");
+    std::vector<int32_t> wantOrder;
+    std::vector<BackendRunResult> wantRuns;
+    for (const auto &[contig, indices] : byContig) {
+        auto exec = be->makeExecuteStage(1);
+        wantOrder.push_back(contig);
+        wantRuns.push_back(runContigPipeline(
+            wl.reference, contig, want, be->targetParams(), *exec,
+            be->hostThreads(), &indices));
+    }
+
+    for (uint32_t threads : {1u, 3u}) {
+        RealignJobConfig cfg;
+        cfg.threads = threads;
+        std::vector<Read> got = reads;
+        RealignJobResult job =
+            makeSession("native", cfg).run(wl.reference, contigs, got);
+        const std::string what = "threads=" + std::to_string(threads);
+        ASSERT_EQ(job.contigs.size(), wantOrder.size()) << what;
+        for (size_t i = 0; i < wantOrder.size(); ++i) {
+            EXPECT_EQ(job.contigs[i].contig, wantOrder[i]) << what;
+            expectStatsEqual(job.contigs[i].run.stats,
+                             wantRuns[i].stats, what);
+            expectWhdEqual(job.contigs[i].run.stats.whd,
+                           wantRuns[i].stats.whd, what);
+        }
+        EXPECT_GT(job.stats.readsRealigned, 0u) << what;
+        EXPECT_EQ(job.contigs.back().run.stats.targets, 0u) << what;
+        EXPECT_EQ(fingerprint(got), fingerprint(want)) << what;
+    }
+    // The unrequested and out-of-genome reads kept their alignments.
+    for (size_t i = 0; i < reads.size(); ++i) {
+        if (!byContig.count(reads[i].contig)) {
+            EXPECT_EQ(want[i].pos, reads[i].pos) << i;
+            EXPECT_EQ(want[i].cigar, reads[i].cigar) << i;
+        }
+    }
 }
 
 TEST(RealignJob, RepeatedRunsReuseTheHostExecutorThreads)

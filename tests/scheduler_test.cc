@@ -39,8 +39,7 @@ syntheticTarget(Rng &rng, size_t num_reads, size_t cons_len,
         size_t off = rng.below(cons_len - read_len + 1);
         BaseSeq r = ref.substr(off, read_len);
         QualSeq q(read_len, 30);
-        input.readBases.push_back(r);
-        input.readQuals.push_back(q);
+        input.addRead(r, q);
         input.readIndices.push_back(static_cast<uint32_t>(j));
     }
     return marshalTarget(input);

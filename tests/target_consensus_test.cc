@@ -8,11 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <sstream>
 
+#include "genomics/io.hh"
 #include "realign/consensus.hh"
 #include "realign/limits.hh"
 #include "realign/stages.hh"
 #include "realign/target.hh"
+#include "realign/whd.hh"
 #include "util/rng.hh"
 
 namespace iracc {
@@ -413,6 +417,42 @@ TEST(BuildTargetInput, DeduplicatesIdenticalEvents)
         for (size_t j = i + 1; j < input.events.size(); ++j)
             EXPECT_FALSE(input.events[i].sameEvent(input.events[j]));
     }
+}
+
+TEST(BuildTargetInput, SharesTheReadsBytes)
+{
+    InputFixture fx;
+    IrTargetInput input = buildTargetInput(fx.ref, fx.reads,
+                                           fx.target, fx.indices);
+    ASSERT_EQ(input.numReads(), fx.reads.size());
+    for (size_t j = 0; j < input.numReads(); ++j) {
+        const Read &read = fx.reads[input.readIndices[j]];
+        const SeqSlice &seq = input.readSeqs[j];
+        EXPECT_EQ(seq.bases().data(), read.bases().data()) << j;
+        EXPECT_EQ(seq.quals().data(), read.quals().data()) << j;
+        EXPECT_EQ(input.readSeqs[j].size(), read.length()) << j;
+    }
+}
+
+TEST(BuildTargetInput, OutlivesItsReads)
+{
+    // Parsed reads share 64 KiB blocks; an input built from them
+    // holds the blocks, so it sweeps to the same grid after the
+    // read set is gone (ASan checks the reads in CI).
+    InputFixture fx;
+    std::stringstream sam;
+    writeSamLite(sam, fx.ref, fx.reads);
+    auto parsed = std::make_unique<std::vector<Read>>(
+        readSamLite(sam, fx.ref));
+    IrTargetInput input = buildTargetInput(fx.ref, *parsed, fx.target,
+                                           fx.indices);
+    const MinWhdGrid before = minWhd(input, true);
+    parsed.reset();
+    EXPECT_EQ(minWhd(input, true), before);
+    EXPECT_EQ(minWhd(input, true),
+              minWhd(buildTargetInput(fx.ref, fx.reads, fx.target,
+                                      fx.indices),
+                     true));
 }
 
 TEST(BuildTargetInput, CapsConsensusCount)

@@ -33,10 +33,10 @@ makeInput(std::vector<BaseSeq> consensuses,
     input.windowEnd = static_cast<int64_t>(consensuses[0].size());
     input.consensuses = std::move(consensuses);
     input.events.resize(input.consensuses.size());
-    input.readBases = std::move(read_bases);
-    input.readQuals = std::move(read_quals);
-    for (uint32_t j = 0; j < input.readBases.size(); ++j)
+    for (uint32_t j = 0; j < read_bases.size(); ++j) {
+        input.addRead(read_bases[j], read_quals[j]);
         input.readIndices.push_back(j);
+    }
     return input;
 }
 
@@ -1315,11 +1315,12 @@ TEST(TargetSweep, Width32RowsOnNamedShapes)
         const BaseSeq alt = withIndel(ref, at, 0, randomSeq(rng, 40));
         IrTargetInput input = readsOf({ref, alt}, 2, 41);
         for (size_t j = 0; j < input.numReads(); ++j) {
-            const size_t n = input.readBases[j].size();
+            const size_t n = input.readSeqs[j].size();
             if (n > 0 && n <= alt.size() && rng.chance(0.5)) {
                 const size_t slack = std::min<size_t>(8, alt.size() - n);
-                input.readBases[j] =
-                    alt.substr(alt.size() - n - rng.below(slack + 1), n);
+                input.readSeqs[j] = SeqSlice::copyOf(
+                    alt.substr(alt.size() - n - rng.below(slack + 1), n),
+                    input.readSeqs[j].quals());
             }
         }
         expectWidth32Exact(input, "insertion at " + std::to_string(at));

@@ -9,8 +9,12 @@
  *
  * Workflow:
  *
- *   iracc_bench --check             # CI: fail on regression
+ *   iracc_bench --check --portable  # CI: fail on regression
  *   iracc_bench --write-baseline    # refresh committed baselines
+ *
+ * `--portable` is the supported check: without it the machine-bound
+ * keys (`rate_*` throughputs, wall seconds) are held to the
+ * baseline box's numbers and fail at random on a shared host.
  *
  * `--check` runs kernel_microbench `--repeat N` times (default 3)
  * and gates the per-key median, so one noisy repetition cannot
@@ -227,11 +231,15 @@ usage()
         "                   [--suite NAME]        run one suite "
         "only\n"
         "                   [--portable]          skip "
-        "machine-bound metrics (CI on\n"
-        "                                         foreign "
-        "hardware; counts and same-run\n"
-        "                                         ratios still "
-        "gate)\n");
+        "machine-bound metrics; counts\n"
+        "                                         and same-run "
+        "ratios still gate.  The\n"
+        "                                         supported "
+        "check, and what CI runs:\n"
+        "                                         without it the "
+        "rate_* keys fail at\n"
+        "                                         random on a "
+        "shared host\n");
 }
 
 } // anonymous namespace
