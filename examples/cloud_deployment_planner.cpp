@@ -71,11 +71,7 @@ main(int argc, char **argv)
     int idx = 0;
     for (const Option &opt : options) {
         RealignSession session = makeSession(opt.backend);
-        std::vector<Read> reads;
-        for (const auto &chr : wl.chromosomes) {
-            reads.insert(reads.end(), chr.reads.begin(),
-                         chr.reads.end());
-        }
+        std::vector<Read> reads = wl.allReads();
         double sample_seconds =
             machineBoundSeconds(session.run(wl.reference, reads));
         // Extrapolate: sample bp -> whole genome, then x scale.

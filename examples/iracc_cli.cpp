@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "core/file_pass.hh"
 #include "core/postmortem.hh"
 #include "core/realign_job.hh"
 #include "core/realigner_api.hh"
@@ -210,21 +211,14 @@ cmdRealign(const Args &args)
             requireWritable(path);
     }
 
-    ReferenceGenome ref = loadReference(
-        args.get("--ref", dir + "/ref.fa"));
-    const std::string reads_path =
-        args.get("--reads", dir + "/aligned.samlite");
-    std::vector<Read> reads;
-    if (!stream)
-        reads = loadReads(reads_path, ref);
-
     // Hardened execution: --harden 1 turns on the recovery hooks of
     // an accelerated backend's dispatcher (host/scheduler.hh);
     // --fault-plan SPEC additionally injects the given fault
     // schedule into the simulated card (and implies --harden).
     // The exit code reports the run's health: 0 ok, 3 degraded
     // (recovery fired, output still exact), 4 failed (targets left
-    // unrealigned).
+    // unrealigned).  Like every flag below, it is checked before
+    // the reference is read.
     std::string fault_spec = args.get("--fault-plan", "");
     bool harden = !fault_spec.empty() ||
                   args.getFlag("--harden", false);
@@ -286,55 +280,42 @@ cmdRealign(const Args &args)
                : makeBackend(backend_name, counters, trace, cards,
                              stealing),
         job_cfg);
-    std::printf("backend: %s (%s), job threads: %u",
-                session.backend().name().c_str(),
-                session.backend().description().c_str(),
-                job_cfg.threads);
-    if (cards > 1)
-        std::printf(", cards: %u (stealing %s)", cards,
-                    stealing ? "on" : "off");
-    std::printf("\n");
-    if (!fault_spec.empty())
-        std::printf("fault plan: %s\n",
-                    fault_plan.describe().c_str());
 
-    RealignJobResult job;
+    const std::string reads_path =
+        args.get("--reads", dir + "/aligned.samlite");
+    FilePassResult pass =
+        runFilePass(session, args.get("--ref", dir + "/ref.fa"),
+                    reads_path, out, stream, job_cfg);
+    const ReferenceGenome &ref = pass.ref;
+    if (pass.realigned) {
+        std::printf("backend: %s (%s), job threads: %u",
+                    session.backend().name().c_str(),
+                    session.backend().description().c_str(),
+                    job_cfg.threads);
+        if (cards > 1)
+            std::printf(", cards: %u (stealing %s)", cards,
+                        stealing ? "on" : "off");
+        std::printf("\n");
+        if (!fault_spec.empty())
+            std::printf("fault plan: %s\n",
+                        fault_plan.describe().c_str());
+    }
+    fatal_if(!pass.error.empty(), "%s", pass.error.c_str());
+    const ParseError &perr = pass.parseError;
+    if (!perr.ok() && stream) {
+        fatal("streaming ingest of '%s' failed [%s]: %s",
+              reads_path.c_str(), streamErrorName(perr.code),
+              perr.describe().c_str());
+    }
+    fatal_if(!perr.ok(), "SAM-lite parse failed: %s",
+             perr.describe().c_str());
     if (stream) {
-        std::ifstream rf(reads_path);
-        fatal_if(!rf, "cannot open reads '%s'",
-                 reads_path.c_str());
-        std::ofstream f = openOutput(out);
-        SamLiteBatchSource source(rf, ref);
-        StreamRealignResult sr = session.runStreamed(
-            ref, source, [&](std::vector<Read> &group) {
-                writeSamLite(f, ref, group);
-            });
-        if (!sr.parseOk) {
-            // Never leave a half-written output behind a parse
-            // failure.
-            f.close();
-            removePartialOutput(out);
-            fatal("streaming ingest of '%s' failed [%s]: %s",
-                  reads_path.c_str(),
-                  streamErrorName(sr.parseError.code),
-                  sr.parseError.describe().c_str());
-        }
-        finishOutput(f, out);
-        job = std::move(sr.job);
         std::printf("streamed %llu reads in %llu contig batches "
                     "(bounded memory)\n",
-                    static_cast<unsigned long long>(
-                        sr.readsStreamed),
-                    static_cast<unsigned long long>(sr.batches));
-    } else {
-        std::vector<int32_t> contigs;
-        for (size_t c = 0; c < ref.numContigs(); ++c)
-            contigs.push_back(static_cast<int32_t>(c));
-        job = session.run(ref, contigs, reads);
-        std::ofstream f = openOutput(out);
-        writeSamLite(f, ref, reads);
-        finishOutput(f, out);
+                    static_cast<unsigned long long>(pass.reads),
+                    static_cast<unsigned long long>(pass.batches));
     }
+    const RealignJobResult &job = pass.job;
     const RealignStats &total = job.stats;
     const PerfReport &perf = job.perf;
 

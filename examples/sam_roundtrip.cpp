@@ -4,10 +4,10 @@
  * FASTA/FASTQ/SAM-lite, reload it, and realign -- the shape of a
  * real deployment where the sequencer output and alignments live
  * on disk between pipeline stages (as GATK3's file-based flow
- * does).  The realignment leg runs twice: once through the classic
- * load-everything path and once through the bounded-memory
- * streaming path (genomics/stream_io.hh), and the two outputs are
- * verified byte-identical.
+ * does).  The realignment leg runs twice through the file pass
+ * (core/file_pass.hh): once in memory and once through the
+ * bounded-memory streaming path, and the two outputs are verified
+ * byte-identical.
  *
  *   $ ./build/examples/sam_roundtrip [output_dir=/tmp]
  */
@@ -17,11 +17,10 @@
 #include <sstream>
 #include <string>
 
+#include "core/file_pass.hh"
 #include "core/realign_job.hh"
-#include "core/realigner_api.hh"
 #include "core/workload.hh"
 #include "genomics/io.hh"
-#include "genomics/stream_io.hh"
 #include "util/logging.hh"
 
 using namespace iracc;
@@ -62,55 +61,41 @@ main(int argc, char **argv)
                 fasta.c_str(), wl.reference.numContigs(),
                 fastq.c_str(), sam_in.c_str(), chr.reads.size());
 
-    // Reload from disk -- a fresh process would start here.
-    ReferenceGenome ref;
-    {
-        std::ifstream f(fasta);
-        ref = readFasta(f);
-    }
-    std::vector<Read> reads;
-    {
-        std::ifstream f(sam_in);
-        reads = readSamLite(f, ref);
-    }
-    fatal_if(reads.size() != chr.reads.size(),
-             "round-trip lost reads");
-    std::printf("reloaded %zu reads from disk\n", reads.size());
-
-    // Realign on the simulated accelerator and persist the result.
-    int32_t contig = ref.findContig(autosomeName(22));
+    // Reload from disk -- a fresh process would start here -- and
+    // realign on the simulated accelerator through the file pass
+    // (core/file_pass.hh), twice: once loading every read first,
+    // and once streamed, where reads are pulled off the SAM-lite
+    // file one contig batch at a time and realigned groups are
+    // appended to the output as they finish, so peak memory stays
+    // bounded by the largest contig regardless of file size.  The
+    // contract is byte-identity of the two outputs -- checked right
+    // here.
     RealignSession session = makeSession("iracc");
-    RealignJobResult run = session.runContig(ref, contig, reads);
-    {
-        std::ofstream f(sam_out);
-        writeSamLite(f, ref, reads);
-    }
-    std::printf("realigned %llu of %llu considered reads across "
+    auto realign = [&](const std::string &out, bool stream) {
+        FilePassResult pass = runFilePass(session, fasta, sam_in, out,
+                                          stream, session.config());
+        fatal_if(!pass.error.empty(), "%s", pass.error.c_str());
+        fatal_if(!pass.parseError.ok(), "ingest failed: %s",
+                 pass.parseError.describe().c_str());
+        fatal_if(pass.reads != chr.reads.size(),
+                 "round-trip lost reads");
+        return pass;
+    };
+
+    FilePassResult run = realign(sam_out, false);
+    std::printf("reloaded %llu reads from disk\n"
+                "realigned %llu of %llu considered reads across "
                 "%llu targets\nwrote %s\n",
+                static_cast<unsigned long long>(run.reads),
                 static_cast<unsigned long long>(
-                    run.stats.readsRealigned),
+                    run.job.stats.readsRealigned),
                 static_cast<unsigned long long>(
-                    run.stats.readsConsidered),
-                static_cast<unsigned long long>(run.stats.targets),
+                    run.job.stats.readsConsidered),
+                static_cast<unsigned long long>(run.job.stats.targets),
                 sam_out.c_str());
 
-    // Same realignment again, but streamed: reads are pulled off
-    // the SAM-lite file one contig batch at a time and realigned
-    // groups are appended to the output as they finish, so peak
-    // memory stays bounded by the largest contig regardless of
-    // file size.  The contract is byte-identity with the in-memory
-    // run above -- checked right here.
     const std::string sam_stream = dir + "/iracc_streamed.samlite";
-    std::ifstream sf(sam_in);
-    std::ofstream of(sam_stream);
-    SamLiteBatchSource source(sf, ref);
-    StreamRealignResult sr = session.runStreamed(
-        ref, source, [&](std::vector<Read> &group) {
-            writeSamLite(of, ref, group);
-        });
-    fatal_if(!sr.parseOk, "streamed ingest failed: %s",
-             sr.parseError.describe().c_str());
-    of.close();
+    FilePassResult sr = realign(sam_stream, true);
     auto slurp = [](const std::string &path) {
         std::ifstream f(path);
         std::ostringstream ss;
@@ -121,7 +106,7 @@ main(int argc, char **argv)
              "streamed output diverged from in-memory output");
     std::printf("streamed %llu reads in %llu batches; %s is "
                 "byte-identical to %s\n",
-                static_cast<unsigned long long>(sr.readsStreamed),
+                static_cast<unsigned long long>(sr.reads),
                 static_cast<unsigned long long>(sr.batches),
                 sam_stream.c_str(), sam_out.c_str());
     return 0;

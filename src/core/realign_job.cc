@@ -359,7 +359,7 @@ mergeJobResult(RealignJobResult *agg, RealignJobResult &&part)
 
 StreamRealignResult
 RealignSession::runStreamed(
-    const ReferenceGenome &ref, ReadBatchSource &source,
+    const ReferenceGenome &ref, SamLiteBatchSource &source,
     const std::function<void(std::vector<Read> &reads)> &sink) const
 {
     return runStreamed(ref, source, sink, cfg);
@@ -367,7 +367,7 @@ RealignSession::runStreamed(
 
 StreamRealignResult
 RealignSession::runStreamed(
-    const ReferenceGenome &ref, ReadBatchSource &source,
+    const ReferenceGenome &ref, SamLiteBatchSource &source,
     const std::function<void(std::vector<Read> &reads)> &sink,
     const RealignJobConfig &job_cfg) const
 {

@@ -236,8 +236,8 @@ double machineBoundSeconds(const RealignJobResult &job);
  * plus the ingest outcome.  A parse error does not abort the
  * process -- groups realigned before the error are merged into
  * `job` and already delivered to the sink; the caller decides what
- * to do with the partial output (the CLI and server both fail the
- * job and discard it).
+ * to do with the partial output (the file pass, core/file_pass.hh,
+ * fails the job and removes it).
  */
 struct StreamRealignResult
 {
@@ -333,13 +333,13 @@ class RealignSession
      * unrealigned and the result carries parseOk = false.
      */
     StreamRealignResult runStreamed(
-        const ReferenceGenome &ref, ReadBatchSource &source,
+        const ReferenceGenome &ref, SamLiteBatchSource &source,
         const std::function<void(std::vector<Read> &reads)> &sink,
         const RealignJobConfig &job_cfg) const;
 
     /** Streaming run with the session-bound configuration. */
     StreamRealignResult runStreamed(
-        const ReferenceGenome &ref, ReadBatchSource &source,
+        const ReferenceGenome &ref, SamLiteBatchSource &source,
         const std::function<void(std::vector<Read> &reads)> &sink)
         const;
 

@@ -22,6 +22,16 @@ GenomeWorkload::totalReads() const
     return total;
 }
 
+std::vector<Read>
+GenomeWorkload::allReads() const
+{
+    std::vector<Read> reads;
+    reads.reserve(static_cast<size_t>(totalReads()));
+    for (const auto &c : chromosomes)
+        reads.insert(reads.end(), c.reads.begin(), c.reads.end());
+    return reads;
+}
+
 GenomeWorkload
 buildWorkload(const WorkloadParams &params)
 {

@@ -76,6 +76,9 @@ struct GenomeWorkload
     const ChromosomeWorkload &chromosome(int n) const;
 
     int64_t totalReads() const;
+
+    /** Every chromosome's reads, in chromosome order. */
+    std::vector<Read> allReads() const;
 };
 
 /** Synthesize a workload (deterministic in the parameters). */

@@ -24,17 +24,20 @@ writeFasta(std::ostream &os, const ReferenceGenome &ref)
 }
 
 ReferenceGenome
-readFasta(std::istream &is)
+readFasta(std::istream &is, std::string *error_out)
 {
     ReferenceGenome ref;
-    std::string line, name, seq;
+    std::string line, name, seq, fatal_error;
+    std::string *error = error_out ? error_out : &fatal_error;
+    // Bases are checked here, so that addContig cannot panic.
     auto flush = [&] {
-        if (!name.empty())
+        if (!name.empty() && !isValidSequence(seq))
+            *error = "contig " + name + " has invalid bases";
+        else if (!name.empty())
             ref.addContig(name, seq);
-        name.clear();
         seq.clear();
     };
-    while (std::getline(is, line)) {
+    while (error->empty() && std::getline(is, line)) {
         if (line.empty())
             continue;
         if (line[0] == '>') {
@@ -43,14 +46,17 @@ readFasta(std::istream &is)
             size_t end = line.find_first_of(" \t", 1);
             name = line.substr(1, end == std::string::npos
                                   ? std::string::npos : end - 1);
-            fatal_if(name.empty(), "FASTA record with empty name");
+            if (name.empty() && error->empty())
+                *error = "FASTA record with empty name";
+        } else if (name.empty()) {
+            *error = "FASTA sequence data before any header";
         } else {
-            fatal_if(name.empty(),
-                     "FASTA sequence data before any header");
             seq += line;
         }
     }
-    flush();
+    if (error->empty())
+        flush();
+    fatal_if(!fatal_error.empty(), "%s", fatal_error.c_str());
     return ref;
 }
 
@@ -221,7 +227,8 @@ samLiteRecordsIn(uint64_t bytes, const Read &sample,
 } // namespace
 
 std::vector<Read>
-readSamLite(std::istream &is, const ReferenceGenome &ref)
+readSamLite(std::istream &is, const ReferenceGenome &ref,
+            ParseError *err_out)
 {
     // The old implementation parsed with istringstream >>, which
     // accepts partial tokens ("12x" -> 12) and lets malformed
@@ -233,15 +240,16 @@ readSamLite(std::istream &is, const ReferenceGenome &ref)
     std::vector<Read> reads;
     const uint64_t bytes = streamBytesLeft(is);
     SamLiteStreamReader reader(is, ref);
-    ParseError err;
-    StreamStatus st = reader.next(&reads.emplace_back(), &err);
+    ParseError fatal_err;
+    ParseError *err = err_out ? err_out : &fatal_err;
+    StreamStatus st = reader.next(&reads.emplace_back(), err);
     if (st == StreamStatus::Record && bytes != 0)
         reads.reserve(samLiteRecordsIn(bytes, reads.front(), ref));
     while (st == StreamStatus::Record)
-        st = reader.next(&reads.emplace_back(), &err);
+        st = reader.next(&reads.emplace_back(), err);
     reads.pop_back();
-    fatal_if(st == StreamStatus::Error, "SAM-lite parse failed: %s",
-             err.describe().c_str());
+    fatal_if(!fatal_err.ok(), "SAM-lite parse failed: %s",
+             fatal_err.describe().c_str());
     return reads;
 }
 

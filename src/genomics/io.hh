@@ -19,11 +19,14 @@
 
 namespace iracc {
 
+struct ParseError;
+
 /** Write a reference genome as FASTA (60-column wrapped). */
 void writeFasta(std::ostream &os, const ReferenceGenome &ref);
 
-/** Parse a FASTA stream into a reference genome. */
-ReferenceGenome readFasta(std::istream &is);
+/** Parse a FASTA stream into a reference genome; malformed input is
+ *  fatal(), or with @p error described there. */
+ReferenceGenome readFasta(std::istream &is, std::string *error = nullptr);
 
 /** Write reads as FASTQ (alignment information is dropped). */
 void writeFastq(std::ostream &os, const std::vector<Read> &reads);
@@ -39,9 +42,11 @@ std::vector<Read> readFastq(std::istream &is);
 void writeSamLite(std::ostream &os, const ReferenceGenome &ref,
                   const std::vector<Read> &reads);
 
-/** Parse SAM-lite; contig names are resolved against @p ref. */
+/** Parse SAM-lite; contig names are resolved against @p ref.  A
+ *  malformed record is fatal(), or with @p err described there. */
 std::vector<Read> readSamLite(std::istream &is,
-                              const ReferenceGenome &ref);
+                              const ReferenceGenome &ref,
+                              ParseError *err = nullptr);
 
 } // namespace iracc
 

@@ -213,42 +213,29 @@ class SamLiteStreamReader
 };
 
 /**
- * A stream of per-contig read batches -- the input contract of
- * RealignSession::runStreamed.  Each nextBatch yields every read of
- * one contig, in input order; the consumer may realign and discard
- * the batch before pulling the next, which is what bounds memory.
- */
-class ReadBatchSource
-{
-  public:
-    virtual ~ReadBatchSource() = default;
-
-    /**
-     * Pull the next contig batch.  On Record, @p contig and
-     * @p reads describe one whole contig.  On Error the stream is
-     * poisoned: further calls return End.
-     */
-    virtual StreamStatus nextBatch(int32_t *contig,
-                                   std::vector<Read> *reads,
-                                   ParseError *err) = 0;
-};
-
-/**
- * Contig batching over a SAM-lite stream.  Requires the input to be
+ * Contig batching over a SAM-lite stream -- the input of
+ * RealignSession::runStreamed.  Requires the input to be
  * contig-grouped (all of a contig's reads adjacent -- the order
  * writeSamLite produces); a contig reappearing after its run ended
  * is rejected with UngroupedInput, because silently splitting it
  * would break the streaming/in-memory bit-equality contract
  * (docs/TESTING.md).
  */
-class SamLiteBatchSource : public ReadBatchSource
+class SamLiteBatchSource
 {
   public:
     SamLiteBatchSource(std::istream &is, const ReferenceGenome &ref,
                        StreamLimits limits = {});
 
+    /**
+     * Pull the next contig batch: on Record, @p contig and @p reads
+     * describe one whole contig, in input order, and the consumer
+     * may realign and discard it before pulling the next, which is
+     * what bounds memory.  On Error the stream is poisoned: further
+     * calls return End.
+     */
     StreamStatus nextBatch(int32_t *contig, std::vector<Read> *reads,
-                           ParseError *err) override;
+                           ParseError *err);
 
     /** Reads successfully produced so far (across batches). */
     uint64_t records() const { return reader.records(); }

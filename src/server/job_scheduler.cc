@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "core/file_pass.hh"
 #include "core/workload.hh"
 #include "fault/fault.hh"
 #include "genomics/io.hh"
@@ -17,12 +18,6 @@ namespace iracc {
 namespace server {
 
 namespace {
-
-const char *
-statusName(RunStatus s)
-{
-    return runStatusName(s);
-}
 
 /**
  * Why a file job's paths cannot work, or "" when they can: --ref
@@ -52,27 +47,10 @@ badPathError(const JobSpec &spec)
 
 struct JobScheduler::JobRecord
 {
-    uint64_t id = 0;
-    std::string tenant;
+    /** Everything status and result report, progress included. */
+    JobView view;
     JobSpec spec;
-
-    JobState state = JobState::Queued;
     std::atomic<bool> cancelRequested{false};
-    bool cancelled = false;
-    std::string status;
-    std::string error;
-
-    uint64_t contigsDone = 0;
-    uint64_t contigsTotal = 0;
-    uint64_t targets = 0;
-    uint64_t readsConsidered = 0;
-    uint64_t readsRealigned = 0;
-    double fpgaSeconds = 0.0;
-    double wallSeconds = 0.0;
-    std::string outPath;
-    std::string postmortemPath;
-    std::vector<ProgressEvent> progress;
-
     std::chrono::steady_clock::time_point enqueuedAt;
 };
 
@@ -140,8 +118,8 @@ JobScheduler::submit(const std::string &tenant, JobSpec spec)
     // happened to dequeue the previous job already.
     uint64_t in_flight = queues[tenant].size();
     for (const auto &kv : jobs) {
-        if (kv.second->tenant == tenant &&
-            kv.second->state == JobState::Running) {
+        if (kv.second->view.tenant == tenant &&
+            kv.second->view.state == JobState::Running) {
             ++in_flight;
         }
     }
@@ -157,18 +135,18 @@ JobScheduler::submit(const std::string &tenant, JobSpec spec)
     }
 
     auto job = std::make_unique<JobRecord>();
-    job->id = nextJobId++;
-    job->tenant = tenant;
+    job->view.id = nextJobId++;
+    job->view.tenant = tenant;
     job->spec = std::move(spec);
-    job->outPath = job->spec.outPath;
+    job->view.outPath = job->spec.outPath;
     job->enqueuedAt = std::chrono::steady_clock::now();
     JobRecord *ptr = job.get();
-    jobs[job->id] = std::move(job);
+    jobs[job->view.id] = std::move(job);
     queues[tenant].push_back(ptr);
     ++queuedCount;
 
     adm.accepted = true;
-    adm.jobId = ptr->id;
+    adm.jobId = ptr->view.id;
     adm.tenantInFlight = in_flight + 1;
     bumpTenantCounter(tenant, "submitted");
     if (cfg.metrics) {
@@ -221,7 +199,7 @@ JobScheduler::workerLoop()
                 return;
             continue;
         }
-        job->state = JobState::Running;
+        job->view.state = JobState::Running;
         ++runningCount;
         if (cfg.metrics) {
             cfg.metrics->gauge("server.jobs_running")
@@ -239,57 +217,7 @@ JobScheduler::workerLoop()
 void
 JobScheduler::runJob(JobRecord *job)
 {
-    // Load (or synthesize) the dataset outside the scheduler lock.
-    // File jobs load only the reference here: their reads are
-    // pulled off disk contig-by-contig through the streaming batch
-    // source below, so a job's peak memory is bounded by the
-    // largest contig's read set, not the file size -- and a
-    // malformed record fails that one job with a machine-readable
-    // error instead of taking the daemon down the way the old
-    // readSamLite (fatal on parse error) did.
-    ReferenceGenome ref;
-    std::vector<Read> reads;
-    std::string load_error;
     const JobSpec &spec = job->spec;
-    const bool file_job = spec.synthScale <= 0;
-    const bool want_out = !spec.outPath.empty();
-    std::ofstream out;
-    if (!file_job && want_out) {
-        // An unwritable output fails the job before the workload
-        // is synthesized.
-        out.open(spec.outPath);
-        if (!out)
-            load_error = "cannot write '" + spec.outPath + "'";
-    }
-    if (!file_job && load_error.empty()) {
-        WorkloadParams params;
-        params.seed = spec.synthSeed;
-        params.scaleDivisor = spec.synthScale;
-        params.coverage = spec.synthCoverage;
-        params.chromosomes = spec.synthChromosomes;
-        GenomeWorkload wl = buildWorkload(params);
-        ref = std::move(wl.reference);
-        for (const auto &chr : wl.chromosomes) {
-            reads.insert(reads.end(), chr.reads.begin(),
-                         chr.reads.end());
-        }
-    } else if (file_job) {
-        std::ifstream fa(spec.refPath);
-        if (!fa) {
-            load_error =
-                "cannot open reference '" + spec.refPath + "'";
-        } else {
-            ref = readFasta(fa);
-        }
-    }
-    if (!load_error.empty()) {
-        std::lock_guard<std::mutex> lock(mu);
-        job->error = load_error;
-        job->status = statusName(RunStatus::Failed);
-        finishJob(job, JobState::Done);
-        return;
-    }
-
     RealignJobConfig run_cfg;
     run_cfg.threads = spec.jobThreads;
     run_cfg.cancel = &job->cancelRequested;
@@ -307,83 +235,80 @@ JobScheduler::runJob(JobRecord *job)
             ev.contig = p.contig;
             ev.contigsDone = p.contigsDone;
             ev.contigsTotal = p.contigsTotal;
-            ev.status = statusName(p.status);
+            ev.status = runStatusName(p.status);
             ev.targets = p.targets;
             ev.vtime = p.vtime;
             ev.skipped = p.skipped;
-            job->progress.push_back(std::move(ev));
-            job->contigsDone = p.contigsDone;
-            job->contigsTotal = p.contigsTotal;
+            job->view.progress.push_back(std::move(ev));
+            job->view.contigsDone = p.contigsDone;
+            job->view.contigsTotal = p.contigsTotal;
         }
         if (cfg.metrics)
             cfg.metrics->counter("server.contigs_completed").add();
         if (cfg.onProgress)
-            cfg.onProgress(job->id, p);
+            cfg.onProgress(job->view.id, p);
     };
 
+    // Everything runs outside the scheduler lock.  A file job is
+    // one streamed file pass (core/file_pass.hh): its reads are
+    // pulled off disk contig by contig, so its peak memory is
+    // bounded by the largest contig's read set, and a malformed
+    // reference or record fails that one job with an error
+    // instead of taking the daemon down.
     RealignJobResult result;
     std::string run_error;
-    if (file_job) {
-        // Streamed ingest: realigned groups are appended to the
-        // output as they finish, so the job never holds more than
-        // one thread-group of contigs in memory.  A parse failure
-        // or a cancellation removes the partial output -- callers
-        // either get the complete byte-exact file or nothing.
-        std::ifstream sam(spec.readsPath);
-        if (!sam) {
-            run_error =
-                "cannot open reads '" + spec.readsPath + "'";
-        } else if (want_out) {
-            out.open(spec.outPath);
-            if (!out)
-                run_error = "cannot write '" + spec.outPath + "'";
-        }
-        if (run_error.empty()) {
-            SamLiteBatchSource source(sam, ref);
-            StreamRealignResult sr = session->runStreamed(
-                ref, source,
-                [&](std::vector<Read> &group) {
-                    if (want_out)
-                        writeSamLite(out, ref, group);
-                },
-                run_cfg);
-            result = std::move(sr.job);
-            if (!sr.parseOk) {
-                run_error = std::string("stream parse error [") +
-                            streamErrorName(sr.parseError.code) +
-                            "]: " + sr.parseError.describe();
-            }
-            if (want_out && (!sr.parseOk || result.cancelled)) {
-                out.close();
-                removePartialOutput(spec.outPath);
-            } else if (want_out && !closeOutput(out, spec.outPath)) {
-                run_error = "cannot write '" + spec.outPath + "'";
-            }
+    if (spec.synthScale <= 0) {
+        FilePassResult pass =
+            runFilePass(*session, spec.refPath, spec.readsPath,
+                        spec.outPath, true, run_cfg);
+        result = std::move(pass.job);
+        run_error = pass.error;
+        if (!pass.parseError.ok()) {
+            run_error = std::string("stream parse error [") +
+                        streamErrorName(pass.parseError.code) +
+                        "]: " + pass.parseError.describe();
         }
     } else {
-        result = session->run(ref, reads, run_cfg);
-        if (want_out && result.cancelled) {
-            out.close();
-            removePartialOutput(spec.outPath);
-        } else if (want_out) {
-            writeSamLite(out, ref, reads);
-            if (!closeOutput(out, spec.outPath))
-                run_error = "cannot write '" + spec.outPath + "'";
+        // An unwritable output fails the job before the workload
+        // is synthesized.
+        const bool want_out = !spec.outPath.empty();
+        std::ofstream out;
+        if (want_out)
+            out.open(spec.outPath);
+        if (want_out && !out) {
+            run_error = "cannot write '" + spec.outPath + "'";
+        } else {
+            WorkloadParams params;
+            params.seed = spec.synthSeed;
+            params.scaleDivisor = spec.synthScale;
+            params.coverage = spec.synthCoverage;
+            params.chromosomes = spec.synthChromosomes;
+            GenomeWorkload wl = buildWorkload(params);
+            std::vector<Read> reads = wl.allReads();
+            result = session->run(wl.reference, reads, run_cfg);
+            if (want_out && result.cancelled) {
+                out.close();
+                removePartialOutput(spec.outPath);
+            } else if (want_out) {
+                writeSamLite(out, wl.reference, reads);
+                if (!closeOutput(out, spec.outPath))
+                    run_error = "cannot write '" + spec.outPath + "'";
+            }
         }
     }
 
     std::lock_guard<std::mutex> lock(mu);
-    job->targets = result.stats.targets;
-    job->readsConsidered = result.stats.readsConsidered;
-    job->readsRealigned = result.stats.readsRealigned;
-    job->fpgaSeconds = result.fpgaSeconds;
-    job->wallSeconds = result.wallSeconds;
-    job->postmortemPath = result.postmortemPath;
-    job->cancelled = result.cancelled;
-    job->status = statusName(result.status);
+    job->view.targets = result.stats.targets;
+    job->view.readsConsidered = result.stats.readsConsidered;
+    job->view.readsRealigned = result.stats.readsRealigned;
+    job->view.fpgaSeconds = result.fpgaSeconds;
+    job->view.wallSeconds = result.wallSeconds;
+    job->view.postmortemPath = result.postmortemPath;
+    job->view.cancelled = result.cancelled;
+    job->view.status = runStatusName(result.status);
     if (!run_error.empty()) {
-        job->error = run_error;
-        job->status = statusName(RunStatus::Failed);
+        job->view.error = run_error;
+        job->view.status = runStatusName(RunStatus::Failed);
     }
     finishJob(job, result.cancelled ? JobState::Cancelled
                                     : JobState::Done);
@@ -393,17 +318,17 @@ void
 JobScheduler::finishJob(JobRecord *job, JobState state)
 {
     // Caller holds mu.
-    job->state = state;
-    if (job->state == JobState::Cancelled) {
-        bumpTenantCounter(job->tenant, "cancelled");
-    } else if (job->error.empty() && job->status == "ok") {
-        bumpTenantCounter(job->tenant, "completed");
-    } else if (job->status == "degraded") {
-        bumpTenantCounter(job->tenant, "completed");
+    job->view.state = state;
+    if (job->view.state == JobState::Cancelled) {
+        bumpTenantCounter(job->view.tenant, "cancelled");
+    } else if (job->view.error.empty() && job->view.status == "ok") {
+        bumpTenantCounter(job->view.tenant, "completed");
+    } else if (job->view.status == "degraded") {
+        bumpTenantCounter(job->view.tenant, "completed");
         if (cfg.metrics)
             cfg.metrics->counter("server.jobs_degraded").add();
     } else {
-        bumpTenantCounter(job->tenant, "failed");
+        bumpTenantCounter(job->view.tenant, "failed");
     }
     if (runningCount > 0)
         --runningCount;
@@ -411,7 +336,7 @@ JobScheduler::finishJob(JobRecord *job, JobState state)
         cfg.metrics->gauge("server.jobs_running")
             .set(static_cast<int64_t>(runningCount));
         cfg.metrics->histogram("server.job.run_ns")
-            .record(obs::nanos(job->wallSeconds));
+            .record(obs::nanos(job->view.wallSeconds));
     }
     jobTerminal.notify_all();
 }
@@ -424,16 +349,16 @@ JobScheduler::cancel(uint64_t job_id)
     if (it == jobs.end())
         return false;
     JobRecord *job = it->second.get();
-    switch (job->state) {
+    switch (job->view.state) {
     case JobState::Queued: {
-        auto &q = queues[job->tenant];
+        auto &q = queues[job->view.tenant];
         q.erase(std::remove(q.begin(), q.end(), job), q.end());
         --queuedCount;
         if (cfg.metrics) {
             cfg.metrics->gauge("server.queue_depth")
                 .set(static_cast<int64_t>(queuedCount));
         }
-        job->cancelled = true;
+        job->view.cancelled = true;
         ++runningCount; // finishJob undoes this; never ran
         finishJob(job, JobState::Cancelled);
         break;
@@ -456,26 +381,13 @@ JobView
 JobScheduler::viewLocked(const JobRecord &job,
                          uint64_t progress_since) const
 {
-    JobView v;
-    v.id = job.id;
-    v.tenant = job.tenant;
-    v.state = job.state;
-    v.status = job.status;
-    v.cancelled = job.cancelled;
-    v.error = job.error;
-    v.contigsDone = job.contigsDone;
-    v.contigsTotal = job.contigsTotal;
-    v.targets = job.targets;
-    v.readsConsidered = job.readsConsidered;
-    v.readsRealigned = job.readsRealigned;
-    v.fpgaSeconds = job.fpgaSeconds;
-    v.wallSeconds = job.wallSeconds;
-    v.outPath = job.outPath;
-    v.postmortemPath = job.postmortemPath;
-    for (const ProgressEvent &p : job.progress) {
-        if (p.seq > progress_since)
-            v.progress.push_back(p);
-    }
+    JobView v = job.view;
+    v.progress.erase(
+        std::remove_if(v.progress.begin(), v.progress.end(),
+                       [progress_since](const ProgressEvent &p) {
+                           return p.seq <= progress_since;
+                       }),
+        v.progress.end());
     return v;
 }
 
@@ -500,8 +412,8 @@ JobScheduler::wait(uint64_t job_id, JobView *out)
         return false;
     JobRecord *job = it->second.get();
     jobTerminal.wait(lock, [job] {
-        return job->state == JobState::Done ||
-               job->state == JobState::Cancelled;
+        return job->view.state == JobState::Done ||
+               job->view.state == JobState::Cancelled;
     });
     *out = viewLocked(*job, 0);
     return true;
@@ -527,14 +439,14 @@ JobScheduler::shutdown(bool drain)
             for (auto &kv : queues) {
                 for (JobRecord *job : kv.second) {
                     --queuedCount;
-                    job->cancelled = true;
+                    job->view.cancelled = true;
                     ++runningCount;
                     finishJob(job, JobState::Cancelled);
                 }
                 kv.second.clear();
             }
             for (auto &kv : jobs) {
-                if (kv.second->state == JobState::Running) {
+                if (kv.second->view.state == JobState::Running) {
                     kv.second->cancelRequested.store(
                         true, std::memory_order_relaxed);
                 }

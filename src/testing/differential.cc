@@ -4,10 +4,12 @@
 #include <cstdarg>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 
 #include "accel/ir_compute.hh"
+#include "core/file_pass.hh"
 #include "core/realign_job.hh"
 #include "genomics/io.hh"
 #include "realign/limits.hh"
@@ -116,35 +118,77 @@ checkDecisionInvariants(const MinWhdGrid &grid,
     return {};
 }
 
+/** Pin the SIMD kernel @p variant names, if any, while @p scope
+ *  lives. */
+void
+pinVariantKernel(const BackendVariant &variant,
+                 std::optional<ScopedSimdKernel> *scope)
+{
+    if (variant.kernel.empty())
+        return;
+    SimdKernel kernel;
+    panic_if(!parseSimdKernel(variant.kernel, &kernel),
+             "variant '%s' names unknown SIMD kernel '%s'",
+             variant.label.c_str(), variant.kernel.c_str());
+    scope->emplace(kernel);
+}
+
 PipelineOutcome
 runVariant(const BackendVariant &variant, const ReferenceGenome &ref,
            std::vector<Read> reads)
 {
-    if (!variant.kernel.empty()) {
-        SimdKernel kernel;
-        panic_if(!parseSimdKernel(variant.kernel, &kernel),
-                 "variant '%s' names unknown SIMD kernel '%s'",
-                 variant.label.c_str(), variant.kernel.c_str());
-        ScopedSimdKernel scope(kernel);
-        return runBackendPipeline(makeVariantBackend(variant),
-                                  variant.jobThreads, ref,
-                                  std::move(reads));
-    }
+    std::optional<ScopedSimdKernel> scope;
+    pinVariantKernel(variant, &scope);
     return runBackendPipeline(makeVariantBackend(variant),
                               variant.jobThreads, ref,
                               std::move(reads));
 }
 
-/**
- * Full bitwise comparison of two pipeline outcomes: alignments,
- * every RealignStats scalar including the complete WhdStats, and
- * variant calls.  Used where both runs share one design point
- * (hardened vs plain, faulted vs fault-free), so even the
- * prune-granularity caveat of diffPipeline does not apply.
- */
+/** The RealignStats scalars of @p a against @p b (the oracle). */
 DiffResult
-compareOutcomes(const std::string &label, const PipelineOutcome &got,
-                const PipelineOutcome &oracle)
+compareCounts(const std::string &label, const RealignStats &a,
+              const RealignStats &b)
+{
+    if (a.targets == b.targets &&
+        a.readsConsidered == b.readsConsidered &&
+        a.readsRealigned == b.readsRealigned &&
+        a.consensusesEvaluated == b.consensusesEvaluated)
+        return {};
+    return DiffResult::fail(
+        label,
+        fmt("realign stats diverge: targets %llu/%llu "
+            "considered %llu/%llu realigned %llu/%llu "
+            "consensuses %llu/%llu",
+            static_cast<unsigned long long>(a.targets),
+            static_cast<unsigned long long>(b.targets),
+            static_cast<unsigned long long>(a.readsConsidered),
+            static_cast<unsigned long long>(b.readsConsidered),
+            static_cast<unsigned long long>(a.readsRealigned),
+            static_cast<unsigned long long>(b.readsRealigned),
+            static_cast<unsigned long long>(a.consensusesEvaluated),
+            static_cast<unsigned long long>(b.consensusesEvaluated)));
+}
+
+/** compareCounts, then the complete WhdStats. */
+DiffResult
+compareStats(const std::string &label, const RealignStats &a,
+             const RealignStats &b)
+{
+    if (DiffResult r = compareCounts(label, a, b); !r.ok)
+        return r;
+    if (!statsEqual(a.whd, b.whd)) {
+        return DiffResult::fail(
+            label, fmt("WhdStats diverge: %s vs oracle %s",
+                       statsString(a.whd).c_str(),
+                       statsString(b.whd).c_str()));
+    }
+    return {};
+}
+
+/** Per-read alignments of @p got against @p oracle. */
+DiffResult
+compareAlignments(const std::string &label, const PipelineOutcome &got,
+                  const PipelineOutcome &oracle)
 {
     if (got.alignments.size() != oracle.alignments.size()) {
         return DiffResult::fail(
@@ -160,51 +204,46 @@ compareOutcomes(const std::string &label, const PipelineOutcome &got,
                            oracle.alignments[j].c_str()));
         }
     }
-    const RealignStats &a = got.stats;
-    const RealignStats &b = oracle.stats;
-    if (a.targets != b.targets ||
-        a.readsConsidered != b.readsConsidered ||
-        a.readsRealigned != b.readsRealigned ||
-        a.consensusesEvaluated != b.consensusesEvaluated) {
-        return DiffResult::fail(
-            label,
-            fmt("realign stats diverge: targets %llu/%llu "
-                "considered %llu/%llu realigned %llu/%llu "
-                "consensuses %llu/%llu",
-                static_cast<unsigned long long>(a.targets),
-                static_cast<unsigned long long>(b.targets),
-                static_cast<unsigned long long>(a.readsConsidered),
-                static_cast<unsigned long long>(b.readsConsidered),
-                static_cast<unsigned long long>(a.readsRealigned),
-                static_cast<unsigned long long>(b.readsRealigned),
-                static_cast<unsigned long long>(
-                    a.consensusesEvaluated),
-                static_cast<unsigned long long>(
-                    b.consensusesEvaluated)));
-    }
-    if (!statsEqual(a.whd, b.whd)) {
-        return DiffResult::fail(
-            label, fmt("WhdStats diverge: %s vs oracle %s",
-                       statsString(a.whd).c_str(),
-                       statsString(b.whd).c_str()));
-    }
-    if (got.calls != oracle.calls) {
-        size_t n = std::min(got.calls.size(), oracle.calls.size());
-        std::string where =
-            fmt("call count %zu vs %zu", got.calls.size(),
-                oracle.calls.size());
-        for (size_t i = 0; i < n; ++i) {
-            if (got.calls[i] != oracle.calls[i]) {
-                where = fmt("call %zu is %s, oracle %s", i,
-                            got.calls[i].c_str(),
-                            oracle.calls[i].c_str());
-                break;
-            }
-        }
-        return DiffResult::fail(label,
-                                "variant calls diverge: " + where);
-    }
     return {};
+}
+
+/** Variant calls of @p got against @p oracle. */
+DiffResult
+compareCalls(const std::string &label, const PipelineOutcome &got,
+             const PipelineOutcome &oracle)
+{
+    if (got.calls == oracle.calls)
+        return {};
+    size_t n = std::min(got.calls.size(), oracle.calls.size());
+    std::string where = fmt("call count %zu vs %zu", got.calls.size(),
+                            oracle.calls.size());
+    for (size_t i = 0; i < n; ++i) {
+        if (got.calls[i] != oracle.calls[i]) {
+            where = fmt("call %zu is %s, oracle %s", i,
+                        got.calls[i].c_str(), oracle.calls[i].c_str());
+            break;
+        }
+    }
+    return DiffResult::fail(label, "variant calls diverge: " + where);
+}
+
+/**
+ * Full bitwise comparison of two pipeline outcomes: alignments,
+ * every RealignStats scalar including the complete WhdStats, and
+ * variant calls.  Used where both runs share one design point
+ * (hardened vs plain, faulted vs fault-free), so even the
+ * prune-granularity caveat of diffPipeline does not apply.
+ */
+DiffResult
+compareOutcomes(const std::string &label, const PipelineOutcome &got,
+                const PipelineOutcome &oracle)
+{
+    if (DiffResult r = compareAlignments(label, got, oracle); !r.ok)
+        return r;
+    if (DiffResult r = compareStats(label, got.stats, oracle.stats);
+        !r.ok)
+        return r;
+    return compareCalls(label, got, oracle);
 }
 
 } // anonymous namespace
@@ -744,42 +783,13 @@ diffPipeline(const ReferenceGenome &ref,
     for (size_t v = 1; v < variants.size(); ++v) {
         const BackendVariant &variant = variants[v];
         PipelineOutcome got = runVariant(variant, ref, reads);
-
-        for (size_t j = 0; j < reads.size(); ++j) {
-            if (got.alignments[j] != oracle.alignments[j]) {
-                return DiffResult::fail(
-                    variant.label,
-                    fmt("read %zu aligned as %s, oracle %s", j,
-                        got.alignments[j].c_str(),
-                        oracle.alignments[j].c_str()));
-            }
-        }
+        if (DiffResult r = compareAlignments(variant.label, got, oracle);
+            !r.ok)
+            return r;
         const RealignStats &a = got.stats;
         const RealignStats &b = oracle.stats;
-        if (a.targets != b.targets ||
-            a.readsConsidered != b.readsConsidered ||
-            a.readsRealigned != b.readsRealigned ||
-            a.consensusesEvaluated != b.consensusesEvaluated) {
-            return DiffResult::fail(
-                variant.label,
-                fmt("realign stats diverge: targets %llu/%llu "
-                    "considered %llu/%llu realigned %llu/%llu "
-                    "consensuses %llu/%llu",
-                    static_cast<unsigned long long>(a.targets),
-                    static_cast<unsigned long long>(b.targets),
-                    static_cast<unsigned long long>(
-                        a.readsConsidered),
-                    static_cast<unsigned long long>(
-                        b.readsConsidered),
-                    static_cast<unsigned long long>(
-                        a.readsRealigned),
-                    static_cast<unsigned long long>(
-                        b.readsRealigned),
-                    static_cast<unsigned long long>(
-                        a.consensusesEvaluated),
-                    static_cast<unsigned long long>(
-                        b.consensusesEvaluated)));
-        }
+        if (DiffResult r = compareCounts(variant.label, a, b); !r.ok)
+            return r;
         // The would-be work is a pure function of the workload; the
         // executed work additionally depends on prune granularity
         // (per base in software, per chunk in hardware), so full
@@ -805,24 +815,9 @@ diffPipeline(const ReferenceGenome &ref,
                     statsString(a.whd).c_str(),
                     statsString(b.whd).c_str()));
         }
-        if (got.calls != oracle.calls) {
-            size_t n = std::min(got.calls.size(),
-                                oracle.calls.size());
-            std::string where = fmt(
-                "call count %zu vs %zu", got.calls.size(),
-                oracle.calls.size());
-            for (size_t i = 0; i < n; ++i) {
-                if (got.calls[i] != oracle.calls[i]) {
-                    where = fmt("call %zu is %s, oracle %s", i,
-                                got.calls[i].c_str(),
-                                oracle.calls[i].c_str());
-                    break;
-                }
-            }
-            return DiffResult::fail(
-                variant.label,
-                "variant calls diverge: " + where);
-        }
+        if (DiffResult r = compareCalls(variant.label, got, oracle);
+            !r.ok)
+            return r;
     }
     return {};
 }
@@ -831,10 +826,7 @@ DiffResult
 diffPipelineSeed(uint64_t seed)
 {
     GenomeWorkload workload = makeDiffGenome(seed);
-    std::vector<Read> reads;
-    for (const ChromosomeWorkload &chrom : workload.chromosomes)
-        reads.insert(reads.end(), chrom.reads.begin(),
-                     chrom.reads.end());
+    std::vector<Read> reads = workload.allReads();
     DiffResult r = diffPipeline(workload.reference, reads);
     if (!r.ok) {
         r.detail = fmt("seed %llu: %s",
@@ -1036,10 +1028,7 @@ DiffResult
 diffFaultSeed(uint64_t seed, uint32_t cards, bool stealing)
 {
     GenomeWorkload workload = makeDiffGenome(seed);
-    std::vector<Read> reads;
-    for (const ChromosomeWorkload &chrom : workload.chromosomes)
-        reads.insert(reads.end(), chrom.reads.begin(),
-                     chrom.reads.end());
+    std::vector<Read> reads = workload.allReads();
     FaultPlan plan = FaultPlan::random(seed);
     DiffResult r = diffFaultPlan(workload.reference, reads, plan,
                                  cards, stealing);
@@ -1094,92 +1083,62 @@ diffStreamingVariant(const BackendVariant &variant,
 {
     const std::string label = variant.label + "/streamed";
 
-    // In-memory arm: batch-load the same serialized bytes so both
-    // arms parse identical records, realign, serialize.
-    std::istringstream mem_in(input_sam);
-    std::vector<Read> mem_reads = readSamLite(mem_in, ref);
+    // Both arms run the production file pass over the same
+    // serialized bytes: in memory (every read parsed, then
+    // realigned and written) and streamed (contig batches realigned
+    // and appended as the groups complete).
     RealignJobConfig cfg;
     cfg.threads = variant.jobThreads;
-    RealignSession mem_session(makeVariantBackend(variant), cfg);
-    RealignJobResult mem_result = mem_session.run(ref, mem_reads);
-    std::ostringstream mem_out;
-    writeSamLite(mem_out, ref, mem_reads);
+    auto runArm = [&](bool stream, std::ostringstream *out) {
+        std::istringstream in(input_sam);
+        RealignSession session(makeVariantBackend(variant), cfg);
+        return runFilePass(session, ref, in, [out] { return out; },
+                           stream, cfg);
+    };
+    std::ostringstream mem_out, stream_out;
+    FilePassResult mem = runArm(false, &mem_out);
+    FilePassResult streamed = runArm(true, &stream_out);
 
-    // Streaming arm: contig batches pulled off the same bytes,
-    // realigned group-by-group, serialized as the groups complete.
-    std::istringstream stream_in(input_sam);
-    SamLiteBatchSource source(stream_in, ref);
-    RealignSession stream_session(makeVariantBackend(variant), cfg);
-    std::ostringstream stream_out;
-    StreamRealignResult stream_result = stream_session.runStreamed(
-        ref, source, [&](std::vector<Read> &group) {
-            writeSamLite(stream_out, ref, group);
-        });
-
-    if (!stream_result.parseOk) {
-        return DiffResult::fail(
-            label, fmt("streaming ingest rejected its own "
-                       "serialization: %s",
-                       stream_result.parseError.describe().c_str()));
+    for (const FilePassResult *arm : {&mem, &streamed}) {
+        if (!arm->parseError.ok()) {
+            return DiffResult::fail(
+                label, fmt("%s ingest rejected its own "
+                           "serialization: %s",
+                           arm == &mem ? "in-memory" : "streaming",
+                           arm->parseError.describe().c_str()));
+        }
     }
-    if (stream_result.readsStreamed != mem_reads.size()) {
+    if (streamed.reads != mem.reads) {
         return DiffResult::fail(
             label,
-            fmt("streamed %llu reads, in-memory load has %zu",
-                static_cast<unsigned long long>(
-                    stream_result.readsStreamed),
-                mem_reads.size()));
+            fmt("streamed %llu reads, in-memory load has %llu",
+                static_cast<unsigned long long>(streamed.reads),
+                static_cast<unsigned long long>(mem.reads)));
     }
-    if (stream_out.str() != mem_out.str()) {
-        const std::string &a = stream_out.str();
-        const std::string &b = mem_out.str();
-        size_t n = std::min(a.size(), b.size());
-        size_t at = n;
-        for (size_t i = 0; i < n; ++i) {
-            if (a[i] != b[i]) {
-                at = i;
-                break;
-            }
-        }
+    const std::string a = stream_out.str(), b = mem_out.str();
+    if (a != b) {
+        const size_t at = static_cast<size_t>(
+            std::mismatch(a.begin(), a.end(), b.begin(), b.end())
+                .first -
+            a.begin());
         return DiffResult::fail(
             label,
             fmt("realigned SAM-lite output diverges at byte %zu "
                 "(%zu vs %zu bytes total)",
                 at, a.size(), b.size()));
     }
-    const RealignStats &s = stream_result.job.stats;
-    const RealignStats &m = mem_result.stats;
-    if (s.targets != m.targets ||
-        s.readsConsidered != m.readsConsidered ||
-        s.readsRealigned != m.readsRealigned ||
-        s.consensusesEvaluated != m.consensusesEvaluated ||
-        !statsEqual(s.whd, m.whd)) {
-        return DiffResult::fail(
-            label,
-            fmt("RealignStats diverge: targets %llu/%llu "
-                "considered %llu/%llu realigned %llu/%llu "
-                "consensuses %llu/%llu whd %s vs %s",
-                static_cast<unsigned long long>(s.targets),
-                static_cast<unsigned long long>(m.targets),
-                static_cast<unsigned long long>(s.readsConsidered),
-                static_cast<unsigned long long>(m.readsConsidered),
-                static_cast<unsigned long long>(s.readsRealigned),
-                static_cast<unsigned long long>(m.readsRealigned),
-                static_cast<unsigned long long>(
-                    s.consensusesEvaluated),
-                static_cast<unsigned long long>(
-                    m.consensusesEvaluated),
-                statsString(s.whd).c_str(),
-                statsString(m.whd).c_str()));
-    }
+    if (DiffResult r =
+            compareStats(label, streamed.job.stats, mem.job.stats);
+        !r.ok)
+        return r;
     // Modeled time depends on the contig alone, so each contig's
     // and the slowest contig's are bit-identical however the stream
     // was grouped.  (The job's fpgaSeconds is a float sum in group
     // order and may differ in the last bit.)
     std::map<int32_t, double> mem_fpga;
-    for (const ContigJobResult &c : mem_result.contigs)
+    for (const ContigJobResult &c : mem.job.contigs)
         mem_fpga[c.contig] = c.run.fpgaSeconds;
-    for (const ContigJobResult &c : stream_result.job.contigs) {
+    for (const ContigJobResult &c : streamed.job.contigs) {
         auto it = mem_fpga.find(c.contig);
         if (it == mem_fpga.end() || it->second != c.run.fpgaSeconds) {
             return DiffResult::fail(
@@ -1189,13 +1148,13 @@ diffStreamingVariant(const BackendVariant &variant,
                            it == mem_fpga.end() ? -1.0 : it->second));
         }
     }
-    if (stream_result.job.criticalPathSeconds !=
-        mem_result.criticalPathSeconds) {
+    if (streamed.job.criticalPathSeconds !=
+        mem.job.criticalPathSeconds) {
         return DiffResult::fail(
             label, fmt("critical path %.17g s streamed vs %.17g s "
                        "in memory",
-                       stream_result.job.criticalPathSeconds,
-                       mem_result.criticalPathSeconds));
+                       streamed.job.criticalPathSeconds,
+                       mem.job.criticalPathSeconds));
     }
     return {};
 }
@@ -1212,18 +1171,10 @@ diffStreamingIngest(const ReferenceGenome &ref,
     const std::string input_sam = input.str();
 
     for (const BackendVariant &variant : variants) {
-        DiffResult r;
-        if (!variant.kernel.empty()) {
-            SimdKernel kernel;
-            panic_if(!parseSimdKernel(variant.kernel, &kernel),
-                     "variant '%s' names unknown SIMD kernel '%s'",
-                     variant.label.c_str(), variant.kernel.c_str());
-            ScopedSimdKernel scope(kernel);
-            r = diffStreamingVariant(variant, ref, input_sam);
-        } else {
-            r = diffStreamingVariant(variant, ref, input_sam);
-        }
-        if (!r.ok)
+        std::optional<ScopedSimdKernel> scope;
+        pinVariantKernel(variant, &scope);
+        if (DiffResult r = diffStreamingVariant(variant, ref, input_sam);
+            !r.ok)
             return r;
     }
     return {};
@@ -1233,10 +1184,7 @@ DiffResult
 diffStreamingIngestSeed(uint64_t seed)
 {
     GenomeWorkload workload = makeDiffGenome(seed);
-    std::vector<Read> reads;
-    for (const ChromosomeWorkload &chrom : workload.chromosomes)
-        reads.insert(reads.end(), chrom.reads.begin(),
-                     chrom.reads.end());
+    std::vector<Read> reads = workload.allReads();
     DiffResult r = diffStreamingIngest(workload.reference, reads);
     if (!r.ok) {
         r.detail = fmt("seed %llu: %s",

@@ -233,10 +233,11 @@ DiffResult diffScenarioFaultSeed(ScenarioProfile profile,
 
 /**
  * Streaming-ingest differential: serialize @p reads as SAM-lite,
- * realign them again through SamLiteBatchSource +
- * RealignSession::runStreamed, and require byte-identical SAM-lite
- * output and a fully identical RealignStats against the in-memory
- * run of the same design point -- for every variant in
+ * realign them through the production file pass
+ * (core/file_pass.hh) streamed and in memory, and require
+ * byte-identical SAM-lite output and a fully identical
+ * RealignStats from the two arms of each design point -- for every
+ * variant in
  * @p variants (the default matrix spans 1 and 4 job threads).
  * This is the executable form of the streaming bit-equality
  * contract (docs/TESTING.md).

@@ -492,6 +492,76 @@ TEST(Scheduler, UnwritableOutputFailsTheJob)
     std::filesystem::remove_all(dir);
 }
 
+TEST(Scheduler, MalformedReferenceFailsOnlyThatJob)
+{
+    // Each bad reference passes the submit-time path check and used
+    // to take the whole daemon down when the job read it (fatal()
+    // in the FASTA reader, a panic in ReferenceGenome::addContig).
+    char tmpl[] = "/tmp/iracc_server_badref_XXXXXX";
+    ASSERT_NE(mkdtemp(tmpl), nullptr);
+    const std::string dir = tmpl;
+    WorkloadParams params;
+    params.seed = 37;
+    params.scaleDivisor = 40000;
+    params.coverage = 4.0;
+    params.chromosomes = {22};
+    GenomeWorkload wl = buildWorkload(params);
+    std::vector<Read> reads = wl.chromosomes[0].reads;
+    {
+        std::ofstream fa(dir + "/ref.fa");
+        writeFasta(fa, wl.reference);
+        std::ofstream sam(dir + "/reads.samlite");
+        writeSamLite(sam, wl.reference, reads);
+    }
+    const std::vector<std::pair<std::string, std::string>> bad = {
+        {"ACGT\n>chr1\nACGT\n", "FASTA sequence data before any header"},
+        {">chr21\nACGTXACGT", "contig chr21 has invalid bases"},
+        {">\nACGT\n", "FASTA record with empty name"},
+    };
+
+    JobSchedulerConfig cfg;
+    cfg.workers = 1;
+    JobScheduler sched(cfg);
+    sched.start();
+    JobSpec spec;
+    spec.synthScale = 0;
+    spec.readsPath = dir + "/reads.samlite";
+    spec.outPath = dir + "/out.samlite";
+    for (size_t i = 0; i < bad.size(); ++i) {
+        spec.refPath = dir + "/bad" + std::to_string(i) + ".fa";
+        std::ofstream(spec.refPath) << bad[i].first;
+        Admission a = sched.submit("t", spec);
+        ASSERT_TRUE(a.accepted) << a.error;
+        JobView view;
+        ASSERT_TRUE(sched.wait(a.jobId, &view));
+        EXPECT_EQ(view.state, JobState::Done);
+        EXPECT_EQ(view.status, "failed");
+        EXPECT_EQ(view.error, bad[i].second);
+        EXPECT_TRUE(view.progress.empty());
+        EXPECT_FALSE(std::filesystem::exists(spec.outPath));
+    }
+
+    // The same scheduler still serves a good job, with the output a
+    // solo run writes.
+    spec.refPath = dir + "/ref.fa";
+    Admission a = sched.submit("t", spec);
+    ASSERT_TRUE(a.accepted) << a.error;
+    JobView view;
+    ASSERT_TRUE(sched.wait(a.jobId, &view));
+    EXPECT_EQ(view.status, "ok") << view.error;
+    EXPECT_TRUE(view.error.empty());
+    RealignSession session(makeBackend("iracc"));
+    session.run(wl.reference, reads);
+    std::ostringstream want;
+    writeSamLite(want, wl.reference, reads);
+    std::ifstream in(spec.outPath);
+    std::stringstream got;
+    got << in.rdbuf();
+    EXPECT_EQ(got.str(), want.str());
+    sched.shutdown(true);
+    std::filesystem::remove_all(dir);
+}
+
 // ---- TCP end to end ----------------------------------------------
 
 /** Solo (no daemon) realignment of a synth spec, rendered to the

@@ -280,9 +280,7 @@ reportPipelineMismatch(const Options &opt, uint64_t seed,
     repro.variant = result.variant;
     repro.detail = result.detail;
     repro.reference = workload.reference;
-    for (const ChromosomeWorkload &chrom : workload.chromosomes)
-        repro.reads.insert(repro.reads.end(), chrom.reads.begin(),
-                           chrom.reads.end());
+    repro.reads = workload.allReads();
     if (opt.minimize) {
         repro.reads = minimizeReads(
             repro.reference, std::move(repro.reads),
@@ -317,9 +315,7 @@ reportStreamMismatch(const Options &opt, uint64_t seed,
     repro.variant = result.variant;
     repro.detail = "streaming ingest: " + result.detail;
     repro.reference = workload.reference;
-    for (const ChromosomeWorkload &chrom : workload.chromosomes)
-        repro.reads.insert(repro.reads.end(), chrom.reads.begin(),
-                           chrom.reads.end());
+    repro.reads = workload.allReads();
     if (opt.minimize) {
         repro.reads = minimizeReads(
             repro.reference, std::move(repro.reads),
@@ -432,9 +428,7 @@ reportFaultMismatch(const Options &opt, uint64_t seed,
     repro.detail = result.detail;
     repro.faultPlan = plan.describe();
     repro.reference = workload.reference;
-    for (const ChromosomeWorkload &chrom : workload.chromosomes)
-        repro.reads.insert(repro.reads.end(), chrom.reads.begin(),
-                           chrom.reads.end());
+    repro.reads = workload.allReads();
     if (opt.minimize) {
         // The plan is held fixed while reads shrink: occurrence
         // counting stays meaningful because every candidate replays
